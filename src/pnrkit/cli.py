@@ -14,11 +14,11 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import Callable, TypeVar
 
-from pnrkit.errors import EmptyInputError, PnrKitError, ValidationError
+from pnrkit.errors import CoverageError, EmptyInputError, PnrKitError, ValidationError
 from pnrkit.fusion import fuse_oscc, fuse_pnr
 from pnrkit.ingest import (
-    Dataset,
     dataset_stats,
     emit_annotations,
     emit_oscc_scores,
@@ -51,6 +51,8 @@ from pnrkit.model import Clip, window_center_time
 from pnrkit.sampling import WindowingConfig, dense_windows
 from pnrkit.sim import gen_dataset, parse_sim_config, simulate_oscc, simulate_scores
 
+T = TypeVar("T")
+
 
 def _info(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
@@ -66,9 +68,9 @@ def _with_context(path: str, exc: PnrKitError) -> PnrKitError:
     return type(exc)(f"{path}: {exc}")
 
 
-def _load_dataset(path: str) -> Dataset:
+def _load(path: str, parse: Callable[[str], T]) -> T:
     try:
-        return parse_annotations(_read_text(path))
+        return parse(_read_text(path))
     except PnrKitError as exc:
         raise _with_context(path, exc) from None
 
@@ -82,7 +84,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.annotations)
+    ds = _load(args.annotations, parse_annotations)
     stats = dataset_stats(ds, bins=args.bins)
     sys.stdout.write(render_stats(stats))
     if args.out:
@@ -102,11 +104,8 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.annotations)
-    try:
-        series_by_clip = parse_pnr_scores(_read_text(args.scores))
-    except PnrKitError as exc:
-        raise _with_context(args.scores, exc) from None
+    ds = _load(args.annotations, parse_annotations)
+    series_by_clip = _load(args.scores, parse_pnr_scores)
     if not series_by_clip:
         raise EmptyInputError(f"{args.scores}: no scored windows")
     config = SelectionConfig(
@@ -124,7 +123,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.annotations)
+    ds = _load(args.annotations, parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
     preds = {}
@@ -139,7 +138,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.annotations)
+    ds = _load(args.annotations, parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
     config = WindowingConfig(num_windows=args.n, window_len=args.window)
@@ -157,63 +156,44 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ValidationError("fuse requires --out")
-    ds = _load_dataset(args.annotations) if args.annotations else None
-    if args.task == "oscc":
-        prob_maps = []
-        for path in args.scores:
-            try:
-                prob_maps.append(parse_oscc_scores(_read_text(path)))
-            except PnrKitError as exc:
-                raise _with_context(path, exc) from None
-        clip_ids = sorted(set().union(*prob_maps))
-        if not clip_ids:
-            raise EmptyInputError("no probabilities to fuse")
-        fused = {
-            clip_id: fuse_oscc([m[clip_id] for m in prob_maps if clip_id in m])
-            for clip_id in clip_ids
-        }
-        _emit(args, emit_oscc_scores(fused))
-    else:
-        series_maps = []
-        for path in args.scores:
-            try:
-                series_maps.append(parse_pnr_scores(_read_text(path)))
-            except PnrKitError as exc:
-                raise _with_context(path, exc) from None
-        clip_ids = sorted(set().union(*series_maps))
-        if not clip_ids:
-            raise EmptyInputError("no scored windows to fuse")
-        fused_series = {}
-        for clip_id in clip_ids:
-            clip = None
-            if ds is not None:
-                clip = ds.clips.get(clip_id)
-                if clip is None:
-                    raise ValidationError(f"scores for unknown clip {clip_id!r}")
-            fused_series[clip_id] = fuse_pnr(
-                [m[clip_id] for m in series_maps if clip_id in m], clip
-            )
-        _emit(args, emit_pnr_scores(fused_series))
+    ds = _load(args.annotations, parse_annotations) if args.annotations else None
+    oscc = args.task == "oscc"
+    parse = parse_oscc_scores if oscc else parse_pnr_scores
+    score_maps = [_load(path, parse) for path in args.scores]
+    clip_ids = sorted(set().union(*score_maps))
+    if not clip_ids:
+        raise EmptyInputError("no scores to fuse")
+    # a clip missing from one file would be averaged over the others only
+    for path, scores in zip(args.scores, score_maps):
+        missing = tuple(clip_id for clip_id in clip_ids if clip_id not in scores)
+        if missing:
+            raise CoverageError(f"{path}: no scores for clip(s)", missing)
+    fused = {}
+    for clip_id in clip_ids:
+        values = [scores[clip_id] for scores in score_maps]
+        if oscc:
+            fused[clip_id] = fuse_oscc(values)
+            continue
+        clip = None
+        if ds is not None:
+            clip = ds.clips.get(clip_id)
+            if clip is None:
+                raise ValidationError(f"scores for unknown clip {clip_id!r}")
+        fused[clip_id] = fuse_pnr(values, clip)
+    _emit(args, emit_oscc_scores(fused) if oscc else emit_pnr_scores(fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.annotations)
-    preds_text = _read_text(args.preds)
+    ds = _load(args.annotations, parse_annotations)
     if args.task == "oscc":
         if args.plot_data:
             raise ValidationError("--plot-data applies to --task pnr only")
-        try:
-            probs = parse_oscc_scores(preds_text)
-        except PnrKitError as exc:
-            raise _with_context(args.preds, exc) from None
+        probs = _load(args.preds, parse_oscc_scores)
         report = oscc_accuracy({c: p >= 0.5 for c, p in probs.items()}, ds)
     else:
-        try:
-            preds = parse_predictions(preds_text)
-        except PnrKitError as exc:
-            raise _with_context(args.preds, exc) from None
+        preds = _load(args.preds, parse_predictions)
         report = per_position_error(preds, ds, bins=args.bins)
     sys.stdout.write(render_report(report))
     if args.out:
@@ -226,10 +206,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        settings = parse_sim_config(_read_text(args.config))
-    except PnrKitError as exc:
-        raise _with_context(args.config, exc) from None
+    settings = _load(args.config, parse_sim_config)
     sim_cfg = settings.sim
     if args.seed is not None:
         sim_cfg = dataclasses.replace(sim_cfg, seed=args.seed)

@@ -12,6 +12,7 @@ only; downstream selection runs on the fused series unchanged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Sequence
 
 from pnrkit.errors import DomainError, EmptyInputError, ValidationError
@@ -23,11 +24,6 @@ from pnrkit.model import (
     ensure_window_in_clip,
     window_center_frame,
 )
-
-# A fused series is an ordinary score series whose windows are the union
-# of the inputs' geometries, sorted by center; it feeds select_pnr and
-# the score emitter unchanged.
-FusedSeries = ScoreSeries
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -48,32 +44,46 @@ def fuse_oscc(probs: Sequence[float]) -> float:
     return _mean(probs)
 
 
-def _sort_key(window: FrameWindow) -> tuple[float, int, int]:
-    return (window_center_frame(window), window.start, window.end)
-
-
-def _nearest_confidence(series: ScoreSeries, point_center: float) -> float:
-    best = min(
-        series.windows,
-        key=lambda sw: (
-            abs(window_center_frame(sw.window) - point_center),
-            window_center_frame(sw.window),
-            sw.window.start,
-            sw.window.end,
-        ),
+def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
+    """Distinct window centers, ascending, each with the confidence of
+    its first window in (center, start, end) order, then input order."""
+    centers: list[float] = []
+    confidences: list[float] = []
+    keyed = sorted(
+        (window_center_frame(sw.window), sw.window.start, sw.window.end, i)
+        for i, sw in enumerate(series.windows)
     )
-    return best.confidence
+    for center, _, _, i in keyed:
+        if not centers or centers[-1] != center:
+            centers.append(center)
+            confidences.append(series.windows[i].confidence)
+    return centers, confidences
 
 
-def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> FusedSeries:
+def _nearest_confidence(
+    centers: list[float], confidences: list[float], point_center: float
+) -> float:
+    # nearest center by binary search; a tie goes to the lower center
+    i = bisect_left(centers, point_center)
+    if i == len(centers) or (
+        i > 0 and point_center - centers[i - 1] <= centers[i] - point_center
+    ):
+        i -= 1
+    return confidences[i]
+
+
+def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> ScoreSeries:
     """Fuse window series from several scorers for one clip.
 
     Evaluation points are the union of all input windows, deduplicated
     by (start, end) and sorted by center.  Each series contributes the
-    confidence of its own window with the nearest center (ties broken
-    toward the earlier window); contributions average into the fused
-    confidence.  Passing the clip additionally bounds-checks every
-    window.  The result does not depend on the order of the series.
+    confidence of its own window with the nearest center (ties go to the
+    lower center, then the lower (start, end), then the earlier window
+    in input order); contributions average into the fused confidence.
+    The lookup is a binary search over each series' sorted centers, so
+    fusing P points from W windows costs O((P + W) log W).  Passing the
+    clip additionally bounds-checks every window.  The result does not
+    depend on the order of the series.
     """
     if len(series_list) == 0:
         raise EmptyInputError("no series to fuse")
@@ -97,11 +107,12 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Fu
     for series in series_list:
         for sw in series.windows:
             union.setdefault((sw.window.start, sw.window.end), sw.window)
-    points = sorted(union.values(), key=_sort_key)
+    # (start, end) is unique among points, so the window never decides the order
+    points = sorted((window_center_frame(w), w.start, w.end, w) for w in union.values())
 
+    lookups = [_center_lookup(series) for series in series_list]
     fused = []
-    for point in points:
-        center = window_center_frame(point)
-        contributions = [_nearest_confidence(series, center) for series in series_list]
+    for center, _, _, point in points:
+        contributions = [_nearest_confidence(*lookup, center) for lookup in lookups]
         fused.append(ScoredWindow(point, _mean(contributions)))
     return ScoreSeries(clip_id, tuple(fused))

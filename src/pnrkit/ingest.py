@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -142,7 +142,14 @@ def _as_number(obj: dict, key: str, line_no: int) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{key!r} must be a number", line_no)
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    # json accepts NaN and Infinity, and integers too large for a float
+    if not math.isfinite(x):
+        raise ParseError(f"{key!r} must be a finite number", line_no)
+    return x
 
 
 def _as_bool(obj: dict, key: str, line_no: int) -> bool:
@@ -323,10 +330,16 @@ def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via a temp file so partial output never lands."""
+    """Write text to path via a temp file so partial output never lands.
+
+    The file gets mode 0o666 less the umask, like any file the process
+    opens for writing.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pnrkit-", suffix=".part")
+    tmp = os.path.join(directory, f".pnrkit-{os.urandom(8).hex()}.part")
+    # O_EXCL refuses an existing name, so the temp file is always our own
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

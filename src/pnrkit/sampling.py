@@ -11,11 +11,15 @@ training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
 from pnrkit.model import Clip, FrameWindow, PnrAnnotation, round_half_up
+
+# numpy is imported inside the functions that draw or build arrays, so
+# importing this module (and the CLI) does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 SAMPLER_MODES = ("train-random", "test-uniform")
 
@@ -71,6 +75,8 @@ def tsn_sample(clip: Clip, config: SamplerConfig) -> tuple[int, ...]:
     n = clip.num_frames
     bounds = _segment_bounds(n, config.num_segments)
     if config.mode == "train-random":
+        import numpy as np
+
         rng = np.random.default_rng(config.seed)
         picks = [
             int(rng.integers(lo, hi)) if hi > lo else max(lo - 1, 0) for lo, hi in bounds
@@ -121,6 +127,8 @@ def positive_window(
         )
     start = p - w // 2
     if config.jitter > 0:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         start += int(rng.integers(-config.jitter, config.jitter + 1))
     start = max(start, p - w + 1, 0)
@@ -132,6 +140,8 @@ def valid_negative_starts(
     annotation: PnrAnnotation, clip: Clip, config: WindowingConfig
 ) -> np.ndarray:
     """All window starts whose window avoids every annotated frame."""
+    import numpy as np
+
     n, w = clip.num_frames, config.window_len
     if n < w:
         raise ClipTooShortError(
@@ -171,6 +181,8 @@ def negative_windows(
         )
     if count == 0:
         return ()
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     picks = valid[rng.integers(0, valid.size, size=count)]
     w = config.window_len

@@ -18,8 +18,7 @@ and classifier draws never share a stream even under one seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, build_dataset
@@ -33,6 +32,11 @@ from pnrkit.model import (
     round_half_up,
 )
 from pnrkit.sampling import WindowingConfig, dense_windows
+
+# numpy is imported inside the generators, so importing this module (and
+# the CLI) does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,8 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float
 
 def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
     """Generate a fully annotated synthetic dataset, deterministic per seed."""
+    import numpy as np
+
     clips: list[Clip] = []
     pnr: list[PnrAnnotation] = []
     oscc: list[OsccAnnotation] = []
@@ -145,6 +151,8 @@ def simulate_scores(
     seed: int = 0,
 ) -> dict[str, ScoreSeries]:
     """Score every clip's dense windows with hit/miss Beta noise."""
+    import numpy as np
+
     out: dict[str, ScoreSeries] = {}
     for i, (clip_id, clip) in enumerate(ds.clips.items()):
         rng = np.random.default_rng((seed, 1, i))
@@ -170,6 +178,8 @@ def simulate_oscc(
     With probability ``oscc_flip_prob`` the probability lands on the
     wrong side of 0.5, otherwise on the correct side.
     """
+    import numpy as np
+
     out: dict[str, float] = {}
     for i, (clip_id, ann) in enumerate(ds.oscc.items()):
         rng = np.random.default_rng((seed, 2, i))

@@ -112,6 +112,18 @@ class TestLocalizeAndEvaluate:
                      "--annotations", str(sim_dir / "annotations.jsonl")]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_non_finite_prediction_rejected(self, sim_dir, capsys):
+        bad = sim_dir / "nan_preds.jsonl"
+        bad.write_text(
+            '{"clip_id": "clip000000", "time_sec": NaN, "frame": 30, "source": "selected"}\n',
+            encoding="utf-8",
+        )
+        assert main(["evaluate", "--task", "pnr", "--preds", str(bad),
+                     "--annotations", str(sim_dir / "annotations.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert "nan_preds.jsonl: line 1: 'time_sec' must be a finite number" in captured.err
+
     def test_oscc_evaluation(self, sim_dir, capsys):
         assert main(["evaluate", "--task", "oscc",
                      "--preds", str(sim_dir / "scores_oscc.jsonl"),
@@ -218,6 +230,34 @@ class TestFuse:
         assert main(["fuse", "--task", "oscc", "--scores", str(a), str(b),
                      "--out", str(fused), "--quiet"]) == 0
         assert parse_oscc_scores(fused.read_text(encoding="utf-8")) == {"x": 0.7}
+
+    def test_oscc_files_must_cover_the_same_clips(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        a.write_text('{"clip_id": "x", "prob": 0.9}\n{"clip_id": "y", "prob": 0.2}\n',
+                     encoding="utf-8")
+        b.write_text('{"clip_id": "x", "prob": 0.1}\n', encoding="utf-8")
+        fused = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--task", "oscc", "--scores", str(a), str(b),
+                     "--out", str(fused), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(b) in err and ": y" in err
+        assert not fused.exists()
+
+    def test_pnr_files_must_cover_the_same_clips(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        a.write_text('{"clip_id": "x", "start": 0, "end": 32, "confidence": 0.5}\n',
+                     encoding="utf-8")
+        b.write_text('{"clip_id": "x", "start": 0, "end": 32, "confidence": 0.5}\n'
+                     '{"clip_id": "y", "start": 0, "end": 32, "confidence": 0.5}\n',
+                     encoding="utf-8")
+        fused = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--task", "pnr", "--scores", str(a), str(b),
+                     "--out", str(fused), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(a) in err and ": y" in err
+        assert not fused.exists()
 
     def test_fuse_requires_out(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"

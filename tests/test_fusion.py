@@ -1,5 +1,6 @@
 """Score fusion across scorers."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from pnrkit.errors import BoundsError, DomainError, EmptyInputError, ValidationError
 from pnrkit.fusion import fuse_oscc, fuse_pnr
 from pnrkit.localization import select_pnr
-from pnrkit.model import Clip, FrameWindow, ScoredWindow, ScoreSeries
+from pnrkit.model import Clip, FrameWindow, ScoredWindow, ScoreSeries, window_center_frame
+from pnrkit.sampling import WindowingConfig, dense_windows
 
 
 def series_of(clip_id, triples):
@@ -41,6 +43,55 @@ def window_series(draw, clip_id="c", num_frames=300):
             for s in sorted(starts)
         ),
     )
+
+
+def reference_fuse_pnr(series_list):
+    """Fusion by full scan: every union point looks at every window.
+
+    Each series contributes the window minimizing (|center distance|,
+    center, start, end); min() keeps the first of equal keys, so a
+    repeated window contributes its first confidence in input order.
+    """
+    union = {}
+    for series in series_list:
+        for sw in series.windows:
+            union.setdefault((sw.window.start, sw.window.end), sw.window)
+    points = sorted(union.values(), key=lambda w: (window_center_frame(w), w.start, w.end))
+    fused = []
+    for point in points:
+        center = window_center_frame(point)
+        contributions = [
+            min(
+                series.windows,
+                key=lambda sw: (
+                    abs(window_center_frame(sw.window) - center),
+                    window_center_frame(sw.window),
+                    sw.window.start,
+                    sw.window.end,
+                ),
+            ).confidence
+            for series in series_list
+        ]
+        mean = math.fsum(contributions) / len(contributions)
+        fused.append(ScoredWindow(point, min(max(mean, min(contributions)), max(contributions))))
+    return ScoreSeries(series_list[0].clip_id, tuple(fused))
+
+
+@st.composite
+def mixed_series(draw, clip_id="c", num_frames=48):
+    """One scorer's output in input order: mixed window lengths on a short
+    clip, so different lengths often share a center, plus repeated
+    (start, end) windows with their own confidences."""
+    confidences = st.floats(min_value=0.0, max_value=1.0)
+    triples = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        w = draw(st.sampled_from([1, 2, 3, 4, 8, 15, 16, 32]))
+        s = draw(st.integers(min_value=0, max_value=num_frames - w))
+        triples.append((s, s + w, draw(confidences)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        s, e, _ = draw(st.sampled_from(triples))
+        triples.insert(draw(st.integers(min_value=0, max_value=len(triples))), (s, e, draw(confidences)))
+    return series_of(clip_id, triples)
 
 
 class TestFuseOscc:
@@ -158,3 +209,63 @@ class TestFusePnr:
         assert {(sw.window.start, sw.window.end): sw.confidence for sw in fused.windows} == {
             (sw.window.start, sw.window.end): sw.confidence for sw in series.windows
         }
+
+
+class TestNearestCenterLookup:
+    """fuse_pnr's binary search picks exactly the full-scan window."""
+
+    @given(st.lists(mixed_series(), min_size=1, max_size=4))
+    @settings(max_examples=400)
+    def test_matches_full_scan(self, series_list):
+        assert fuse_pnr(series_list) == reference_fuse_pnr(series_list)
+
+    @given(
+        st.integers(min_value=32, max_value=400),
+        st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100)
+    def test_matches_full_scan_on_dense_sweeps(self, num_frames, counts, rng):
+        # sweeps denser than one frame per window repeat windows
+        clip = Clip("c", 30.0, num_frames)
+        series_list = [
+            ScoreSeries(
+                "c",
+                tuple(
+                    ScoredWindow(w, rng.random())
+                    for w in dense_windows(clip, WindowingConfig(num_windows=n))
+                ),
+            )
+            for n in counts
+        ]
+        assert fuse_pnr(series_list, clip) == reference_fuse_pnr(series_list)
+
+    def test_single_window_series_contributes_everywhere(self):
+        a = series_of("c", [(100, 132, 0.25)])
+        b = series_of("c", [(0, 32, 0.75), (200, 232, 0.75)])
+        fused = fuse_pnr([a, b])
+        assert [sw.confidence for sw in fused.windows] == [0.5, 0.5, 0.5]
+
+    def test_repeated_window_first_in_input_order_wins(self):
+        a = series_of("c", [(0, 32, 0.9), (40, 72, 0.3), (0, 32, 0.1)])
+        b = series_of("c", [(0, 32, 0.5)])
+        fused = fuse_pnr([a, b])
+        assert fused.windows[0].window == FrameWindow(0, 32, "c")
+        assert fused.windows[0].confidence == 0.7
+
+    def test_equidistant_centers_tie_to_lower_center(self):
+        a = series_of("c", [(20, 30, 0.8), (10, 20, 0.2)])  # centers 24.5, 14.5
+        b = series_of("c", [(15, 24, 0.6)])  # center 19.0, 4.5 from both
+        by_geometry = {
+            (sw.window.start, sw.window.end): sw.confidence for sw in fuse_pnr([a, b]).windows
+        }
+        assert by_geometry[(15, 24)] == 0.4
+
+    def test_shared_center_ties_to_lower_start(self):
+        # both windows are centered on frame 14.5; the longer one starts first
+        a = series_of("c", [(12, 18, 0.75), (10, 20, 0.25)])
+        b = series_of("c", [(12, 18, 0.75)])
+        by_geometry = {
+            (sw.window.start, sw.window.end): sw.confidence for sw in fuse_pnr([a, b]).windows
+        }
+        assert by_geometry == {(10, 20): 0.5, (12, 18): 0.5}

@@ -80,6 +80,17 @@ class TestParseAnnotations:
                 '"other_pnr_frames": [2.5]}'
             )
 
+    @pytest.mark.parametrize(
+        "fps",
+        ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+        ids=["inf", "-inf", "nan", "float-overflow", "int-overflow"],
+    )
+    def test_non_finite_fps_rejected(self, fps):
+        good = '{"clip_id": "a", "fps": 30.0, "num_frames": 9}'
+        bad = '{"clip_id": "b", "fps": %s, "num_frames": 9}' % fps
+        with pytest.raises(ParseError, match="line 2: 'fps' must be a finite number"):
+            parse_annotations(good + "\n" + bad)
+
     def test_other_frames_require_positive(self):
         with pytest.raises(ParseError, match="requires 'pnr_frame'"):
             parse_annotations(
@@ -190,6 +201,16 @@ class TestScoreFormats:
         with pytest.raises(ConflictError):
             parse_predictions(line + "\n" + line)
 
+    def test_non_finite_numbers_rejected(self):
+        nan_line = '{"clip_id": "b", "time_sec": NaN, "frame": 30, "source": "selected"}'
+        good = '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected"}'
+        with pytest.raises(ParseError, match="line 2: 'time_sec' must be a finite number"):
+            parse_predictions(good + "\n" + nan_line)
+        with pytest.raises(ParseError, match="line 1: 'confidence' must be a finite number"):
+            parse_pnr_scores('{"clip_id": "a", "start": 0, "end": 32, "confidence": NaN}')
+        with pytest.raises(ParseError, match="line 1: 'prob' must be a finite number"):
+            parse_oscc_scores('{"clip_id": "a", "prob": -Infinity}')
+
 
 class TestBinIndex:
     @pytest.mark.parametrize(
@@ -256,6 +277,19 @@ class TestAtomicWrite:
         write_text_atomic(target, "replaced\n")
         assert target.read_text(encoding="utf-8") == "replaced\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.jsonl"
+        old = os.umask(umask)
+        try:
+            write_text_atomic(target, "hello\n")
+            first = os.stat(target).st_mode & 0o777
+            write_text_atomic(target, "replaced\n")
+            second = os.stat(target).st_mode & 0o777
+        finally:
+            os.umask(old)
+        assert first == second == mode
 
     def test_failure_leaves_target_untouched(self, tmp_path, monkeypatch):
         target = tmp_path / "out.jsonl"

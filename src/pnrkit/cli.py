@@ -64,15 +64,13 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _with_context(path: str, exc: PnrKitError) -> PnrKitError:
-    return type(exc)(f"{path}: {exc}")
-
-
 def _load(path: str, parse: Callable[[str], T]) -> T:
     try:
         return parse(_read_text(path))
     except PnrKitError as exc:
-        raise _with_context(path, exc) from None
+        # name the input in the message; the error keeps its type and fields
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -170,16 +168,13 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             raise CoverageError(f"{path}: no scores for clip(s)", missing)
     fused = {}
     for clip_id in clip_ids:
-        values = [scores[clip_id] for scores in score_maps]
-        if oscc:
-            fused[clip_id] = fuse_oscc(values)
-            continue
         clip = None
         if ds is not None:
             clip = ds.clips.get(clip_id)
             if clip is None:
                 raise ValidationError(f"scores for unknown clip {clip_id!r}")
-        fused[clip_id] = fuse_pnr(values, clip)
+        values = [scores[clip_id] for scores in score_maps]
+        fused[clip_id] = fuse_oscc(values) if oscc else fuse_pnr(values, clip)
     _emit(args, emit_oscc_scores(fused) if oscc else emit_pnr_scores(fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0
@@ -228,7 +223,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
     common.add_argument("--quiet", action="store_true", help="suppress notes on standard error")
     common.add_argument("--out", default=None, help="write data here instead of standard output")
 
@@ -275,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("oscc", "pnr"), required=True)
     p.add_argument("--scores", nargs="+", required=True, help="two or more score files")
     p.add_argument("--annotations", default=None,
-                   help="optional annotation file for window bounds checks")
+                   help="optional annotation file for clip id and window bounds checks")
     p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("evaluate", parents=[common], help="score predictions against annotations")
@@ -289,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic labeled dataset")
     p.add_argument("--config", required=True, help="key = value settings file")
     p.add_argument("--out-dir", required=True, help="directory for the emitted files")
+    p.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
     p.set_defaults(handler=_cmd_simulate)
 
     return parser

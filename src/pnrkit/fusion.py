@@ -5,8 +5,12 @@ fuse on the union of the input window geometries: each series
 contributes, at every union point, the confidence of its own window
 whose center lies nearest that point's center, and the fused confidence
 is the mean of the contributions.  When all series share one geometry
-this reduces to plain per-window averaging.  Fusion is score-level
-only; downstream selection runs on the fused series unchanged.
+and no series holds two windows with the same center, this reduces to
+plain per-window averaging.  Windows of one series that share a center
+all contribute the confidence of the first in (start, end) order, so a
+longer window can be fused with a shorter one's score.  Fusion is
+score-level only; downstream selection runs on the fused series
+unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Sequence
 from pnrkit.errors import DomainError, EmptyInputError, ValidationError
 from pnrkit.model import (
     Clip,
-    FrameWindow,
     ScoredWindow,
     ScoreSeries,
     ensure_window_in_clip,
@@ -50,7 +53,7 @@ def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
     centers: list[float] = []
     confidences: list[float] = []
     keyed = sorted(
-        (window_center_frame(sw.window), sw.window.start, sw.window.end, i)
+        (window_center_frame(sw), sw.start, sw.end, i)
         for i, sw in enumerate(series.windows)
     )
     for center, _, _, i in keyed:
@@ -97,22 +100,23 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
             raise EmptyInputError(f"clip {clip_id!r}: a series has no windows")
         if clip is not None:
             for sw in series.windows:
-                ensure_window_in_clip(sw.window, clip)
+                ensure_window_in_clip(sw, clip)
     if clip is not None and clip.clip_id != clip_id:
         raise ValidationError(
             f"series are for clip {clip_id!r}, not {clip.clip_id!r}"
         )
 
-    union: dict[tuple[int, int], FrameWindow] = {}
-    for series in series_list:
-        for sw in series.windows:
-            union.setdefault((sw.window.start, sw.window.end), sw.window)
-    # (start, end) is unique among points, so the window never decides the order
-    points = sorted((window_center_frame(w), w.start, w.end, w) for w in union.values())
-
+    # union of the input geometries, one point per distinct (start, end)
+    points = sorted(
+        {
+            (window_center_frame(sw), sw.start, sw.end)
+            for series in series_list
+            for sw in series.windows
+        }
+    )
     lookups = [_center_lookup(series) for series in series_list]
     fused = []
-    for center, _, _, point in points:
+    for center, start, end in points:
         contributions = [_nearest_confidence(*lookup, center) for lookup in lookups]
-        fused.append(ScoredWindow(point, _mean(contributions)))
+        fused.append(ScoredWindow(start, end, _mean(contributions)))
     return ScoreSeries(clip_id, tuple(fused))

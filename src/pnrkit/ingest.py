@@ -35,7 +35,6 @@ from pnrkit.errors import (
 from pnrkit.model import (
     SOURCES,
     Clip,
-    FrameWindow,
     OsccAnnotation,
     PnrAnnotation,
     PnrPrediction,
@@ -236,13 +235,13 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
         end = _as_int(obj, "end", line_no)
         confidence = _as_number(obj, "confidence", line_no)
         try:
-            sw = ScoredWindow(FrameWindow(start, end, clip_id), confidence)
+            sw = ScoredWindow(start, end, confidence)
         except ValidationError as exc:
             raise ParseError(str(exc), line_no) from None
         grouped.setdefault(clip_id, []).append(sw)
     return {
         clip_id: ScoreSeries(
-            clip_id, tuple(sorted(sws, key=lambda sw: (sw.window.start, sw.window.end)))
+            clip_id, tuple(sorted(sws, key=lambda sw: (sw.start, sw.end)))
         )
         for clip_id, sws in grouped.items()
     }
@@ -256,8 +255,8 @@ def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
                 json.dumps(
                     {
                         "clip_id": clip_id,
-                        "start": sw.window.start,
-                        "end": sw.window.end,
+                        "start": sw.start,
+                        "end": sw.end,
                         "confidence": sw.confidence,
                     }
                 )

@@ -89,22 +89,19 @@ def select_pnr(
     if not series.windows:
         raise EmptyInputError(f"clip {clip.clip_id!r}: no scored windows")
     for sw in series.windows:
-        ensure_window_in_clip(sw.window, clip)
+        ensure_window_in_clip(sw, clip)
 
     candidates = [sw for sw in series.windows if sw.confidence > config.threshold]
     if candidates:
         chosen = min(
             candidates,
             key=lambda sw: (
-                abs(
-                    window_center_fraction(sw.window, clip.num_frames)
-                    - config.prior_fraction
-                ),
-                sw.window.start,
-                sw.window.end,
+                abs(window_center_fraction(sw, clip.num_frames) - config.prior_fraction),
+                sw.start,
+                sw.end,
             ),
         )
-        return _window_prediction(chosen.window, clip, "selected")
+        return _window_prediction(chosen, clip, "selected")
 
     if config.fallback == "prior-point":
         frame = fraction_to_frame(config.prior_fraction, clip.num_frames)
@@ -112,9 +109,9 @@ def select_pnr(
 
     chosen = min(
         series.windows,
-        key=lambda sw: (-sw.confidence, sw.window.start, sw.window.end),
+        key=lambda sw: (-sw.confidence, sw.start, sw.end),
     )
-    return _window_prediction(chosen.window, clip, "fallback-argmax")
+    return _window_prediction(chosen, clip, "fallback-argmax")
 
 
 def baseline_center(clip: Clip) -> PnrPrediction:
@@ -165,5 +162,5 @@ def score_dense_windows(
         )
     return ScoreSeries(
         clip.clip_id,
-        tuple(ScoredWindow(win, c) for win, c in zip(windows, confidences)),
+        tuple(ScoredWindow(win.start, win.end, c) for win, c in zip(windows, confidences)),
     )

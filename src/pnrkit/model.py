@@ -93,11 +93,14 @@ class OsccAnnotation:
 
 @dataclass(frozen=True)
 class FrameWindow:
-    """A half-open frame range [start, end) within one clip."""
+    """A half-open frame range [start, end) within one clip.
+
+    The window does not name its clip: the clip is known from the
+    series or the sampler call the window comes from.
+    """
 
     start: int
     end: int
-    clip_id: str
 
     def __post_init__(self):
         if self.start < 0:
@@ -113,13 +116,13 @@ class FrameWindow:
 
 
 @dataclass(frozen=True)
-class ScoredWindow:
+class ScoredWindow(FrameWindow):
     """A window with a scorer confidence in [0, 1]."""
 
-    window: FrameWindow
     confidence: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.confidence <= 1.0:
             raise DomainError(f"confidence must be in [0, 1], got {self.confidence}")
 
@@ -130,14 +133,6 @@ class ScoreSeries:
 
     clip_id: str
     windows: tuple[ScoredWindow, ...] = ()
-
-    def __post_init__(self):
-        for sw in self.windows:
-            if sw.window.clip_id != self.clip_id:
-                raise ValidationError(
-                    f"series for clip {self.clip_id!r} contains a window "
-                    f"for clip {sw.window.clip_id!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -190,10 +185,6 @@ def ensure_frame_in_clip(frame: int, clip: Clip) -> None:
 
 
 def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:
-    if window.clip_id != clip.clip_id:
-        raise ValidationError(
-            f"window belongs to clip {window.clip_id!r}, not {clip.clip_id!r}"
-        )
     if window.end > clip.num_frames:
         raise BoundsError(
             f"window [{window.start}, {window.end}) exceeds clip "

@@ -103,7 +103,7 @@ def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...
     else:
         span = n - w
         starts = [round_half_up(k * span / (count - 1)) for k in range(count)]
-    return tuple(FrameWindow(s, s + w, clip.clip_id) for s in starts)
+    return tuple(FrameWindow(s, s + w) for s in starts)
 
 
 def positive_window(
@@ -133,7 +133,7 @@ def positive_window(
         start += int(rng.integers(-config.jitter, config.jitter + 1))
     start = max(start, p - w + 1, 0)
     start = min(start, p, n - w)
-    return FrameWindow(start, start + w, clip.clip_id)
+    return FrameWindow(start, start + w)
 
 
 def valid_negative_starts(
@@ -186,4 +186,4 @@ def negative_windows(
     rng = np.random.default_rng(seed)
     picks = valid[rng.integers(0, valid.size, size=count)]
     w = config.window_len
-    return tuple(FrameWindow(int(s), int(s) + w, clip.clip_id) for s in picks)
+    return tuple(FrameWindow(int(s), int(s) + w) for s in picks)

@@ -17,7 +17,7 @@ and classifier draws never share a stream even under one seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from pnrkit.errors import DomainError, ParseError
@@ -165,7 +165,7 @@ def simulate_scores(
                 conf = rng.beta(noise.hit_alpha, noise.hit_beta)
             else:
                 conf = rng.beta(noise.miss_alpha, noise.miss_beta)
-            scored.append(ScoredWindow(win, float(conf)))
+            scored.append(ScoredWindow(win.start, win.end, float(conf)))
         out[clip_id] = ScoreSeries(clip_id, tuple(scored))
     return out
 
@@ -200,34 +200,27 @@ class SimSettings:
     windows: WindowingConfig
 
 
-_INT_KEYS = ("n_clips", "seed", "num_windows", "window_len")
-_FLOAT_KEYS = (
-    "fps",
-    "duration_min_sec",
-    "duration_max_sec",
-    "positive_mean",
-    "positive_sd",
-    "negatives_lambda",
-    "state_change_prob",
-    "hit_alpha",
-    "hit_beta",
-    "miss_alpha",
-    "miss_beta",
-    "oscc_flip_prob",
-)
+# every field of the three settings classes is a config key, except the
+# training jitter, which simulate does not use
+_SETTINGS_CLASSES = {"sim": SimConfig, "noise": ScorerNoiseModel, "windows": WindowingConfig}
+_KEYS = {
+    f.name: (group, int if f.type == "int" else float)
+    for group, cls in _SETTINGS_CLASSES.items()
+    for f in fields(cls)
+    if f.name != "jitter"
+}
 
 
 def parse_sim_config(text: str) -> SimSettings:
     """Parse ``key = value`` simulation settings.
 
     One assignment per line; ``#`` starts a comment; blank lines are
-    skipped; unknown keys are errors.  Every key is optional and falls
-    back to the field default.  Keys: n_clips, fps, duration_min_sec,
-    duration_max_sec, positive_mean, positive_sd, negatives_lambda,
-    state_change_prob, seed, num_windows, window_len, hit_alpha,
-    hit_beta, miss_alpha, miss_beta, oscc_flip_prob.
+    skipped; unknown keys are errors.  The keys are the fields of
+    SimConfig, ScorerNoiseModel and WindowingConfig (bar ``jitter``);
+    every key is optional and falls back to the field default, with
+    ``num_windows`` defaulting to 16.
     """
-    values: dict[str, float | int] = {}
+    kwargs: dict[str, dict[str, float | int]] = {group: {} for group in _SETTINGS_CLASSES}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,47 +228,21 @@ def parse_sim_config(text: str) -> SimSettings:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in values:
-            raise ParseError(f"duplicate key {key!r}", line_no)
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ParseError(f"{key!r} must be an integer, got {value!r}", line_no) from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ParseError(f"{key!r} must be a number, got {value!r}", line_no) from None
-        else:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line_no)
+        group, convert = _KEYS[key]
+        if key in kwargs[group]:
+            raise ParseError(f"duplicate key {key!r}", line_no)
+        try:
+            kwargs[group][key] = convert(value)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ParseError(f"{key!r} must be {kind}, got {value!r}", line_no) from None
 
-    sim_kwargs = {
-        k: values[k]
-        for k in (
-            "n_clips",
-            "fps",
-            "duration_min_sec",
-            "duration_max_sec",
-            "positive_mean",
-            "positive_sd",
-            "negatives_lambda",
-            "state_change_prob",
-            "seed",
-        )
-        if k in values
-    }
-    noise_kwargs = {
-        k: values[k]
-        for k in ("hit_alpha", "hit_beta", "miss_alpha", "miss_beta", "oscc_flip_prob")
-        if k in values
-    }
-    window_kwargs = {k: values[k] for k in ("num_windows", "window_len") if k in values}
+    kwargs["windows"].setdefault("num_windows", 16)
     try:
         return SimSettings(
-            sim=SimConfig(**sim_kwargs),
-            noise=ScorerNoiseModel(**noise_kwargs),
-            windows=WindowingConfig(num_windows=window_kwargs.pop("num_windows", 16), **window_kwargs),
+            **{group: cls(**kwargs[group]) for group, cls in _SETTINGS_CLASSES.items()}
         )
     except DomainError as exc:
         raise ParseError(str(exc)) from None

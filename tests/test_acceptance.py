@@ -24,7 +24,6 @@ from pnrkit.localization import SelectionConfig, baseline_center, baseline_fract
 from pnrkit.metrics import per_position_error, pnr_mae
 from pnrkit.model import (
     Clip,
-    FrameWindow,
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
@@ -57,21 +56,21 @@ def brute_force_select(series, clip, config):
     n = clip.num_frames
     rows = []
     for sw in series.windows:
-        center = sw.window.start + (len(sw.window) - 1) / 2
+        center = sw.start + (len(sw) - 1) / 2
         frac = 0.0 if n == 1 else center / (n - 1)
         rows.append((sw, center, frac))
     kept = [r for r in rows if r[0].confidence > config.threshold]
     if kept:
         ranked = sorted(
             kept,
-            key=lambda r: (abs(r[2] - config.prior_fraction), r[0].window.start, r[0].window.end),
+            key=lambda r: (abs(r[2] - config.prior_fraction), r[0].start, r[0].end),
         )
         center = ranked[0][1]
         return center / clip.fps, math.floor(center + 0.5), "selected"
     if config.fallback == "prior-point":
         frame = math.floor(config.prior_fraction * (n - 1) + 0.5)
         return frame / clip.fps, frame, "fallback-prior"
-    ranked = sorted(rows, key=lambda r: (-r[0].confidence, r[0].window.start, r[0].window.end))
+    ranked = sorted(rows, key=lambda r: (-r[0].confidence, r[0].start, r[0].end))
     center = ranked[0][1]
     return center / clip.fps, math.floor(center + 0.5), "fallback-argmax"
 
@@ -88,7 +87,11 @@ def test_criterion_01_selection_brute_force_equivalence():
         clip = Clip("c", float(rng.choice([24.0, 30.0, 60.0])), n)
         wins = dense_windows(clip, WindowingConfig(num_windows=count, window_len=w))
         series = ScoreSeries(
-            "c", tuple(ScoredWindow(win, float(c)) for win, c in zip(wins, rng.random(count)))
+            "c",
+            tuple(
+                ScoredWindow(win.start, win.end, float(c))
+                for win, c in zip(wins, rng.random(count))
+            ),
         )
         if case % 2:
             config = SelectionConfig()
@@ -334,7 +337,7 @@ def test_criterion_11_fusion_identities():
         return ScoreSeries(
             "c",
             tuple(
-                ScoredWindow(FrameWindow(int(s), int(s) + w, "c"), float(rng.random()))
+                ScoredWindow(int(s), int(s) + w, float(rng.random()))
                 for s in starts
             ),
         )

@@ -1,10 +1,12 @@
 """Command-line pipelines: composition, determinism, diagnostics."""
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from pnrkit.cli import main
+from pnrkit.cli import _load, build_parser, main
+from pnrkit.errors import ParseError
 from pnrkit.ingest import parse_annotations, parse_oscc_scores, parse_pnr_scores, parse_predictions
 
 FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
@@ -259,6 +261,16 @@ class TestFuse:
         assert str(a) in err and ": y" in err
         assert not fused.exists()
 
+    def test_oscc_scores_for_unknown_clip(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        a.write_text('{"clip_id": "kitchen-001", "prob": 0.6}\n{"clip_id": "ghost", "prob": 0.6}\n',
+                     encoding="utf-8")
+        fused = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--task", "oscc", "--scores", str(a), str(a),
+                     "--annotations", str(FIXTURE), "--out", str(fused), "--quiet"]) == 2
+        assert "'ghost'" in capsys.readouterr().err
+        assert not fused.exists()
+
     def test_fuse_requires_out(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
         a.write_text('{"clip_id": "x", "prob": 0.6}\n', encoding="utf-8")
@@ -280,6 +292,32 @@ class TestDiagnostics:
         assert main(["stats", "--annotations", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "bad.jsonl" in err and "line 2" in err
+
+    def test_load_keeps_the_error_and_its_line(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"clip_id": "a", "fps": 30.0, "num_frames": 100}\n{"clip_id": "b"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as info:
+            _load(str(bad), parse_annotations)
+        assert info.value.line_no == 2
+        assert str(info.value).startswith(f"{bad}: line 2: missing key(s)")
+
+    def test_seed_is_a_simulate_flag(self, sim_dir):
+        with pytest.raises(SystemExit) as info:
+            main(["localize", "--scores", str(sim_dir / "scores_pnr.jsonl"),
+                  "--annotations", str(sim_dir / "annotations.jsonl"), "--seed", "1"])
+        assert info.value.code == 2
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        with_seed = {
+            name
+            for name, parser in sub.choices.items()
+            if any("--seed" in action.option_strings for action in parser._actions)
+        }
+        assert with_seed == {"simulate"}
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from pnrkit.errors import BoundsError, DomainError, EmptyInputError, ValidationError
 from pnrkit.fusion import fuse_oscc, fuse_pnr
 from pnrkit.localization import select_pnr
-from pnrkit.model import Clip, FrameWindow, ScoredWindow, ScoreSeries, window_center_frame
+from pnrkit.model import Clip, ScoredWindow, ScoreSeries, window_center_frame
 from pnrkit.sampling import WindowingConfig, dense_windows
 
 
 def series_of(clip_id, triples):
     return ScoreSeries(
         clip_id,
-        tuple(ScoredWindow(FrameWindow(s, e, clip_id), c) for s, e, c in triples),
+        tuple(ScoredWindow(s, e, c) for s, e, c in triples),
     )
 
 
@@ -36,10 +36,7 @@ def window_series(draw, clip_id="c", num_frames=300):
     return ScoreSeries(
         clip_id,
         tuple(
-            ScoredWindow(
-                FrameWindow(s, s + w, clip_id),
-                draw(st.floats(min_value=0.0, max_value=1.0)),
-            )
+            ScoredWindow(s, s + w, draw(st.floats(min_value=0.0, max_value=1.0)))
             for s in sorted(starts)
         ),
     )
@@ -55,7 +52,7 @@ def reference_fuse_pnr(series_list):
     union = {}
     for series in series_list:
         for sw in series.windows:
-            union.setdefault((sw.window.start, sw.window.end), sw.window)
+            union.setdefault((sw.start, sw.end), sw)
     points = sorted(union.values(), key=lambda w: (window_center_frame(w), w.start, w.end))
     fused = []
     for point in points:
@@ -64,16 +61,17 @@ def reference_fuse_pnr(series_list):
             min(
                 series.windows,
                 key=lambda sw: (
-                    abs(window_center_frame(sw.window) - center),
-                    window_center_frame(sw.window),
-                    sw.window.start,
-                    sw.window.end,
+                    abs(window_center_frame(sw) - center),
+                    window_center_frame(sw),
+                    sw.start,
+                    sw.end,
                 ),
             ).confidence
             for series in series_list
         ]
         mean = math.fsum(contributions) / len(contributions)
-        fused.append(ScoredWindow(point, min(max(mean, min(contributions)), max(contributions))))
+        mean = min(max(mean, min(contributions)), max(contributions))
+        fused.append(ScoredWindow(point.start, point.end, mean))
     return ScoreSeries(series_list[0].clip_id, tuple(fused))
 
 
@@ -129,7 +127,7 @@ class TestFusePnr:
         a = series_of("c", [(0, 32, 0.2), (12, 44, 0.6)])
         b = series_of("c", [(0, 32, 0.4), (12, 44, 1.0)])
         fused = fuse_pnr([a, b])
-        assert [sw.window.start for sw in fused.windows] == [0, 12]
+        assert [sw.start for sw in fused.windows] == [0, 12]
         assert fused.windows[0].confidence == pytest.approx((0.2 + 0.4) / 2)
         assert fused.windows[1].confidence == pytest.approx((0.6 + 1.0) / 2)
 
@@ -140,7 +138,7 @@ class TestFusePnr:
         a = series_of("c", [(15, 46, 0.9)])  # center frame 30 -> 1.0 s
         b = series_of("c", [(21, 52, 0.5), (75, 106, 0.8)])  # centers 1.2 s, 3.0 s
         fused = fuse_pnr([a, b])
-        by_geometry = {(sw.window.start, sw.window.end): sw.confidence for sw in fused.windows}
+        by_geometry = {(sw.start, sw.end): sw.confidence for sw in fused.windows}
         assert by_geometry[(15, 46)] == pytest.approx(0.7)
         # at B's 1.2 s point, A can only contribute its single window
         assert by_geometry[(21, 52)] == pytest.approx((0.5 + 0.9) / 2)
@@ -157,7 +155,7 @@ class TestFusePnr:
         a = series_of("c", [(50, 82, 0.5)])
         b = series_of("c", [(0, 32, 0.5), (60, 92, 0.5)])
         fused = fuse_pnr([a, b])
-        starts = [sw.window.start for sw in fused.windows]
+        starts = [sw.start for sw in fused.windows]
         assert starts == sorted(starts)
 
     def test_bounds_checked_against_clip(self):
@@ -198,16 +196,16 @@ class TestFusePnr:
     def test_identity_and_end_to_end(self, series):
         clip = Clip("c", 30.0, 300)
         fused = fuse_pnr([series], clip)
-        assert {(sw.window.start, sw.window.end): sw.confidence for sw in fused.windows} == {
-            (sw.window.start, sw.window.end): sw.confidence for sw in series.windows
+        assert {(sw.start, sw.end): sw.confidence for sw in fused.windows} == {
+            (sw.start, sw.end): sw.confidence for sw in series.windows
         }
         assert select_pnr(fused, clip) == select_pnr(series, clip)
 
     @given(window_series())
     def test_self_fusion_changes_nothing(self, series):
         fused = fuse_pnr([series, series])
-        assert {(sw.window.start, sw.window.end): sw.confidence for sw in fused.windows} == {
-            (sw.window.start, sw.window.end): sw.confidence for sw in series.windows
+        assert {(sw.start, sw.end): sw.confidence for sw in fused.windows} == {
+            (sw.start, sw.end): sw.confidence for sw in series.windows
         }
 
 
@@ -232,7 +230,7 @@ class TestNearestCenterLookup:
             ScoreSeries(
                 "c",
                 tuple(
-                    ScoredWindow(w, rng.random())
+                    ScoredWindow(w.start, w.end, rng.random())
                     for w in dense_windows(clip, WindowingConfig(num_windows=n))
                 ),
             )
@@ -250,14 +248,14 @@ class TestNearestCenterLookup:
         a = series_of("c", [(0, 32, 0.9), (40, 72, 0.3), (0, 32, 0.1)])
         b = series_of("c", [(0, 32, 0.5)])
         fused = fuse_pnr([a, b])
-        assert fused.windows[0].window == FrameWindow(0, 32, "c")
+        assert (fused.windows[0].start, fused.windows[0].end) == (0, 32)
         assert fused.windows[0].confidence == 0.7
 
     def test_equidistant_centers_tie_to_lower_center(self):
         a = series_of("c", [(20, 30, 0.8), (10, 20, 0.2)])  # centers 24.5, 14.5
         b = series_of("c", [(15, 24, 0.6)])  # center 19.0, 4.5 from both
         by_geometry = {
-            (sw.window.start, sw.window.end): sw.confidence for sw in fuse_pnr([a, b]).windows
+            (sw.start, sw.end): sw.confidence for sw in fuse_pnr([a, b]).windows
         }
         assert by_geometry[(15, 24)] == 0.4
 
@@ -266,6 +264,6 @@ class TestNearestCenterLookup:
         a = series_of("c", [(12, 18, 0.75), (10, 20, 0.25)])
         b = series_of("c", [(12, 18, 0.75)])
         by_geometry = {
-            (sw.window.start, sw.window.end): sw.confidence for sw in fuse_pnr([a, b]).windows
+            (sw.start, sw.end): sw.confidence for sw in fuse_pnr([a, b]).windows
         }
         assert by_geometry == {(10, 20): 0.5, (12, 18): 0.5}

@@ -4,6 +4,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pnrkit.errors import ConflictError, DomainError, EmptyInputError, ParseError, ValidationError
 from pnrkit.ingest import (
@@ -22,7 +24,15 @@ from pnrkit.ingest import (
     stats_plot_data,
     write_text_atomic,
 )
-from pnrkit.model import Clip, OsccAnnotation, PnrAnnotation, PnrPrediction
+from pnrkit.model import (
+    SOURCES,
+    Clip,
+    OsccAnnotation,
+    PnrAnnotation,
+    PnrPrediction,
+    ScoredWindow,
+    ScoreSeries,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
 
@@ -156,7 +166,7 @@ class TestScoreFormats:
         )
         series = parse_pnr_scores(text)
         assert set(series) == {"a", "b"}
-        assert [sw.window.start for sw in series["a"].windows] == [0, 12]
+        assert [sw.start for sw in series["a"].windows] == [0, 12]
         assert series["a"].windows[0].confidence == 0.25
 
     def test_pnr_scores_round_trip(self):
@@ -210,6 +220,89 @@ class TestScoreFormats:
             parse_pnr_scores('{"clip_id": "a", "start": 0, "end": 32, "confidence": NaN}')
         with pytest.raises(ParseError, match="line 1: 'prob' must be a finite number"):
             parse_oscc_scores('{"clip_id": "a", "prob": -Infinity}')
+
+
+# any non-empty text: the emitters escape quotes, control characters and
+# line separators, so every id survives one record per line
+clip_ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+unit = st.floats(min_value=0.0, max_value=1.0)
+finite_nonneg = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def score_series(draw, clip_id):
+    geometry = draw(
+        st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(1, 512)),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    return ScoreSeries(
+        clip_id,
+        tuple(ScoredWindow(s, s + w, draw(unit)) for s, w in sorted(geometry)),
+    )
+
+
+@st.composite
+def pnr_score_maps(draw):
+    ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
+    return {clip_id: draw(score_series(clip_id)) for clip_id in ids}
+
+
+@st.composite
+def prediction_maps(draw):
+    ids = draw(st.lists(clip_ids, max_size=5, unique=True))
+    return {
+        clip_id: PnrPrediction(
+            clip_id,
+            draw(finite_nonneg),
+            draw(st.integers(0, 10**6)),
+            draw(st.sampled_from(SOURCES)),
+        )
+        for clip_id in ids
+    }
+
+
+@st.composite
+def datasets(draw):
+    ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
+    clips, pnr, oscc = [], [], []
+    for clip_id in ids:
+        num_frames = draw(st.integers(1, 500))
+        clips.append(
+            Clip(clip_id, draw(st.floats(min_value=0.1, max_value=240.0)), num_frames)
+        )
+        if draw(st.booleans()):
+            frames = draw(
+                st.lists(st.integers(0, num_frames - 1), min_size=1, max_size=4, unique=True)
+            )
+            pnr.append(PnrAnnotation(clip_id, frames[0], tuple(frames[1:])))
+        if draw(st.booleans()):
+            oscc.append(OsccAnnotation(clip_id, draw(st.booleans())))
+    return build_dataset(clips, pnr, oscc)
+
+
+class TestEmitParseRoundTrip:
+    @given(pnr_score_maps())
+    def test_pnr_scores(self, series_by_clip):
+        assert parse_pnr_scores(emit_pnr_scores(series_by_clip)) == series_by_clip
+
+    @given(st.dictionaries(clip_ids, unit, max_size=5))
+    def test_oscc_scores(self, probs):
+        assert parse_oscc_scores(emit_oscc_scores(probs)) == probs
+
+    @given(prediction_maps())
+    def test_predictions(self, preds):
+        parsed = parse_predictions(emit_predictions(preds))
+        assert parsed == preds
+        # source is not part of prediction equality, so compare it too
+        assert [p.source for p in parsed.values()] == [p.source for p in preds.values()]
+
+    @given(datasets())
+    def test_annotations(self, dataset):
+        assert parse_annotations(emit_annotations(dataset)) == dataset
 
 
 class TestBinIndex:

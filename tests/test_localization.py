@@ -18,7 +18,6 @@ from pnrkit.localization import (
 )
 from pnrkit.model import (
     Clip,
-    FrameWindow,
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
@@ -30,7 +29,7 @@ from pnrkit.sampling import WindowingConfig, dense_windows
 def series_of(clip_id, triples):
     return ScoreSeries(
         clip_id,
-        tuple(ScoredWindow(FrameWindow(s, e, clip_id), c) for s, e, c in triples),
+        tuple(ScoredWindow(s, e, c) for s, e, c in triples),
     )
 
 
@@ -39,22 +38,22 @@ def reference_select(series, clip, config):
     n = clip.num_frames
 
     def frac(sw):
-        center = sw.window.start + (len(sw.window) - 1) / 2
+        center = sw.start + (len(sw) - 1) / 2
         return 0.0 if n == 1 else center / (n - 1)
 
     candidates = sorted(
         (sw for sw in series.windows if sw.confidence > config.threshold),
-        key=lambda sw: (abs(frac(sw) - config.prior_fraction), sw.window.start, sw.window.end),
+        key=lambda sw: (abs(frac(sw) - config.prior_fraction), sw.start, sw.end),
     )
     if candidates:
-        chosen = candidates[0].window
+        chosen = candidates[0]
         center = chosen.start + (len(chosen) - 1) / 2
         return center / clip.fps
     if config.fallback == "prior-point":
         return math.floor(config.prior_fraction * (n - 1) + 0.5) / clip.fps
     best = sorted(
-        series.windows, key=lambda sw: (-sw.confidence, sw.window.start, sw.window.end)
-    )[0].window
+        series.windows, key=lambda sw: (-sw.confidence, sw.start, sw.end)
+    )[0]
     return (best.start + (len(best) - 1) / 2) / clip.fps
 
 
@@ -235,7 +234,7 @@ class TestScoreDenseWindows:
     def test_pairs_in_order(self):
         clip = Clip("c", 30.0, 240)
         series = score_dense_windows(clip, WindowingConfig(num_windows=2), [0.25, 0.75])
-        assert [(sw.window.start, sw.confidence) for sw in series.windows] == [
+        assert [(sw.start, sw.confidence) for sw in series.windows] == [
             (0, 0.25),
             (208, 0.75),
         ]

@@ -11,7 +11,6 @@ from pnrkit.model import (
     PnrAnnotation,
     PnrPrediction,
     ScoredWindow,
-    ScoreSeries,
     ensure_window_in_clip,
     frame_to_fraction,
     fraction_to_frame,
@@ -93,27 +92,27 @@ class TestFractionCoordinate:
 
 class TestWindowCenters:
     def test_first_window_center(self):
-        win = FrameWindow(0, 32, "c")
+        win = FrameWindow(0, 32)
         assert window_center_frame(win) == 15.5
         assert window_center_time(win, 30.0) == pytest.approx(31 / 60)
 
     def test_last_window_center(self):
-        win = FrameWindow(208, 240, "c")
+        win = FrameWindow(208, 240)
         assert window_center_time(win, 30.0) == 7.45
 
     def test_single_frame_window(self):
-        win = FrameWindow(0, 1, "c")
+        win = FrameWindow(0, 1)
         assert window_center_frame(win) == 0.0
         assert window_center_time(win, 30.0) == 0.0
 
     def test_center_fraction(self):
         # window [104, 136) of a 240-frame clip is centered at fraction 0.5
-        assert window_center_fraction(FrameWindow(104, 136, "c"), 240) == 0.5
-        assert window_center_fraction(FrameWindow(0, 1, "c"), 1) == 0.0
+        assert window_center_fraction(FrameWindow(104, 136), 240) == 0.5
+        assert window_center_fraction(FrameWindow(0, 1), 1) == 0.0
 
     def test_bad_fps(self):
         with pytest.raises(DomainError):
-            window_center_time(FrameWindow(0, 32, "c"), 0.0)
+            window_center_time(FrameWindow(0, 32), 0.0)
 
 
 class TestTypeValidation:
@@ -128,29 +127,24 @@ class TestTypeValidation:
             Clip("", 30.0, 240)
 
     def test_window(self):
-        win = FrameWindow(3, 7, "c")
+        win = FrameWindow(3, 7)
         assert len(win) == 4
         assert win.contains(3) and win.contains(6)
         assert not win.contains(7) and not win.contains(2)
         with pytest.raises(DomainError):
-            FrameWindow(-1, 7, "c")
+            FrameWindow(-1, 7)
         with pytest.raises(DomainError):
-            FrameWindow(5, 5, "c")
+            FrameWindow(5, 5)
         with pytest.raises(DomainError):
-            FrameWindow(5, 4, "c")
+            FrameWindow(5, 4)
 
     def test_scored_window(self):
-        ScoredWindow(FrameWindow(0, 4, "c"), 0.0)
-        ScoredWindow(FrameWindow(0, 4, "c"), 1.0)
+        ScoredWindow(0, 4, 0.0)
+        ScoredWindow(0, 4, 1.0)
         with pytest.raises(DomainError):
-            ScoredWindow(FrameWindow(0, 4, "c"), 1.1)
+            ScoredWindow(0, 4, 1.1)
         with pytest.raises(DomainError):
-            ScoredWindow(FrameWindow(0, 4, "c"), -0.1)
-
-    def test_score_series_clip_consistency(self):
-        sw = ScoredWindow(FrameWindow(0, 4, "other"), 0.5)
-        with pytest.raises(ValidationError):
-            ScoreSeries("c", (sw,))
+            ScoredWindow(0, 4, -0.1)
 
     def test_pnr_annotation(self):
         ann = PnrAnnotation("c", 103, (55, 180))
@@ -175,8 +169,6 @@ class TestTypeValidation:
 
     def test_ensure_window_in_clip(self):
         clip = Clip("c", 30.0, 240)
-        ensure_window_in_clip(FrameWindow(208, 240, "c"), clip)
+        ensure_window_in_clip(FrameWindow(208, 240), clip)
         with pytest.raises(BoundsError):
-            ensure_window_in_clip(FrameWindow(209, 241, "c"), clip)
-        with pytest.raises(ValidationError):
-            ensure_window_in_clip(FrameWindow(0, 32, "other"), clip)
+            ensure_window_in_clip(FrameWindow(209, 241), clip)

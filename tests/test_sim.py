@@ -1,5 +1,7 @@
 """Synthetic dataset generation and the noisy scorer stand-in."""
 
+import re
+
 import pytest
 
 from pnrkit.errors import DomainError, ParseError
@@ -83,7 +85,7 @@ class TestSimulateScores:
         for clip_id, series in scores.items():
             frames = ds.pnr[clip_id].all_frames
             for sw in series.windows:
-                contains = any(sw.window.start <= f < sw.window.end for f in frames)
+                contains = any(sw.start <= f < sw.end for f in frames)
                 assert (sw.confidence > 0.5) == contains
 
     def test_geometry_is_the_dense_sweep(self):
@@ -92,7 +94,9 @@ class TestSimulateScores:
         scores = simulate_scores(ds, windows, seed=0)
         for clip_id, series in scores.items():
             expected = dense_windows(ds.clips[clip_id], windows)
-            assert tuple(sw.window for sw in series.windows) == expected
+            assert [(sw.start, sw.end) for sw in series.windows] == [
+                (w.start, w.end) for w in expected
+            ]
 
     def test_all_miss_model_forces_fallback(self):
         ds = gen_dataset(SimConfig(n_clips=25, seed=6))
@@ -176,6 +180,40 @@ class TestParseSimConfig:
             parse_sim_config("n_clips = ten")
         with pytest.raises(ParseError, match="number"):
             parse_sim_config("fps = fast")
+
+    @pytest.mark.parametrize("key", ["n_clips", "seed", "num_windows", "window_len"])
+    def test_integer_keys(self, key):
+        message = f"line 1: '{key}' must be an integer, got '1.5'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_sim_config(f"{key} = 1.5")
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "fps",
+            "duration_min_sec",
+            "duration_max_sec",
+            "positive_mean",
+            "positive_sd",
+            "negatives_lambda",
+            "state_change_prob",
+            "hit_alpha",
+            "hit_beta",
+            "miss_alpha",
+            "miss_beta",
+            "oscc_flip_prob",
+        ],
+    )
+    def test_number_keys(self, key):
+        message = f"line 1: '{key}' must be a number, got 'x'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_sim_config(f"{key} = x")
+
+    @pytest.mark.parametrize("key", ["jitter", "sim", "noise", "windows"])
+    def test_other_field_names_are_unknown(self, key):
+        # jitter is a training-sampler knob that simulate does not use
+        with pytest.raises(ParseError, match=re.escape(f"unknown key '{key}'")):
+            parse_sim_config(f"{key} = 1")
 
     def test_missing_equals(self):
         with pytest.raises(ParseError, match="key = value"):

@@ -172,7 +172,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         if ds is not None:
             clip = ds.clips.get(clip_id)
             if clip is None:
-                raise ValidationError(f"scores for unknown clip {clip_id!r}")
+                raise ValidationError(
+                    f"{args.scores[0]}: scores for unknown clip {clip_id!r} "
+                    f"(not in {args.annotations})"
+                )
         values = [scores[clip_id] for scores in score_maps]
         fused[clip_id] = fuse_oscc(values) if oscc else fuse_pnr(values, clip)
     _emit(args, emit_oscc_scores(fused) if oscc else emit_pnr_scores(fused))

@@ -22,7 +22,9 @@ import contextlib
 import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from pnrkit.errors import (
@@ -98,22 +100,35 @@ def build_dataset(
     return Dataset(clips=clip_map, pnr=pnr_map, oscc=oscc_map)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _iter_records(stream: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
     lines = stream.splitlines() if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, 1):
-        text = raw.strip()
-        if not text:
-            continue
+        # a value that spans the whole line is what json.loads would give;
+        # blank lines, edge whitespace, a BOM and bad JSON go through strip()
+        # and json.loads, whose messages the errors repeat
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+            obj, end = _raw_decode(raw)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(raw):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object", line_no)
         yield line_no, obj
 
 
 def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], line_no: int) -> None:
+    if obj.keys() == set(required):
+        return
     keys = set(obj)
     missing = [k for k in required if k not in keys]
     if missing:
@@ -125,6 +140,8 @@ def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
 
 def _as_str(obj: dict, key: str, line_no: int) -> str:
     v = obj[key]
+    if type(v) is str and v:
+        return v
     if not isinstance(v, str) or not v:
         raise ParseError(f"{key!r} must be a non-empty string", line_no)
     return v
@@ -132,6 +149,8 @@ def _as_str(obj: dict, key: str, line_no: int) -> str:
 
 def _as_int(obj: dict, key: str, line_no: int) -> int:
     v = obj[key]
+    if type(v) is int:
+        return v
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{key!r} must be an integer", line_no)
     return v
@@ -139,6 +158,8 @@ def _as_int(obj: dict, key: str, line_no: int) -> int:
 
 def _as_number(obj: dict, key: str, line_no: int) -> float:
     v = obj[key]
+    if type(v) is float and math.isfinite(v):
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{key!r} must be a number", line_no)
     try:
@@ -223,45 +244,77 @@ def emit_annotations(dataset: Dataset) -> str:
 
 
 _SCORE_KEYS = ("clip_id", "start", "end", "confidence")
+_SCORE_KEY_SET = frozenset(_SCORE_KEYS)
+_window_order = attrgetter("start", "end")
 
 
 def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
-    """Parse window scores into one series per clip, sorted by start."""
-    grouped: dict[str, list[ScoredWindow]] = {}
-    for line_no, obj in _iter_records(stream):
-        _check_keys(obj, _SCORE_KEYS, (), line_no)
-        clip_id = _as_str(obj, "clip_id", line_no)
-        start = _as_int(obj, "start", line_no)
-        end = _as_int(obj, "end", line_no)
-        confidence = _as_number(obj, "confidence", line_no)
+    """Parse window scores into one series per clip, sorted by start.
+
+    A clip may score each ``(start, end)`` window once.
+    """
+    # kept as a list so a duplicate window can be traced back to its line
+    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
+    grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
+    for line_no, obj in _iter_records(lines):
+        # one test passes a well-formed line; any other line goes through
+        # the validators, which raise the error or accept an int confidence
+        if not (
+            obj.keys() == _SCORE_KEY_SET
+            and type(clip_id := obj["clip_id"]) is str
+            and clip_id
+            and type(start := obj["start"]) is int
+            and type(end := obj["end"]) is int
+            and type(confidence := obj["confidence"]) is float
+            and 0.0 <= confidence <= 1.0
+        ):
+            _check_keys(obj, _SCORE_KEYS, (), line_no)
+            clip_id = _as_str(obj, "clip_id", line_no)
+            start = _as_int(obj, "start", line_no)
+            end = _as_int(obj, "end", line_no)
+            confidence = _as_number(obj, "confidence", line_no)
         try:
             sw = ScoredWindow(start, end, confidence)
         except ValidationError as exc:
             raise ParseError(str(exc), line_no) from None
-        grouped.setdefault(clip_id, []).append(sw)
-    return {
-        clip_id: ScoreSeries(
-            clip_id, tuple(sorted(sws, key=lambda sw: (sw.start, sw.end)))
-        )
-        for clip_id, sws in grouped.items()
-    }
+        grouped[clip_id].append(sw)
+    series_by_clip = {}
+    for clip_id, windows in grouped.items():
+        # the sort is stable, so a repeated window sits right after its first
+        windows.sort(key=_window_order)
+        for a, b in zip(windows, windows[1:]):
+            if a.start == b.start and a.end == b.end:
+                line_no = _second_line_of(lines, clip_id, b)
+                raise ConflictError(
+                    f"line {line_no}: duplicate window [{b.start}, {b.end}) for clip {clip_id!r}"
+                )
+        series_by_clip[clip_id] = ScoreSeries(clip_id, tuple(windows))
+    return series_by_clip
+
+
+def _second_line_of(lines: list[str], clip_id: str, window: ScoredWindow) -> int:
+    """Line number of the second record of one clip's window."""
+    target = (clip_id, window.start, window.end)
+    matches = (
+        line_no
+        for line_no, obj in _iter_records(lines)
+        if (obj["clip_id"], obj["start"], obj["end"]) == target
+    )
+    next(matches)
+    return next(matches)
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
+    # the bytes json.dumps writes for each record: ints as themselves, a
+    # float by float.__repr__ (also for float subclasses such as numpy's)
     rows = []
     for clip_id, series in series_by_clip.items():
+        head = '{"clip_id": ' + json.dumps(clip_id) + ', "start": '
         for sw in series.windows:
-            rows.append(
-                json.dumps(
-                    {
-                        "clip_id": clip_id,
-                        "start": sw.start,
-                        "end": sw.end,
-                        "confidence": sw.confidence,
-                    }
-                )
-            )
-    return "".join(row + "\n" for row in rows)
+            c = sw.confidence
+            conf = float.__repr__(c) if isinstance(c, float) else json.dumps(c)
+            rows.append(f'{head}{sw.start}, "end": {sw.end}, "confidence": {conf}}}\n')
+    return "".join(rows)
 
 
 _PROB_KEYS = ("clip_id", "prob")

@@ -91,7 +91,7 @@ class OsccAnnotation:
     state_change: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameWindow:
     """A half-open frame range [start, end) within one clip.
 
@@ -115,14 +115,15 @@ class FrameWindow:
         return self.start <= frame < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredWindow(FrameWindow):
     """A window with a scorer confidence in [0, 1]."""
 
     confidence: float
 
     def __post_init__(self):
-        super().__post_init__()
+        # slots=True builds a new class, which zero-argument super() misses
+        FrameWindow.__post_init__(self)
         if not 0.0 <= self.confidence <= 1.0:
             raise DomainError(f"confidence must be in [0, 1], got {self.confidence}")
 

@@ -17,6 +17,7 @@ and classifier draws never share a stream even under one seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -234,10 +235,14 @@ def parse_sim_config(text: str) -> SimSettings:
         if key in kwargs[group]:
             raise ParseError(f"duplicate key {key!r}", line_no)
         try:
-            kwargs[group][key] = convert(value)
+            number = convert(value)
         except ValueError:
             kind = "an integer" if convert is int else "a number"
             raise ParseError(f"{key!r} must be {kind}, got {value!r}", line_no) from None
+        # float() reads nan and inf, which pass the range checks or hang the draws
+        if convert is float and not math.isfinite(number):
+            raise ParseError(f"{key!r} must be a finite number, got {value!r}", line_no)
+        kwargs[group][key] = number
 
     kwargs["windows"].setdefault("num_windows", 16)
     try:

@@ -126,6 +126,18 @@ class TestLocalizeAndEvaluate:
         assert "nan" not in captured.out
         assert "nan_preds.jsonl: line 1: 'time_sec' must be a finite number" in captured.err
 
+    def test_duplicate_window_names_file_line_and_clip(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "scores_pnr.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        scores = tmp_path / "dup.jsonl"
+        scores.write_text("".join(lines + lines[5:6]), encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert main(["localize", "--scores", str(scores), "--annotations",
+                     str(sim_dir / "annotations.jsonl"), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{scores}: line {len(lines) + 1}: duplicate window" in err
+        assert "for clip 'clip000000'" in err
+        assert not out.exists()
+
     def test_oscc_evaluation(self, sim_dir, capsys):
         assert main(["evaluate", "--task", "oscc",
                      "--preds", str(sim_dir / "scores_oscc.jsonl"),
@@ -268,7 +280,9 @@ class TestFuse:
         fused = tmp_path / "fused.jsonl"
         assert main(["fuse", "--task", "oscc", "--scores", str(a), str(a),
                      "--annotations", str(FIXTURE), "--out", str(fused), "--quiet"]) == 2
-        assert "'ghost'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"pnrkit: error: {a}: scores for unknown clip 'ghost' (not in {FIXTURE})\n"
+        )
         assert not fused.exists()
 
     def test_fuse_requires_out(self, tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Wire-format parsing, emission, dataset assembly, and statistics."""
 
+import io
+import json
 import os
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from pnrkit.cli import main
 from pnrkit.errors import ConflictError, DomainError, EmptyInputError, ParseError, ValidationError
 from pnrkit.ingest import (
     bin_index,
@@ -303,6 +308,441 @@ class TestEmitParseRoundTrip:
     @given(datasets())
     def test_annotations(self, dataset):
         assert parse_annotations(emit_annotations(dataset)) == dataset
+
+
+# ids that json must escape, and every confidence type a window may hold
+awkward_ids = st.one_of(
+    clip_ids,
+    st.sampled_from(['say "hi"', "back\\slash", "tab\there", "\x00\x1f\x7f", "a\u2028b", "é中"]),
+)
+confidences = st.one_of(unit, st.integers(0, 1), unit.map(np.float64))
+
+
+class TestEmitMatchesJsonDumps:
+    """The pnr emitter writes the bytes of one json.dumps call per record."""
+
+    @staticmethod
+    def reference(series_by_clip):
+        return "".join(
+            json.dumps(
+                {"clip_id": clip_id, "start": sw.start, "end": sw.end, "confidence": sw.confidence}
+            )
+            + "\n"
+            for clip_id, series in series_by_clip.items()
+            for sw in series.windows
+        )
+
+    @given(
+        st.dictionaries(
+            awkward_ids,
+            st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 512), confidences), max_size=6),
+            max_size=5,
+        )
+    )
+    def test_any_series(self, raw):
+        series_by_clip = {
+            clip_id: ScoreSeries(clip_id, tuple(ScoredWindow(s, s + w, c) for s, w, c in windows))
+            for clip_id, windows in raw.items()
+        }
+        assert emit_pnr_scores(series_by_clip) == self.reference(series_by_clip)
+
+    def test_int_and_numpy_confidences(self):
+        clip_id = 'say "q"\u2028'
+        series = ScoreSeries(clip_id, (ScoredWindow(0, 4, 1), ScoredWindow(4, 8, np.float64(0.1))))
+        assert emit_pnr_scores({clip_id: series}) == (
+            '{"clip_id": "say \\"q\\"\\u2028", "start": 0, "end": 4, "confidence": 1}\n'
+            '{"clip_id": "say \\"q\\"\\u2028", "start": 4, "end": 8, "confidence": 0.1}\n'
+        )
+
+
+@st.composite
+def scored_clips(draw, n_files):
+    """Annotations for a few clips and n_files score maps over all of them."""
+    # short clips and few confidence levels make tied and same-center windows common
+    clips = [Clip(f"c{i}", 30.0, draw(st.integers(4, 40))) for i in range(draw(st.integers(1, 3)))]
+    score_maps = []
+    for _ in range(n_files):
+        series_by_clip = {}
+        for clip in clips:
+            n = clip.num_frames
+            geometry = st.tuples(st.integers(0, n - 1), st.integers(1, n)).map(
+                lambda sw, n=n: (sw[0], min(sw[0] + sw[1], n))
+            )
+            windows = draw(st.lists(geometry, min_size=1, max_size=6, unique=True))
+            series_by_clip[clip.clip_id] = ScoreSeries(
+                clip.clip_id,
+                tuple(ScoredWindow(s, e, draw(st.sampled_from([0.5, 0.8, 0.9]))) for s, e in sorted(windows)),
+            )
+        score_maps.append(series_by_clip)
+    return build_dataset(clips), score_maps
+
+
+class TestLineOrder:
+    """Shuffling the lines of a score file never changes what the CLI writes."""
+
+    # each example runs the CLI four times, so shrinking a failure would
+    # take minutes; the unshrunk example is reported as drawn
+    @settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data())
+    def test_localize_and_fuse(self, data):
+        dataset, score_maps = data.draw(scored_clips(2))
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            annotations = work / "annotations.jsonl"
+            annotations.write_text(emit_annotations(dataset), encoding="utf-8")
+
+            def outputs(tag, arrange):
+                scores = []
+                for k, series_by_clip in enumerate(score_maps):
+                    path = work / f"{tag}-scores{k}.jsonl"
+                    lines = emit_pnr_scores(series_by_clip).splitlines(keepends=True)
+                    path.write_text("".join(arrange(lines)), encoding="utf-8")
+                    scores.append(str(path))
+                preds, fused = work / f"{tag}-preds.jsonl", work / f"{tag}-fused.jsonl"
+                common = ["--annotations", str(annotations), "--quiet", "--out"]
+                assert main(["localize", "--scores", scores[0], *common, str(preds)]) == 0
+                assert main(["fuse", "--task", "pnr", "--scores", *scores, *common, str(fused)]) == 0
+                return preds.read_bytes(), fused.read_bytes()
+
+            in_order = outputs("sorted", list)
+            shuffled = outputs("shuffled", lambda lines: data.draw(st.permutations(lines)))
+        assert shuffled == in_order
+
+
+class TestDuplicateWindows:
+    def test_second_line_names_clip_and_line(self):
+        text = (
+            '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.9}\n'
+            '{"clip_id": "b", "start": 0, "end": 32, "confidence": 0.5}\n'
+            "\n"
+            '{"clip_id": "a", "start": 12, "end": 44, "confidence": 0.5}\n'
+            '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.1}\n'
+        )
+        for stream in (text, text.splitlines(), iter(text.splitlines(keepends=True))):
+            with pytest.raises(ConflictError) as info:
+                parse_pnr_scores(stream)
+            assert str(info.value) == "line 5: duplicate window [0, 32) for clip 'a'"
+
+    def test_third_copy_reports_the_second(self):
+        line = '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.5}\n'
+        with pytest.raises(ConflictError, match="^line 2: "):
+            parse_pnr_scores(line * 3)
+
+    def test_same_start_or_other_clip_is_not_a_duplicate(self):
+        text = (
+            '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.9}\n'
+            '{"clip_id": "a", "start": 0, "end": 16, "confidence": 0.5}\n'
+            '{"clip_id": "b", "start": 0, "end": 32, "confidence": 0.1}\n'
+        )
+        series = parse_pnr_scores(text)
+        assert [(sw.start, sw.end) for sw in series["a"].windows] == [(0, 16), (0, 32)]
+        assert len(series["b"].windows) == 1
+
+
+# One good record per format; each case below sits on line 3, after the
+# good record and a blank line.
+PARSERS = {
+    "annotations": parse_annotations,
+    "pnr_scores": parse_pnr_scores,
+    "oscc_scores": parse_oscc_scores,
+    "predictions": parse_predictions,
+}
+FIRST_LINE = {
+    "annotations": '{"clip_id": "z", "fps": 30.0, "num_frames": 9}',
+    "pnr_scores": '{"clip_id": "z", "start": 0, "end": 4, "confidence": 0.5}',
+    "oscc_scores": '{"clip_id": "z", "prob": 0.5}',
+    "predictions": '{"clip_id": "z", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+}
+GOOD_LINE = {fmt: line.replace('"z"', '"a"') for fmt, line in FIRST_LINE.items()}
+BIG = "1" + "0" * 400
+
+# Every malformed line with the exact error and line number the parsers
+# gave before they decoded each line once and type-checked it in one
+# test; a faster record path must leave this table as it is.
+MALFORMED = [
+    # (format, case, line_no, line, message)
+    ('annotations', 'bom', 3, '\ufeff{"clip_id": "a", "fps": 30.0, "num_frames": 9}',
+     'line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)'),
+    ('annotations', 'formfeed-inside', 3, '{"clip_id": "a",\x0c"fps": 30.0, "num_frames": 9}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('annotations', 'nbsp-inside', 3, '{"clip_id": "a",\xa0"fps": 30.0, "num_frames": 9}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('annotations', 'broken', 3, '{broken',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('annotations', 'extra-data', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9} {"clip_id": "a", "fps": 30.0, "num_frames": 9}',
+     'line 3: invalid JSON: Extra data'),
+    ('annotations', 'trailing-comma', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, }',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('annotations', 'array', 3, '[1, 2]',
+     'line 3: record must be a JSON object'),
+    ('annotations', 'int-scalar', 3, '3',
+     'line 3: record must be a JSON object'),
+    ('annotations', 'string-scalar', 3, '"x"',
+     'line 3: record must be a JSON object'),
+    ('annotations', 'null', 3, 'null',
+     'line 3: record must be a JSON object'),
+    ('annotations', 'missing-key', 3, '{"clip_id": "a", "fps": 30.0}',
+     'line 3: missing key(s): num_frames'),
+    ('annotations', 'missing-all', 3, '{}',
+     'line 3: missing key(s): clip_id, fps, num_frames'),
+    ('annotations', 'extra-key', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('annotations', 'empty-clip-id', 3, '{"clip_id": "", "fps": 30.0, "num_frames": 9}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('annotations', 'int-clip-id', 3, '{"clip_id": 5, "fps": 30.0, "num_frames": 9}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('annotations', 'fps-true', 3, '{"clip_id": "a", "fps": true, "num_frames": 9}',
+     "line 3: 'fps' must be a number"),
+    ('annotations', 'fps-string', 3, '{"clip_id": "a", "fps": "0.5", "num_frames": 9}',
+     "line 3: 'fps' must be a number"),
+    ('annotations', 'fps-nan', 3, '{"clip_id": "a", "fps": NaN, "num_frames": 9}',
+     "line 3: 'fps' must be a finite number"),
+    ('annotations', 'fps-inf', 3, '{"clip_id": "a", "fps": Infinity, "num_frames": 9}',
+     "line 3: 'fps' must be a finite number"),
+    ('annotations', 'fps--inf', 3, '{"clip_id": "a", "fps": -Infinity, "num_frames": 9}',
+     "line 3: 'fps' must be a finite number"),
+    ('annotations', 'fps-float-overflow', 3, '{"clip_id": "a", "fps": 1e400, "num_frames": 9}',
+     "line 3: 'fps' must be a finite number"),
+    ('annotations', 'fps-int-overflow', 3, '{"clip_id": "a", "fps": ' + BIG + ', "num_frames": 9}',
+     "line 3: 'fps' must be a finite number"),
+    ('annotations', 'fps-null', 3, '{"clip_id": "a", "fps": null, "num_frames": 9}',
+     "line 3: 'fps' must be a number"),
+    ('annotations', 'num_frames-true', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": true}',
+     "line 3: 'num_frames' must be an integer"),
+    ('annotations', 'num_frames-float', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 1.0}',
+     "line 3: 'num_frames' must be an integer"),
+    ('annotations', 'num_frames-string', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": "1"}',
+     "line 3: 'num_frames' must be an integer"),
+    ('annotations', 'num_frames-negative', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": -1}',
+     'line 3: num_frames must be >= 1, got -1'),
+    ('pnr_scores', 'bom', 3, '\ufeff{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5}',
+     'line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)'),
+    ('pnr_scores', 'formfeed-inside', 3, '{"clip_id": "a",\x0c"start": 0, "end": 4, "confidence": 0.5}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('pnr_scores', 'nbsp-inside', 3, '{"clip_id": "a",\xa0"start": 0, "end": 4, "confidence": 0.5}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('pnr_scores', 'broken', 3, '{broken',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('pnr_scores', 'extra-data', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5} {"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5}',
+     'line 3: invalid JSON: Extra data'),
+    ('pnr_scores', 'trailing-comma', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5, }',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('pnr_scores', 'array', 3, '[1, 2]',
+     'line 3: record must be a JSON object'),
+    ('pnr_scores', 'int-scalar', 3, '3',
+     'line 3: record must be a JSON object'),
+    ('pnr_scores', 'string-scalar', 3, '"x"',
+     'line 3: record must be a JSON object'),
+    ('pnr_scores', 'null', 3, 'null',
+     'line 3: record must be a JSON object'),
+    ('pnr_scores', 'missing-key', 3, '{"clip_id": "a", "start": 0, "end": 4}',
+     'line 3: missing key(s): confidence'),
+    ('pnr_scores', 'missing-all', 3, '{}',
+     'line 3: missing key(s): clip_id, start, end, confidence'),
+    ('pnr_scores', 'extra-key', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5, "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('pnr_scores', 'empty-clip-id', 3, '{"clip_id": "", "start": 0, "end": 4, "confidence": 0.5}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('pnr_scores', 'int-clip-id', 3, '{"clip_id": 5, "start": 0, "end": 4, "confidence": 0.5}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('pnr_scores', 'confidence-true', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": true}',
+     "line 3: 'confidence' must be a number"),
+    ('pnr_scores', 'confidence-string', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": "0.5"}',
+     "line 3: 'confidence' must be a number"),
+    ('pnr_scores', 'confidence-nan', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": NaN}',
+     "line 3: 'confidence' must be a finite number"),
+    ('pnr_scores', 'confidence-inf', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": Infinity}',
+     "line 3: 'confidence' must be a finite number"),
+    ('pnr_scores', 'confidence--inf', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": -Infinity}',
+     "line 3: 'confidence' must be a finite number"),
+    ('pnr_scores', 'confidence-float-overflow', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 1e400}',
+     "line 3: 'confidence' must be a finite number"),
+    ('pnr_scores', 'confidence-int-overflow', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": ' + BIG + '}',
+     "line 3: 'confidence' must be a finite number"),
+    ('pnr_scores', 'confidence-null', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": null}',
+     "line 3: 'confidence' must be a number"),
+    ('pnr_scores', 'start-true', 3, '{"clip_id": "a", "start": true, "end": 4, "confidence": 0.5}',
+     "line 3: 'start' must be an integer"),
+    ('pnr_scores', 'start-float', 3, '{"clip_id": "a", "start": 1.0, "end": 4, "confidence": 0.5}',
+     "line 3: 'start' must be an integer"),
+    ('pnr_scores', 'start-string', 3, '{"clip_id": "a", "start": "1", "end": 4, "confidence": 0.5}',
+     "line 3: 'start' must be an integer"),
+    ('pnr_scores', 'start-negative', 3, '{"clip_id": "a", "start": -1, "end": 4, "confidence": 0.5}',
+     'line 3: window start must be >= 0, got -1'),
+    ('oscc_scores', 'bom', 3, '\ufeff{"clip_id": "a", "prob": 0.5}',
+     'line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)'),
+    ('oscc_scores', 'formfeed-inside', 3, '{"clip_id": "a",\x0c"prob": 0.5}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('oscc_scores', 'nbsp-inside', 3, '{"clip_id": "a",\xa0"prob": 0.5}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('oscc_scores', 'broken', 3, '{broken',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('oscc_scores', 'extra-data', 3, '{"clip_id": "a", "prob": 0.5} {"clip_id": "a", "prob": 0.5}',
+     'line 3: invalid JSON: Extra data'),
+    ('oscc_scores', 'trailing-comma', 3, '{"clip_id": "a", "prob": 0.5, }',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('oscc_scores', 'array', 3, '[1, 2]',
+     'line 3: record must be a JSON object'),
+    ('oscc_scores', 'int-scalar', 3, '3',
+     'line 3: record must be a JSON object'),
+    ('oscc_scores', 'string-scalar', 3, '"x"',
+     'line 3: record must be a JSON object'),
+    ('oscc_scores', 'null', 3, 'null',
+     'line 3: record must be a JSON object'),
+    ('oscc_scores', 'missing-key', 3, '{"clip_id": "a"}',
+     'line 3: missing key(s): prob'),
+    ('oscc_scores', 'missing-all', 3, '{}',
+     'line 3: missing key(s): clip_id, prob'),
+    ('oscc_scores', 'extra-key', 3, '{"clip_id": "a", "prob": 0.5, "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('oscc_scores', 'empty-clip-id', 3, '{"clip_id": "", "prob": 0.5}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('oscc_scores', 'int-clip-id', 3, '{"clip_id": 5, "prob": 0.5}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('oscc_scores', 'prob-true', 3, '{"clip_id": "a", "prob": true}',
+     "line 3: 'prob' must be a number"),
+    ('oscc_scores', 'prob-string', 3, '{"clip_id": "a", "prob": "0.5"}',
+     "line 3: 'prob' must be a number"),
+    ('oscc_scores', 'prob-nan', 3, '{"clip_id": "a", "prob": NaN}',
+     "line 3: 'prob' must be a finite number"),
+    ('oscc_scores', 'prob-inf', 3, '{"clip_id": "a", "prob": Infinity}',
+     "line 3: 'prob' must be a finite number"),
+    ('oscc_scores', 'prob--inf', 3, '{"clip_id": "a", "prob": -Infinity}',
+     "line 3: 'prob' must be a finite number"),
+    ('oscc_scores', 'prob-float-overflow', 3, '{"clip_id": "a", "prob": 1e400}',
+     "line 3: 'prob' must be a finite number"),
+    ('oscc_scores', 'prob-int-overflow', 3, '{"clip_id": "a", "prob": ' + BIG + '}',
+     "line 3: 'prob' must be a finite number"),
+    ('oscc_scores', 'prob-null', 3, '{"clip_id": "a", "prob": null}',
+     "line 3: 'prob' must be a number"),
+    ('predictions', 'bom', 3, '\ufeff{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+     'line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)'),
+    ('predictions', 'formfeed-inside', 3, '{"clip_id": "a",\x0c"time_sec": 1.0, "frame": 30, "source": "selected"}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('predictions', 'nbsp-inside', 3, '{"clip_id": "a",\xa0"time_sec": 1.0, "frame": 30, "source": "selected"}',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('predictions', 'broken', 3, '{broken',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('predictions', 'extra-data', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected"} {"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+     'line 3: invalid JSON: Extra data'),
+    ('predictions', 'trailing-comma', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected", }',
+     'line 3: invalid JSON: Expecting property name enclosed in double quotes'),
+    ('predictions', 'array', 3, '[1, 2]',
+     'line 3: record must be a JSON object'),
+    ('predictions', 'int-scalar', 3, '3',
+     'line 3: record must be a JSON object'),
+    ('predictions', 'string-scalar', 3, '"x"',
+     'line 3: record must be a JSON object'),
+    ('predictions', 'null', 3, 'null',
+     'line 3: record must be a JSON object'),
+    ('predictions', 'missing-key', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30}',
+     'line 3: missing key(s): source'),
+    ('predictions', 'missing-all', 3, '{}',
+     'line 3: missing key(s): clip_id, time_sec, frame, source'),
+    ('predictions', 'extra-key', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected", "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('predictions', 'empty-clip-id', 3, '{"clip_id": "", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('predictions', 'int-clip-id', 3, '{"clip_id": 5, "time_sec": 1.0, "frame": 30, "source": "selected"}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('predictions', 'time_sec-true', 3, '{"clip_id": "a", "time_sec": true, "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a number"),
+    ('predictions', 'time_sec-string', 3, '{"clip_id": "a", "time_sec": "0.5", "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a number"),
+    ('predictions', 'time_sec-nan', 3, '{"clip_id": "a", "time_sec": NaN, "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a finite number"),
+    ('predictions', 'time_sec-inf', 3, '{"clip_id": "a", "time_sec": Infinity, "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a finite number"),
+    ('predictions', 'time_sec--inf', 3, '{"clip_id": "a", "time_sec": -Infinity, "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a finite number"),
+    ('predictions', 'time_sec-float-overflow', 3, '{"clip_id": "a", "time_sec": 1e400, "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a finite number"),
+    ('predictions', 'time_sec-int-overflow', 3, '{"clip_id": "a", "time_sec": ' + BIG + ', "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a finite number"),
+    ('predictions', 'time_sec-null', 3, '{"clip_id": "a", "time_sec": null, "frame": 30, "source": "selected"}',
+     "line 3: 'time_sec' must be a number"),
+    ('predictions', 'frame-true', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": true, "source": "selected"}',
+     "line 3: 'frame' must be an integer"),
+    ('predictions', 'frame-float', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 1.0, "source": "selected"}',
+     "line 3: 'frame' must be an integer"),
+    ('predictions', 'frame-string', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": "1", "source": "selected"}',
+     "line 3: 'frame' must be an integer"),
+    ('predictions', 'frame-negative', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": -1, "source": "selected"}',
+     'line 3: frame must be >= 0, got -1'),
+    ('pnr_scores', 'inverted', 3, '{"clip_id": "a", "start": 8, "end": 4, "confidence": 0.5}',
+     'line 3: window [8, 4) is empty or inverted'),
+    ('pnr_scores', 'empty-window', 3, '{"clip_id": "a", "start": 4, "end": 4, "confidence": 0.5}',
+     'line 3: window [4, 4) is empty or inverted'),
+    ('pnr_scores', 'end-true', 3, '{"clip_id": "a", "start": 0, "end": true, "confidence": 0.5}',
+     "line 3: 'end' must be an integer"),
+    ('pnr_scores', 'confidence-above-one', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 1.5}',
+     'line 3: confidence must be in [0, 1], got 1.5'),
+    ('pnr_scores', 'confidence-below-zero', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": -0.25}',
+     'line 3: confidence must be in [0, 1], got -0.25'),
+    ('pnr_scores', 'int-confidence-above-one', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 2}',
+     'line 3: confidence must be in [0, 1], got 2.0'),
+    ('annotations', 'zero-frames', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 0}',
+     'line 3: num_frames must be >= 1, got 0'),
+    ('annotations', 'zero-fps', 3, '{"clip_id": "a", "fps": 0.0, "num_frames": 9}',
+     'line 3: fps must be positive, got 0.0'),
+    ('annotations', 'state-change-int', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "state_change": 1}',
+     "line 3: 'state_change' must be a boolean"),
+    ('annotations', 'others-without-pnr', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "other_pnr_frames": [2]}',
+     "line 3: 'other_pnr_frames' requires 'pnr_frame'"),
+    ('annotations', 'others-not-ints', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [2.5]}',
+     "line 3: 'other_pnr_frames' must be a list of integers"),
+    ('annotations', 'others-true', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [true]}',
+     "line 3: 'other_pnr_frames' must be a list of integers"),
+    ('annotations', 'pnr-frame-negative', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": -1}',
+     'line 3: positive_frame must be >= 0, got -1'),
+    ('annotations', 'pnr-frame-repeated', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [1]}',
+     "line 3: clip 'a': positive frame 1 repeated in negative_frames"),
+    ('annotations', 'pnr-frame-outside', None, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 9}',
+     "clip 'a': annotated frame 9 outside 9-frame clip"),
+    ('oscc_scores', 'prob-above-one', 3, '{"clip_id": "a", "prob": 1.5}',
+     "line 3: 'prob' must be in [0, 1], got 1.5"),
+    ('predictions', 'unknown-source', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "guess"}',
+     "line 3: unknown prediction source 'guess'"),
+    ('predictions', 'source-int', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": 1}',
+     "line 3: 'source' must be a non-empty string"),
+    ('predictions', 'negative-time', 3, '{"clip_id": "a", "time_sec": -1.0, "frame": 30, "source": "selected"}',
+     'line 3: time_sec must be >= 0, got -1.0'),
+]
+
+
+def _document(fmt, line):
+    return FIRST_LINE[fmt] + "\n\n" + line + "\n"
+
+
+class TestStrictLines:
+    @pytest.mark.parametrize(
+        "fmt,case,line_no,line,message", MALFORMED, ids=[f"{row[0]}-{row[1]}" for row in MALFORMED]
+    )
+    def test_malformed_line(self, fmt, case, line_no, line, message):
+        with pytest.raises(ParseError) as info:
+            PARSERS[fmt](_document(fmt, line))
+        assert str(info.value) == message
+        assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize("fmt", PARSERS)
+    @pytest.mark.parametrize(
+        "before,after",
+        [("   ", ""), ("", "  "), ("\t", "\t"), ("\x0c", "\x0c"), ("\xa0", "\xa0"), (" \x0c", "\xa0 ")],
+        ids=["leading-spaces", "trailing-spaces", "tabs", "form-feeds", "no-break-spaces", "mixed"],
+    )
+    def test_edge_whitespace_is_stripped(self, fmt, before, after):
+        parse = PARSERS[fmt]
+        expected = parse(_document(fmt, GOOD_LINE[fmt]))
+        padded = FIRST_LINE[fmt] + "\n \x0c\xa0\t\n" + before + GOOD_LINE[fmt] + after + "\n"
+        assert parse(padded) == expected
+        # a file object yields lines that keep their line endings
+        assert parse(io.StringIO(padded)) == expected
+
+    def test_number_may_be_an_int(self):
+        line = GOOD_LINE["pnr_scores"].replace("0.5", "1")
+        (window,) = parse_pnr_scores(line)["a"].windows
+        assert window.confidence == 1.0 and type(window.confidence) is float
+        assert parse_oscc_scores('{"clip_id": "a", "prob": 0}') == {"a": 0.0}
 
 
 class TestBinIndex:

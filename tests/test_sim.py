@@ -128,6 +128,22 @@ class TestSimulateOscc:
             assert (prob >= 0.5) != ds.oscc[clip_id].state_change
 
 
+NUMBER_KEYS = [
+    "fps",
+    "duration_min_sec",
+    "duration_max_sec",
+    "positive_mean",
+    "positive_sd",
+    "negatives_lambda",
+    "state_change_prob",
+    "hit_alpha",
+    "hit_beta",
+    "miss_alpha",
+    "miss_beta",
+    "oscc_flip_prob",
+]
+
+
 class TestParseSimConfig:
     def test_defaults_from_empty_text(self):
         settings = parse_sim_config("")
@@ -187,27 +203,20 @@ class TestParseSimConfig:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_sim_config(f"{key} = 1.5")
 
-    @pytest.mark.parametrize(
-        "key",
-        [
-            "fps",
-            "duration_min_sec",
-            "duration_max_sec",
-            "positive_mean",
-            "positive_sd",
-            "negatives_lambda",
-            "state_change_prob",
-            "hit_alpha",
-            "hit_beta",
-            "miss_alpha",
-            "miss_beta",
-            "oscc_flip_prob",
-        ],
-    )
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
     def test_number_keys(self, key):
         message = f"line 1: '{key}' must be a number, got 'x'"
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_sim_config(f"{key} = x")
+
+    # nan passed every range check and hung the truncated-normal draw;
+    # inf overflowed inside numpy
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_number_keys_must_be_finite(self, key, value):
+        message = f"line 2: '{key}' must be a finite number, got '{value}'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_sim_config(f"n_clips = 2\n{key} = {value}")
 
     @pytest.mark.parametrize("key", ["jitter", "sim", "noise", "windows"])
     def test_other_field_names_are_unknown(self, key):

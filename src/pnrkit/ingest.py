@@ -101,19 +101,22 @@ def build_dataset(
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+_LINE_ENDINGS = ("\n", "\r\n")
 
 
 def _iter_records(stream: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
     lines = stream.splitlines() if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, 1):
-        # a value that spans the whole line is what json.loads would give;
-        # blank lines, edge whitespace, a BOM and bad JSON go through strip()
-        # and json.loads, whose messages the errors repeat
+        # a value that spans the whole line, up to a line ending left on by a
+        # file, is what json.loads would give; blank lines, other edge
+        # whitespace, a BOM and bad JSON go through strip() and json.loads,
+        # whose messages the errors repeat
         try:
             obj, end = _raw_decode(raw)
+            whole = end == len(raw) or raw[end:] in _LINE_ENDINGS
         except json.JSONDecodeError:
-            end = -1
-        if end != len(raw):
+            whole = False
+        if not whole:
             text = raw.strip()
             if not text:
                 continue
@@ -127,8 +130,6 @@ def _iter_records(stream: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
 
 
 def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], line_no: int) -> None:
-    if obj.keys() == set(required):
-        return
     keys = set(obj)
     missing = [k for k in required if k not in keys]
     if missing:
@@ -140,8 +141,6 @@ def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
 
 def _as_str(obj: dict, key: str, line_no: int) -> str:
     v = obj[key]
-    if type(v) is str and v:
-        return v
     if not isinstance(v, str) or not v:
         raise ParseError(f"{key!r} must be a non-empty string", line_no)
     return v
@@ -149,8 +148,6 @@ def _as_str(obj: dict, key: str, line_no: int) -> str:
 
 def _as_int(obj: dict, key: str, line_no: int) -> int:
     v = obj[key]
-    if type(v) is int:
-        return v
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{key!r} must be an integer", line_no)
     return v
@@ -158,8 +155,6 @@ def _as_int(obj: dict, key: str, line_no: int) -> int:
 
 def _as_number(obj: dict, key: str, line_no: int) -> float:
     v = obj[key]
-    if type(v) is float and math.isfinite(v):
-        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{key!r} must be a number", line_no)
     try:

@@ -91,7 +91,8 @@ def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...
 
     Starts are round(k (n - w) / (N - 1)) with .5 rounding up, so the
     first window is anchored at 0 and the last at n - w.  N = 1 yields
-    just [0, w).  Raises ClipTooShortError when n < w.
+    just [0, w).  When n - w < N - 1 some windows repeat.  Raises
+    ClipTooShortError when n < w.
     """
     n, w, count = clip.num_frames, config.window_len, config.num_windows
     if n < w:

@@ -151,7 +151,7 @@ def simulate_scores(
     noise: ScorerNoiseModel = ScorerNoiseModel(),
     seed: int = 0,
 ) -> dict[str, ScoreSeries]:
-    """Score every clip's dense windows with hit/miss Beta noise."""
+    """Score every clip's distinct dense windows with hit/miss Beta noise."""
     import numpy as np
 
     out: dict[str, ScoreSeries] = {}
@@ -160,7 +160,9 @@ def simulate_scores(
         ann = ds.pnr.get(clip_id)
         frames = ann.all_frames if ann is not None else ()
         scored = []
-        for win in dense_windows(clip, windows):
+        # a sweep of more windows than a short clip has starts repeats
+        # windows; each distinct window is scored once
+        for win in dict.fromkeys(dense_windows(clip, windows)):
             hit = any(win.contains(f) for f in frames)
             if hit:
                 conf = rng.beta(noise.hit_alpha, noise.hit_beta)

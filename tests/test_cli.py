@@ -48,6 +48,21 @@ class TestSimulate:
             sim_dir / "annotations.jsonl"
         ).read_bytes()
 
+    def test_short_clips_feed_localize_and_fuse(self, tmp_path):
+        # a 16-window sweep of a 33-frame clip repeats its two windows
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            "n_clips = 6\nseed = 3\nduration_min_sec = 1.1\nduration_max_sec = 1.1\n",
+            encoding="utf-8",
+        )
+        run = tmp_path / "short"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(run), "--quiet"]) == 0
+        scores, annotations = str(run / "scores_pnr.jsonl"), str(run / "annotations.jsonl")
+        assert main(["localize", "--scores", scores, "--annotations", annotations,
+                     "--out", str(tmp_path / "preds.jsonl"), "--quiet"]) == 0
+        assert main(["fuse", "--task", "pnr", "--scores", scores, scores,
+                     "--out", str(tmp_path / "fused.jsonl"), "--quiet"]) == 0
+
     def test_bad_config_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("bogus = 1\n", encoding="utf-8")

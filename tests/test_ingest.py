@@ -718,9 +718,11 @@ class TestStrictLines:
     @pytest.mark.parametrize(
         "fmt,case,line_no,line,message", MALFORMED, ids=[f"{row[0]}-{row[1]}" for row in MALFORMED]
     )
-    def test_malformed_line(self, fmt, case, line_no, line, message):
+    # a file object yields lines that keep their line endings
+    @pytest.mark.parametrize("source", [str, io.StringIO], ids=["text", "file"])
+    def test_malformed_line(self, source, fmt, case, line_no, line, message):
         with pytest.raises(ParseError) as info:
-            PARSERS[fmt](_document(fmt, line))
+            PARSERS[fmt](source(_document(fmt, line)))
         assert str(info.value) == message
         assert info.value.line_no == line_no
 
@@ -737,6 +739,20 @@ class TestStrictLines:
         assert parse(padded) == expected
         # a file object yields lines that keep their line endings
         assert parse(io.StringIO(padded)) == expected
+
+    @pytest.mark.parametrize("fmt", PARSERS)
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_file_lines_are_decoded_once(self, fmt, ending, monkeypatch):
+        parse = PARSERS[fmt]
+        text = FIRST_LINE[fmt] + ending + GOOD_LINE[fmt] + ending
+        expected = parse(text)
+
+        def second_decode(*args, **kwargs):
+            raise AssertionError("a well-formed line was decoded twice")
+
+        monkeypatch.setattr(json, "loads", second_decode)
+        assert parse(io.StringIO(text)) == expected
+        assert parse(text.splitlines(keepends=True)) == expected
 
     def test_number_may_be_an_int(self):
         line = GOOD_LINE["pnr_scores"].replace("0.5", "1")

@@ -98,6 +98,15 @@ class TestSimulateScores:
                 (w.start, w.end) for w in expected
             ]
 
+    def test_short_clips_score_each_window_once(self):
+        # 33-frame clips have two window starts for a 16-window sweep
+        ds = gen_dataset(SimConfig(n_clips=5, duration_min_sec=1.1, duration_max_sec=1.1, seed=4))
+        windows = WindowingConfig(num_windows=16)
+        scores = simulate_scores(ds, windows, seed=0)
+        for clip_id, series in scores.items():
+            assert len(dense_windows(ds.clips[clip_id], windows)) == 16
+            assert [(sw.start, sw.end) for sw in series.windows] == [(0, 32), (1, 33)]
+
     def test_all_miss_model_forces_fallback(self):
         ds = gen_dataset(SimConfig(n_clips=25, seed=6))
         dull = ScorerNoiseModel(hit_alpha=1.0, hit_beta=100.0, miss_alpha=1.0, miss_beta=100.0)

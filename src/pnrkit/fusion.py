@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from typing import Sequence
 
-from pnrkit.errors import DomainError, EmptyInputError, ValidationError
+from pnrkit.errors import DomainError, EmptyInputError
 from pnrkit.model import (
     Clip,
     ScoredWindow,
@@ -90,21 +90,12 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
     """
     if len(series_list) == 0:
         raise EmptyInputError("no series to fuse")
-    clip_id = series_list[0].clip_id
     for series in series_list:
-        if series.clip_id != clip_id:
-            raise ValidationError(
-                f"cannot fuse series for clips {clip_id!r} and {series.clip_id!r}"
-            )
         if not series.windows:
-            raise EmptyInputError(f"clip {clip_id!r}: a series has no windows")
+            raise EmptyInputError("a series has no windows")
         if clip is not None:
             for sw in series.windows:
                 ensure_window_in_clip(sw, clip)
-    if clip is not None and clip.clip_id != clip_id:
-        raise ValidationError(
-            f"series are for clip {clip_id!r}, not {clip.clip_id!r}"
-        )
 
     # union of the input geometries, one point per distinct (start, end)
     points = sorted(
@@ -119,4 +110,4 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
     for center, start, end in points:
         contributions = [_nearest_confidence(*lookup, center) for lookup in lookups]
         fused.append(ScoredWindow(start, end, _mean(contributions)))
-    return ScoreSeries(clip_id, tuple(fused))
+    return ScoreSeries(tuple(fused))

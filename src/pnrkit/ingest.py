@@ -37,7 +37,6 @@ from pnrkit.errors import (
 from pnrkit.model import (
     SOURCES,
     Clip,
-    OsccAnnotation,
     PnrAnnotation,
     PnrPrediction,
     ScoredWindow,
@@ -50,22 +49,32 @@ from pnrkit.model import (
 class Dataset:
     """Clips plus whatever annotations they carry.
 
-    Keys of ``pnr`` and ``oscc`` are subsets of ``clips``.  Treat all
-    three mappings as read-only; they are built once and shared.
+    Keys of ``pnr`` and ``oscc`` are subsets of ``clips``; ``oscc`` maps
+    a clip id to its state-change label.  Treat all three mappings as
+    read-only; they are built once and shared.
     """
 
     clips: dict[str, Clip]
     pnr: dict[str, PnrAnnotation]
-    oscc: dict[str, OsccAnnotation]
+    oscc: dict[str, bool]
 
     def __len__(self) -> int:
         return len(self.clips)
 
 
+def _check_frames(ann: PnrAnnotation, clip: Clip) -> None:
+    for frame in ann.all_frames:
+        if frame >= clip.num_frames:
+            raise ValidationError(
+                f"clip {ann.clip_id!r}: annotated frame {frame} outside "
+                f"{clip.num_frames}-frame clip"
+            )
+
+
 def build_dataset(
     clips: Iterable[Clip],
     pnr: Iterable[PnrAnnotation] = (),
-    oscc: Iterable[OsccAnnotation] = (),
+    oscc: Mapping[str, bool] = {},
 ) -> Dataset:
     """Assemble and cross-validate a Dataset from parts."""
     clip_map: dict[str, Clip] = {}
@@ -81,23 +90,13 @@ def build_dataset(
             raise ValidationError(f"state-change annotation for unknown clip {ann.clip_id!r}")
         if ann.clip_id in pnr_map:
             raise ConflictError(f"duplicate state-change annotation for {ann.clip_id!r}")
-        for frame in ann.all_frames:
-            if frame >= clip.num_frames:
-                raise ValidationError(
-                    f"clip {ann.clip_id!r}: annotated frame {frame} outside "
-                    f"{clip.num_frames}-frame clip"
-                )
+        _check_frames(ann, clip)
         pnr_map[ann.clip_id] = ann
 
-    oscc_map: dict[str, OsccAnnotation] = {}
-    for label in oscc:
-        if label.clip_id not in clip_map:
-            raise ValidationError(f"state-change label for unknown clip {label.clip_id!r}")
-        if label.clip_id in oscc_map:
-            raise ConflictError(f"duplicate state-change label for {label.clip_id!r}")
-        oscc_map[label.clip_id] = label
-
-    return Dataset(clips=clip_map, pnr=pnr_map, oscc=oscc_map)
+    for clip_id in oscc:
+        if clip_id not in clip_map:
+            raise ValidationError(f"state-change label for unknown clip {clip_id!r}")
+    return Dataset(clips=clip_map, pnr=pnr_map, oscc=dict(oscc))
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -180,21 +179,21 @@ _ANNOTATION_OPTIONAL = ("state_change", "pnr_frame", "other_pnr_frames")
 
 def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     """Parse an annotation file into a validated Dataset."""
-    clips: list[Clip] = []
-    pnr: list[PnrAnnotation] = []
-    oscc: list[OsccAnnotation] = []
+    clips: dict[str, Clip] = {}
+    pnr: dict[str, PnrAnnotation] = {}
+    oscc: dict[str, bool] = {}
     for line_no, obj in _iter_records(stream):
         _check_keys(obj, _ANNOTATION_REQUIRED, _ANNOTATION_OPTIONAL, line_no)
         clip_id = _as_str(obj, "clip_id", line_no)
         fps = _as_number(obj, "fps", line_no)
         num_frames = _as_int(obj, "num_frames", line_no)
         try:
-            clips.append(Clip(clip_id=clip_id, fps=fps, num_frames=num_frames))
+            clip = Clip(clip_id=clip_id, fps=fps, num_frames=num_frames)
         except ValidationError as exc:
             raise ParseError(str(exc), line_no) from None
 
         if "state_change" in obj:
-            oscc.append(OsccAnnotation(clip_id, _as_bool(obj, "state_change", line_no)))
+            oscc[clip_id] = _as_bool(obj, "state_change", line_no)
 
         if "other_pnr_frames" in obj and "pnr_frame" not in obj:
             raise ParseError("'other_pnr_frames' requires 'pnr_frame'", line_no)
@@ -209,16 +208,16 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
                     raise ParseError("'other_pnr_frames' must be a list of integers", line_no)
                 others = tuple(raw)
             try:
-                pnr.append(PnrAnnotation(clip_id, positive, others))
+                ann = PnrAnnotation(clip_id, positive, others)
+                _check_frames(ann, clip)
             except ValidationError as exc:
                 raise ParseError(str(exc), line_no) from None
-
-    try:
-        return build_dataset(clips, pnr, oscc)
-    except ConflictError:
-        raise
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+            pnr[clip_id] = ann
+        # checked last, so a line with its own fault reports that fault
+        if clip_id in clips:
+            raise ConflictError(f"line {line_no}: duplicate clip_id {clip_id!r}")
+        clips[clip_id] = clip
+    return Dataset(clips=clips, pnr=pnr, oscc=oscc)
 
 
 def emit_annotations(dataset: Dataset) -> str:
@@ -226,9 +225,8 @@ def emit_annotations(dataset: Dataset) -> str:
     rows = []
     for clip_id, clip in dataset.clips.items():
         rec: dict = {"clip_id": clip_id, "fps": clip.fps, "num_frames": clip.num_frames}
-        label = dataset.oscc.get(clip_id)
-        if label is not None:
-            rec["state_change"] = label.state_change
+        if clip_id in dataset.oscc:
+            rec["state_change"] = dataset.oscc[clip_id]
         ann = dataset.pnr.get(clip_id)
         if ann is not None:
             rec["pnr_frame"] = ann.positive_frame
@@ -283,7 +281,7 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
                 raise ConflictError(
                     f"line {line_no}: duplicate window [{b.start}, {b.end}) for clip {clip_id!r}"
                 )
-        series_by_clip[clip_id] = ScoreSeries(clip_id, tuple(windows))
+        series_by_clip[clip_id] = ScoreSeries(tuple(windows))
     return series_by_clip
 
 
@@ -352,7 +350,7 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
         if source not in SOURCES:
             raise ParseError(f"unknown prediction source {source!r}", line_no)
         try:
-            pred = PnrPrediction(clip_id, time_sec, frame, source)
+            pred = PnrPrediction(time_sec, frame, source)
         except ValidationError as exc:
             raise ParseError(str(exc), line_no) from None
         if clip_id in preds:
@@ -365,14 +363,14 @@ def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
     return "".join(
         json.dumps(
             {
-                "clip_id": p.clip_id,
+                "clip_id": clip_id,
                 "time_sec": p.time_sec,
                 "frame": p.frame,
                 "source": p.source,
             }
         )
         + "\n"
-        for p in preds.values()
+        for clip_id, p in preds.items()
     )
 
 

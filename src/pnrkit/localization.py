@@ -53,20 +53,13 @@ class SelectionConfig:
             )
 
 
-def _window_prediction(window: FrameWindow, clip: Clip, source: str) -> PnrPrediction:
+def _window_prediction(window: FrameWindow, fps: float, source: str) -> PnrPrediction:
     center = window_center_frame(window)
-    return PnrPrediction(
-        clip_id=clip.clip_id,
-        time_sec=center / clip.fps,
-        frame=round_half_up(center),
-        source=source,
-    )
+    return PnrPrediction(center / fps, round_half_up(center), source)
 
 
-def _point_prediction(frame: int, clip: Clip, source: str) -> PnrPrediction:
-    return PnrPrediction(
-        clip_id=clip.clip_id, time_sec=frame / clip.fps, frame=frame, source=source
-    )
+def _point_prediction(frame: int, fps: float, source: str) -> PnrPrediction:
+    return PnrPrediction(frame / fps, frame, source)
 
 
 def select_pnr(
@@ -82,10 +75,6 @@ def select_pnr(
     highest-confidence window (ties toward the earlier window).  The
     result never depends on the order windows arrive in.
     """
-    if series.clip_id != clip.clip_id:
-        raise ValidationError(
-            f"series is for clip {series.clip_id!r}, not {clip.clip_id!r}"
-        )
     if not series.windows:
         raise EmptyInputError(f"clip {clip.clip_id!r}: no scored windows")
     for sw in series.windows:
@@ -101,29 +90,29 @@ def select_pnr(
                 sw.end,
             ),
         )
-        return _window_prediction(chosen, clip, "selected")
+        return _window_prediction(chosen, clip.fps, "selected")
 
     if config.fallback == "prior-point":
         frame = fraction_to_frame(config.prior_fraction, clip.num_frames)
-        return _point_prediction(frame, clip, "fallback-prior")
+        return _point_prediction(frame, clip.fps, "fallback-prior")
 
     chosen = min(
         series.windows,
         key=lambda sw: (-sw.confidence, sw.start, sw.end),
     )
-    return _window_prediction(chosen, clip, "fallback-argmax")
+    return _window_prediction(chosen, clip.fps, "fallback-argmax")
 
 
 def baseline_center(clip: Clip) -> PnrPrediction:
     """Always predict the middle of the clip (fraction 0.5)."""
     frame = fraction_to_frame(0.5, clip.num_frames)
-    return _point_prediction(frame, clip, "baseline-center")
+    return _point_prediction(frame, clip.fps, "baseline-center")
 
 
 def baseline_fraction(clip: Clip, fraction: float) -> PnrPrediction:
     """Always predict a fixed fraction of the clip."""
     frame = fraction_to_frame(fraction, clip.num_frames)
-    return _point_prediction(frame, clip, "baseline-fraction")
+    return _point_prediction(frame, clip.fps, "baseline-fraction")
 
 
 def oracle_error(
@@ -161,6 +150,5 @@ def score_dense_windows(
             f"{len(windows)} windows"
         )
     return ScoreSeries(
-        clip.clip_id,
-        tuple(ScoredWindow(win.start, win.end, c) for win, c in zip(windows, confidences)),
+        tuple(ScoredWindow(win.start, win.end, c) for win, c in zip(windows, confidences))
     )

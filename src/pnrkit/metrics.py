@@ -59,7 +59,7 @@ def oscc_accuracy(preds: Mapping[str, bool], ds: Dataset) -> MetricsReport:
     _check_coverage(set(preds), set(ds.oscc), "state-change")
     if not ds.oscc:
         raise EmptyInputError("no state-change annotations to evaluate")
-    correct = sum(1 for clip_id, ann in ds.oscc.items() if preds[clip_id] == ann.state_change)
+    correct = sum(1 for clip_id, label in ds.oscc.items() if preds[clip_id] == label)
     return MetricsReport(task="oscc", n_clips=len(ds.oscc), headline=correct / len(ds.oscc))
 
 

@@ -83,20 +83,12 @@ class PnrAnnotation:
         return (self.positive_frame, *self.negative_frames)
 
 
-@dataclass(frozen=True)
-class OsccAnnotation:
-    """Ground-truth binary state-change label for one clip."""
-
-    clip_id: str
-    state_change: bool
-
-
 @dataclass(frozen=True, slots=True)
 class FrameWindow:
     """A half-open frame range [start, end) within one clip.
 
-    The window does not name its clip: the clip is known from the
-    series or the sampler call the window comes from.
+    The window does not name its clip: the clip is the key its series
+    is stored under, or the sampler call it comes from.
     """
 
     start: int
@@ -130,9 +122,12 @@ class ScoredWindow(FrameWindow):
 
 @dataclass(frozen=True)
 class ScoreSeries:
-    """All scored windows one scorer produced for one clip."""
+    """All scored windows one scorer produced for one clip.
 
-    clip_id: str
+    The series does not name its clip: series live in maps keyed by
+    clip id, like every other per-clip value.
+    """
+
     windows: tuple[ScoredWindow, ...] = ()
 
 
@@ -140,7 +135,6 @@ class ScoreSeries:
 class PnrPrediction:
     """A single predicted state-change instant for one clip."""
 
-    clip_id: str
     time_sec: float
     frame: int
     source: PredictionSource = field(compare=False, default="selected")
@@ -175,14 +169,6 @@ def fraction_to_frame(fraction: float, num_frames: int) -> int:
     if not 0.0 <= fraction <= 1.0:
         raise DomainError(f"fraction must be in [0, 1], got {fraction}")
     return round_half_up(fraction * (num_frames - 1))
-
-
-def ensure_frame_in_clip(frame: int, clip: Clip) -> None:
-    if not 0 <= frame < clip.num_frames:
-        raise BoundsError(
-            f"frame {frame} outside clip {clip.clip_id!r} "
-            f"of {clip.num_frames} frames"
-        )
 
 
 def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:

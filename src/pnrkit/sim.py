@@ -25,7 +25,6 @@ from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, build_dataset
 from pnrkit.model import (
     Clip,
-    OsccAnnotation,
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
@@ -119,7 +118,7 @@ def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
 
     clips: list[Clip] = []
     pnr: list[PnrAnnotation] = []
-    oscc: list[OsccAnnotation] = []
+    oscc: dict[str, bool] = {}
     for i in range(config.n_clips):
         rng = np.random.default_rng((config.seed, 0, i))
         clip_id = f"clip{i:06d}"
@@ -141,7 +140,7 @@ def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
                     negatives.append(frame)
                     break
         pnr.append(PnrAnnotation(clip_id, positive, tuple(negatives)))
-        oscc.append(OsccAnnotation(clip_id, bool(rng.random() < config.state_change_prob)))
+        oscc[clip_id] = bool(rng.random() < config.state_change_prob)
     return build_dataset(clips, pnr, oscc)
 
 
@@ -169,7 +168,7 @@ def simulate_scores(
             else:
                 conf = rng.beta(noise.miss_alpha, noise.miss_beta)
             scored.append(ScoredWindow(win.start, win.end, float(conf)))
-        out[clip_id] = ScoreSeries(clip_id, tuple(scored))
+        out[clip_id] = ScoreSeries(tuple(scored))
     return out
 
 
@@ -184,9 +183,8 @@ def simulate_oscc(
     import numpy as np
 
     out: dict[str, float] = {}
-    for i, (clip_id, ann) in enumerate(ds.oscc.items()):
+    for i, (clip_id, label) in enumerate(ds.oscc.items()):
         rng = np.random.default_rng((seed, 2, i))
-        label = ann.state_change
         if rng.random() < noise.oscc_flip_prob:
             label = not label
         half = rng.uniform(0.0, 0.5)

@@ -87,11 +87,10 @@ def test_criterion_01_selection_brute_force_equivalence():
         clip = Clip("c", float(rng.choice([24.0, 30.0, 60.0])), n)
         wins = dense_windows(clip, WindowingConfig(num_windows=count, window_len=w))
         series = ScoreSeries(
-            "c",
             tuple(
                 ScoredWindow(win.start, win.end, float(c))
                 for win, c in zip(wins, rng.random(count))
-            ),
+            )
         )
         if case % 2:
             config = SelectionConfig()
@@ -335,11 +334,10 @@ def test_criterion_11_fusion_identities():
         w = int(rng.choice([16, 32, 64]))
         starts = sorted(rng.choice(300 - w, size=int(rng.integers(1, 7)), replace=False))
         return ScoreSeries(
-            "c",
             tuple(
                 ScoredWindow(int(s), int(s) + w, float(rng.random()))
                 for s in starts
-            ),
+            )
         )
 
     for _ in range(300):

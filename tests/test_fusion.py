@@ -7,22 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnrkit.errors import BoundsError, DomainError, EmptyInputError, ValidationError
+from pnrkit.errors import BoundsError, DomainError, EmptyInputError
 from pnrkit.fusion import fuse_oscc, fuse_pnr
 from pnrkit.localization import select_pnr
 from pnrkit.model import Clip, ScoredWindow, ScoreSeries, window_center_frame
 from pnrkit.sampling import WindowingConfig, dense_windows
 
 
-def series_of(clip_id, triples):
-    return ScoreSeries(
-        clip_id,
-        tuple(ScoredWindow(s, e, c) for s, e, c in triples),
-    )
+def series_of(triples):
+    return ScoreSeries(tuple(ScoredWindow(s, e, c) for s, e, c in triples))
 
 
 @st.composite
-def window_series(draw, clip_id="c", num_frames=300):
+def window_series(draw, num_frames=300):
     """One scorer's output: fixed-length windows with distinct starts."""
     w = draw(st.sampled_from([16, 32, 64]))
     starts = draw(
@@ -34,11 +31,10 @@ def window_series(draw, clip_id="c", num_frames=300):
         )
     )
     return ScoreSeries(
-        clip_id,
         tuple(
             ScoredWindow(s, s + w, draw(st.floats(min_value=0.0, max_value=1.0)))
             for s in sorted(starts)
-        ),
+        )
     )
 
 
@@ -72,11 +68,11 @@ def reference_fuse_pnr(series_list):
         mean = math.fsum(contributions) / len(contributions)
         mean = min(max(mean, min(contributions)), max(contributions))
         fused.append(ScoredWindow(point.start, point.end, mean))
-    return ScoreSeries(series_list[0].clip_id, tuple(fused))
+    return ScoreSeries(tuple(fused))
 
 
 @st.composite
-def mixed_series(draw, clip_id="c", num_frames=48):
+def mixed_series(draw, num_frames=48):
     """One scorer's output in input order: mixed window lengths on a short
     clip, so different lengths often share a center, plus repeated
     (start, end) windows with their own confidences."""
@@ -89,7 +85,7 @@ def mixed_series(draw, clip_id="c", num_frames=48):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         s, e, _ = draw(st.sampled_from(triples))
         triples.insert(draw(st.integers(min_value=0, max_value=len(triples))), (s, e, draw(confidences)))
-    return series_of(clip_id, triples)
+    return series_of(triples)
 
 
 class TestFuseOscc:
@@ -120,12 +116,12 @@ class TestFuseOscc:
 
 class TestFusePnr:
     def test_single_series_identity(self):
-        series = series_of("c", [(0, 32, 0.9), (12, 44, 0.4)])
+        series = series_of([(0, 32, 0.9), (12, 44, 0.4)])
         assert fuse_pnr([series]) == series
 
     def test_identical_geometry_averages(self):
-        a = series_of("c", [(0, 32, 0.2), (12, 44, 0.6)])
-        b = series_of("c", [(0, 32, 0.4), (12, 44, 1.0)])
+        a = series_of([(0, 32, 0.2), (12, 44, 0.6)])
+        b = series_of([(0, 32, 0.4), (12, 44, 1.0)])
         fused = fuse_pnr([a, b])
         assert [sw.start for sw in fused.windows] == [0, 12]
         assert fused.windows[0].confidence == pytest.approx((0.2 + 0.4) / 2)
@@ -135,8 +131,8 @@ class TestFusePnr:
         # A scores a window centered at 1.0 s; B scores 1.2 s and 3.0 s.
         # At A's point, B contributes its 1.2 s confidence.
         fps = 30.0
-        a = series_of("c", [(15, 46, 0.9)])  # center frame 30 -> 1.0 s
-        b = series_of("c", [(21, 52, 0.5), (75, 106, 0.8)])  # centers 1.2 s, 3.0 s
+        a = series_of([(15, 46, 0.9)])  # center frame 30 -> 1.0 s
+        b = series_of([(21, 52, 0.5), (75, 106, 0.8)])  # centers 1.2 s, 3.0 s
         fused = fuse_pnr([a, b])
         by_geometry = {(sw.start, sw.end): sw.confidence for sw in fused.windows}
         assert by_geometry[(15, 46)] == pytest.approx(0.7)
@@ -145,21 +141,21 @@ class TestFusePnr:
         assert by_geometry[(75, 106)] == pytest.approx((0.8 + 0.9) / 2)
 
     def test_duplicate_geometry_deduplicated(self):
-        a = series_of("c", [(0, 32, 0.2)])
-        b = series_of("c", [(0, 32, 0.8)])
+        a = series_of([(0, 32, 0.2)])
+        b = series_of([(0, 32, 0.8)])
         fused = fuse_pnr([a, b])
         assert len(fused.windows) == 1
         assert fused.windows[0].confidence == 0.5
 
     def test_points_sorted_by_center(self):
-        a = series_of("c", [(50, 82, 0.5)])
-        b = series_of("c", [(0, 32, 0.5), (60, 92, 0.5)])
+        a = series_of([(50, 82, 0.5)])
+        b = series_of([(0, 32, 0.5), (60, 92, 0.5)])
         fused = fuse_pnr([a, b])
         starts = [sw.start for sw in fused.windows]
         assert starts == sorted(starts)
 
     def test_bounds_checked_against_clip(self):
-        series = series_of("c", [(200, 232, 0.5)])
+        series = series_of([(200, 232, 0.5)])
         with pytest.raises(BoundsError):
             fuse_pnr([series], Clip("c", 30.0, 210))
         fuse_pnr([series], Clip("c", 30.0, 240))
@@ -168,11 +164,7 @@ class TestFusePnr:
         with pytest.raises(EmptyInputError):
             fuse_pnr([])
         with pytest.raises(EmptyInputError):
-            fuse_pnr([ScoreSeries("c", ())])
-        with pytest.raises(ValidationError):
-            fuse_pnr([series_of("a", [(0, 32, 0.5)]), series_of("b", [(0, 32, 0.5)])])
-        with pytest.raises(ValidationError):
-            fuse_pnr([series_of("a", [(0, 32, 0.5)])], Clip("b", 30.0, 240))
+            fuse_pnr([ScoreSeries(())])
 
     @given(st.lists(window_series(), min_size=1, max_size=4), st.randoms(use_true_random=False))
     @settings(max_examples=150)
@@ -228,32 +220,31 @@ class TestNearestCenterLookup:
         clip = Clip("c", 30.0, num_frames)
         series_list = [
             ScoreSeries(
-                "c",
                 tuple(
                     ScoredWindow(w.start, w.end, rng.random())
                     for w in dense_windows(clip, WindowingConfig(num_windows=n))
-                ),
+                )
             )
             for n in counts
         ]
         assert fuse_pnr(series_list, clip) == reference_fuse_pnr(series_list)
 
     def test_single_window_series_contributes_everywhere(self):
-        a = series_of("c", [(100, 132, 0.25)])
-        b = series_of("c", [(0, 32, 0.75), (200, 232, 0.75)])
+        a = series_of([(100, 132, 0.25)])
+        b = series_of([(0, 32, 0.75), (200, 232, 0.75)])
         fused = fuse_pnr([a, b])
         assert [sw.confidence for sw in fused.windows] == [0.5, 0.5, 0.5]
 
     def test_repeated_window_first_in_input_order_wins(self):
-        a = series_of("c", [(0, 32, 0.9), (40, 72, 0.3), (0, 32, 0.1)])
-        b = series_of("c", [(0, 32, 0.5)])
+        a = series_of([(0, 32, 0.9), (40, 72, 0.3), (0, 32, 0.1)])
+        b = series_of([(0, 32, 0.5)])
         fused = fuse_pnr([a, b])
         assert (fused.windows[0].start, fused.windows[0].end) == (0, 32)
         assert fused.windows[0].confidence == 0.7
 
     def test_equidistant_centers_tie_to_lower_center(self):
-        a = series_of("c", [(20, 30, 0.8), (10, 20, 0.2)])  # centers 24.5, 14.5
-        b = series_of("c", [(15, 24, 0.6)])  # center 19.0, 4.5 from both
+        a = series_of([(20, 30, 0.8), (10, 20, 0.2)])  # centers 24.5, 14.5
+        b = series_of([(15, 24, 0.6)])  # center 19.0, 4.5 from both
         by_geometry = {
             (sw.start, sw.end): sw.confidence for sw in fuse_pnr([a, b]).windows
         }
@@ -261,8 +252,8 @@ class TestNearestCenterLookup:
 
     def test_shared_center_ties_to_lower_start(self):
         # both windows are centered on frame 14.5; the longer one starts first
-        a = series_of("c", [(12, 18, 0.75), (10, 20, 0.25)])
-        b = series_of("c", [(12, 18, 0.75)])
+        a = series_of([(12, 18, 0.75), (10, 20, 0.25)])
+        b = series_of([(12, 18, 0.75)])
         by_geometry = {
             (sw.start, sw.end): sw.confidence for sw in fuse_pnr([a, b]).windows
         }

@@ -1,5 +1,6 @@
 """Wire-format parsing, emission, dataset assembly, and statistics."""
 
+import contextlib
 import io
 import json
 import os
@@ -32,7 +33,6 @@ from pnrkit.ingest import (
 from pnrkit.model import (
     SOURCES,
     Clip,
-    OsccAnnotation,
     PnrAnnotation,
     PnrPrediction,
     ScoredWindow,
@@ -56,8 +56,8 @@ class TestParseAnnotations:
         assert ds.clips["garden-003"].num_frames == 168
         assert ds.pnr["kitchen-001"].positive_frame == 103
         assert ds.pnr["workshop-002"].negative_frames == (20, 120, 199)
-        assert ds.oscc["kitchen-001"].state_change is True
-        assert ds.oscc["workshop-002"].state_change is False
+        assert ds.oscc["kitchen-001"] is True
+        assert ds.oscc["workshop-002"] is False
 
     def test_accepts_lines_iterable_and_blank_lines(self, fixture_text):
         lines = fixture_text.splitlines()
@@ -118,8 +118,17 @@ class TestParseAnnotations:
 
     def test_duplicate_clip_id(self):
         line = '{"clip_id": "a", "fps": 30.0, "num_frames": 9}'
-        with pytest.raises(ConflictError, match="duplicate"):
-            parse_annotations(line + "\n" + line)
+        text = "\n".join([line, line.replace('"a"', '"b"'), "", line, line])
+        for stream in (text, io.StringIO(text)):
+            with pytest.raises(ConflictError) as info:
+                parse_annotations(stream)
+            assert str(info.value) == "line 4: duplicate clip_id 'a'"
+
+    def test_repeated_line_reports_its_own_fault_first(self):
+        line = '{"clip_id": "a", "fps": 30.0, "num_frames": 9}'
+        repeat = line.replace("9}", '9, "pnr_frame": 9}')
+        with pytest.raises(ParseError, match="^line 2: clip 'a': annotated frame 9 outside"):
+            parse_annotations(line + "\n" + repeat)
 
     def test_record_must_be_object(self):
         with pytest.raises(ParseError, match="JSON object"):
@@ -147,7 +156,7 @@ class TestBuildDataset:
         with pytest.raises(ValidationError, match="unknown clip"):
             build_dataset([Clip("a", 30.0, 100)], [PnrAnnotation("b", 7)])
         with pytest.raises(ValidationError, match="unknown clip"):
-            build_dataset([Clip("a", 30.0, 100)], [], [OsccAnnotation("b", True)])
+            build_dataset([Clip("a", 30.0, 100)], [], {"b": True})
 
     def test_duplicate_annotation(self):
         with pytest.raises(ConflictError):
@@ -203,8 +212,8 @@ class TestScoreFormats:
 
     def test_predictions(self):
         preds = {
-            "a": PnrPrediction("a", 3.45, 104, "selected"),
-            "b": PnrPrediction("b", 4.0, 120, "baseline-center"),
+            "a": PnrPrediction(3.45, 104, "selected"),
+            "b": PnrPrediction(4.0, 120, "baseline-center"),
         }
         text = emit_predictions(preds)
         assert parse_predictions(text) == preds
@@ -235,7 +244,7 @@ finite_nonneg = st.floats(min_value=0.0, allow_infinity=False)
 
 
 @st.composite
-def score_series(draw, clip_id):
+def score_series(draw):
     geometry = draw(
         st.lists(
             st.tuples(st.integers(0, 10_000), st.integers(1, 512)),
@@ -244,16 +253,13 @@ def score_series(draw, clip_id):
             unique=True,
         )
     )
-    return ScoreSeries(
-        clip_id,
-        tuple(ScoredWindow(s, s + w, draw(unit)) for s, w in sorted(geometry)),
-    )
+    return ScoreSeries(tuple(ScoredWindow(s, s + w, draw(unit)) for s, w in sorted(geometry)))
 
 
 @st.composite
 def pnr_score_maps(draw):
     ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
-    return {clip_id: draw(score_series(clip_id)) for clip_id in ids}
+    return {clip_id: draw(score_series()) for clip_id in ids}
 
 
 @st.composite
@@ -261,7 +267,6 @@ def prediction_maps(draw):
     ids = draw(st.lists(clip_ids, max_size=5, unique=True))
     return {
         clip_id: PnrPrediction(
-            clip_id,
             draw(finite_nonneg),
             draw(st.integers(0, 10**6)),
             draw(st.sampled_from(SOURCES)),
@@ -273,7 +278,7 @@ def prediction_maps(draw):
 @st.composite
 def datasets(draw):
     ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
-    clips, pnr, oscc = [], [], []
+    clips, pnr, oscc = [], [], {}
     for clip_id in ids:
         num_frames = draw(st.integers(1, 500))
         clips.append(
@@ -285,7 +290,7 @@ def datasets(draw):
             )
             pnr.append(PnrAnnotation(clip_id, frames[0], tuple(frames[1:])))
         if draw(st.booleans()):
-            oscc.append(OsccAnnotation(clip_id, draw(st.booleans())))
+            oscc[clip_id] = draw(st.booleans())
     return build_dataset(clips, pnr, oscc)
 
 
@@ -341,14 +346,14 @@ class TestEmitMatchesJsonDumps:
     )
     def test_any_series(self, raw):
         series_by_clip = {
-            clip_id: ScoreSeries(clip_id, tuple(ScoredWindow(s, s + w, c) for s, w, c in windows))
+            clip_id: ScoreSeries(tuple(ScoredWindow(s, s + w, c) for s, w, c in windows))
             for clip_id, windows in raw.items()
         }
         assert emit_pnr_scores(series_by_clip) == self.reference(series_by_clip)
 
     def test_int_and_numpy_confidences(self):
         clip_id = 'say "q"\u2028'
-        series = ScoreSeries(clip_id, (ScoredWindow(0, 4, 1), ScoredWindow(4, 8, np.float64(0.1))))
+        series = ScoreSeries((ScoredWindow(0, 4, 1), ScoredWindow(4, 8, np.float64(0.1))))
         assert emit_pnr_scores({clip_id: series}) == (
             '{"clip_id": "say \\"q\\"\\u2028", "start": 0, "end": 4, "confidence": 1}\n'
             '{"clip_id": "say \\"q\\"\\u2028", "start": 4, "end": 8, "confidence": 0.1}\n'
@@ -370,15 +375,41 @@ def scored_clips(draw, n_files):
             )
             windows = draw(st.lists(geometry, min_size=1, max_size=6, unique=True))
             series_by_clip[clip.clip_id] = ScoreSeries(
-                clip.clip_id,
-                tuple(ScoredWindow(s, e, draw(st.sampled_from([0.5, 0.8, 0.9]))) for s, e in sorted(windows)),
+                tuple(ScoredWindow(s, e, draw(st.sampled_from([0.5, 0.8, 0.9]))) for s, e in sorted(windows))
             )
         score_maps.append(series_by_clip)
     return build_dataset(clips), score_maps
 
 
+@st.composite
+def labeled_clips(draw):
+    """A dataset where some clips lack one label or both, with one
+    prediction map and two probability maps covering the labeled clips."""
+    clips, pnr, oscc = [], [], {}
+    for i in range(draw(st.integers(1, 8))):
+        clip = Clip(f"c{i}", draw(st.sampled_from([24.0, 30.0])), draw(st.integers(4, 200)))
+        clips.append(clip)
+        # the first clip carries both labels, so no evaluation is empty
+        if i == 0 or draw(st.booleans()):
+            frames = draw(
+                st.lists(st.integers(0, clip.num_frames - 1), min_size=1, max_size=4, unique=True)
+            )
+            pnr.append(PnrAnnotation(clip.clip_id, frames[0], tuple(frames[1:])))
+        if i == 0 or draw(st.booleans()):
+            oscc[clip.clip_id] = draw(st.booleans())
+    # errors of unlike size, so a sum that depended on line order would show
+    preds = {
+        ann.clip_id: PnrPrediction(
+            draw(st.floats(0.0, 1000.0)), draw(st.integers(0, 300)), draw(st.sampled_from(SOURCES))
+        )
+        for ann in pnr
+    }
+    probs = [{clip_id: draw(unit) for clip_id in oscc} for _ in range(2)]
+    return build_dataset(clips, pnr, oscc), preds, probs
+
+
 class TestLineOrder:
-    """Shuffling the lines of a score file never changes what the CLI writes."""
+    """Shuffling the lines of an input file never changes what the CLI writes."""
 
     # each example runs the CLI four times, so shrinking a failure would
     # take minutes; the unshrunk example is reported as drawn
@@ -403,6 +434,45 @@ class TestLineOrder:
                 assert main(["localize", "--scores", scores[0], *common, str(preds)]) == 0
                 assert main(["fuse", "--task", "pnr", "--scores", *scores, *common, str(fused)]) == 0
                 return preds.read_bytes(), fused.read_bytes()
+
+            in_order = outputs("sorted", list)
+            shuffled = outputs("shuffled", lambda lines: data.draw(st.permutations(lines)))
+        assert shuffled == in_order
+
+    @settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data())
+    def test_evaluate_stats_and_oracle(self, data):
+        dataset, preds, probs = data.draw(labeled_clips())
+        texts = {
+            "annotations": emit_annotations(dataset),
+            "preds": emit_predictions(preds),
+            "probs0": emit_oscc_scores(probs[0]),
+            "probs1": emit_oscc_scores(probs[1]),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+
+            def outputs(tag, arrange):
+                inputs = {name: work / f"{tag}-{name}.jsonl" for name in texts}
+                for name, text in texts.items():
+                    lines = text.splitlines(keepends=True)
+                    inputs[name].write_text("".join(arrange(lines)), encoding="utf-8")
+                written = {name: work / f"{tag}-{name}.out" for name in ("report", "plot", "fused", "hist")}
+                common = ["--annotations", str(inputs["annotations"]), "--quiet"]
+                runs = [
+                    ["evaluate", "--task", "pnr", "--preds", str(inputs["preds"]), "--bins", "2", *common,
+                     "--out", str(written["report"]), "--plot-data", str(written["plot"])],
+                    ["evaluate", "--task", "oscc", "--preds", str(inputs["probs0"]), *common],
+                    ["fuse", "--task", "oscc", "--scores", str(inputs["probs0"]), str(inputs["probs1"]),
+                     *common, "--out", str(written["fused"])],
+                    ["stats", *common, "--out", str(written["hist"])],
+                    ["oracle", *common, "--n", "3", "--window", "4"],
+                ]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    for argv in runs:
+                        assert main(argv) == 0
+                return stdout.getvalue(), {name: path.read_bytes() for name, path in written.items()}
 
             in_order = outputs("sorted", list)
             shuffled = outputs("shuffled", lambda lines: data.draw(st.permutations(lines)))
@@ -697,8 +767,10 @@ MALFORMED = [
      'line 3: positive_frame must be >= 0, got -1'),
     ('annotations', 'pnr-frame-repeated', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [1]}',
      "line 3: clip 'a': positive frame 1 repeated in negative_frames"),
-    ('annotations', 'pnr-frame-outside', None, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 9}',
-     "clip 'a': annotated frame 9 outside 9-frame clip"),
+    ('annotations', 'pnr-frame-outside', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 9}',
+     "line 3: clip 'a': annotated frame 9 outside 9-frame clip"),
+    ('annotations', 'other-frame-outside', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [4, 12]}',
+     "line 3: clip 'a': annotated frame 12 outside 9-frame clip"),
     ('oscc_scores', 'prob-above-one', 3, '{"clip_id": "a", "prob": 1.5}',
      "line 3: 'prob' must be in [0, 1], got 1.5"),
     ('predictions', 'unknown-source', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "guess"}',

@@ -26,11 +26,8 @@ from pnrkit.model import (
 from pnrkit.sampling import WindowingConfig, dense_windows
 
 
-def series_of(clip_id, triples):
-    return ScoreSeries(
-        clip_id,
-        tuple(ScoredWindow(s, e, c) for s, e, c in triples),
-    )
+def series_of(triples):
+    return ScoreSeries(tuple(ScoredWindow(s, e, c) for s, e, c in triples))
 
 
 def reference_select(series, clip, config):
@@ -61,7 +58,7 @@ class TestSelectPnr:
     def test_nearest_prior_wins_over_higher_confidence(self):
         clip = Clip("c", 30.0, 240)
         # centers at fractions 0.50 and 0.30; both clear the filter
-        series = series_of("c", [((104), 136, 0.8), (56, 88, 0.9)])
+        series = series_of([((104), 136, 0.8), (56, 88, 0.9)])
         pred = select_pnr(series, clip)
         assert pred.frame == 120
         assert pred.time_sec == pytest.approx(119.5 / 30)
@@ -69,13 +66,13 @@ class TestSelectPnr:
 
     def test_threshold_is_strict(self):
         clip = Clip("c", 30.0, 240)
-        series = series_of("c", [(104, 136, 0.7), (56, 88, 0.6)])
+        series = series_of([(104, 136, 0.7), (56, 88, 0.6)])
         pred = select_pnr(series, clip)
         assert pred.source == "fallback-prior"
 
     def test_prior_point_fallback_value(self):
         clip = Clip("c", 30.0, 240)
-        series = series_of("c", [(0, 32, 0.1)])
+        series = series_of([(0, 32, 0.1)])
         pred = select_pnr(series, clip)
         assert pred.frame == 103
         assert pred.time_sec == pytest.approx(103 / 30)
@@ -83,7 +80,7 @@ class TestSelectPnr:
     def test_argmax_fallback(self):
         clip = Clip("c", 30.0, 240)
         config = SelectionConfig(fallback="argmax-confidence")
-        series = series_of("c", [(0, 32, 0.3), (104, 136, 0.5), (208, 240, 0.2)])
+        series = series_of([(0, 32, 0.3), (104, 136, 0.5), (208, 240, 0.2)])
         pred = select_pnr(series, clip, config)
         assert pred.source == "fallback-argmax"
         assert pred.frame == 120
@@ -91,12 +88,12 @@ class TestSelectPnr:
     def test_argmax_tie_prefers_earlier(self):
         clip = Clip("c", 30.0, 240)
         config = SelectionConfig(fallback="argmax-confidence")
-        series = series_of("c", [(104, 136, 0.5), (0, 32, 0.5)])
+        series = series_of([(104, 136, 0.5), (0, 32, 0.5)])
         assert select_pnr(series, clip, config).frame == 16
 
     def test_single_candidate(self):
         clip = Clip("c", 30.0, 240)
-        series = series_of("c", [(0, 32, 0.9), (104, 136, 0.2)])
+        series = series_of([(0, 32, 0.9), (104, 136, 0.2)])
         pred = select_pnr(series, clip)
         assert pred.source == "selected"
         assert pred.frame == 16
@@ -105,26 +102,24 @@ class TestSelectPnr:
         clip = Clip("c", 30.0, 101)
         config = SelectionConfig(prior_fraction=0.5)
         # centers at frames 40.5 and 59.5, both 0.095 from the prior
-        series = series_of("c", [(50, 70, 0.9), (31, 51, 0.9)])
+        series = series_of([(50, 70, 0.9), (31, 51, 0.9)])
         assert select_pnr(series, clip, config).frame == 41
 
     def test_order_independence(self):
         clip = Clip("c", 30.0, 240)
         triples = [(0, 32, 0.75), (56, 88, 0.9), (104, 136, 0.8), (150, 182, 0.2)]
         rng = random.Random(4)
-        baseline = select_pnr(series_of("c", triples), clip)
+        baseline = select_pnr(series_of(triples), clip)
         for _ in range(10):
             rng.shuffle(triples)
-            assert select_pnr(series_of("c", triples), clip) == baseline
+            assert select_pnr(series_of(triples), clip) == baseline
 
     def test_errors(self):
         clip = Clip("c", 30.0, 240)
         with pytest.raises(EmptyInputError):
-            select_pnr(ScoreSeries("c", ()), clip)
+            select_pnr(ScoreSeries(()), clip)
         with pytest.raises(BoundsError):
-            select_pnr(series_of("c", [(220, 252, 0.9)]), clip)
-        with pytest.raises(ValidationError):
-            select_pnr(series_of("other", [(0, 32, 0.9)]), Clip("c", 30.0, 240))
+            select_pnr(series_of([(220, 252, 0.9)]), clip)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -152,7 +147,7 @@ class TestSelectPnr:
             conf = data.draw(st.floats(min_value=0.0, max_value=1.0))
             triples.append((start, end, conf))
         config = SelectionConfig(threshold=threshold, prior_fraction=prior, fallback=fallback)
-        series = series_of("c", triples)
+        series = series_of(triples)
         assert select_pnr(series, clip, config).time_sec == reference_select(
             series, clip, config
         )

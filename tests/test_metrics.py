@@ -15,7 +15,7 @@ from pnrkit.metrics import (
     render_report,
     report_to_json,
 )
-from pnrkit.model import Clip, OsccAnnotation, PnrAnnotation, PnrPrediction
+from pnrkit.model import Clip, PnrAnnotation, PnrPrediction
 
 
 def pnr_dataset(truths, num_frames=240, fps=30.0):
@@ -29,7 +29,7 @@ def pnr_dataset(truths, num_frames=240, fps=30.0):
 
 def preds_at(times, source="selected", fps=30.0):
     return {
-        f"c{i}": PnrPrediction(f"c{i}", t, round(t * fps), source)
+        f"c{i}": PnrPrediction(t, round(t * fps), source)
         for i, t in enumerate(times)
     }
 
@@ -39,7 +39,7 @@ class TestOsccAccuracy:
         ds = build_dataset(
             [Clip(c, 30.0, 100) for c in "abc"],
             [],
-            [OsccAnnotation("a", True), OsccAnnotation("b", False), OsccAnnotation("c", True)],
+            {"a": True, "b": False, "c": True},
         )
         report = oscc_accuracy({"a": True, "b": False, "c": False}, ds)
         assert report.task == "oscc"
@@ -50,7 +50,7 @@ class TestOsccAccuracy:
         ds = build_dataset(
             [Clip(c, 30.0, 100) for c in "ab"],
             [],
-            [OsccAnnotation("a", True), OsccAnnotation("b", False)],
+            {"a": True, "b": False},
         )
         assert oscc_accuracy({"a": True, "b": False}, ds).headline == 1.0
 
@@ -58,13 +58,13 @@ class TestOsccAccuracy:
         ds = build_dataset(
             [Clip(c, 30.0, 100) for c in "ab"],
             [],
-            [OsccAnnotation("a", True), OsccAnnotation("b", False)],
+            {"a": True, "b": False},
         )
         with pytest.raises(CoverageError, match="b"):
             oscc_accuracy({"a": True}, ds)
 
     def test_extra_prediction_rejected(self):
-        ds = build_dataset([Clip("a", 30.0, 100)], [], [OsccAnnotation("a", True)])
+        ds = build_dataset([Clip("a", 30.0, 100)], [], {"a": True})
         with pytest.raises(CoverageError, match="zzz"):
             oscc_accuracy({"a": True, "zzz": False}, ds)
 
@@ -84,8 +84,8 @@ class TestPnrMae:
     def test_perfect_predictions(self):
         ds = pnr_dataset([103, 88])
         preds = {
-            "c0": PnrPrediction("c0", 103 / 30, 103, "selected"),
-            "c1": PnrPrediction("c1", 88 / 30, 88, "selected"),
+            "c0": PnrPrediction(103 / 30, 103, "selected"),
+            "c1": PnrPrediction(88 / 30, 88, "selected"),
         }
         assert pnr_mae(preds, ds).headline == 0.0
 
@@ -152,7 +152,7 @@ class TestPerPositionError:
 
 class TestReportOutput:
     def test_render_oscc(self):
-        ds = build_dataset([Clip("a", 30.0, 100)], [], [OsccAnnotation("a", True)])
+        ds = build_dataset([Clip("a", 30.0, 100)], [], {"a": True})
         table = render_report(oscc_accuracy({"a": True}, ds))
         assert "task: oscc" in table and "accuracy: 1.000000" in table
 

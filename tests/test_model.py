@@ -159,13 +159,13 @@ class TestTypeValidation:
             PnrAnnotation("c", 5, (-2,))
 
     def test_prediction(self):
-        PnrPrediction("c", 3.45, 103, "selected")
+        PnrPrediction(3.45, 103, "selected")
         with pytest.raises(ValidationError):
-            PnrPrediction("c", 3.45, 103, "guess")
+            PnrPrediction(3.45, 103, "guess")
         with pytest.raises(DomainError):
-            PnrPrediction("c", -0.1, 103, "selected")
+            PnrPrediction(-0.1, 103, "selected")
         with pytest.raises(DomainError):
-            PnrPrediction("c", 0.1, -1, "selected")
+            PnrPrediction(0.1, -1, "selected")
 
     def test_ensure_window_in_clip(self):
         clip = Clip("c", 30.0, 240)

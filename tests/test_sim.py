@@ -48,9 +48,9 @@ class TestGenDataset:
 
     def test_label_probability_extremes(self):
         all_true = gen_dataset(SimConfig(n_clips=20, seed=1, state_change_prob=1.0))
-        assert all(a.state_change for a in all_true.oscc.values())
+        assert all(all_true.oscc.values())
         all_false = gen_dataset(SimConfig(n_clips=20, seed=1, state_change_prob=0.0))
-        assert not any(a.state_change for a in all_false.oscc.values())
+        assert not any(all_false.oscc.values())
 
     def test_no_negatives_when_lambda_zero(self):
         ds = gen_dataset(SimConfig(n_clips=20, seed=2, negatives_lambda=0.0))
@@ -128,13 +128,13 @@ class TestSimulateOscc:
         probs = simulate_oscc(ds, ScorerNoiseModel(oscc_flip_prob=0.0), seed=1)
         for clip_id, prob in probs.items():
             assert 0.0 <= prob < 1.0
-            assert (prob >= 0.5) == ds.oscc[clip_id].state_change
+            assert (prob >= 0.5) == ds.oscc[clip_id]
 
     def test_always_flips_when_prob_one(self):
         ds = gen_dataset(SimConfig(n_clips=50, seed=10))
         probs = simulate_oscc(ds, ScorerNoiseModel(oscc_flip_prob=1.0), seed=1)
         for clip_id, prob in probs.items():
-            assert (prob >= 0.5) != ds.oscc[clip_id].state_change
+            assert (prob >= 0.5) != ds.oscc[clip_id]
 
 
 NUMBER_KEYS = [

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class PnrKitError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Carries the 1-based input line at fault when one is known.
+    """
+
+    def __init__(self, message: str, line_no: int | None = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
 
 
 class ValidationError(PnrKitError):
@@ -28,16 +37,7 @@ class NegativeSpaceEmpty(PnrKitError):
 
 
 class ParseError(PnrKitError):
-    """A line of wire-format input could not be decoded.
-
-    Carries the 1-based line number when one is known.
-    """
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    """A line of wire-format input could not be decoded."""
 
 
 class ConflictError(PnrKitError):

@@ -25,9 +25,10 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from pnrkit.errors import (
+    BoundsError,
     ConflictError,
     DomainError,
     EmptyInputError,
@@ -35,13 +36,12 @@ from pnrkit.errors import (
     ValidationError,
 )
 from pnrkit.model import (
-    SOURCES,
     Clip,
     PnrAnnotation,
     PnrPrediction,
     ScoredWindow,
     ScoreSeries,
-    frame_to_fraction,
+    ensure_annotation_in_clip,
 )
 
 
@@ -62,13 +62,10 @@ class Dataset:
         return len(self.clips)
 
 
-def _check_frames(ann: PnrAnnotation, clip: Clip) -> None:
-    for frame in ann.all_frames:
-        if frame >= clip.num_frames:
-            raise ValidationError(
-                f"clip {ann.clip_id!r}: annotated frame {frame} outside "
-                f"{clip.num_frames}-frame clip"
-            )
+def _put(store: dict, clip_id: str, value, what: str) -> None:
+    if clip_id in store:
+        raise ConflictError(f"duplicate {what} {clip_id!r}")
+    store[clip_id] = value
 
 
 def build_dataset(
@@ -79,19 +76,15 @@ def build_dataset(
     """Assemble and cross-validate a Dataset from parts."""
     clip_map: dict[str, Clip] = {}
     for clip in clips:
-        if clip.clip_id in clip_map:
-            raise ConflictError(f"duplicate clip_id {clip.clip_id!r}")
-        clip_map[clip.clip_id] = clip
+        _put(clip_map, clip.clip_id, clip, "clip_id")
 
     pnr_map: dict[str, PnrAnnotation] = {}
     for ann in pnr:
         clip = clip_map.get(ann.clip_id)
         if clip is None:
             raise ValidationError(f"state-change annotation for unknown clip {ann.clip_id!r}")
-        if ann.clip_id in pnr_map:
-            raise ConflictError(f"duplicate state-change annotation for {ann.clip_id!r}")
-        _check_frames(ann, clip)
-        pnr_map[ann.clip_id] = ann
+        _put(pnr_map, ann.clip_id, ann, "state-change annotation for")
+        ensure_annotation_in_clip(ann, clip)
 
     for clip_id in oscc:
         if clip_id not in clip_map:
@@ -103,7 +96,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 _LINE_ENDINGS = ("\n", "\r\n")
 
 
-def _iter_records(stream: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _read(stream: str | Iterable[str], record: Callable[[dict], None]) -> None:
+    """Run ``record`` on the JSON object of each non-blank line; an error
+    of the line or of ``record`` leaves naming the line, a model
+    ValidationError as a ParseError."""
     lines = stream.splitlines() if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, 1):
         # a value that spans the whole line, up to a line ending left on by a
@@ -115,61 +111,65 @@ def _iter_records(stream: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
             whole = end == len(raw) or raw[end:] in _LINE_ENDINGS
         except json.JSONDecodeError:
             whole = False
-        if not whole:
-            text = raw.strip()
-            if not text:
-                continue
-            try:
+        try:
+            if not whole:
+                text = raw.strip()
+                if not text:
+                    continue
                 obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        if not isinstance(obj, dict):
-            raise ParseError("record must be a JSON object", line_no)
-        yield line_no, obj
+            if not isinstance(obj, dict):
+                raise ParseError("record must be a JSON object")
+            record(obj)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_no) from None
+        except (ParseError, ConflictError) as exc:
+            raise type(exc)(str(exc), line_no) from None
 
 
-def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], line_no: int) -> None:
+def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     keys = set(obj)
     missing = [k for k in required if k not in keys]
     if missing:
-        raise ParseError(f"missing key(s): {', '.join(missing)}", line_no)
+        raise ParseError(f"missing key(s): {', '.join(missing)}")
     unknown = keys - set(required) - set(optional)
     if unknown:
-        raise ParseError(f"unknown key(s): {', '.join(sorted(unknown))}", line_no)
+        raise ParseError(f"unknown key(s): {', '.join(sorted(unknown))}")
 
 
-def _as_str(obj: dict, key: str, line_no: int) -> str:
+def _as_str(obj: dict, key: str) -> str:
     v = obj[key]
     if not isinstance(v, str) or not v:
-        raise ParseError(f"{key!r} must be a non-empty string", line_no)
+        raise ParseError(f"{key!r} must be a non-empty string")
     return v
 
 
-def _as_int(obj: dict, key: str, line_no: int) -> int:
+def _as_int(obj: dict, key: str) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{key!r} must be an integer", line_no)
+        raise ParseError(f"{key!r} must be an integer")
     return v
 
 
-def _as_number(obj: dict, key: str, line_no: int) -> float:
+def _as_number(obj: dict, key: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{key!r} must be a number", line_no)
+        raise ParseError(f"{key!r} must be a number")
     try:
         x = float(v)
     except OverflowError:
         x = math.inf
     # json accepts NaN and Infinity, and integers too large for a float
     if not math.isfinite(x):
-        raise ParseError(f"{key!r} must be a finite number", line_no)
+        raise ParseError(f"{key!r} must be a finite number")
     return x
 
 
-def _as_bool(obj: dict, key: str, line_no: int) -> bool:
+def _as_bool(obj: dict, key: str) -> bool:
     v = obj[key]
     if not isinstance(v, bool):
-        raise ParseError(f"{key!r} must be a boolean", line_no)
+        raise ParseError(f"{key!r} must be a boolean")
     return v
 
 
@@ -182,41 +182,32 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     clips: dict[str, Clip] = {}
     pnr: dict[str, PnrAnnotation] = {}
     oscc: dict[str, bool] = {}
-    for line_no, obj in _iter_records(stream):
-        _check_keys(obj, _ANNOTATION_REQUIRED, _ANNOTATION_OPTIONAL, line_no)
-        clip_id = _as_str(obj, "clip_id", line_no)
-        fps = _as_number(obj, "fps", line_no)
-        num_frames = _as_int(obj, "num_frames", line_no)
-        try:
-            clip = Clip(clip_id=clip_id, fps=fps, num_frames=num_frames)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no) from None
 
+    def record(obj: dict) -> None:
+        _check_keys(obj, _ANNOTATION_REQUIRED, _ANNOTATION_OPTIONAL)
+        clip_id = _as_str(obj, "clip_id")
+        clip = Clip(clip_id, _as_number(obj, "fps"), _as_int(obj, "num_frames"))
         if "state_change" in obj:
-            oscc[clip_id] = _as_bool(obj, "state_change", line_no)
-
+            oscc[clip_id] = _as_bool(obj, "state_change")
         if "other_pnr_frames" in obj and "pnr_frame" not in obj:
-            raise ParseError("'other_pnr_frames' requires 'pnr_frame'", line_no)
+            raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
         if "pnr_frame" in obj:
-            positive = _as_int(obj, "pnr_frame", line_no)
+            positive = _as_int(obj, "pnr_frame")
             others: tuple[int, ...] = ()
             if "other_pnr_frames" in obj:
                 raw = obj["other_pnr_frames"]
                 if not isinstance(raw, list) or any(
                     isinstance(f, bool) or not isinstance(f, int) for f in raw
                 ):
-                    raise ParseError("'other_pnr_frames' must be a list of integers", line_no)
+                    raise ParseError("'other_pnr_frames' must be a list of integers")
                 others = tuple(raw)
-            try:
-                ann = PnrAnnotation(clip_id, positive, others)
-                _check_frames(ann, clip)
-            except ValidationError as exc:
-                raise ParseError(str(exc), line_no) from None
+            ann = PnrAnnotation(clip_id, positive, others)
+            ensure_annotation_in_clip(ann, clip)
             pnr[clip_id] = ann
         # checked last, so a line with its own fault reports that fault
-        if clip_id in clips:
-            raise ConflictError(f"line {line_no}: duplicate clip_id {clip_id!r}")
-        clips[clip_id] = clip
+        _put(clips, clip_id, clip, "clip_id")
+
+    _read(stream, record)
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
 
 
@@ -249,7 +240,8 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     # kept as a list so a duplicate window can be traced back to its line
     lines = stream.splitlines() if isinstance(stream, str) else list(stream)
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
-    for line_no, obj in _iter_records(lines):
+
+    def record(obj: dict) -> None:
         # one test passes a well-formed line; any other line goes through
         # the validators, which raise the error or accept an int confidence
         if not (
@@ -261,40 +253,38 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
             and type(confidence := obj["confidence"]) is float
             and 0.0 <= confidence <= 1.0
         ):
-            _check_keys(obj, _SCORE_KEYS, (), line_no)
-            clip_id = _as_str(obj, "clip_id", line_no)
-            start = _as_int(obj, "start", line_no)
-            end = _as_int(obj, "end", line_no)
-            confidence = _as_number(obj, "confidence", line_no)
-        try:
-            sw = ScoredWindow(start, end, confidence)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no) from None
-        grouped[clip_id].append(sw)
+            _check_keys(obj, _SCORE_KEYS)
+            clip_id = _as_str(obj, "clip_id")
+            start = _as_int(obj, "start")
+            end = _as_int(obj, "end")
+            confidence = _as_number(obj, "confidence")
+        grouped[clip_id].append(ScoredWindow(start, end, confidence))
+
+    _read(lines, record)
     series_by_clip = {}
     for clip_id, windows in grouped.items():
         # the sort is stable, so a repeated window sits right after its first
         windows.sort(key=_window_order)
         for a, b in zip(windows, windows[1:]):
             if a.start == b.start and a.end == b.end:
-                line_no = _second_line_of(lines, clip_id, b)
-                raise ConflictError(
-                    f"line {line_no}: duplicate window [{b.start}, {b.end}) for clip {clip_id!r}"
-                )
+                _raise_at_second_line(lines, clip_id, b)
         series_by_clip[clip_id] = ScoreSeries(tuple(windows))
     return series_by_clip
 
 
-def _second_line_of(lines: list[str], clip_id: str, window: ScoredWindow) -> int:
-    """Line number of the second record of one clip's window."""
-    target = (clip_id, window.start, window.end)
-    matches = (
-        line_no
-        for line_no, obj in _iter_records(lines)
-        if (obj["clip_id"], obj["start"], obj["end"]) == target
-    )
-    next(matches)
-    return next(matches)
+def _raise_at_second_line(lines: list[str], clip_id: str, window: ScoredWindow) -> None:
+    """Raise the duplicate-window error at the second record of a window."""
+    copies = []
+
+    def record(obj: dict) -> None:
+        if (obj["clip_id"], obj["start"], obj["end"]) == (clip_id, window.start, window.end):
+            copies.append(obj)
+            if len(copies) == 2:
+                raise ConflictError(
+                    f"duplicate window [{window.start}, {window.end}) for clip {clip_id!r}"
+                )
+
+    _read(lines, record)
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
@@ -316,15 +306,16 @@ _PROB_KEYS = ("clip_id", "prob")
 def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
     """Parse per-clip state-change probabilities."""
     probs: dict[str, float] = {}
-    for line_no, obj in _iter_records(stream):
-        _check_keys(obj, _PROB_KEYS, (), line_no)
-        clip_id = _as_str(obj, "clip_id", line_no)
-        prob = _as_number(obj, "prob", line_no)
+
+    def record(obj: dict) -> None:
+        _check_keys(obj, _PROB_KEYS)
+        clip_id = _as_str(obj, "clip_id")
+        prob = _as_number(obj, "prob")
         if not 0.0 <= prob <= 1.0:
-            raise ParseError(f"'prob' must be in [0, 1], got {prob}", line_no)
-        if clip_id in probs:
-            raise ConflictError(f"duplicate probability for clip {clip_id!r}")
-        probs[clip_id] = prob
+            raise ParseError(f"'prob' must be in [0, 1], got {prob}")
+        _put(probs, clip_id, prob, "probability for clip")
+
+    _read(stream, record)
     return probs
 
 
@@ -341,21 +332,16 @@ _PREDICTION_KEYS = ("clip_id", "time_sec", "frame", "source")
 def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
     """Parse localization predictions, one per clip."""
     preds: dict[str, PnrPrediction] = {}
-    for line_no, obj in _iter_records(stream):
-        _check_keys(obj, _PREDICTION_KEYS, (), line_no)
-        clip_id = _as_str(obj, "clip_id", line_no)
-        time_sec = _as_number(obj, "time_sec", line_no)
-        frame = _as_int(obj, "frame", line_no)
-        source = _as_str(obj, "source", line_no)
-        if source not in SOURCES:
-            raise ParseError(f"unknown prediction source {source!r}", line_no)
-        try:
-            pred = PnrPrediction(time_sec, frame, source)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no) from None
-        if clip_id in preds:
-            raise ConflictError(f"duplicate prediction for clip {clip_id!r}")
-        preds[clip_id] = pred
+
+    def record(obj: dict) -> None:
+        _check_keys(obj, _PREDICTION_KEYS)
+        clip_id = _as_str(obj, "clip_id")
+        pred = PnrPrediction(
+            _as_number(obj, "time_sec"), _as_int(obj, "frame"), _as_str(obj, "source")
+        )
+        _put(preds, clip_id, pred, "prediction for clip")
+
+    _read(stream, record)
     return preds
 
 
@@ -407,6 +393,16 @@ def bin_index(fraction: float, bins: int) -> int:
     return min(int(fraction * bins), bins - 1)
 
 
+def frame_bin(frame: int, num_frames: int, bins: int) -> int:
+    """``bin_index`` of frame / (n - 1) in integer arithmetic, so a frame
+    on a bin edge is never put one bin low by float rounding."""
+    if bins < 1:
+        raise DomainError(f"bins must be >= 1, got {bins}")
+    if not 0 <= frame < num_frames:
+        raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
+    return min(frame * bins // max(num_frames - 1, 1), bins - 1)
+
+
 @dataclass(frozen=True)
 class DatasetStats:
     """Summary counts and position histograms for one dataset."""
@@ -434,9 +430,9 @@ def dataset_stats(dataset: Dataset, bins: int = 10) -> DatasetStats:
     for clip_id, ann in dataset.pnr.items():
         n = dataset.clips[clip_id].num_frames
         counts.append(len(ann.all_frames))
-        positive_hist[bin_index(frame_to_fraction(ann.positive_frame, n), bins)] += 1
+        positive_hist[frame_bin(ann.positive_frame, n, bins)] += 1
         for frame in ann.negative_frames:
-            negative_hist[bin_index(frame_to_fraction(frame, n), bins)] += 1
+            negative_hist[frame_bin(frame, n, bins)] += 1
     return DatasetStats(
         n_clips=len(dataset.clips),
         n_pnr_annotated=len(dataset.pnr),

@@ -21,6 +21,7 @@ from pnrkit.model import (
     PnrPrediction,
     ScoredWindow,
     ScoreSeries,
+    ensure_annotation_in_clip,
     ensure_window_in_clip,
     fraction_to_frame,
     round_half_up,
@@ -127,11 +128,7 @@ def oracle_error(
         raise ValidationError(
             f"annotation is for clip {annotation.clip_id!r}, not {clip.clip_id!r}"
         )
-    if annotation.positive_frame >= clip.num_frames:
-        raise ValidationError(
-            f"clip {clip.clip_id!r}: positive frame {annotation.positive_frame} "
-            f"outside {clip.num_frames}-frame clip"
-        )
+    ensure_annotation_in_clip(annotation, clip)
     truth = annotation.positive_frame / clip.fps
     return min(
         abs(window_center_frame(win) / clip.fps - truth)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from pnrkit.errors import CoverageError, DomainError, EmptyInputError
-from pnrkit.ingest import Dataset, bin_index
-from pnrkit.model import PnrPrediction, frame_to_fraction
+from pnrkit.ingest import Dataset, frame_bin
+from pnrkit.model import PnrPrediction
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,8 @@ def per_position_error(
     errors = _clip_errors(preds, ds)
     grouped: list[list[float]] = [[] for _ in range(bins)]
     for clip_id, err in errors.items():
-        ann = ds.pnr[clip_id]
-        fraction = frame_to_fraction(ann.positive_frame, ds.clips[clip_id].num_frames)
-        grouped[bin_index(fraction, bins)].append(err)
+        n = ds.clips[clip_id].num_frames
+        grouped[frame_bin(ds.pnr[clip_id].positive_frame, n, bins)].append(err)
 
     per_bin = tuple(
         BinError(

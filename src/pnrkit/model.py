@@ -30,6 +30,14 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def ensure_fps(fps: float) -> None:
+    """Raise DomainError unless fps is positive and finite."""
+    if not fps > 0:
+        raise DomainError(f"fps must be positive, got {fps}")
+    if fps == math.inf:
+        raise DomainError(f"fps must be finite, got {fps}")
+
+
 @dataclass(frozen=True)
 class Clip:
     """A video clip identified by id, frame rate, and frame count."""
@@ -41,8 +49,7 @@ class Clip:
     def __post_init__(self):
         if not self.clip_id:
             raise ValidationError("clip_id must be a non-empty string")
-        if not self.fps > 0:
-            raise DomainError(f"fps must be positive, got {self.fps}")
+        ensure_fps(self.fps)
         if self.num_frames < 1:
             raise DomainError(f"num_frames must be >= 1, got {self.num_frames}")
 
@@ -179,6 +186,15 @@ def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:
         )
 
 
+def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
+    for frame in annotation.all_frames:
+        if frame >= clip.num_frames:
+            raise BoundsError(
+                f"clip {annotation.clip_id!r}: annotated frame {frame} outside "
+                f"{clip.num_frames}-frame clip"
+            )
+
+
 def window_center_frame(window: FrameWindow) -> float:
     """Center of a window in frame units: start + (len - 1) / 2."""
     return window.start + (len(window) - 1) / 2
@@ -186,8 +202,7 @@ def window_center_frame(window: FrameWindow) -> float:
 
 def window_center_time(window: FrameWindow, fps: float) -> float:
     """Center of a window in seconds."""
-    if not fps > 0:
-        raise DomainError(f"fps must be positive, got {fps}")
+    ensure_fps(fps)
     return window_center_frame(window) / fps
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
-from pnrkit.model import Clip, FrameWindow, PnrAnnotation, round_half_up
+from pnrkit.model import Clip, FrameWindow, PnrAnnotation, ensure_annotation_in_clip, round_half_up
 
 # numpy is imported inside the functions that draw or build arrays, so
 # importing this module (and the CLI) does not load it
@@ -63,6 +63,13 @@ def _segment_bounds(num_frames: int, num_segments: int) -> list[tuple[int, int]]
     ]
 
 
+def _check_fits(clip: Clip, window_len: int) -> None:
+    if clip.num_frames < window_len:
+        raise ClipTooShortError(
+            f"clip {clip.clip_id!r} has {clip.num_frames} frames, needs at least {window_len}"
+        )
+
+
 def tsn_sample(clip: Clip, config: SamplerConfig) -> tuple[int, ...]:
     """Pick one frame index per segment of an M-way clip split.
 
@@ -95,10 +102,7 @@ def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...
     ClipTooShortError when n < w.
     """
     n, w, count = clip.num_frames, config.window_len, config.num_windows
-    if n < w:
-        raise ClipTooShortError(
-            f"clip {clip.clip_id!r} has {n} frames, needs at least {w}"
-        )
+    _check_fits(clip, w)
     if count == 1:
         starts = [0]
     else:
@@ -117,15 +121,9 @@ def positive_window(
     min(n - w, positive)] so it stays in bounds and keeps containment.
     """
     n, w = clip.num_frames, config.window_len
-    if n < w:
-        raise ClipTooShortError(
-            f"clip {clip.clip_id!r} has {n} frames, needs at least {w}"
-        )
+    _check_fits(clip, w)
+    ensure_annotation_in_clip(annotation, clip)
     p = annotation.positive_frame
-    if p >= n:
-        raise ValidationError(
-            f"clip {clip.clip_id!r}: positive frame {p} outside {n}-frame clip"
-        )
     start = p - w // 2
     if config.jitter > 0:
         import numpy as np
@@ -144,16 +142,10 @@ def valid_negative_starts(
     import numpy as np
 
     n, w = clip.num_frames, config.window_len
-    if n < w:
-        raise ClipTooShortError(
-            f"clip {clip.clip_id!r} has {n} frames, needs at least {w}"
-        )
+    _check_fits(clip, w)
+    ensure_annotation_in_clip(annotation, clip)
     ok = np.ones(n - w + 1, dtype=bool)
     for frame in annotation.all_frames:
-        if frame >= n:
-            raise ValidationError(
-                f"clip {clip.clip_id!r}: annotated frame {frame} outside {n}-frame clip"
-            )
         # a window [s, s + w) contains frame iff s in [frame - w + 1, frame]
         ok[max(frame - w + 1, 0) : min(frame, n - w) + 1] = False
     return np.flatnonzero(ok)

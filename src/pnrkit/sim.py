@@ -28,6 +28,7 @@ from pnrkit.model import (
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
+    ensure_fps,
     fraction_to_frame,
     round_half_up,
 )
@@ -56,8 +57,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n_clips < 1:
             raise DomainError(f"n_clips must be >= 1, got {self.n_clips}")
-        if not self.fps > 0:
-            raise DomainError(f"fps must be positive, got {self.fps}")
+        ensure_fps(self.fps)
         if not 0 < self.duration_min_sec <= self.duration_max_sec:
             raise DomainError(
                 f"need 0 < duration_min_sec <= duration_max_sec, got "

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pnrkit.cli import _load, build_parser, main
-from pnrkit.errors import ParseError
+from pnrkit.errors import ConflictError, ParseError
 from pnrkit.ingest import parse_annotations, parse_oscc_scores, parse_pnr_scores, parse_predictions
 
 FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
@@ -219,6 +219,34 @@ class TestWindowsAndStats:
         assert main(["windows", "--frames", "16", "--n", "4"]) == 2
         assert "16 frames" in capsys.readouterr().err
 
+    def test_windows_reject_infinite_fps(self, capsys):
+        assert main(["windows", "--frames", "64", "--n", "3", "--fps", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pnrkit: error: fps must be finite, got inf\n"
+
+    def test_frame_on_a_bin_edge_takes_that_bin(self, tmp_path):
+        # frame 15 of a 23-frame clip sits at exactly 15/22, where bin 15
+        # of 22 opens; 15 / 22 * 22 in floating point is just below 15
+        annotations = tmp_path / "edge.jsonl"
+        annotations.write_text(
+            '{"clip_id": "e", "fps": 30.0, "num_frames": 23, "pnr_frame": 15}\n', encoding="utf-8"
+        )
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            '{"clip_id": "e", "time_sec": 0.5, "frame": 15, "source": "selected"}\n',
+            encoding="utf-8",
+        )
+        tsv, plot = tmp_path / "hist.tsv", tmp_path / "plot.tsv"
+        common = ["--annotations", str(annotations), "--bins", "22", "--quiet"]
+        assert main(["stats", *common, "--out", str(tsv)]) == 0
+        assert main(["evaluate", "--task", "pnr", "--preds", str(preds), *common,
+                     "--plot-data", str(plot)]) == 0
+        hist = [line.split("\t") for line in tsv.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [int(positives) for _, positives, _ in hist] == [0] * 15 + [1] + [0] * 6
+        errors = [line.split("\t") for line in plot.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [int(count) for _, _, count in errors] == [0] * 15 + [1] + [0] * 6
+
     def test_stats_table_and_tsv(self, tmp_path, capsys):
         tsv = tmp_path / "fig1.tsv"
         assert main(["stats", "--annotations", str(FIXTURE), "--out", str(tsv), "--quiet"]) == 0
@@ -332,6 +360,35 @@ class TestDiagnostics:
             _load(str(bad), parse_annotations)
         assert info.value.line_no == 2
         assert str(info.value).startswith(f"{bad}: line 2: missing key(s)")
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text(
+            '{"clip_id": "a", "prob": 0.6}\n{"clip_id": "b", "prob": 0.2}\n'
+            '{"clip_id": "a", "prob": 0.3}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ConflictError) as info:
+            _load(str(repeated), parse_oscc_scores)
+        assert info.value.line_no == 3
+        assert str(info.value) == f"{repeated}: line 3: duplicate probability for clip 'a'"
+
+    def test_repeated_id_names_its_line(self, tmp_path, capsys):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(
+            '{"clip_id": "a", "fps": 30.0, "num_frames": 100, "state_change": true}\n'
+            '{"clip_id": "b", "fps": 30.0, "num_frames": 100, "state_change": false}\n',
+            encoding="utf-8",
+        )
+        probs = tmp_path / "dup.jsonl"
+        probs.write_text(
+            '{"clip_id": "a", "prob": 0.6}\n{"clip_id": "b", "prob": 0.2}\n'
+            '{"clip_id": "a", "prob": 0.3}\n',
+            encoding="utf-8",
+        )
+        argv = ["evaluate", "--task", "oscc", "--preds", str(probs), "--annotations", str(annotations)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {probs}: line 3: duplicate probability for clip 'a'\n"
 
     def test_seed_is_a_simulate_flag(self, sim_dir):
         with pytest.raises(SystemExit) as info:

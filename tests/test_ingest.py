@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pnrkit.cli import main
-from pnrkit.errors import ConflictError, DomainError, EmptyInputError, ParseError, ValidationError
+from pnrkit.errors import (
+    BoundsError,
+    ConflictError,
+    DomainError,
+    EmptyInputError,
+    ParseError,
+    ValidationError,
+)
 from pnrkit.ingest import (
     bin_index,
     build_dataset,
@@ -22,6 +32,7 @@ from pnrkit.ingest import (
     emit_oscc_scores,
     emit_pnr_scores,
     emit_predictions,
+    frame_bin,
     parse_annotations,
     parse_oscc_scores,
     parse_pnr_scores,
@@ -782,6 +793,32 @@ MALFORMED = [
 ]
 
 
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# A repeated clip id (a repeated window for window scores) in every format,
+# with the line it is reported at: the second copy's, also when a third
+# copy follows.
+DUPLICATE_MESSAGES = {
+    "annotations": "duplicate clip_id 'a'",
+    "pnr_scores": "duplicate window [0, 4) for clip 'a'",
+    "oscc_scores": "duplicate probability for clip 'a'",
+    "predictions": "duplicate prediction for clip 'a'",
+}
+DUPLICATES = [
+    # (format, case, line_no, document, message)
+    row
+    for fmt, message in DUPLICATE_MESSAGES.items()
+    for row in (
+        (fmt, "repeat", 4, _lines(GOOD_LINE[fmt], FIRST_LINE[fmt], "", GOOD_LINE[fmt]),
+         f"line 4: {message}"),
+        (fmt, "third-copy", 3, _lines(FIRST_LINE[fmt], GOOD_LINE[fmt], GOOD_LINE[fmt], GOOD_LINE[fmt]),
+         f"line 3: {message}"),
+    )
+]
+
+
 def _document(fmt, line):
     return FIRST_LINE[fmt] + "\n\n" + line + "\n"
 
@@ -797,6 +834,19 @@ class TestStrictLines:
             PARSERS[fmt](source(_document(fmt, line)))
         assert str(info.value) == message
         assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "fmt,case,line_no,document,message", DUPLICATES,
+        ids=[f"{row[0]}-{row[1]}" for row in DUPLICATES],
+    )
+    @pytest.mark.parametrize("source", [str, io.StringIO], ids=["text", "file"])
+    def test_repeated_id(self, source, fmt, case, line_no, document, message):
+        with pytest.raises(ConflictError) as info:
+            PARSERS[fmt](source(document))
+        assert type(info.value) is ConflictError
+        assert str(info.value) == message
+        assert info.value.line_no == line_no
+        assert str(info.value).startswith(f"line {line_no}: ")
 
     @pytest.mark.parametrize("fmt", PARSERS)
     @pytest.mark.parametrize(
@@ -850,6 +900,33 @@ class TestBinIndex:
             bin_index(0.5, 0)
         with pytest.raises(DomainError):
             bin_index(1.0001, 10)
+
+
+class TestFrameBin:
+    def test_matches_exact_fractions(self):
+        # bin k holds the fractions from k / bins on, so its first frame in an
+        # n-frame clip is the least frame with frame / (n - 1) >= k / bins
+        for n in range(2, 301):
+            for bins in range(1, 61):
+                firsts = [math.ceil(Fraction(k * (n - 1), bins)) for k in range(bins)]
+                expected = [bisect_right(firsts, frame) - 1 for frame in range(n)]
+                assert [frame_bin(frame, n, bins) for frame in range(n)] == expected, (n, bins)
+
+    def test_single_frame_clip(self):
+        assert [frame_bin(0, 1, bins) for bins in (1, 2, 10)] == [0, 0, 0]
+
+    def test_bin_edge(self):
+        # 15 / 22 * 22 rounds to just below 15
+        assert bin_index(15 / 22, 22) == 14
+        assert frame_bin(15, 23, 22) == 15
+
+    def test_errors(self):
+        with pytest.raises(DomainError):
+            frame_bin(0, 10, 0)
+        with pytest.raises(BoundsError):
+            frame_bin(10, 10, 4)
+        with pytest.raises(BoundsError):
+            frame_bin(-1, 10, 4)
 
 
 class TestDatasetStats:

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pnrkit.errors import BoundsError, DomainError, ValidationError
+from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
+from pnrkit.ingest import build_dataset, parse_annotations
+from pnrkit.localization import oracle_error
 from pnrkit.model import (
     Clip,
     FrameWindow,
     PnrAnnotation,
     PnrPrediction,
     ScoredWindow,
+    ensure_annotation_in_clip,
     ensure_window_in_clip,
     frame_to_fraction,
     fraction_to_frame,
@@ -19,6 +22,8 @@ from pnrkit.model import (
     window_center_frame,
     window_center_time,
 )
+from pnrkit.sampling import WindowingConfig, negative_windows, positive_window
+from pnrkit.sim import SimConfig
 
 
 class TestRoundHalfUp:
@@ -114,6 +119,26 @@ class TestWindowCenters:
         with pytest.raises(DomainError):
             window_center_time(FrameWindow(0, 32), 0.0)
 
+    @pytest.mark.parametrize(
+        "fps,message",
+        [
+            (0.0, "fps must be positive, got 0.0"),
+            (-30.0, "fps must be positive, got -30.0"),
+            (float("nan"), "fps must be positive, got nan"),
+            (float("-inf"), "fps must be positive, got -inf"),
+            (float("inf"), "fps must be finite, got inf"),
+        ],
+    )
+    def test_fps_must_be_positive_and_finite(self, fps, message):
+        for make in (
+            lambda: Clip("c", fps, 240),
+            lambda: window_center_time(FrameWindow(0, 32), fps),
+            lambda: SimConfig(fps=fps),
+        ):
+            with pytest.raises(DomainError) as info:
+                make()
+            assert str(info.value) == message
+
 
 class TestTypeValidation:
     def test_clip(self):
@@ -172,3 +197,48 @@ class TestTypeValidation:
         ensure_window_in_clip(FrameWindow(208, 240), clip)
         with pytest.raises(BoundsError):
             ensure_window_in_clip(FrameWindow(209, 241), clip)
+
+
+WINDOWS = WindowingConfig(num_windows=4, window_len=32)
+ANNOTATION_USERS = {
+    "ensure_annotation_in_clip": ensure_annotation_in_clip,
+    "build_dataset": lambda ann, clip: build_dataset([clip], [ann]),
+    "positive_window": lambda ann, clip: positive_window(ann, clip, WINDOWS, seed=0),
+    "negative_windows": lambda ann, clip: negative_windows(ann, clip, WINDOWS, seed=0, count=2),
+    "oracle_error": lambda ann, clip: oracle_error(ann, clip, WINDOWS),
+}
+
+
+class TestAnnotationInClip:
+    """Every user of an annotation rejects a frame outside its clip alike."""
+
+    @pytest.mark.parametrize("use", ANNOTATION_USERS.values(), ids=list(ANNOTATION_USERS))
+    @pytest.mark.parametrize(
+        "annotation",
+        [PnrAnnotation("c", 100), PnrAnnotation("c", 7, (40, 100))],
+        ids=["pnr-frame", "other-frame"],
+    )
+    def test_frame_outside_clip(self, use, annotation):
+        with pytest.raises(BoundsError) as info:
+            use(annotation, Clip("c", 30.0, 100))
+        assert str(info.value) == "clip 'c': annotated frame 100 outside 100-frame clip"
+
+    @pytest.mark.parametrize("use", ANNOTATION_USERS.values(), ids=list(ANNOTATION_USERS))
+    def test_last_frame_is_inside(self, use):
+        use(PnrAnnotation("c", 99, (7,)), Clip("c", 30.0, 100))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"clip_id": "c", "fps": 30.0, "num_frames": 100, "pnr_frame": 100}',
+            '{"clip_id": "c", "fps": 30.0, "num_frames": 100, "pnr_frame": 7, '
+            '"other_pnr_frames": [40, 100]}',
+        ],
+        ids=["pnr-frame", "other-frame"],
+    )
+    def test_parsed_frame_outside_clip_names_its_line(self, line):
+        # the reader turns every model error on a line into a ParseError
+        with pytest.raises(ParseError) as info:
+            parse_annotations(line)
+        assert str(info.value) == "line 1: clip 'c': annotated frame 100 outside 100-frame clip"
+        assert info.value.line_no == 1

@@ -11,47 +11,28 @@ input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Callable, TypeVar
 
-from pnrkit.errors import CoverageError, EmptyInputError, PnrKitError, ValidationError
-from pnrkit.fusion import fuse_oscc, fuse_pnr
-from pnrkit.ingest import (
-    dataset_stats,
-    emit_annotations,
-    emit_oscc_scores,
-    emit_pnr_scores,
-    emit_predictions,
-    parse_annotations,
-    parse_oscc_scores,
-    parse_pnr_scores,
-    parse_predictions,
-    render_stats,
-    stats_plot_data,
-    write_text_atomic,
-)
-from pnrkit.localization import (
-    FALLBACKS,
-    SelectionConfig,
-    baseline_center,
-    baseline_fraction,
-    oracle_error,
-    select_pnr,
-)
-from pnrkit.metrics import (
-    error_plot_data,
-    oscc_accuracy,
-    per_position_error,
-    render_report,
-    report_to_json,
-)
-from pnrkit.model import Clip, window_center_time
-from pnrkit.sampling import WindowingConfig, dense_windows
-from pnrkit.sim import gen_dataset, parse_sim_config, simulate_oscc, simulate_scores
+import pnrkit
+from pnrkit.errors import FALLBACKS, CoverageError, EmptyInputError, PnrKitError, ValidationError
 
 T = TypeVar("T")
+
+# Handlers read library names as attributes of this module, never as bare
+# globals: the first read of a name imports its home module through
+# __getattr__ below, so a subcommand loads only the modules it runs, and
+# a wrapper set on the module with setattr (as perfbench/tracer.py does)
+# is the function called.
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> object:
+    if name not in pnrkit.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(pnrkit, name)
+    return value
 
 
 def _info(args: argparse.Namespace, message: str) -> None:
@@ -64,49 +45,54 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load(path: str, parse: Callable[[str], T]) -> T:
+def _blame(path: str, call: Callable[..., T], *args, only: type[PnrKitError] = PnrKitError) -> T:
+    """Return call(*args), putting path in front of the message of an error
+    of type only; the error keeps its type and fields."""
     try:
-        return parse(_read_text(path))
-    except PnrKitError as exc:
-        # name the input in the message; the error keeps its type and fields
+        return call(*args)
+    except only as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    return _blame(path, parse, _read_text(path))
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        write_text_atomic(args.out, text)
+        _lib.write_text_atomic(args.out, text)
         _info(args, f"wrote {args.out}")
     else:
         sys.stdout.write(text)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    ds = _load(args.annotations, parse_annotations)
-    stats = dataset_stats(ds, bins=args.bins)
-    sys.stdout.write(render_stats(stats))
+    ds = _load(args.annotations, _lib.parse_annotations)
+    stats = _blame(args.annotations, _lib.dataset_stats, ds, args.bins, only=EmptyInputError)
+    sys.stdout.write(_lib.render_stats(stats))
     if args.out:
-        write_text_atomic(args.out, stats_plot_data(stats))
+        _lib.write_text_atomic(args.out, _lib.stats_plot_data(stats))
         _info(args, f"wrote {args.out}")
     return 0
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
-    clip = Clip("clip", args.fps, args.frames)
-    config = WindowingConfig(num_windows=args.n, window_len=args.window)
+    clip = _lib.Clip("clip", args.fps, args.frames)
+    config = _lib.WindowingConfig(num_windows=args.n, window_len=args.window)
     rows = ["# index\tstart\tend\tcenter_sec"]
-    for i, win in enumerate(dense_windows(clip, config)):
-        rows.append(f"{i}\t{win.start}\t{win.end}\t{window_center_time(win, clip.fps):.6f}")
+    for i, win in enumerate(_lib.dense_windows(clip, config)):
+        rows.append(f"{i}\t{win.start}\t{win.end}\t{_lib.window_center_time(win, clip.fps):.6f}")
     _emit(args, "\n".join(rows) + "\n")
     return 0
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
-    ds = _load(args.annotations, parse_annotations)
-    series_by_clip = _load(args.scores, parse_pnr_scores)
+    ds = _load(args.annotations, _lib.parse_annotations)
+    series_by_clip = _load(args.scores, _lib.parse_pnr_scores)
     if not series_by_clip:
         raise EmptyInputError(f"{args.scores}: no scored windows")
-    config = SelectionConfig(
+    config = _lib.SelectionConfig(
         threshold=args.threshold, prior_fraction=args.prior, fallback=args.fallback
     )
     preds = {}
@@ -114,36 +100,36 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         clip = ds.clips.get(clip_id)
         if clip is None:
             raise ValidationError(f"{args.scores}: scores for unknown clip {clip_id!r}")
-        preds[clip_id] = select_pnr(series_by_clip[clip_id], clip, config)
-    _emit(args, emit_predictions(preds))
+        preds[clip_id] = _lib.select_pnr(series_by_clip[clip_id], clip, config)
+    _emit(args, _lib.emit_predictions(preds))
     _info(args, f"localized {len(preds)} clip(s)")
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    ds = _load(args.annotations, parse_annotations)
+    ds = _load(args.annotations, _lib.parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
     preds = {}
     for clip_id in sorted(ds.pnr):
         clip = ds.clips[clip_id]
         if args.mode == "center":
-            preds[clip_id] = baseline_center(clip)
+            preds[clip_id] = _lib.baseline_center(clip)
         else:
-            preds[clip_id] = baseline_fraction(clip, args.fraction)
-    _emit(args, emit_predictions(preds))
+            preds[clip_id] = _lib.baseline_fraction(clip, args.fraction)
+    _emit(args, _lib.emit_predictions(preds))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    ds = _load(args.annotations, parse_annotations)
+    ds = _load(args.annotations, _lib.parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
-    config = WindowingConfig(num_windows=args.n, window_len=args.window)
+    config = _lib.WindowingConfig(num_windows=args.n, window_len=args.window)
     rows = ["# clip_id\toracle_error_sec"]
     total = 0.0
     for clip_id in sorted(ds.pnr):
-        err = oracle_error(ds.pnr[clip_id], ds.clips[clip_id], config)
+        err = _lib.oracle_error(ds.pnr[clip_id], ds.clips[clip_id], config)
         total += err
         rows.append(f"{clip_id}\t{err:.6f}")
     _emit(args, "\n".join(rows) + "\n")
@@ -154,9 +140,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ValidationError("fuse requires --out")
-    ds = _load(args.annotations, parse_annotations) if args.annotations else None
+    if len(args.scores) < 2:
+        raise ValidationError(f"fuse needs two or more --scores files, got {len(args.scores)}")
+    ds = _load(args.annotations, _lib.parse_annotations) if args.annotations else None
     oscc = args.task == "oscc"
-    parse = parse_oscc_scores if oscc else parse_pnr_scores
+    parse = _lib.parse_oscc_scores if oscc else _lib.parse_pnr_scores
     score_maps = [_load(path, parse) for path in args.scores]
     clip_ids = sorted(set().union(*score_maps))
     if not clip_ids:
@@ -177,49 +165,55 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                     f"(not in {args.annotations})"
                 )
         values = [scores[clip_id] for scores in score_maps]
-        fused[clip_id] = fuse_oscc(values) if oscc else fuse_pnr(values, clip)
-    _emit(args, emit_oscc_scores(fused) if oscc else emit_pnr_scores(fused))
+        fused[clip_id] = _lib.fuse_oscc(values) if oscc else _lib.fuse_pnr(values, clip)
+    _emit(args, _lib.emit_oscc_scores(fused) if oscc else _lib.emit_pnr_scores(fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    ds = _load(args.annotations, parse_annotations)
+    ds = _load(args.annotations, _lib.parse_annotations)
     if args.task == "oscc":
         if args.plot_data:
             raise ValidationError("--plot-data applies to --task pnr only")
-        probs = _load(args.preds, parse_oscc_scores)
-        report = oscc_accuracy({c: p >= 0.5 for c, p in probs.items()}, ds)
+        probs = _load(args.preds, _lib.parse_oscc_scores)
+        labels = {c: p >= 0.5 for c, p in probs.items()}
+        # a clip missing from or extra in the preds file is the preds file's fault
+        report = _blame(args.preds, _lib.oscc_accuracy, labels, ds, only=CoverageError)
     else:
-        preds = _load(args.preds, parse_predictions)
-        report = per_position_error(preds, ds, bins=args.bins)
-    sys.stdout.write(render_report(report))
+        preds = _load(args.preds, _lib.parse_predictions)
+        report = _blame(
+            args.preds, _lib.per_position_error, preds, ds, args.bins, only=CoverageError
+        )
+    sys.stdout.write(_lib.render_report(report))
     if args.out:
-        write_text_atomic(args.out, report_to_json(report))
+        _lib.write_text_atomic(args.out, _lib.report_to_json(report))
         _info(args, f"wrote {args.out}")
     if args.plot_data:
-        write_text_atomic(args.plot_data, error_plot_data(report))
+        _lib.write_text_atomic(args.plot_data, _lib.error_plot_data(report))
         _info(args, f"wrote {args.plot_data}")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _load(args.config, parse_sim_config)
+    settings = _load(args.config, _lib.parse_sim_config)
     sim_cfg = settings.sim
     if args.seed is not None:
+        import dataclasses  # not at the top: no other subcommand needs it
+
         sim_cfg = dataclasses.replace(sim_cfg, seed=args.seed)
-    ds = gen_dataset(sim_cfg)
-    scores = simulate_scores(ds, settings.windows, settings.noise, seed=sim_cfg.seed)
-    probs = simulate_oscc(ds, settings.noise, seed=sim_cfg.seed)
+    ds = _lib.gen_dataset(sim_cfg)
+    scores = _lib.simulate_scores(ds, settings.windows, settings.noise, seed=sim_cfg.seed)
+    probs = _lib.simulate_oscc(ds, settings.noise, seed=sim_cfg.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = (
-        ("annotations.jsonl", emit_annotations(ds)),
-        ("scores_pnr.jsonl", emit_pnr_scores(scores)),
-        ("scores_oscc.jsonl", emit_oscc_scores(probs)),
+        ("annotations.jsonl", _lib.emit_annotations(ds)),
+        ("scores_pnr.jsonl", _lib.emit_pnr_scores(scores)),
+        ("scores_oscc.jsonl", _lib.emit_oscc_scores(probs)),
     )
     for name, text in outputs:
         path = os.path.join(args.out_dir, name)
-        write_text_atomic(path, text)
+        _lib.write_text_atomic(path, text)
         _info(args, f"wrote {path}")
     return 0
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# answers of the selection rule when no window clears the threshold; kept
+# here so the CLI parser can offer them without loading localization
+FALLBACKS = ("prior-point", "argmax-confidence")
+
 
 class PnrKitError(Exception):
     """Base class for all errors raised by this package.

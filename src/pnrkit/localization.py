@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pnrkit.errors import DomainError, EmptyInputError, ValidationError
+from pnrkit.errors import FALLBACKS, DomainError, EmptyInputError, ValidationError
 from pnrkit.model import (
     Clip,
     FrameWindow,
@@ -29,8 +29,6 @@ from pnrkit.model import (
     window_center_frame,
 )
 from pnrkit.sampling import WindowingConfig, dense_windows
-
-FALLBACKS = ("prior-point", "argmax-confidence")
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,6 @@ def oracle_error(
     Returns min over the N dense windows of |center time - truth time|,
     the floor for any selector restricted to those window centers.
     """
-    if annotation.clip_id != clip.clip_id:
-        raise ValidationError(
-            f"annotation is for clip {annotation.clip_id!r}, not {clip.clip_id!r}"
-        )
     ensure_annotation_in_clip(annotation, clip)
     truth = annotation.positive_frame / clip.fps
     return min(

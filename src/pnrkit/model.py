@@ -187,6 +187,9 @@ def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:
 
 
 def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
+    """The annotation is for this clip and every annotated frame lies inside it."""
+    if annotation.clip_id != clip.clip_id:
+        raise ValidationError(f"annotation is for clip {annotation.clip_id!r}, not {clip.clip_id!r}")
     for frame in annotation.all_frames:
         if frame >= clip.num_frames:
             raise BoundsError(

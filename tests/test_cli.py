@@ -334,8 +334,68 @@ class TestFuse:
         assert main(["fuse", "--task", "oscc", "--scores", str(a)]) == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["oscc", "pnr"])
+    def test_fuse_needs_two_score_files(self, tmp_path, capsys, task):
+        # refused before any file is read, so the absent file goes unreported
+        fused = tmp_path / "fused.jsonl"
+        absent = tmp_path / "absent.jsonl"
+        assert main(["fuse", "--task", task, "--scores", str(absent), "--out", str(fused)]) == 2
+        assert capsys.readouterr().err == (
+            "pnrkit: error: fuse needs two or more --scores files, got 1\n"
+        )
+        assert not fused.exists()
+
+
+# prediction lines for the FIXTURE clips, one per clip and one for a clip
+# it does not hold; clip ids sort as garden-003, kitchen-001, workshop-002
+PREDICTION_LINES = {
+    "pnr": {
+        clip_id: f'{{"clip_id": "{clip_id}", "time_sec": 1.0, "frame": 30, "source": "selected"}}\n'
+        for clip_id in ("kitchen-001", "workshop-002", "garden-003", "ghost")
+    },
+    "oscc": {
+        clip_id: f'{{"clip_id": "{clip_id}", "prob": 0.6}}\n'
+        for clip_id in ("kitchen-001", "workshop-002", "garden-003", "ghost")
+    },
+}
+COVERAGE_FAULTS = {
+    "partial": (
+        ("kitchen-001",),
+        "missing {what} prediction for annotated clip(s): garden-003, workshop-002",
+    ),
+    "empty": (
+        (),
+        "missing {what} prediction for annotated clip(s): garden-003, kitchen-001, workshop-002",
+    ),
+    "extra": (
+        ("kitchen-001", "workshop-002", "garden-003", "ghost"),
+        "{what} prediction for unannotated clip(s): ghost",
+    ),
+}
+
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("fault", COVERAGE_FAULTS.values(), ids=list(COVERAGE_FAULTS))
+    @pytest.mark.parametrize("task, what", [("pnr", "localization"), ("oscc", "state-change")])
+    def test_evaluate_coverage_names_the_preds_file(self, tmp_path, capsys, task, what, fault):
+        clip_ids, message = fault
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            "".join(PREDICTION_LINES[task][clip_id] for clip_id in clip_ids), encoding="utf-8"
+        )
+        argv = ["evaluate", "--task", task, "--preds", str(preds), "--annotations", str(FIXTURE)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {preds}: {message.format(what=what)}\n"
+
+    def test_stats_on_empty_annotations_names_the_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["stats", "--annotations", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {empty}: dataset has no clips\n"
     def test_missing_file(self, capsys):
         assert main(["stats", "--annotations", "nope.jsonl"]) == 2
         assert "nope.jsonl" in capsys.readouterr().err

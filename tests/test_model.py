@@ -22,7 +22,12 @@ from pnrkit.model import (
     window_center_frame,
     window_center_time,
 )
-from pnrkit.sampling import WindowingConfig, negative_windows, positive_window
+from pnrkit.sampling import (
+    WindowingConfig,
+    negative_windows,
+    positive_window,
+    valid_negative_starts,
+)
 from pnrkit.sim import SimConfig
 
 
@@ -208,9 +213,27 @@ ANNOTATION_USERS = {
     "oracle_error": lambda ann, clip: oracle_error(ann, clip, WINDOWS),
 }
 
+# the users that take the clip apart from the annotation; build_dataset
+# looks the clip up by the annotation's id, so it cannot be handed another
+CLIP_ID_USERS = {
+    **{name: use for name, use in ANNOTATION_USERS.items() if name != "build_dataset"},
+    "valid_negative_starts": lambda ann, clip: valid_negative_starts(ann, clip, WINDOWS),
+}
+
 
 class TestAnnotationInClip:
     """Every user of an annotation rejects a frame outside its clip alike."""
+
+    @pytest.mark.parametrize("use", CLIP_ID_USERS.values(), ids=list(CLIP_ID_USERS))
+    @pytest.mark.parametrize(
+        "annotation", [PnrAnnotation("a", 5), PnrAnnotation("a", 150)], ids=["inside", "outside"]
+    )
+    def test_annotation_for_another_clip(self, use, annotation):
+        # the id is checked before the frames
+        with pytest.raises(ValidationError) as info:
+            use(annotation, Clip("b", 30.0, 100))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == "annotation is for clip 'a', not 'b'"
 
     @pytest.mark.parametrize("use", ANNOTATION_USERS.values(), ids=list(ANNOTATION_USERS))
     @pytest.mark.parametrize(

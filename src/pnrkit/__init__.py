@@ -17,7 +17,7 @@ _EXPORTS = {
     "errors": "BoundsError ClipTooShortError ConflictError CoverageError DomainError "
     "EmptyInputError NegativeSpaceEmpty ParseError PnrKitError ValidationError",
     "fusion": "fuse_oscc fuse_pnr",
-    "ingest": "Dataset DatasetStats bin_index build_dataset dataset_stats emit_annotations "
+    "ingest": "Dataset DatasetStats build_dataset dataset_stats emit_annotations "
     "emit_oscc_scores emit_pnr_scores emit_predictions parse_annotations parse_oscc_scores "
     "parse_pnr_scores parse_predictions render_stats stats_plot_data write_text_atomic",
     "localization": "SelectionConfig baseline_center baseline_fraction oracle_error "

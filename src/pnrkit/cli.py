@@ -177,14 +177,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if args.plot_data:
             raise ValidationError("--plot-data applies to --task pnr only")
         probs = _load(args.preds, _lib.parse_oscc_scores)
-        labels = {c: p >= 0.5 for c, p in probs.items()}
-        # a clip missing from or extra in the preds file is the preds file's fault
-        report = _blame(args.preds, _lib.oscc_accuracy, labels, ds, only=CoverageError)
+        preds = {c: p >= 0.5 for c, p in probs.items()}
+        metric, options = _lib.oscc_accuracy, ()
     else:
         preds = _load(args.preds, _lib.parse_predictions)
-        report = _blame(
-            args.preds, _lib.per_position_error, preds, ds, args.bins, only=CoverageError
-        )
+        metric, options = _lib.per_position_error, (args.bins,)
+    # a clip missing from or extra in the preds file is the preds file's
+    # fault, and no labels at all the annotation file's
+    report = _blame(
+        args.annotations,
+        lambda: _blame(args.preds, metric, preds, ds, *options, only=CoverageError),
+        only=EmptyInputError,
+    )
     sys.stdout.write(_lib.render_report(report))
     if args.out:
         _lib.write_text_atomic(args.out, _lib.report_to_json(report))

@@ -100,7 +100,7 @@ def _read(stream: str | Iterable[str], record: Callable[[dict], None]) -> None:
     """Run ``record`` on the JSON object of each non-blank line; an error
     of the line or of ``record`` leaves naming the line, a model
     ValidationError as a ParseError."""
-    lines = stream.splitlines() if isinstance(stream, str) else stream
+    lines = stream.split("\n") if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, 1):
         # a value that spans the whole line, up to a line ending left on by a
         # file, is what json.loads would give; blank lines, other edge
@@ -238,7 +238,7 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     A clip may score each ``(start, end)`` window once.
     """
     # kept as a list so a duplicate window can be traced back to its line
-    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
+    lines = stream.split("\n") if isinstance(stream, str) else list(stream)
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
 
     def record(obj: dict) -> None:
@@ -381,21 +381,10 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def bin_index(fraction: float, bins: int) -> int:
-    """Histogram bin for a fraction: bin k covers [k/bins, (k+1)/bins).
-
-    The last bin is closed on the right so fraction 1.0 lands in it.
-    """
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
-    if not 0.0 <= fraction <= 1.0:
-        raise DomainError(f"fraction must be in [0, 1], got {fraction}")
-    return min(int(fraction * bins), bins - 1)
-
-
 def frame_bin(frame: int, num_frames: int, bins: int) -> int:
-    """``bin_index`` of frame / (n - 1) in integer arithmetic, so a frame
-    on a bin edge is never put one bin low by float rounding."""
+    """Histogram bin of frame / (n - 1): bin k covers [k/bins, (k+1)/bins),
+    and the last bin also takes 1.0.  Integer arithmetic keeps a frame on
+    a bin edge out of the bin below."""
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     if not 0 <= frame < num_frames:

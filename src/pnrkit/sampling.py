@@ -6,20 +6,18 @@ produces fixed-length half-open frame windows [start, start + w) for
 localization: a dense evenly spaced sweep for inference, and
 positive/negative draws around annotated state-change frames for
 training.
+
+Every draw comes from a ``random.Random`` stream keyed by the caller's
+seed, so one seed always gives the same frames and windows.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
 from pnrkit.model import Clip, FrameWindow, PnrAnnotation, ensure_annotation_in_clip, round_half_up
-
-# numpy is imported inside the functions that draw or build arrays, so
-# importing this module (and the CLI) does not load it
-if TYPE_CHECKING:
-    import numpy as np
 
 SAMPLER_MODES = ("train-random", "test-uniform")
 
@@ -56,6 +54,14 @@ class WindowingConfig:
             raise DomainError(f"jitter must be >= 0, got {self.jitter}")
 
 
+def _rng(seed: int, *key: int) -> random.Random:
+    """The stream of a seed, or of (seed, *key) for a substream of it."""
+    if not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    # a str seeds through sha512, so neighbouring keys give unrelated streams
+    return random.Random(" ".join(map(str, (seed, *key))))
+
+
 def _segment_bounds(num_frames: int, num_segments: int) -> list[tuple[int, int]]:
     return [
         (k * num_frames // num_segments, (k + 1) * num_frames // num_segments)
@@ -82,12 +88,8 @@ def tsn_sample(clip: Clip, config: SamplerConfig) -> tuple[int, ...]:
     n = clip.num_frames
     bounds = _segment_bounds(n, config.num_segments)
     if config.mode == "train-random":
-        import numpy as np
-
-        rng = np.random.default_rng(config.seed)
-        picks = [
-            int(rng.integers(lo, hi)) if hi > lo else max(lo - 1, 0) for lo, hi in bounds
-        ]
+        rng = _rng(config.seed)
+        picks = [rng.randrange(lo, hi) if hi > lo else max(lo - 1, 0) for lo, hi in bounds]
     else:
         picks = [(lo + hi - 1) // 2 if hi > lo else max(lo - 1, 0) for lo, hi in bounds]
     return tuple(picks)
@@ -120,16 +122,14 @@ def positive_window(
     [-j, +j], then is clamped to [max(0, positive - w + 1),
     min(n - w, positive)] so it stays in bounds and keeps containment.
     """
+    rng = _rng(seed)
     n, w = clip.num_frames, config.window_len
     _check_fits(clip, w)
     ensure_annotation_in_clip(annotation, clip)
     p = annotation.positive_frame
     start = p - w // 2
     if config.jitter > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        start += int(rng.integers(-config.jitter, config.jitter + 1))
+        start += rng.randint(-config.jitter, config.jitter)
     start = max(start, p - w + 1, 0)
     start = min(start, p, n - w)
     return FrameWindow(start, start + w)
@@ -137,18 +137,16 @@ def positive_window(
 
 def valid_negative_starts(
     annotation: PnrAnnotation, clip: Clip, config: WindowingConfig
-) -> np.ndarray:
-    """All window starts whose window avoids every annotated frame."""
-    import numpy as np
-
+) -> tuple[int, ...]:
+    """All window starts whose window avoids every annotated frame, ascending."""
     n, w = clip.num_frames, config.window_len
     _check_fits(clip, w)
     ensure_annotation_in_clip(annotation, clip)
-    ok = np.ones(n - w + 1, dtype=bool)
+    taken: set[int] = set()
     for frame in annotation.all_frames:
         # a window [s, s + w) contains frame iff s in [frame - w + 1, frame]
-        ok[max(frame - w + 1, 0) : min(frame, n - w) + 1] = False
-    return np.flatnonzero(ok)
+        taken.update(range(max(frame - w + 1, 0), min(frame, n - w) + 1))
+    return tuple(s for s in range(n - w + 1) if s not in taken)
 
 
 def negative_windows(
@@ -166,17 +164,14 @@ def negative_windows(
     """
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
+    rng = _rng(seed)
     valid = valid_negative_starts(annotation, clip, config)
-    if valid.size == 0:
+    if not valid:
         raise NegativeSpaceEmpty(
             f"clip {clip.clip_id!r}: no {config.window_len}-frame window avoids "
             f"all {len(annotation.all_frames)} annotated frames"
         )
     if count == 0:
         return ()
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    picks = valid[rng.integers(0, valid.size, size=count)]
     w = config.window_len
-    return tuple(FrameWindow(int(s), int(s) + w) for s in picks)
+    return tuple(FrameWindow(s, s + w) for s in rng.choices(valid, k=count))

@@ -10,16 +10,17 @@ around every annotated frame look alike, yet only one frame is scored
 as correct.
 
 All draws are substreamed per clip, so serial and parallel generation
-agree and runs are reproducible.  Each generator family keys its
-substream as (seed, family tag, clip index), so dataset, window scorer,
-and classifier draws never share a stream even under one seed.
+agree and runs are reproducible.  Each clip's draws come from a
+``random.Random`` stream keyed (seed, family tag, clip index), with tag
+0 for the dataset, 1 for the window scorer and 2 for the classifier, so
+no two families share a stream even under one seed.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, build_dataset
@@ -32,12 +33,7 @@ from pnrkit.model import (
     fraction_to_frame,
     round_half_up,
 )
-from pnrkit.sampling import WindowingConfig, dense_windows
-
-# numpy is imported inside the generators, so importing this module (and
-# the CLI) does not load it
-if TYPE_CHECKING:
-    import numpy as np
+from pnrkit.sampling import WindowingConfig, _rng, dense_windows
 
 
 @dataclass(frozen=True)
@@ -102,25 +98,33 @@ class ScorerNoiseModel:
             )
 
 
-def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
+def _truncated_normal(rng: random.Random, mean: float, sd: float) -> float:
     """Draw from a normal(mean, sd) restricted to [0, 1] by rejection."""
     if sd <= 0:
         return mean
     while True:
-        x = rng.normal(mean, sd)
+        x = rng.normalvariate(mean, sd)
         if 0.0 <= x <= 1.0:
             return x
 
 
+def _poisson(rng: random.Random, lam: float) -> int:
+    """Draw from a Poisson(lam): the arrivals of a unit-rate process in
+    [0, lam), counted gap by exponential gap."""
+    count, t = 0, rng.expovariate(1.0)
+    while t < lam:
+        count += 1
+        t += rng.expovariate(1.0)
+    return count
+
+
 def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
     """Generate a fully annotated synthetic dataset, deterministic per seed."""
-    import numpy as np
-
     clips: list[Clip] = []
     pnr: list[PnrAnnotation] = []
     oscc: dict[str, bool] = {}
     for i in range(config.n_clips):
-        rng = np.random.default_rng((config.seed, 0, i))
+        rng = _rng(config.seed, 0, i)
         clip_id = f"clip{i:06d}"
         duration = rng.uniform(config.duration_min_sec, config.duration_max_sec)
         num_frames = max(1, round_half_up(duration * config.fps))
@@ -131,7 +135,7 @@ def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
         )
         taken = {positive}
         negatives: list[int] = []
-        for _ in range(int(rng.poisson(config.negatives_lambda))):
+        for _ in range(_poisson(rng, config.negatives_lambda)):
             # resample on frame collisions; give up if the clip is saturated
             for _ in range(1000):
                 frame = fraction_to_frame(rng.uniform(0.0, 1.0), num_frames)
@@ -140,7 +144,7 @@ def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
                     negatives.append(frame)
                     break
         pnr.append(PnrAnnotation(clip_id, positive, tuple(negatives)))
-        oscc[clip_id] = bool(rng.random() < config.state_change_prob)
+        oscc[clip_id] = rng.random() < config.state_change_prob
     return build_dataset(clips, pnr, oscc)
 
 
@@ -151,11 +155,9 @@ def simulate_scores(
     seed: int = 0,
 ) -> dict[str, ScoreSeries]:
     """Score every clip's distinct dense windows with hit/miss Beta noise."""
-    import numpy as np
-
     out: dict[str, ScoreSeries] = {}
     for i, (clip_id, clip) in enumerate(ds.clips.items()):
-        rng = np.random.default_rng((seed, 1, i))
+        rng = _rng(seed, 1, i)
         ann = ds.pnr.get(clip_id)
         frames = ann.all_frames if ann is not None else ()
         scored = []
@@ -164,10 +166,10 @@ def simulate_scores(
         for win in dict.fromkeys(dense_windows(clip, windows)):
             hit = any(win.contains(f) for f in frames)
             if hit:
-                conf = rng.beta(noise.hit_alpha, noise.hit_beta)
+                conf = rng.betavariate(noise.hit_alpha, noise.hit_beta)
             else:
-                conf = rng.beta(noise.miss_alpha, noise.miss_beta)
-            scored.append(ScoredWindow(win.start, win.end, float(conf)))
+                conf = rng.betavariate(noise.miss_alpha, noise.miss_beta)
+            scored.append(ScoredWindow(win.start, win.end, conf))
         out[clip_id] = ScoreSeries(tuple(scored))
     return out
 
@@ -180,11 +182,9 @@ def simulate_oscc(
     With probability ``oscc_flip_prob`` the probability lands on the
     wrong side of 0.5, otherwise on the correct side.
     """
-    import numpy as np
-
     out: dict[str, float] = {}
     for i, (clip_id, label) in enumerate(ds.oscc.items()):
-        rng = np.random.default_rng((seed, 2, i))
+        rng = _rng(seed, 2, i)
         if rng.random() < noise.oscc_flip_prob:
             label = not label
         half = rng.uniform(0.0, 0.5)
@@ -222,7 +222,7 @@ def parse_sim_config(text: str) -> SimSettings:
     ``num_windows`` defaulting to 16.
     """
     kwargs: dict[str, dict[str, float | int]] = {group: {} for group in _SETTINGS_CLASSES}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -71,6 +71,18 @@ class TestSimulate:
         assert "sim.cfg" in err and "bogus" in err
 
 
+    @pytest.mark.parametrize("config, flag", [("seed = -1\n", []), ("", ["--seed", "-5"])])
+    def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys, config, flag):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), *flag]) == 2
+        seed = flag[-1] if flag else "-1"
+        message = f"pnrkit: error: seed must be a non-negative integer, got {seed}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 class TestLocalizeAndEvaluate:
     def test_pipeline_and_determinism(self, sim_dir, capsys):
         ann = str(sim_dir / "annotations.jsonl")
@@ -388,6 +400,20 @@ class TestDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"pnrkit: error: {preds}: {message.format(what=what)}\n"
+
+    @pytest.mark.parametrize(
+        "task, what", [("oscc", "state-change"), ("pnr", "state-change frame")]
+    )
+    def test_evaluate_without_labels_names_the_annotation_file(self, tmp_path, capsys, task, what):
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text('{"clip_id": "a", "fps": 30.0, "num_frames": 100}\n', encoding="utf-8")
+        empty = tmp_path / "preds.jsonl"
+        empty.write_text("", encoding="utf-8")
+        argv = ["evaluate", "--task", task, "--preds", str(empty), "--annotations", str(bare)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {bare}: no {what} annotations to evaluate\n"
 
     def test_stats_on_empty_annotations_names_the_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -1,5 +1,5 @@
-"""Import cost: each subcommand loads only the modules it runs, and
-numpy loads only where the simulator and the samplers draw."""
+"""Import cost: each subcommand loads only the modules it runs, and no
+subcommand or sampler loads numpy."""
 
 import importlib.util
 import json
@@ -30,16 +30,18 @@ TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 SIM_CONFIG = "n_clips = 25\nseed = 5\n"
 
-# Runs in a fresh interpreter: checks that numpy is still unloaded after
-# importing this module (and so the CLI and samplers), then runs simulate
-# and the train-mode samplers.
+# Runs in a fresh interpreter: checks that numpy is unloaded after
+# importing this module (and so the CLI and samplers), and still unloaded
+# after simulate and the train-mode samplers have run.
 NUMPY_FREE_RUN = """
 import sys
 from test_imports import main, sampler_calls
 assert "numpy" not in sys.modules, "importing pnrkit loaded numpy"
 config, out_dir = sys.argv[1:]
 assert main(["simulate", "--config", config, "--out-dir", out_dir, "--quiet"]) == 0
-print(repr(sampler_calls()))
+calls = sampler_calls()
+assert "numpy" not in sys.modules, "a draw loaded numpy"
+print(repr(calls))
 """
 
 
@@ -50,7 +52,7 @@ def sampler_calls():
     return (
         tsn_sample(clip, SamplerConfig(num_segments=8, mode="train-random", seed=3)),
         positive_window(ann, clip, windows, seed=4),
-        tuple(int(s) for s in valid_negative_starts(ann, clip, windows)),
+        valid_negative_starts(ann, clip, windows),
         negative_windows(ann, clip, windows, seed=5, count=6),
     )
 
@@ -166,8 +168,8 @@ def test_subcommand_skips_modules_it_does_not_run(run_dir, label, unused):
 
 
 @pytest.mark.parametrize("label", list(SUBCOMMANDS))
-def test_only_simulate_loads_numpy(run_dir, label):
-    assert ("numpy" in loaded_by(subcommand(label, run_dir))) == (label == "simulate")
+def test_no_subcommand_loads_numpy(run_dir, label):
+    assert "numpy" not in loaded_by(subcommand(label, run_dir))
 
 
 # Runs in a fresh interpreter: the package imports no module of its own
@@ -197,7 +199,7 @@ print(len(pnrkit.__all__))
 def test_package_exports_resolve_lazily():
     proc = run_fresh(["-c", EXPORTS])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "68\n"
+    assert proc.stdout == "67\n"
 
 
 def test_cli_rejects_unknown_names():

@@ -22,10 +22,10 @@ from pnrkit.errors import (
     DomainError,
     EmptyInputError,
     ParseError,
+    PnrKitError,
     ValidationError,
 )
 from pnrkit.ingest import (
-    bin_index,
     build_dataset,
     dataset_stats,
     emit_annotations,
@@ -819,6 +819,10 @@ DUPLICATES = [
 ]
 
 
+# characters at which str.splitlines() breaks a line but a file does not
+SPLITLINES_ONLY_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
 def _document(fmt, line):
     return FIRST_LINE[fmt] + "\n\n" + line + "\n"
 
@@ -876,30 +880,32 @@ class TestStrictLines:
         assert parse(io.StringIO(text)) == expected
         assert parse(text.splitlines(keepends=True)) == expected
 
+    @pytest.mark.parametrize("fmt", PARSERS)
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY_BREAKS, ids=ascii)
+    def test_text_and_file_split_lines_alike(self, fmt, sep):
+        # str.splitlines() also breaks at these; a file object breaks at "\n" only
+        parse = PARSERS[fmt]
+
+        def outcome(stream):
+            try:
+                return parse(stream)
+            except PnrKitError as exc:
+                return type(exc), str(exc), exc.line_no
+
+        in_id = _document(fmt, GOOD_LINE[fmt].replace('"a"', f'"a{sep}"'))
+        trailing = FIRST_LINE[fmt] + sep + "\nnot json\n"
+        for text in (in_id, trailing):
+            assert outcome(text) == outcome(io.StringIO(text))
+        assert outcome(trailing) == (ParseError, "line 2: invalid JSON: Expecting value", 2)
+        if sep in "\u2028\u2029\x85":  # JSON strings may hold these raw
+            result = outcome(in_id)
+            assert f"a{sep}" in (result.clips if fmt == "annotations" else result)
+
     def test_number_may_be_an_int(self):
         line = GOOD_LINE["pnr_scores"].replace("0.5", "1")
         (window,) = parse_pnr_scores(line)["a"].windows
         assert window.confidence == 1.0 and type(window.confidence) is float
         assert parse_oscc_scores('{"clip_id": "a", "prob": 0}') == {"a": 0.0}
-
-
-class TestBinIndex:
-    @pytest.mark.parametrize(
-        "fraction,expected",
-        [(0.0, 0), (0.05, 0), (0.1, 1), (0.43, 4), (0.95, 9), (1.0, 9)],
-    )
-    def test_ten_bins(self, fraction, expected):
-        assert bin_index(fraction, 10) == expected
-
-    def test_single_bin(self):
-        assert bin_index(0.0, 1) == 0
-        assert bin_index(1.0, 1) == 0
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            bin_index(0.5, 0)
-        with pytest.raises(DomainError):
-            bin_index(1.0001, 10)
 
 
 class TestFrameBin:
@@ -916,8 +922,8 @@ class TestFrameBin:
         assert [frame_bin(0, 1, bins) for bins in (1, 2, 10)] == [0, 0, 0]
 
     def test_bin_edge(self):
-        # 15 / 22 * 22 rounds to just below 15
-        assert bin_index(15 / 22, 22) == 14
+        # 15 / 22 * 22 rounds to just below 15, which put the frame a bin low
+        assert int(15 / 22 * 22) == 14
         assert frame_bin(15, 23, 22) == 15
 
     def test_errors(self):

@@ -1,6 +1,7 @@
 """Segment sampling and window sampling behavior."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -257,7 +258,42 @@ class TestNegativeWindows:
         except NegativeSpaceEmpty:
             # verify the claim: every possible start must hit some frame
             starts = valid_negative_starts(ann, clip_of(n), cfg)
-            assert starts.size == 0
+            assert len(starts) == 0
             return
         for win in wins:
             assert all(not win.contains(f) for f in ann.all_frames)
+
+
+class TestSeeds:
+    ANN = PnrAnnotation("c", 100, (40, 180))
+    CFG = WindowingConfig(num_windows=4, window_len=32, jitter=8)
+
+    # fixed-seed draws, pinned so that a change to the draws, in pnrkit or
+    # in a Python release's random module, fails here instead of drifting
+    def test_train_mode_draws_are_pinned(self):
+        cfg = SamplerConfig(num_segments=8, mode="train-random", seed=3)
+        assert tsn_sample(clip_of(240), cfg) == (27, 44, 78, 98, 142, 157, 181, 233)
+        starts = [positive_window(self.ANN, clip_of(240), self.CFG, seed).start for seed in range(4)]
+        assert starts == [87, 91, 86, 90]
+        wins = negative_windows(self.ANN, clip_of(240), self.CFG, seed=5, count=6)
+        assert [win.start for win in wins] == [103, 184, 122, 207, 7, 57]
+
+    def test_valid_starts_are_plain_ints(self):
+        starts = valid_negative_starts(self.ANN, clip_of(240), self.CFG)
+        assert all(type(s) is int for s in starts)
+        ranges = (range(0, 9), range(41, 69), range(101, 149), range(181, 209))
+        assert starts == tuple(s for r in ranges for s in r)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+    def test_bad_seed_rejected_even_without_a_draw(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        train = SamplerConfig(num_segments=8, mode="train-random", seed=seed)
+        still = WindowingConfig(num_windows=4, jitter=0)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            tsn_sample(clip_of(240), train)
+        for cfg in (self.CFG, still):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                positive_window(self.ANN, clip_of(240), cfg, seed)
+        for count in (6, 0):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                negative_windows(self.ANN, clip_of(240), self.CFG, seed, count)

@@ -1,9 +1,13 @@
 """Synthetic dataset generation and the noisy scorer stand-in."""
 
+import hashlib
+import math
+import random
 import re
 
 import pytest
 
+from pnrkit.cli import main
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import emit_annotations
 from pnrkit.localization import select_pnr
@@ -12,6 +16,7 @@ from pnrkit.sampling import WindowingConfig, dense_windows
 from pnrkit.sim import (
     ScorerNoiseModel,
     SimConfig,
+    _poisson,
     gen_dataset,
     parse_sim_config,
     simulate_oscc,
@@ -74,6 +79,38 @@ class TestGenDataset:
             ScorerNoiseModel(hit_alpha=0.0)
         with pytest.raises(DomainError):
             ScorerNoiseModel(oscc_flip_prob=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="^seed must be a non-negative integer, got -1$"):
+            gen_dataset(SimConfig(n_clips=2, seed=-1))
+
+    @pytest.mark.parametrize("lam", [0.3, 2.48])
+    def test_poisson_counts_follow_the_pmf(self, lam):
+        rng = random.Random(0)
+        draws = [_poisson(rng, lam) for _ in range(20_000)]
+        for k in range(4):
+            expected = math.exp(-lam) * lam**k / math.factorial(k)
+            assert abs(draws.count(k) / len(draws) - expected) < 0.01, k
+
+
+# sha256 of each file of `simulate` at n_clips = 4, seed = 3, num_windows = 4,
+# pinned so that a change to the draws, in pnrkit or in a Python release's
+# random module, fails here instead of drifting
+PINNED_STREAM = {
+    "annotations.jsonl": "83a080f9e4dbbef4e8152151d66b2522f3303e1237ac44631a3b4e2e02d7203a",
+    "scores_pnr.jsonl": "6660f3dd800800082f62a869154e1f7fc1fbf67af80480843634ae7ea0efc9ca",
+    "scores_oscc.jsonl": "f10744bc9dafc1aae368f81fa64bc472cf7dcedfdf53dc34d49ef7340996668a",
+}
+
+
+def test_simulate_stream_is_pinned(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text("n_clips = 4\nseed = 3\nnum_windows = 4\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_STREAM
+    }
+    assert digests == PINNED_STREAM
 
 
 class TestSimulateScores:
@@ -219,7 +256,7 @@ class TestParseSimConfig:
             parse_sim_config(f"{key} = x")
 
     # nan passed every range check and hung the truncated-normal draw;
-    # inf overflowed inside numpy
+    # inf overflowed inside the draws
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize("key", NUMBER_KEYS)
     def test_number_keys_must_be_finite(self, key, value):
@@ -236,6 +273,14 @@ class TestParseSimConfig:
     def test_missing_equals(self):
         with pytest.raises(ParseError, match="key = value"):
             parse_sim_config("n_clips 10")
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1e"])
+    def test_lines_end_at_newline_only(self, sep):
+        # str.splitlines() would also break at these, splitting a comment
+        # and moving every later line number
+        assert parse_sim_config(f"# a{sep}comment\nseed = 7\n").sim.seed == 7
+        with pytest.raises(ParseError, match="^line 2: 'seed' must be an integer"):
+            parse_sim_config(f"n_clips = 3 # {sep}\nseed = x\n")
 
     def test_invalid_combination(self):
         with pytest.raises(ParseError):

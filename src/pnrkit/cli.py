@@ -96,11 +96,11 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         threshold=args.threshold, prior_fraction=args.prior, fallback=args.fallback
     )
     preds = {}
-    for clip_id in sorted(series_by_clip):
+    for clip_id, series in sorted(series_by_clip.items()):
         clip = ds.clips.get(clip_id)
         if clip is None:
             raise ValidationError(f"{args.scores}: scores for unknown clip {clip_id!r}")
-        preds[clip_id] = _lib.select_pnr(series_by_clip[clip_id], clip, config)
+        preds[clip_id] = _blame(args.scores, _lib.select_pnr, series, clip, config)
     _emit(args, _lib.emit_predictions(preds))
     _info(args, f"localized {len(preds)} clip(s)")
     return 0
@@ -129,7 +129,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     rows = ["# clip_id\toracle_error_sec"]
     total = 0.0
     for clip_id in sorted(ds.pnr):
-        err = _lib.oracle_error(ds.pnr[clip_id], ds.clips[clip_id], config)
+        clip = ds.clips[clip_id]
+        err = _blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config)
         total += err
         rows.append(f"{clip_id}\t{err:.6f}")
     _emit(args, "\n".join(rows) + "\n")

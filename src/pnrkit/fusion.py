@@ -19,11 +19,12 @@ import math
 from bisect import bisect_left
 from typing import Sequence
 
-from pnrkit.errors import DomainError, EmptyInputError
+from pnrkit.errors import EmptyInputError
 from pnrkit.model import (
     Clip,
     ScoredWindow,
     ScoreSeries,
+    ensure_range,
     ensure_window_in_clip,
     window_center_frame,
 )
@@ -42,8 +43,7 @@ def fuse_oscc(probs: Sequence[float]) -> float:
     if len(probs) == 0:
         raise EmptyInputError("no probabilities to fuse")
     for p in probs:
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"probability must be in [0, 1], got {p}")
+        ensure_range("probability", p, 0, 1)
     return _mean(probs)
 
 

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Mapping
 from pnrkit.errors import (
     BoundsError,
     ConflictError,
-    DomainError,
     EmptyInputError,
     ParseError,
     ValidationError,
@@ -42,6 +41,7 @@ from pnrkit.model import (
     ScoredWindow,
     ScoreSeries,
     ensure_annotation_in_clip,
+    ensure_range,
 )
 
 
@@ -311,8 +311,7 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
         _check_keys(obj, _PROB_KEYS)
         clip_id = _as_str(obj, "clip_id")
         prob = _as_number(obj, "prob")
-        if not 0.0 <= prob <= 1.0:
-            raise ParseError(f"'prob' must be in [0, 1], got {prob}")
+        ensure_range("'prob'", prob, 0, 1)
         _put(probs, clip_id, prob, "probability for clip")
 
     _read(stream, record)
@@ -385,8 +384,7 @@ def frame_bin(frame: int, num_frames: int, bins: int) -> int:
     """Histogram bin of frame / (n - 1): bin k covers [k/bins, (k+1)/bins),
     and the last bin also takes 1.0.  Integer arithmetic keeps a frame on
     a bin edge out of the bin below."""
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    ensure_range("bins", bins, 1)
     if not 0 <= frame < num_frames:
         raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
     return min(frame * bins // max(num_frames - 1, 1), bins - 1)
@@ -409,8 +407,7 @@ class DatasetStats:
 
 def dataset_stats(dataset: Dataset, bins: int = 10) -> DatasetStats:
     """Count annotations and histogram their fractional positions."""
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    ensure_range("bins", bins, 1)
     if not dataset.clips:
         raise EmptyInputError("dataset has no clips")
     positive_hist = [0] * bins

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pnrkit.errors import FALLBACKS, DomainError, EmptyInputError, ValidationError
+from pnrkit.errors import FALLBACKS, EmptyInputError, ValidationError
 from pnrkit.model import (
     Clip,
     FrameWindow,
@@ -22,6 +22,7 @@ from pnrkit.model import (
     ScoredWindow,
     ScoreSeries,
     ensure_annotation_in_clip,
+    ensure_range,
     ensure_window_in_clip,
     fraction_to_frame,
     round_half_up,
@@ -40,12 +41,8 @@ class SelectionConfig:
     fallback: str = "prior-point"
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise DomainError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not 0.0 <= self.prior_fraction <= 1.0:
-            raise DomainError(
-                f"prior_fraction must be in [0, 1], got {self.prior_fraction}"
-            )
+        ensure_range("threshold", self.threshold, 0, 1)
+        ensure_range("prior_fraction", self.prior_fraction, 0, 1)
         if self.fallback not in FALLBACKS:
             raise ValidationError(
                 f"fallback must be one of {FALLBACKS}, got {self.fallback!r}"
@@ -133,8 +130,9 @@ def oracle_error(
 def score_dense_windows(
     clip: Clip, config: WindowingConfig, confidences: list[float]
 ) -> ScoreSeries:
-    """Pair a dense sweep with externally produced confidences."""
-    windows = dense_windows(clip, config)
+    """Pair each distinct window of a dense sweep, in sweep order, with one
+    externally produced confidence, as a score file holds each window once."""
+    windows = tuple(dict.fromkeys(dense_windows(clip, config)))
     if len(confidences) != len(windows):
         raise ValidationError(
             f"clip {clip.clip_id!r}: {len(confidences)} confidences for "

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from pnrkit.errors import CoverageError, DomainError, EmptyInputError
+from pnrkit.errors import CoverageError, EmptyInputError
 from pnrkit.ingest import Dataset, frame_bin
-from pnrkit.model import PnrPrediction
+from pnrkit.model import PnrPrediction, ensure_range
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def per_position_error(
     report's headline is aggregated from the bin means with counts as
     weights, so the weighted-mean identity holds exactly.
     """
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    ensure_range("bins", bins, 1)
     errors = _clip_errors(preds, ds)
     grouped: list[list[float]] = [[] for _ in range(bins)]
     for clip_id, err in errors.items():

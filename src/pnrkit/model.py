@@ -30,12 +30,22 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def ensure_fps(fps: float) -> None:
-    """Raise DomainError unless fps is positive and finite."""
-    if not fps > 0:
-        raise DomainError(f"fps must be positive, got {fps}")
-    if fps == math.inf:
-        raise DomainError(f"fps must be finite, got {fps}")
+def ensure_range(name: str, value: float, low: float, high: float = math.inf) -> None:
+    """Raise DomainError unless value is finite and in [low, high]; NaN fails."""
+    if not low <= value <= high:
+        if high == math.inf:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
+        raise DomainError(f"{name} must be in [{low}, {high}], got {value}")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
+def ensure_positive(name: str, value: float) -> None:
+    """Raise DomainError unless value is positive and finite."""
+    if not value > 0:
+        raise DomainError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +59,8 @@ class Clip:
     def __post_init__(self):
         if not self.clip_id:
             raise ValidationError("clip_id must be a non-empty string")
-        ensure_fps(self.fps)
-        if self.num_frames < 1:
-            raise DomainError(f"num_frames must be >= 1, got {self.num_frames}")
+        ensure_positive("fps", self.fps)
+        ensure_range("num_frames", self.num_frames, 1)
 
     @property
     def duration_sec(self) -> float:
@@ -72,10 +81,9 @@ class PnrAnnotation:
     negative_frames: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.positive_frame < 0:
-            raise DomainError(f"positive_frame must be >= 0, got {self.positive_frame}")
-        if any(f < 0 for f in self.negative_frames):
-            raise DomainError("negative_frames must all be >= 0")
+        ensure_range("positive_frame", self.positive_frame, 0)
+        for frame in self.negative_frames:
+            ensure_range("negative_frames", frame, 0)
         if self.positive_frame in self.negative_frames:
             raise ValidationError(
                 f"clip {self.clip_id!r}: positive frame {self.positive_frame} "
@@ -102,10 +110,13 @@ class FrameWindow:
     end: int
 
     def __post_init__(self):
-        if self.start < 0:
+        # inline, not ensure_range, as this runs per window; NaN fails each test
+        if not self.start >= 0:
             raise DomainError(f"window start must be >= 0, got {self.start}")
-        if self.end <= self.start:
+        if not self.end > self.start:
             raise DomainError(f"window [{self.start}, {self.end}) is empty or inverted")
+        if self.end == math.inf:
+            raise DomainError(f"window end must be finite, got {self.end}")
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -147,10 +158,8 @@ class PnrPrediction:
     source: PredictionSource = field(compare=False, default="selected")
 
     def __post_init__(self):
-        if self.time_sec < 0:
-            raise DomainError(f"time_sec must be >= 0, got {self.time_sec}")
-        if self.frame < 0:
-            raise DomainError(f"frame must be >= 0, got {self.frame}")
+        ensure_range("time_sec", self.time_sec, 0)
+        ensure_range("frame", self.frame, 0)
         if self.source not in SOURCES:
             raise ValidationError(f"unknown prediction source {self.source!r}")
 
@@ -160,8 +169,7 @@ def frame_to_fraction(frame: int, num_frames: int) -> float:
 
     A single-frame clip puts its only frame at fraction 0.0.
     """
-    if num_frames < 1:
-        raise DomainError(f"num_frames must be >= 1, got {num_frames}")
+    ensure_range("num_frames", num_frames, 1)
     if not 0 <= frame < num_frames:
         raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
     if num_frames == 1:
@@ -171,10 +179,8 @@ def frame_to_fraction(frame: int, num_frames: int) -> float:
 
 def fraction_to_frame(fraction: float, num_frames: int) -> int:
     """Map a fraction in [0, 1] to the nearest frame index (.5 rounds up)."""
-    if num_frames < 1:
-        raise DomainError(f"num_frames must be >= 1, got {num_frames}")
-    if not 0.0 <= fraction <= 1.0:
-        raise DomainError(f"fraction must be in [0, 1], got {fraction}")
+    ensure_range("num_frames", num_frames, 1)
+    ensure_range("fraction", fraction, 0, 1)
     return round_half_up(fraction * (num_frames - 1))
 
 
@@ -205,13 +211,14 @@ def window_center_frame(window: FrameWindow) -> float:
 
 def window_center_time(window: FrameWindow, fps: float) -> float:
     """Center of a window in seconds."""
-    ensure_fps(fps)
+    ensure_positive("fps", fps)
     return window_center_frame(window) / fps
 
 
 def window_center_fraction(window: FrameWindow, num_frames: int) -> float:
     """Fractional position of a window center within an n-frame clip."""
-    if num_frames < 1:
+    # inline, as in FrameWindow: selection calls this once per candidate
+    if not num_frames >= 1:
         raise DomainError(f"num_frames must be >= 1, got {num_frames}")
     if num_frames == 1:
         return 0.0

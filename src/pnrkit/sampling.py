@@ -17,7 +17,14 @@ import random
 from dataclasses import dataclass
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
-from pnrkit.model import Clip, FrameWindow, PnrAnnotation, ensure_annotation_in_clip, round_half_up
+from pnrkit.model import (
+    Clip,
+    FrameWindow,
+    PnrAnnotation,
+    ensure_annotation_in_clip,
+    ensure_range,
+    round_half_up,
+)
 
 SAMPLER_MODES = ("train-random", "test-uniform")
 
@@ -31,8 +38,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_segments < 1:
-            raise DomainError(f"num_segments must be >= 1, got {self.num_segments}")
+        ensure_range("num_segments", self.num_segments, 1)
         if self.mode not in SAMPLER_MODES:
             raise ValidationError(f"mode must be one of {SAMPLER_MODES}, got {self.mode!r}")
 
@@ -46,12 +52,9 @@ class WindowingConfig:
     jitter: int = 8
 
     def __post_init__(self):
-        if self.num_windows < 1:
-            raise DomainError(f"num_windows must be >= 1, got {self.num_windows}")
-        if self.window_len < 1:
-            raise DomainError(f"window_len must be >= 1, got {self.window_len}")
-        if self.jitter < 0:
-            raise DomainError(f"jitter must be >= 0, got {self.jitter}")
+        ensure_range("num_windows", self.num_windows, 1)
+        ensure_range("window_len", self.window_len, 1)
+        ensure_range("jitter", self.jitter, 0)
 
 
 def _rng(seed: int, *key: int) -> random.Random:
@@ -162,8 +165,7 @@ def negative_windows(
     windows may repeat.  Raises NegativeSpaceEmpty when annotations
     leave no valid start.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    ensure_range("count", count, 0)
     rng = _rng(seed)
     valid = valid_negative_starts(annotation, clip, config)
     if not valid:

@@ -29,7 +29,8 @@ from pnrkit.model import (
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
-    ensure_fps,
+    ensure_positive,
+    ensure_range,
     fraction_to_frame,
     round_half_up,
 )
@@ -51,26 +52,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clips < 1:
-            raise DomainError(f"n_clips must be >= 1, got {self.n_clips}")
-        ensure_fps(self.fps)
-        if not 0 < self.duration_min_sec <= self.duration_max_sec:
-            raise DomainError(
-                f"need 0 < duration_min_sec <= duration_max_sec, got "
-                f"[{self.duration_min_sec}, {self.duration_max_sec}]"
-            )
-        if not 0.0 <= self.positive_mean <= 1.0:
-            raise DomainError(f"positive_mean must be in [0, 1], got {self.positive_mean}")
-        if self.positive_sd < 0:
-            raise DomainError(f"positive_sd must be >= 0, got {self.positive_sd}")
-        if self.negatives_lambda < 0:
-            raise DomainError(
-                f"negatives_lambda must be >= 0, got {self.negatives_lambda}"
-            )
-        if not 0.0 <= self.state_change_prob <= 1.0:
-            raise DomainError(
-                f"state_change_prob must be in [0, 1], got {self.state_change_prob}"
-            )
+        ensure_range("n_clips", self.n_clips, 1)
+        ensure_positive("fps", self.fps)
+        ensure_positive("duration_min_sec", self.duration_min_sec)
+        ensure_range("duration_max_sec", self.duration_max_sec, self.duration_min_sec)
+        ensure_range("positive_mean", self.positive_mean, 0, 1)
+        ensure_range("positive_sd", self.positive_sd, 0)
+        ensure_range("negatives_lambda", self.negatives_lambda, 0)
+        ensure_range("state_change_prob", self.state_change_prob, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -90,12 +79,8 @@ class ScorerNoiseModel:
 
     def __post_init__(self):
         for name in ("hit_alpha", "hit_beta", "miss_alpha", "miss_beta"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.oscc_flip_prob <= 1.0:
-            raise DomainError(
-                f"oscc_flip_prob must be in [0, 1], got {self.oscc_flip_prob}"
-            )
+            ensure_positive(name, getattr(self, name))
+        ensure_range("oscc_flip_prob", self.oscc_flip_prob, 0, 1)
 
 
 def _truncated_normal(rng: random.Random, mean: float, sd: float) -> float:
@@ -108,11 +93,12 @@ def _truncated_normal(rng: random.Random, mean: float, sd: float) -> float:
             return x
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
+def _poisson(rng: random.Random, lam: float, cap: float = math.inf) -> int:
     """Draw from a Poisson(lam): the arrivals of a unit-rate process in
-    [0, lam), counted gap by exponential gap."""
+    [0, lam), counted gap by exponential gap.  Counting stops at cap, so
+    a count below cap draws exactly as an uncapped one would."""
     count, t = 0, rng.expovariate(1.0)
-    while t < lam:
+    while t < lam and count < cap:
         count += 1
         t += rng.expovariate(1.0)
     return count
@@ -135,7 +121,8 @@ def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
         )
         taken = {positive}
         negatives: list[int] = []
-        for _ in range(_poisson(rng, config.negatives_lambda)):
+        # a clip has num_frames - 1 frames left for extra state changes
+        for _ in range(_poisson(rng, config.negatives_lambda, num_frames - 1)):
             # resample on frame collisions; give up if the clip is saturated
             for _ in range(1000):
                 frame = fraction_to_frame(rng.uniform(0.0, 1.0), num_frames)
@@ -239,7 +226,8 @@ def parse_sim_config(text: str) -> SimSettings:
         except ValueError:
             kind = "an integer" if convert is int else "a number"
             raise ParseError(f"{key!r} must be {kind}, got {value!r}", line_no) from None
-        # float() reads nan and inf, which pass the range checks or hang the draws
+        # float() reads nan and inf, which the range checks refuse too; this
+        # check refuses them first, so the error names the line
         if convert is float and not math.isfinite(number):
             raise ParseError(f"{key!r} must be a finite number, got {value!r}", line_no)
         kwargs[group][key] = number

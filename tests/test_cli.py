@@ -422,6 +422,34 @@ class TestDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"pnrkit: error: {empty}: dataset has no clips\n"
+
+    def test_localize_window_outside_clip_names_the_scores_file(self, tmp_path, capsys):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text('{"clip_id": "a", "fps": 30.0, "num_frames": 20}\n', encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            '{"clip_id": "a", "start": 0, "end": 40, "confidence": 0.9}\n', encoding="utf-8"
+        )
+        argv = ["localize", "--scores", str(scores), "--annotations", str(annotations)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {scores}: window [0, 40) exceeds clip 'a' of 20 frames\n"
+        )
+
+    def test_oracle_short_clip_names_the_annotation_file(self, tmp_path, capsys):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(
+            '{"clip_id": "a", "fps": 30.0, "num_frames": 20, "pnr_frame": 5}\n', encoding="utf-8"
+        )
+        assert main(["oracle", "--n", "4", "--annotations", str(annotations)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {annotations}: clip 'a' has 20 frames, needs at least 32\n"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["stats", "--annotations", "nope.jsonl"]) == 2
         assert "nope.jsonl" in capsys.readouterr().err

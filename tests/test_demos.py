@@ -1,24 +1,17 @@
 """Every demo script, and the README's library example, runs to completion
 in a fresh interpreter."""
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from helpers import TESTS, run_fresh
 
-ROOT = Path(__file__).resolve().parent.parent
+ROOT = TESTS.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_fresh(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
-    )
+def run_ok(args):
+    proc = run_fresh(args, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
@@ -29,10 +22,10 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_cleanly(demo):
-    run_fresh([str(demo)])
+    run_ok([str(demo)])
 
 
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
-    run_fresh(["-c", example])
+    run_ok(["-c", example])

@@ -3,14 +3,11 @@ subcommand or sampler loads numpy."""
 
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from importlib import import_module
-from pathlib import Path
 
 import pytest
+from helpers import TESTS, run_fresh
 
 import pnrkit.cli
 from pnrkit.cli import main
@@ -24,8 +21,6 @@ from pnrkit.sampling import (
     valid_negative_starts,
 )
 
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 SIM_CONFIG = "n_clips = 25\nseed = 5\n"
@@ -54,16 +49,6 @@ def sampler_calls():
         positive_window(ann, clip, windows, seed=4),
         valid_negative_starts(ann, clip, windows),
         negative_windows(ann, clip, windows, seed=5, count=6),
-    )
-
-
-def run_fresh(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), str(TESTS), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnrkit.errors import BoundsError, DomainError, EmptyInputError, ValidationError
+from pnrkit.ingest import emit_pnr_scores, parse_pnr_scores
 from pnrkit.localization import (
     SelectionConfig,
     baseline_center,
@@ -237,3 +238,19 @@ class TestScoreDenseWindows:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             score_dense_windows(Clip("c", 30.0, 240), WindowingConfig(num_windows=2), [0.5])
+
+    def test_short_clip_round_trips_through_a_score_file(self):
+        # 40 frames hold 9 starts of a 32-frame window, so a 16-window
+        # sweep repeats windows; a score file may hold each window once
+        clip = Clip("c", 30.0, 40)
+        config = WindowingConfig(num_windows=16)
+        distinct = list(dict.fromkeys(dense_windows(clip, config)))
+        assert len(dense_windows(clip, config)) == 16 and len(distinct) == 9
+        confidences = [k / 10 for k in range(9)]
+        series = score_dense_windows(clip, config, confidences)
+        assert [(sw.start, sw.end, sw.confidence) for sw in series.windows] == [
+            (w.start, w.end, c) for w, c in zip(distinct, confidences)
+        ]
+        assert parse_pnr_scores(emit_pnr_scores({"c": series})) == {"c": series}
+        with pytest.raises(ValidationError, match="^clip 'c': 16 confidences for 9 windows$"):
+            score_dense_windows(clip, config, [0.5] * 16)

@@ -1,12 +1,15 @@
 """Core type and fraction-coordinate behavior."""
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
 from pnrkit.ingest import build_dataset, parse_annotations
-from pnrkit.localization import oracle_error
+from pnrkit.localization import SelectionConfig, oracle_error
 from pnrkit.model import (
     Clip,
     FrameWindow,
@@ -14,6 +17,8 @@ from pnrkit.model import (
     PnrPrediction,
     ScoredWindow,
     ensure_annotation_in_clip,
+    ensure_positive,
+    ensure_range,
     ensure_window_in_clip,
     frame_to_fraction,
     fraction_to_frame,
@@ -23,12 +28,13 @@ from pnrkit.model import (
     window_center_time,
 )
 from pnrkit.sampling import (
+    SamplerConfig,
     WindowingConfig,
     negative_windows,
     positive_window,
     valid_negative_starts,
 )
-from pnrkit.sim import SimConfig
+from pnrkit.sim import ScorerNoiseModel, SimConfig
 
 
 class TestRoundHalfUp:
@@ -265,3 +271,96 @@ class TestAnnotationInClip:
             parse_annotations(line)
         assert str(info.value) == "line 1: clip 'c': annotated frame 100 outside 100-frame clip"
         assert info.value.line_no == 1
+
+
+class TestBoundRule:
+    @pytest.mark.parametrize(
+        "value, low, high, message",
+        [
+            (-1, 0, math.inf, "x must be >= 0, got -1"),
+            (math.nan, 1, math.inf, "x must be >= 1, got nan"),
+            (-math.inf, 0, math.inf, "x must be >= 0, got -inf"),
+            (math.inf, 0, math.inf, "x must be finite, got inf"),
+            (1.5, 0, 1, "x must be in [0, 1], got 1.5"),
+            (math.nan, 0, 1, "x must be in [0, 1], got nan"),
+            (math.inf, 0, 1, "x must be in [0, 1], got inf"),
+        ],
+    )
+    def test_range_messages(self, value, low, high, message):
+        with pytest.raises(DomainError) as info:
+            ensure_range("x", value, low, high)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, high", [(0, 1), (1, 1), (0.5, 1), (10**400, math.inf)])
+    def test_range_accepts(self, value, high):
+        ensure_range("x", value, 0, high)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0.0, "x must be positive, got 0.0"),
+            (math.nan, "x must be positive, got nan"),
+            (-math.inf, "x must be positive, got -inf"),
+            (math.inf, "x must be finite, got inf"),
+        ],
+    )
+    def test_positive_messages(self, value, message):
+        with pytest.raises(DomainError) as info:
+            ensure_positive("x", value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: FrameWindow(math.nan, 7), "window start must be >= 0, got nan"),
+            (lambda: FrameWindow(-math.inf, 7), "window start must be >= 0, got -inf"),
+            (lambda: FrameWindow(0, math.nan), "window [0, nan) is empty or inverted"),
+            (lambda: FrameWindow(0, math.inf), "window end must be finite, got inf"),
+            (lambda: ScoredWindow(0, 4, math.nan), "confidence must be in [0, 1], got nan"),
+            (
+                lambda: window_center_fraction(FrameWindow(0, 4), math.nan),
+                "num_frames must be >= 1, got nan",
+            ),
+        ],
+    )
+    def test_per_window_checks_refuse_nan(self, make, message):
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == message
+
+
+# one valid instance of each type that takes numbers; every int or float
+# field of it is checked, so a new field is covered here without an edit
+VALID = [
+    SamplerConfig(num_segments=8),
+    WindowingConfig(num_windows=16),
+    SelectionConfig(),
+    SimConfig(),
+    ScorerNoiseModel(),
+    Clip("c", 30.0, 240),
+    PnrPrediction(1.0, 30),
+]
+NUMERIC_FIELDS = [
+    (valid, f.name)
+    for valid in VALID
+    for f in dataclasses.fields(valid)
+    # the seed is checked where it seeds a stream, by sampling._rng
+    if f.type in ("int", "float") and f.name != "seed"
+]
+
+
+def test_numeric_fields_are_found():
+    names = {name for _, name in NUMERIC_FIELDS}
+    assert {"duration_min_sec", "duration_max_sec", "fps", "num_frames", "time_sec"} <= names
+    assert len(NUMERIC_FIELDS) == 23
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "valid, name",
+    NUMERIC_FIELDS,
+    ids=[f"{type(valid).__name__}.{name}" for valid, name in NUMERIC_FIELDS],
+)
+def test_every_numeric_field_refuses_non_finite(valid, name, value):
+    with pytest.raises(DomainError):
+        dataclasses.replace(valid, **{name: value})

@@ -1,11 +1,13 @@
 """Synthetic dataset generation and the noisy scorer stand-in."""
 
 import hashlib
+import json
 import math
 import random
 import re
 
 import pytest
+from helpers import run_fresh
 
 from pnrkit.cli import main
 from pnrkit.errors import DomainError, ParseError
@@ -91,6 +93,67 @@ class TestGenDataset:
         for k in range(4):
             expected = math.exp(-lam) * lam**k / math.factorial(k)
             assert abs(draws.count(k) / len(draws) - expected) < 0.01, k
+
+    @pytest.mark.parametrize("lam", [0.3, 2.48, 7.0])
+    def test_poisson_cap_keeps_the_draws_below_it(self, lam):
+        for seed in range(300):
+            free, capped = random.Random(seed), random.Random(seed)
+            count = _poisson(free, lam)
+            assert _poisson(capped, lam, 4) == min(count, 4)
+            if count <= 4:
+                # the capped draw used the same stream, so later draws agree
+                assert capped.random() == free.random()
+
+
+# Runs in a fresh interpreter, so that run_fresh's timeout ends a draw that
+# hangs.  Simulates one clip under the SimConfig and ScorerNoiseModel
+# fields given as JSON, and prints the DomainError, or the clip's frame
+# count and number of extra state-change frames.
+SIMULATE_ONE = """
+import json, sys
+from pnrkit.errors import DomainError
+from pnrkit.sampling import WindowingConfig
+from pnrkit.sim import ScorerNoiseModel, SimConfig, gen_dataset, simulate_scores
+sim, noise = json.loads(sys.argv[1])
+try:
+    ds = gen_dataset(SimConfig(n_clips=1, **sim))
+    simulate_scores(ds, WindowingConfig(num_windows=16), ScorerNoiseModel(**noise))
+except DomainError as exc:
+    print(exc)
+else:
+    (clip,), (ann,) = ds.clips.values(), ds.pnr.values()
+    print(clip.num_frames, len(ann.negative_frames))
+"""
+
+
+def simulate_one(sim, noise=None):
+    proc = run_fresh(["-c", SIMULATE_ONE, json.dumps([sim, noise or {}])], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_large_lambda_stops_at_the_free_frames():
+    # each extra frame is one the clip has left, so a huge lambda fills the
+    # clip instead of counting and retrying without end
+    num_frames, extra = map(int, simulate_one({"negatives_lambda": 1e6}).split())
+    assert 0 < extra <= num_frames - 1
+
+
+@pytest.mark.parametrize(
+    "sim, noise, message",
+    [
+        ({"positive_sd": math.nan}, {}, "positive_sd must be >= 0, got nan"),
+        ({"positive_sd": math.inf}, {}, "positive_sd must be finite, got inf"),
+        ({"negatives_lambda": math.nan}, {}, "negatives_lambda must be >= 0, got nan"),
+        ({"negatives_lambda": math.inf}, {}, "negatives_lambda must be finite, got inf"),
+        ({"duration_max_sec": math.inf}, {}, "duration_max_sec must be finite, got inf"),
+        ({}, {"hit_alpha": math.inf}, "hit_alpha must be finite, got inf"),
+        ({}, {"miss_beta": math.nan}, "miss_beta must be positive, got nan"),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+)
+def test_non_finite_settings_are_refused_without_drawing(sim, noise, message):
+    assert simulate_one(sim, noise) == message + "\n"
 
 
 # sha256 of each file of `simulate` at n_clips = 4, seed = 3, num_windows = 4,

@@ -32,7 +32,7 @@ def main():
     for count in (2, 4, 8, 16, 32, 64):
         cfg = WindowingConfig(num_windows=count)
         mean = math.fsum(
-            oracle_error(PnrAnnotation("demo", p), clip, cfg) for p in range(clip.num_frames)
+            oracle_error(PnrAnnotation(p), clip, cfg) for p in range(clip.num_frames)
         ) / clip.num_frames
         note = f"  ({previous / mean:.2f}x better)" if previous else ""
         print(f"  N={count:<3d} {mean:.4f}s{note}")

@@ -59,10 +59,14 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
     return _blame(path, parse, _read_text(path))
 
 
+def _write(args: argparse.Namespace, path: str, text: str) -> None:
+    _lib.write_text_atomic(path, text)
+    _info(args, f"wrote {path}")
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        _lib.write_text_atomic(args.out, text)
-        _info(args, f"wrote {args.out}")
+        _write(args, args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -72,8 +76,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     stats = _blame(args.annotations, _lib.dataset_stats, ds, args.bins, only=EmptyInputError)
     sys.stdout.write(_lib.render_stats(stats))
     if args.out:
-        _lib.write_text_atomic(args.out, _lib.stats_plot_data(stats))
-        _info(args, f"wrote {args.out}")
+        _write(args, args.out, _lib.stats_plot_data(stats))
     return 0
 
 
@@ -192,11 +195,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     sys.stdout.write(_lib.render_report(report))
     if args.out:
-        _lib.write_text_atomic(args.out, _lib.report_to_json(report))
-        _info(args, f"wrote {args.out}")
+        _write(args, args.out, _lib.report_to_json(report))
     if args.plot_data:
-        _lib.write_text_atomic(args.plot_data, _lib.error_plot_data(report))
-        _info(args, f"wrote {args.plot_data}")
+        _write(args, args.plot_data, _lib.error_plot_data(report))
     return 0
 
 
@@ -217,9 +218,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ("scores_oscc.jsonl", _lib.emit_oscc_scores(probs)),
     )
     for name, text in outputs:
-        path = os.path.join(args.out_dir, name)
-        _lib.write_text_atomic(path, text)
-        _info(args, f"wrote {path}")
+        _write(args, os.path.join(args.out_dir, name), text)
     return 0
 
 

@@ -70,26 +70,21 @@ def _put(store: dict, clip_id: str, value, what: str) -> None:
 
 def build_dataset(
     clips: Iterable[Clip],
-    pnr: Iterable[PnrAnnotation] = (),
+    pnr: Mapping[str, PnrAnnotation] = {},
     oscc: Mapping[str, bool] = {},
 ) -> Dataset:
-    """Assemble and cross-validate a Dataset from parts."""
+    """Assemble and cross-validate a Dataset from clips and two label maps
+    keyed by clip id."""
     clip_map: dict[str, Clip] = {}
     for clip in clips:
         _put(clip_map, clip.clip_id, clip, "clip_id")
-
-    pnr_map: dict[str, PnrAnnotation] = {}
-    for ann in pnr:
-        clip = clip_map.get(ann.clip_id)
-        if clip is None:
-            raise ValidationError(f"state-change annotation for unknown clip {ann.clip_id!r}")
-        _put(pnr_map, ann.clip_id, ann, "state-change annotation for")
-        ensure_annotation_in_clip(ann, clip)
-
-    for clip_id in oscc:
-        if clip_id not in clip_map:
-            raise ValidationError(f"state-change label for unknown clip {clip_id!r}")
-    return Dataset(clips=clip_map, pnr=pnr_map, oscc=dict(oscc))
+    for labels, what in ((pnr, "state-change annotation"), (oscc, "state-change label")):
+        for clip_id in labels:
+            if clip_id not in clip_map:
+                raise ValidationError(f"{what} for unknown clip {clip_id!r}")
+    for clip_id, ann in pnr.items():
+        ensure_annotation_in_clip(ann, clip_map[clip_id])
+    return Dataset(clips=clip_map, pnr=dict(pnr), oscc=dict(oscc))
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -201,7 +196,7 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
                 ):
                     raise ParseError("'other_pnr_frames' must be a list of integers")
                 others = tuple(raw)
-            ann = PnrAnnotation(clip_id, positive, others)
+            ann = PnrAnnotation(positive, others)
             ensure_annotation_in_clip(ann, clip)
             pnr[clip_id] = ann
         # checked last, so a line with its own fault reports that fault

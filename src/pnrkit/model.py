@@ -71,12 +71,14 @@ class Clip:
 class PnrAnnotation:
     """Ground-truth state-change frames for one clip.
 
+    The annotation does not name its clip: annotations live in maps
+    keyed by clip id, like every other per-clip value.
+
     ``positive_frame`` is the frame scored by localization.  Additional
     state-change frames, when present, are excluded from negative window
     sampling but are never evaluation targets.
     """
 
-    clip_id: str
     positive_frame: int
     negative_frames: tuple[int, ...] = ()
 
@@ -86,11 +88,10 @@ class PnrAnnotation:
             ensure_range("negative_frames", frame, 0)
         if self.positive_frame in self.negative_frames:
             raise ValidationError(
-                f"clip {self.clip_id!r}: positive frame {self.positive_frame} "
-                "repeated in negative_frames"
+                f"positive frame {self.positive_frame} repeated in negative_frames"
             )
         if len(set(self.negative_frames)) != len(self.negative_frames):
-            raise ValidationError(f"clip {self.clip_id!r}: duplicate negative frames")
+            raise ValidationError("duplicate negative frames")
 
     @property
     def all_frames(self) -> tuple[int, ...]:
@@ -193,13 +194,11 @@ def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:
 
 
 def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
-    """The annotation is for this clip and every annotated frame lies inside it."""
-    if annotation.clip_id != clip.clip_id:
-        raise ValidationError(f"annotation is for clip {annotation.clip_id!r}, not {clip.clip_id!r}")
+    """Every annotated frame lies inside the clip."""
     for frame in annotation.all_frames:
         if frame >= clip.num_frames:
             raise BoundsError(
-                f"clip {annotation.clip_id!r}: annotated frame {frame} outside "
+                f"clip {clip.clip_id!r}: annotated frame {frame} outside "
                 f"{clip.num_frames}-frame clip"
             )
 

@@ -23,7 +23,6 @@ from pnrkit.model import (
     PnrAnnotation,
     ensure_annotation_in_clip,
     ensure_range,
-    round_half_up,
 )
 
 SAMPLER_MODES = ("train-random", "test-uniform")
@@ -111,8 +110,10 @@ def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...
     if count == 1:
         starts = [0]
     else:
-        span = n - w
-        starts = [round_half_up(k * span / (count - 1)) for k in range(count)]
+        # round_half_up(k * span / (N - 1)) in integers, so a huge clip
+        # cannot round a start past n - w
+        span, den = n - w, 2 * (count - 1)
+        starts = [(2 * k * span + count - 1) // den for k in range(count)]
     return tuple(FrameWindow(s, s + w) for s in starts)
 
 

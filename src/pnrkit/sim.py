@@ -57,7 +57,7 @@ class SimConfig:
         ensure_positive("duration_min_sec", self.duration_min_sec)
         ensure_range("duration_max_sec", self.duration_max_sec, self.duration_min_sec)
         ensure_range("positive_mean", self.positive_mean, 0, 1)
-        ensure_range("positive_sd", self.positive_sd, 0)
+        ensure_range("positive_sd", self.positive_sd, 0, 1)
         ensure_range("negatives_lambda", self.negatives_lambda, 0)
         ensure_range("state_change_prob", self.state_change_prob, 0, 1)
 
@@ -107,7 +107,7 @@ def _poisson(rng: random.Random, lam: float, cap: float = math.inf) -> int:
 def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
     """Generate a fully annotated synthetic dataset, deterministic per seed."""
     clips: list[Clip] = []
-    pnr: list[PnrAnnotation] = []
+    pnr: dict[str, PnrAnnotation] = {}
     oscc: dict[str, bool] = {}
     for i in range(config.n_clips):
         rng = _rng(config.seed, 0, i)
@@ -130,7 +130,7 @@ def gen_dataset(config: SimConfig = SimConfig()) -> Dataset:
                     taken.add(frame)
                     negatives.append(frame)
                     break
-        pnr.append(PnrAnnotation(clip_id, positive, tuple(negatives)))
+        pnr[clip_id] = PnrAnnotation(positive, tuple(negatives))
         oscc[clip_id] = rng.random() < config.state_change_prob
     return build_dataset(clips, pnr, oscc)
 

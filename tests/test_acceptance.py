@@ -161,7 +161,7 @@ def test_criterion_03_oracle_scaling_ratio():
     for count in (16, 32):
         cfg = WindowingConfig(num_windows=count)
         means[count] = math.fsum(
-            oracle_error(PnrAnnotation("c", int(p)), clip, cfg) for p in positions
+            oracle_error(PnrAnnotation(int(p)), clip, cfg) for p in positions
         ) / len(positions)
     ratio = means[16] / means[32]
     elapsed = time.perf_counter() - started
@@ -212,9 +212,7 @@ def test_criterion_06_center_baseline_analytic():
     clip_geometry = Clip("g", 30.0, 240)  # exactly 8 s
     positions = rng.integers(0, clip_geometry.num_frames, size=n_clips)
     clips = [Clip(f"c{i}", 30.0, 240) for i in range(n_clips)]
-    ds = build_dataset(
-        clips, [PnrAnnotation(f"c{i}", int(p)) for i, p in enumerate(positions)]
-    )
+    ds = build_dataset(clips, {f"c{i}": PnrAnnotation(int(p)) for i, p in enumerate(positions)})
     preds = {c.clip_id: baseline_center(c) for c in clips}
     mae = pnr_mae(preds, ds).headline
     report(
@@ -286,13 +284,13 @@ def test_criterion_09_sampler_invariants():
 
         p = int(rng.integers(0, n))
         pw = positive_window(
-            PnrAnnotation("c", p), c, WindowingConfig(num_windows=count), int(rng.integers(2**31))
+            PnrAnnotation(p), c, WindowingConfig(num_windows=count), int(rng.integers(2**31))
         )
         if not (pw.contains(p) and pw.end <= n):
             failures.append(f"positive window misses frame {p}")
 
         others = tuple({int(rng.integers(0, n)) for _ in range(3)} - {p})
-        ann = PnrAnnotation("c", p, others)
+        ann = PnrAnnotation(p, others)
         try:
             negs = negative_windows(
                 ann, c, WindowingConfig(num_windows=count), int(rng.integers(2**31)), 8

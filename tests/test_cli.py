@@ -528,3 +528,23 @@ class TestDiagnostics:
         assert main(["baseline", "--mode", "center", "--annotations", ann,
                      "--out", str(sim_dir / "q.jsonl"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["notes", "quiet"])
+    def test_each_written_file_is_noted(self, sim_dir, capsys, quiet):
+        ann, again = str(sim_dir / "annotations.jsonl"), sim_dir / "again"
+        out = {name: str(sim_dir / name) for name in ("fig1.tsv", "p.jsonl", "r.json", "fig2.tsv")}
+        runs = [
+            (["stats", "--annotations", ann, "--out", out["fig1.tsv"]], [out["fig1.tsv"]], []),
+            (["localize", "--scores", str(sim_dir / "scores_pnr.jsonl"), "--annotations", ann,
+              "--out", out["p.jsonl"]], [out["p.jsonl"]], ["localized 40 clip(s)"]),
+            (["evaluate", "--task", "pnr", "--preds", out["p.jsonl"], "--annotations", ann,
+              "--out", out["r.json"], "--plot-data", out["fig2.tsv"]],
+             [out["r.json"], out["fig2.tsv"]], []),
+            (["simulate", "--config", str(sim_dir.parent / "sim.cfg"), "--out-dir", str(again)],
+             [str(again / name) for name in
+              ("annotations.jsonl", "scores_pnr.jsonl", "scores_oscc.jsonl")], []),
+        ]
+        for argv, written, notes in runs:
+            assert main(argv + quiet) == 0
+            expected = [f"wrote {path}" for path in written] + notes
+            assert capsys.readouterr().err == ("" if quiet else "".join(n + "\n" for n in expected))

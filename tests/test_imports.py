@@ -42,7 +42,7 @@ print(repr(calls))
 
 def sampler_calls():
     clip = Clip("c", 30.0, 240)
-    ann = PnrAnnotation("c", 100, (40, 180))
+    ann = PnrAnnotation(100, (40, 180))
     windows = WindowingConfig(num_windows=4, window_len=32, jitter=8)
     return (
         tsn_sample(clip, SamplerConfig(num_segments=8, mode="train-random", seed=3)),

@@ -155,7 +155,7 @@ class TestEmitAnnotations:
         assert emit_annotations(ds) == '{"clip_id": "a", "fps": 30.0, "num_frames": 100}\n'
 
     def test_omits_empty_negative_list(self):
-        ds = build_dataset([Clip("a", 30.0, 100)], [PnrAnnotation("a", 7)])
+        ds = build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(7)})
         assert (
             emit_annotations(ds)
             == '{"clip_id": "a", "fps": 30.0, "num_frames": 100, "pnr_frame": 7}\n'
@@ -165,21 +165,15 @@ class TestEmitAnnotations:
 class TestBuildDataset:
     def test_annotation_for_unknown_clip(self):
         with pytest.raises(ValidationError, match="unknown clip"):
-            build_dataset([Clip("a", 30.0, 100)], [PnrAnnotation("b", 7)])
+            build_dataset([Clip("a", 30.0, 100)], {"b": PnrAnnotation(7)})
         with pytest.raises(ValidationError, match="unknown clip"):
-            build_dataset([Clip("a", 30.0, 100)], [], {"b": True})
-
-    def test_duplicate_annotation(self):
-        with pytest.raises(ConflictError):
-            build_dataset(
-                [Clip("a", 30.0, 100)], [PnrAnnotation("a", 7), PnrAnnotation("a", 8)]
-            )
+            build_dataset([Clip("a", 30.0, 100)], {}, {"b": True})
 
     def test_frame_beyond_clip(self):
         with pytest.raises(ValidationError, match="outside"):
-            build_dataset([Clip("a", 30.0, 100)], [PnrAnnotation("a", 100)])
+            build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(100)})
         with pytest.raises(ValidationError, match="outside"):
-            build_dataset([Clip("a", 30.0, 100)], [PnrAnnotation("a", 7, (100,))])
+            build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(7, (100,))})
 
 
 class TestScoreFormats:
@@ -289,7 +283,7 @@ def prediction_maps(draw):
 @st.composite
 def datasets(draw):
     ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
-    clips, pnr, oscc = [], [], {}
+    clips, pnr, oscc = [], {}, {}
     for clip_id in ids:
         num_frames = draw(st.integers(1, 500))
         clips.append(
@@ -299,7 +293,7 @@ def datasets(draw):
             frames = draw(
                 st.lists(st.integers(0, num_frames - 1), min_size=1, max_size=4, unique=True)
             )
-            pnr.append(PnrAnnotation(clip_id, frames[0], tuple(frames[1:])))
+            pnr[clip_id] = PnrAnnotation(frames[0], tuple(frames[1:]))
         if draw(st.booleans()):
             oscc[clip_id] = draw(st.booleans())
     return build_dataset(clips, pnr, oscc)
@@ -396,7 +390,7 @@ def scored_clips(draw, n_files):
 def labeled_clips(draw):
     """A dataset where some clips lack one label or both, with one
     prediction map and two probability maps covering the labeled clips."""
-    clips, pnr, oscc = [], [], {}
+    clips, pnr, oscc = [], {}, {}
     for i in range(draw(st.integers(1, 8))):
         clip = Clip(f"c{i}", draw(st.sampled_from([24.0, 30.0])), draw(st.integers(4, 200)))
         clips.append(clip)
@@ -405,15 +399,15 @@ def labeled_clips(draw):
             frames = draw(
                 st.lists(st.integers(0, clip.num_frames - 1), min_size=1, max_size=4, unique=True)
             )
-            pnr.append(PnrAnnotation(clip.clip_id, frames[0], tuple(frames[1:])))
+            pnr[clip.clip_id] = PnrAnnotation(frames[0], tuple(frames[1:]))
         if i == 0 or draw(st.booleans()):
             oscc[clip.clip_id] = draw(st.booleans())
     # errors of unlike size, so a sum that depended on line order would show
     preds = {
-        ann.clip_id: PnrPrediction(
+        clip_id: PnrPrediction(
             draw(st.floats(0.0, 1000.0)), draw(st.integers(0, 300)), draw(st.sampled_from(SOURCES))
         )
-        for ann in pnr
+        for clip_id in pnr
     }
     probs = [{clip_id: draw(unit) for clip_id in oscc} for _ in range(2)]
     return build_dataset(clips, pnr, oscc), preds, probs
@@ -777,7 +771,7 @@ MALFORMED = [
     ('annotations', 'pnr-frame-negative', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": -1}',
      'line 3: positive_frame must be >= 0, got -1'),
     ('annotations', 'pnr-frame-repeated', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [1]}',
-     "line 3: clip 'a': positive frame 1 repeated in negative_frames"),
+     "line 3: positive frame 1 repeated in negative_frames"),
     ('annotations', 'pnr-frame-outside', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 9}',
      "line 3: clip 'a': annotated frame 9 outside 9-frame clip"),
     ('annotations', 'other-frame-outside', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [4, 12]}',

@@ -178,17 +178,13 @@ class TestBaselines:
 
 class TestOracleError:
     def test_two_window_reference(self):
-        err = oracle_error(
-            PnrAnnotation("c", 120), Clip("c", 30.0, 240), WindowingConfig(num_windows=2)
-        )
+        err = oracle_error(PnrAnnotation(120), Clip("c", 30.0, 240), WindowingConfig(num_windows=2))
         assert err == pytest.approx(3.45)
 
     def test_error_measured_from_nearest_center(self):
         # N=2 centers sit at frames 15.5 and 223.5; truth at 16 is half a
         # frame from the first
-        err = oracle_error(
-            PnrAnnotation("c", 16), Clip("c", 30.0, 240), WindowingConfig(num_windows=2)
-        )
+        err = oracle_error(PnrAnnotation(16), Clip("c", 30.0, 240), WindowingConfig(num_windows=2))
         assert err == pytest.approx(0.5 / 30)
 
     def test_enumerated_means_over_all_positions(self):
@@ -198,7 +194,7 @@ class TestOracleError:
         for count, expected in ((16, 163 / 1200), (32, 17 / 200)):
             cfg = WindowingConfig(num_windows=count)
             mean = math.fsum(
-                oracle_error(PnrAnnotation("c", p), clip, cfg) for p in range(240)
+                oracle_error(PnrAnnotation(p), clip, cfg) for p in range(240)
             ) / 240
             assert mean == pytest.approx(expected, rel=1e-12)
 
@@ -212,18 +208,12 @@ class TestOracleError:
         centers = [window_center_frame(w) / clip.fps for w in dense_windows(clip, cfg)]
         for p in range(0, 311, 13):
             expected = min(abs(c - p / clip.fps) for c in centers)
-            got = oracle_error(PnrAnnotation("c", p), clip, cfg)
+            got = oracle_error(PnrAnnotation(p), clip, cfg)
             assert got == pytest.approx(expected)
 
     def test_errors(self):
         with pytest.raises(ValidationError):
-            oracle_error(
-                PnrAnnotation("other", 120), Clip("c", 30.0, 240), WindowingConfig(num_windows=2)
-            )
-        with pytest.raises(ValidationError):
-            oracle_error(
-                PnrAnnotation("c", 500), Clip("c", 30.0, 240), WindowingConfig(num_windows=2)
-            )
+            oracle_error(PnrAnnotation(500), Clip("c", 30.0, 240), WindowingConfig(num_windows=2))
 
 
 class TestScoreDenseWindows:

@@ -23,7 +23,7 @@ def pnr_dataset(truths, num_frames=240, fps=30.0):
     ids = [f"c{i}" for i in range(len(truths))]
     return build_dataset(
         [Clip(cid, fps, num_frames) for cid in ids],
-        [PnrAnnotation(cid, t) for cid, t in zip(ids, truths)],
+        {cid: PnrAnnotation(t) for cid, t in zip(ids, truths)},
     )
 
 
@@ -38,7 +38,7 @@ class TestOsccAccuracy:
     def test_two_of_three_correct(self):
         ds = build_dataset(
             [Clip(c, 30.0, 100) for c in "abc"],
-            [],
+            {},
             {"a": True, "b": False, "c": True},
         )
         report = oscc_accuracy({"a": True, "b": False, "c": False}, ds)
@@ -49,7 +49,7 @@ class TestOsccAccuracy:
     def test_all_correct(self):
         ds = build_dataset(
             [Clip(c, 30.0, 100) for c in "ab"],
-            [],
+            {},
             {"a": True, "b": False},
         )
         assert oscc_accuracy({"a": True, "b": False}, ds).headline == 1.0
@@ -57,14 +57,14 @@ class TestOsccAccuracy:
     def test_missing_prediction_lists_clip(self):
         ds = build_dataset(
             [Clip(c, 30.0, 100) for c in "ab"],
-            [],
+            {},
             {"a": True, "b": False},
         )
         with pytest.raises(CoverageError, match="b"):
             oscc_accuracy({"a": True}, ds)
 
     def test_extra_prediction_rejected(self):
-        ds = build_dataset([Clip("a", 30.0, 100)], [], {"a": True})
+        ds = build_dataset([Clip("a", 30.0, 100)], {}, {"a": True})
         with pytest.raises(CoverageError, match="zzz"):
             oscc_accuracy({"a": True, "zzz": False}, ds)
 
@@ -152,7 +152,7 @@ class TestPerPositionError:
 
 class TestReportOutput:
     def test_render_oscc(self):
-        ds = build_dataset([Clip("a", 30.0, 100)], [], {"a": True})
+        ds = build_dataset([Clip("a", 30.0, 100)], {}, {"a": True})
         table = render_report(oscc_accuracy({"a": True}, ds))
         assert "task: oscc" in table and "accuracy: 1.000000" in table
 

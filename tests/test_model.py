@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pnrkit import model
 from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
 from pnrkit.ingest import build_dataset, parse_annotations
 from pnrkit.localization import SelectionConfig, oracle_error
@@ -183,16 +184,16 @@ class TestTypeValidation:
             ScoredWindow(0, 4, -0.1)
 
     def test_pnr_annotation(self):
-        ann = PnrAnnotation("c", 103, (55, 180))
+        ann = PnrAnnotation(103, (55, 180))
         assert ann.all_frames == (103, 55, 180)
-        with pytest.raises(ValidationError):
-            PnrAnnotation("c", 103, (103,))
-        with pytest.raises(ValidationError):
-            PnrAnnotation("c", 103, (55, 55))
+        with pytest.raises(ValidationError, match="^positive frame 103 repeated in neg"):
+            PnrAnnotation(103, (103,))
+        with pytest.raises(ValidationError, match="^duplicate negative frames$"):
+            PnrAnnotation(103, (55, 55))
         with pytest.raises(DomainError):
-            PnrAnnotation("c", -1)
+            PnrAnnotation(-1)
         with pytest.raises(DomainError):
-            PnrAnnotation("c", 5, (-2,))
+            PnrAnnotation(5, (-2,))
 
     def test_prediction(self):
         PnrPrediction(3.45, 103, "selected")
@@ -213,38 +214,21 @@ class TestTypeValidation:
 WINDOWS = WindowingConfig(num_windows=4, window_len=32)
 ANNOTATION_USERS = {
     "ensure_annotation_in_clip": ensure_annotation_in_clip,
-    "build_dataset": lambda ann, clip: build_dataset([clip], [ann]),
+    "build_dataset": lambda ann, clip: build_dataset([clip], {clip.clip_id: ann}),
     "positive_window": lambda ann, clip: positive_window(ann, clip, WINDOWS, seed=0),
+    "valid_negative_starts": lambda ann, clip: valid_negative_starts(ann, clip, WINDOWS),
     "negative_windows": lambda ann, clip: negative_windows(ann, clip, WINDOWS, seed=0, count=2),
     "oracle_error": lambda ann, clip: oracle_error(ann, clip, WINDOWS),
-}
-
-# the users that take the clip apart from the annotation; build_dataset
-# looks the clip up by the annotation's id, so it cannot be handed another
-CLIP_ID_USERS = {
-    **{name: use for name, use in ANNOTATION_USERS.items() if name != "build_dataset"},
-    "valid_negative_starts": lambda ann, clip: valid_negative_starts(ann, clip, WINDOWS),
 }
 
 
 class TestAnnotationInClip:
     """Every user of an annotation rejects a frame outside its clip alike."""
 
-    @pytest.mark.parametrize("use", CLIP_ID_USERS.values(), ids=list(CLIP_ID_USERS))
-    @pytest.mark.parametrize(
-        "annotation", [PnrAnnotation("a", 5), PnrAnnotation("a", 150)], ids=["inside", "outside"]
-    )
-    def test_annotation_for_another_clip(self, use, annotation):
-        # the id is checked before the frames
-        with pytest.raises(ValidationError) as info:
-            use(annotation, Clip("b", 30.0, 100))
-        assert type(info.value) is ValidationError
-        assert str(info.value) == "annotation is for clip 'a', not 'b'"
-
     @pytest.mark.parametrize("use", ANNOTATION_USERS.values(), ids=list(ANNOTATION_USERS))
     @pytest.mark.parametrize(
         "annotation",
-        [PnrAnnotation("c", 100), PnrAnnotation("c", 7, (40, 100))],
+        [PnrAnnotation(100), PnrAnnotation(7, (40, 100))],
         ids=["pnr-frame", "other-frame"],
     )
     def test_frame_outside_clip(self, use, annotation):
@@ -254,7 +238,7 @@ class TestAnnotationInClip:
 
     @pytest.mark.parametrize("use", ANNOTATION_USERS.values(), ids=list(ANNOTATION_USERS))
     def test_last_frame_is_inside(self, use):
-        use(PnrAnnotation("c", 99, (7,)), Clip("c", 30.0, 100))
+        use(PnrAnnotation(99, (7,)), Clip("c", 30.0, 100))
 
     @pytest.mark.parametrize(
         "line",
@@ -271,6 +255,17 @@ class TestAnnotationInClip:
             parse_annotations(line)
         assert str(info.value) == "line 1: clip 'c': annotated frame 100 outside 100-frame clip"
         assert info.value.line_no == 1
+
+
+def test_only_clip_carries_its_id():
+    # every other per-clip value sits in a map keyed by clip id
+    records = {
+        name: {f.name for f in dataclasses.fields(obj)}
+        for name, obj in vars(model).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and not name.startswith("_")
+    }
+    assert {"Clip", "PnrAnnotation", "PnrPrediction", "ScoreSeries"} <= set(records)
+    assert [name for name, fields in records.items() if "clip_id" in fields] == ["Clip"]
 
 
 class TestBoundRule:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
-from pnrkit.model import Clip, PnrAnnotation
+from pnrkit.model import Clip, PnrAnnotation, round_half_up
 from pnrkit.sampling import (
     SamplerConfig,
     WindowingConfig,
@@ -103,6 +103,15 @@ class TestDenseWindows:
         with pytest.raises(ClipTooShortError):
             dense_windows(clip_of(31), WindowingConfig(num_windows=4))
 
+    def test_integer_starts_match_float_rounding_on_small_clips(self):
+        # the starts are computed in integers; where floats are exact
+        # enough they are the float round_half_up(k * span / (N - 1))
+        for count in range(2, 80):
+            config = WindowingConfig(num_windows=count, window_len=1)
+            for span in range(400):
+                starts = [win.start for win in dense_windows(clip_of(span + 1), config)]
+                assert starts == [round_half_up(k * span / (count - 1)) for k in range(count)]
+
     @given(
         st.integers(min_value=1, max_value=5000),
         st.integers(min_value=1, max_value=64),
@@ -146,35 +155,33 @@ class TestDenseWindows:
 class TestPositiveWindow:
     def test_centered_without_jitter(self):
         cfg = WindowingConfig(num_windows=16, jitter=0)
-        win = positive_window(PnrAnnotation("c", 120), clip_of(240), cfg, seed=0)
+        win = positive_window(PnrAnnotation(120), clip_of(240), cfg, seed=0)
         assert (win.start, win.end) == (104, 136)
 
     def test_clamped_at_clip_start(self):
         cfg = WindowingConfig(num_windows=16, jitter=0)
-        win = positive_window(PnrAnnotation("c", 3), clip_of(240), cfg, seed=0)
+        win = positive_window(PnrAnnotation(3), clip_of(240), cfg, seed=0)
         assert (win.start, win.end) == (0, 32)
 
     def test_clamped_at_clip_end(self):
         cfg = WindowingConfig(num_windows=16, jitter=0)
-        win = positive_window(PnrAnnotation("c", 237), clip_of(240), cfg, seed=0)
+        win = positive_window(PnrAnnotation(237), clip_of(240), cfg, seed=0)
         assert (win.start, win.end) == (208, 240)
 
     def test_deterministic_per_seed(self):
         cfg = WindowingConfig(num_windows=16, jitter=8)
-        ann = PnrAnnotation("c", 120)
+        ann = PnrAnnotation(120)
         assert positive_window(ann, clip_of(240), cfg, seed=3) == positive_window(
             ann, clip_of(240), cfg, seed=3
         )
 
     def test_too_short(self):
         with pytest.raises(ClipTooShortError):
-            positive_window(PnrAnnotation("c", 3), clip_of(16), WindowingConfig(num_windows=4), 0)
+            positive_window(PnrAnnotation(3), clip_of(16), WindowingConfig(num_windows=4), 0)
 
     def test_positive_outside_clip(self):
         with pytest.raises(ValidationError):
-            positive_window(
-                PnrAnnotation("c", 500), clip_of(240), WindowingConfig(num_windows=4), 0
-            )
+            positive_window(PnrAnnotation(500), clip_of(240), WindowingConfig(num_windows=4), 0)
 
     @given(
         st.integers(min_value=32, max_value=2000),
@@ -186,7 +193,7 @@ class TestPositiveWindow:
     def test_always_contains_positive_and_fits(self, n, data, jitter, seed):
         p = data.draw(st.integers(min_value=0, max_value=n - 1))
         cfg = WindowingConfig(num_windows=16, jitter=jitter)
-        win = positive_window(PnrAnnotation("c", p), clip_of(n), cfg, seed)
+        win = positive_window(PnrAnnotation(p), clip_of(n), cfg, seed)
         assert len(win) == 32
         assert win.contains(p)
         assert 0 <= win.start and win.end <= n
@@ -196,12 +203,12 @@ class TestNegativeWindows:
     def test_valid_start_set_around_one_frame(self):
         # windows of 32 frames containing frame 100 start in [69, 100]
         valid = valid_negative_starts(
-            PnrAnnotation("c", 100), clip_of(240), WindowingConfig(num_windows=16)
+            PnrAnnotation(100), clip_of(240), WindowingConfig(num_windows=16)
         )
         assert list(valid) == list(range(0, 69)) + list(range(101, 209))
 
     def test_draws_avoid_all_annotated_frames(self):
-        ann = PnrAnnotation("c", 100, (30, 200))
+        ann = PnrAnnotation(100, (30, 200))
         cfg = WindowingConfig(num_windows=16)
         wins = negative_windows(ann, clip_of(240), cfg, seed=11, count=64)
         assert len(wins) == 64
@@ -213,24 +220,22 @@ class TestNegativeWindows:
     def test_empty_negative_space(self):
         # a single-window clip with any annotation leaves nowhere to sample
         with pytest.raises(NegativeSpaceEmpty):
-            negative_windows(
-                PnrAnnotation("c", 10), clip_of(32), WindowingConfig(num_windows=4), 0, 4
-            )
+            negative_windows(PnrAnnotation(10), clip_of(32), WindowingConfig(num_windows=4), 0, 4)
 
     def test_zero_count(self):
         wins = negative_windows(
-            PnrAnnotation("c", 100), clip_of(240), WindowingConfig(num_windows=4), 0, 0
+            PnrAnnotation(100), clip_of(240), WindowingConfig(num_windows=4), 0, 0
         )
         assert wins == ()
 
     def test_negative_count_rejected(self):
         with pytest.raises(DomainError):
             negative_windows(
-                PnrAnnotation("c", 100), clip_of(240), WindowingConfig(num_windows=4), 0, -1
+                PnrAnnotation(100), clip_of(240), WindowingConfig(num_windows=4), 0, -1
             )
 
     def test_deterministic_per_seed(self):
-        ann = PnrAnnotation("c", 100)
+        ann = PnrAnnotation(100)
         cfg = WindowingConfig(num_windows=4)
         a = negative_windows(ann, clip_of(240), cfg, seed=9, count=16)
         b = negative_windows(ann, clip_of(240), cfg, seed=9, count=16)
@@ -251,7 +256,7 @@ class TestNegativeWindows:
                 unique=True,
             )
         )
-        ann = PnrAnnotation("c", p, tuple(others))
+        ann = PnrAnnotation(p, tuple(others))
         cfg = WindowingConfig(num_windows=16)
         try:
             wins = negative_windows(ann, clip_of(n), cfg, seed, count=8)
@@ -265,7 +270,7 @@ class TestNegativeWindows:
 
 
 class TestSeeds:
-    ANN = PnrAnnotation("c", 100, (40, 180))
+    ANN = PnrAnnotation(100, (40, 180))
     CFG = WindowingConfig(num_windows=4, window_len=32, jitter=8)
 
     # fixed-seed draws, pinned so that a change to the draws, in pnrkit or

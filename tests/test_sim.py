@@ -142,8 +142,8 @@ def test_large_lambda_stops_at_the_free_frames():
 @pytest.mark.parametrize(
     "sim, noise, message",
     [
-        ({"positive_sd": math.nan}, {}, "positive_sd must be >= 0, got nan"),
-        ({"positive_sd": math.inf}, {}, "positive_sd must be finite, got inf"),
+        ({"positive_sd": math.nan}, {}, "positive_sd must be in [0, 1], got nan"),
+        ({"positive_sd": math.inf}, {}, "positive_sd must be in [0, 1], got inf"),
         ({"negatives_lambda": math.nan}, {}, "negatives_lambda must be >= 0, got nan"),
         ({"negatives_lambda": math.inf}, {}, "negatives_lambda must be finite, got inf"),
         ({"duration_max_sec": math.inf}, {}, "duration_max_sec must be finite, got inf"),
@@ -154,6 +154,41 @@ def test_large_lambda_stops_at_the_free_frames():
 )
 def test_non_finite_settings_are_refused_without_drawing(sim, noise, message):
     assert simulate_one(sim, noise) == message + "\n"
+
+
+def test_positive_sd_above_one_is_refused_without_drawing():
+    # with the mean in [0, 1], an sd of at most 1 keeps the rejection draw's
+    # acceptance at 34 % or more; a huge sd would redraw for seconds
+    assert simulate_one({"positive_sd": 1e7}) == "positive_sd must be in [0, 1], got 10000000.0\n"
+    SimConfig(positive_mean=0.0, positive_sd=1.0)
+
+
+# Runs in a fresh interpreter, so that run_fresh's timeout ends a hang.
+# Simulates one clip of up to 1e300 seconds into the directory given, then
+# localizes and oracles it, and prints the three exit codes.
+HUGE_CLIP = """
+import os, sys
+from pnrkit.cli import main
+out = sys.argv[1]
+config, annotations = os.path.join(out, "sim.cfg"), os.path.join(out, "annotations.jsonl")
+with open(config, "w") as handle:
+    handle.write("n_clips = 1\\nduration_max_sec = 1e300\\n")
+print(
+    main(["simulate", "--config", config, "--out-dir", out, "--quiet"]),
+    main(["localize", "--scores", os.path.join(out, "scores_pnr.jsonl"),
+          "--annotations", annotations, "--out", os.path.join(out, "preds.jsonl")]),
+    main(["oracle", "--annotations", annotations, "--n", "16",
+          "--out", os.path.join(out, "oracle.tsv")]),
+)
+"""
+
+
+def test_huge_clip_round_trips(tmp_path):
+    # window starts are integers, so the last window of a clip too long
+    # for a float to count its frames still ends at the clip's end
+    proc = run_fresh(["-c", HUGE_CLIP, str(tmp_path)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 0\n", proc.stderr
 
 
 # sha256 of each file of `simulate` at n_clips = 4, seed = 3, num_windows = 4,

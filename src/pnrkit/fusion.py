@@ -53,13 +53,12 @@ def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
     centers: list[float] = []
     confidences: list[float] = []
     keyed = sorted(
-        (window_center_frame(sw), sw.start, sw.end, i)
-        for i, sw in enumerate(series.windows)
+        (window_center_frame(sw), sw[0], sw[1], i) for i, sw in enumerate(series.windows)
     )
     for center, _, _, i in keyed:
         if not centers or centers[-1] != center:
             centers.append(center)
-            confidences.append(series.windows[i].confidence)
+            confidences.append(series.windows[i][2])
     return centers, confidences
 
 
@@ -100,7 +99,7 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
     # union of the input geometries, one point per distinct (start, end)
     points = sorted(
         {
-            (window_center_frame(sw), sw.start, sw.end)
+            (window_center_frame(sw), sw[0], sw[1])
             for series in series_list
             for sw in series.windows
         }

@@ -22,14 +22,15 @@ import contextlib
 import json
 import math
 import os
+import re
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from pnrkit.errors import (
     BoundsError,
     ConflictError,
+    DomainError,
     EmptyInputError,
     ParseError,
     ValidationError,
@@ -97,30 +98,37 @@ def _read(stream: str | Iterable[str], record: Callable[[dict], None]) -> None:
     ValidationError as a ParseError."""
     lines = stream.split("\n") if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, 1):
-        # a value that spans the whole line, up to a line ending left on by a
-        # file, is what json.loads would give; blank lines, other edge
-        # whitespace, a BOM and bad JSON go through strip() and json.loads,
-        # whose messages the errors repeat
+        _read_line(raw, line_no, record)
+
+
+def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
+    # a value that spans the whole line, up to a line ending left on by a
+    # file, is what json.loads would give; blank lines, other edge
+    # whitespace, a BOM and bad JSON go through strip() and json.loads,
+    # whose messages the errors repeat
+    try:
         try:
             obj, end = _raw_decode(raw)
             whole = end == len(raw) or raw[end:] in _LINE_ENDINGS
-        except json.JSONDecodeError:
+        except ValueError:
             whole = False
-        try:
-            if not whole:
-                text = raw.strip()
-                if not text:
-                    continue
-                obj = json.loads(text)
-            if not isinstance(obj, dict):
-                raise ParseError("record must be a JSON object")
-            record(obj)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no) from None
-        except (ParseError, ConflictError) as exc:
-            raise type(exc)(str(exc), line_no) from None
+        if not whole:
+            text = raw.strip()
+            if not text:
+                return
+            obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    except ValueError as exc:  # an integer longer than int() may convert
+        raise ParseError(f"invalid JSON: {exc}", line_no) from None
+    try:
+        if not isinstance(obj, dict):
+            raise ParseError("record must be a JSON object")
+        record(obj)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line_no) from None
+    except (ParseError, ConflictError) as exc:
+        raise type(exc)(str(exc), line_no) from None
 
 
 def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -224,7 +232,15 @@ def emit_annotations(dataset: Dataset) -> str:
 
 _SCORE_KEYS = ("clip_id", "start", "end", "confidence")
 _SCORE_KEY_SET = frozenset(_SCORE_KEYS)
-_window_order = attrgetter("start", "end")
+# a score line exactly as emit_pnr_scores and json.dumps (default
+# separators) write it, with a \n or \r\n ending; digits are [0-9], never
+# \d, as int() and float() also read digits that JSON does not allow
+_SCORE_LINE = re.compile(
+    r'\{"clip_id": "([^"\\\x00-\x1f]+)", "start": (0|[1-9][0-9]*), '
+    r'"end": (0|[1-9][0-9]*), "confidence": '
+    r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+    r"\}(?:\r?\n|\Z)"
+)
 
 
 def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
@@ -232,8 +248,6 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
 
     A clip may score each ``(start, end)`` window once.
     """
-    # kept as a list so a duplicate window can be traced back to its line
-    lines = stream.split("\n") if isinstance(stream, str) else list(stream)
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
 
     def record(obj: dict) -> None:
@@ -255,19 +269,57 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
             confidence = _as_number(obj, "confidence")
         grouped[clip_id].append(ScoredWindow(start, end, confidence))
 
-    _read(lines, record)
+    if isinstance(stream, str):
+        _walk_scores(stream, grouped, record)
+    else:
+        # kept as a list so a duplicate window can be traced back to its line
+        stream = list(stream)
+        _read(stream, record)
     series_by_clip = {}
     for clip_id, windows in grouped.items():
-        # the sort is stable, so a repeated window sits right after its first
-        windows.sort(key=_window_order)
+        # tuple order is (start, end) order, as a clip holds each window
+        # once; a repeated window sits right after its first
+        windows.sort()
         for a, b in zip(windows, windows[1:]):
-            if a.start == b.start and a.end == b.end:
-                _raise_at_second_line(lines, clip_id, b)
+            if a[0] == b[0] and a[1] == b[1]:
+                _raise_at_second_line(stream, clip_id, b)
         series_by_clip[clip_id] = ScoreSeries(tuple(windows))
     return series_by_clip
 
 
-def _raise_at_second_line(lines: list[str], clip_id: str, window: ScoredWindow) -> None:
+def _walk_scores(
+    text: str, grouped: dict[str, list[ScoredWindow]], record: Callable[[dict], None]
+) -> None:
+    """Read score text as _read does, but take each line that _SCORE_LINE
+    matches where the previous line ended straight to a window.  A line
+    off the pattern, or one whose values int(), float() or ScoredWindow
+    refuse, goes to _read_line and ``record`` alone, so those make every
+    error and every value the pattern does not cover."""
+    # anchored matches, not finditer: a search would scan the rest of the
+    # text for a later match at a line off the pattern
+    match, at, size, line_no = _SCORE_LINE.match, 0, len(text), 0
+    while at < size:
+        line_no += 1
+        line = match(text, at)
+        if line is not None:
+            clip_id, start, end, confidence = line.groups()
+            try:
+                # the conversions the JSON decoder makes
+                window = ScoredWindow(int(start), int(end), float(confidence))
+            except (ValueError, DomainError):
+                pass
+            else:
+                grouped[clip_id].append(window)
+                at = line.end()
+                continue
+        stop = text.find("\n", at)
+        if stop < 0:
+            stop = size
+        _read_line(text[at:stop], line_no, record)
+        at = stop + 1
+
+
+def _raise_at_second_line(stream: str | list[str], clip_id: str, window: ScoredWindow) -> None:
     """Raise the duplicate-window error at the second record of a window."""
     copies = []
 
@@ -279,7 +331,7 @@ def _raise_at_second_line(lines: list[str], clip_id: str, window: ScoredWindow) 
                     f"duplicate window [{window.start}, {window.end}) for clip {clip_id!r}"
                 )
 
-    _read(lines, record)
+    _read(stream, record)
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
@@ -288,10 +340,9 @@ def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
     rows = []
     for clip_id, series in series_by_clip.items():
         head = '{"clip_id": ' + json.dumps(clip_id) + ', "start": '
-        for sw in series.windows:
-            c = sw.confidence
+        for start, end, c in series.windows:
             conf = float.__repr__(c) if isinstance(c, float) else json.dumps(c)
-            rows.append(f'{head}{sw.start}, "end": {sw.end}, "confidence": {conf}}}\n')
+            rows.append(f'{head}{start}, "end": {end}, "confidence": {conf}}}\n')
     return "".join(rows)
 
 

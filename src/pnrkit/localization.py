@@ -76,15 +76,15 @@ def select_pnr(
     for sw in series.windows:
         ensure_window_in_clip(sw, clip)
 
-    candidates = [sw for sw in series.windows if sw.confidence > config.threshold]
+    # windows are (start, end, confidence) tuples; these run per window,
+    # so they index instead of reading the named fields
+    threshold = config.threshold
+    candidates = [sw for sw in series.windows if sw[2] > threshold]
     if candidates:
+        num_frames, prior = clip.num_frames, config.prior_fraction
         chosen = min(
             candidates,
-            key=lambda sw: (
-                abs(window_center_fraction(sw, clip.num_frames) - config.prior_fraction),
-                sw.start,
-                sw.end,
-            ),
+            key=lambda sw: (abs(window_center_fraction(sw, num_frames) - prior), sw[0], sw[1]),
         )
         return _window_prediction(chosen, clip.fps, "selected")
 

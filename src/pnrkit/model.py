@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from pnrkit.errors import BoundsError, DomainError, ValidationError
-
-PredictionSource = str
 
 SOURCES = (
     "selected",
@@ -99,44 +98,70 @@ class PnrAnnotation:
         return (self.positive_frame, *self.negative_frames)
 
 
-@dataclass(frozen=True, slots=True)
-class FrameWindow:
+class FrameWindow(tuple):
     """A half-open frame range [start, end) within one clip.
 
     The window does not name its clip: the clip is the key its series
-    is stored under, or the sampler call it comes from.
+    is stored under, or the sampler call it comes from.  It is the
+    immutable tuple ``(start, end)``, so it equals, hashes and sorts as
+    that tuple, and ``len`` is its frame count, ``end - start``.  As
+    ``len`` is not the number of fields, read a window by name, index or
+    unpacking, never with ``tuple()``, ``list()`` or ``*``: those take
+    ``len`` as a size hint and allocate one slot per frame.
     """
 
-    start: int
-    end: int
+    __slots__ = ()
+    _fields = ("start", "end")
 
-    def __post_init__(self):
-        # inline, not ensure_range, as this runs per window; NaN fails each test
-        if not self.start >= 0:
-            raise DomainError(f"window start must be >= 0, got {self.start}")
-        if not self.end > self.start:
-            raise DomainError(f"window [{self.start}, {self.end}) is empty or inverted")
-        if self.end == math.inf:
-            raise DomainError(f"window end must be finite, got {self.end}")
+    def __new__(cls, start: int, end: int):
+        if not 0 <= start < end < math.inf:
+            _refuse_window(start, end)
+        return tuple.__new__(cls, (start, end))
+
+    start = property(itemgetter(0), doc="First frame of the window.")
+    end = property(itemgetter(1), doc="Frame just past the window.")
 
     def __len__(self) -> int:
-        return self.end - self.start
+        return self[1] - self[0]
+
+    def __reduce__(self) -> tuple:
+        # the fields as a plain tuple, for copy and every pickle protocol;
+        # the default reduction of protocols 0 and 1 would call tuple(self)
+        return type(self), self[:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
     def contains(self, frame: int) -> bool:
-        return self.start <= frame < self.end
+        return self[0] <= frame < self[1]
 
 
-@dataclass(frozen=True, slots=True)
 class ScoredWindow(FrameWindow):
-    """A window with a scorer confidence in [0, 1]."""
+    """A window with a scorer confidence in [0, 1]: the tuple
+    ``(start, end, confidence)``."""
 
-    confidence: float
+    __slots__ = ()
+    _fields = ("start", "end", "confidence")
 
-    def __post_init__(self):
-        # slots=True builds a new class, which zero-argument super() misses
-        FrameWindow.__post_init__(self)
-        if not 0.0 <= self.confidence <= 1.0:
-            raise DomainError(f"confidence must be in [0, 1], got {self.confidence}")
+    def __new__(cls, start: int, end: int, confidence: float):
+        if not (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0):
+            _refuse_window(start, end)
+            raise DomainError(f"confidence must be in [0, 1], got {confidence}")
+        return tuple.__new__(cls, (start, end, confidence))
+
+    confidence = property(itemgetter(2), doc="The scorer's confidence.")
+
+
+def _refuse_window(start: int, end: int) -> None:
+    # the constructors test all bounds in one chained comparison, which NaN
+    # fails; this names the first that fails, and returns if none does
+    if not start >= 0:
+        raise DomainError(f"window start must be >= 0, got {start}")
+    if not end > start:
+        raise DomainError(f"window [{start}, {end}) is empty or inverted")
+    if end == math.inf:
+        raise DomainError(f"window end must be finite, got {end}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +181,7 @@ class PnrPrediction:
 
     time_sec: float
     frame: int
-    source: PredictionSource = field(compare=False, default="selected")
+    source: str = field(compare=False, default="selected")
 
     def __post_init__(self):
         ensure_range("time_sec", self.time_sec, 0)
@@ -186,9 +211,9 @@ def fraction_to_frame(fraction: float, num_frames: int) -> int:
 
 
 def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:
-    if window.end > clip.num_frames:
+    if window[1] > clip.num_frames:
         raise BoundsError(
-            f"window [{window.start}, {window.end}) exceeds clip "
+            f"window [{window[0]}, {window[1]}) exceeds clip "
             f"{clip.clip_id!r} of {clip.num_frames} frames"
         )
 
@@ -205,7 +230,8 @@ def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
 
 def window_center_frame(window: FrameWindow) -> float:
     """Center of a window in frame units: start + (len - 1) / 2."""
-    return window.start + (len(window) - 1) / 2
+    start = window[0]
+    return start + (window[1] - start - 1) / 2
 
 
 def window_center_time(window: FrameWindow, fps: float) -> float:

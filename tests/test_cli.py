@@ -464,6 +464,36 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "bad.jsonl" in err and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["stats", "--annotations", "{bad}"],
+             '{"clip_id": "b", "fps": 30.0, "num_frames": BIG}'),
+            (["localize", "--scores", "{bad}", "--annotations", str(FIXTURE)],
+             '{"clip_id": "kitchen-001", "start": BIG, "end": 32, "confidence": 0.5}'),
+            (["fuse", "--task", "oscc", "--scores", "{bad}", "{bad}", "--out", "{out}"],
+             '{"clip_id": "b", "prob": BIG}'),
+            (["evaluate", "--task", "pnr", "--preds", "{bad}", "--annotations", str(FIXTURE)],
+             '{"clip_id": "b", "time_sec": 1.0, "frame": BIG, "source": "selected"}'),
+        ],
+        ids=["annotations", "pnr_scores", "oscc_scores", "predictions"],
+    )
+    def test_over_long_integer_is_a_line_error(self, tmp_path, capsys, argv, line):
+        # more digits than int() converts by default (sys.get_int_max_str_digits())
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        first = line.replace('"b"', '"a"').replace("BIG", "1")
+        bad.write_text(first + "\n" + line.replace("BIG", "1" * 5000) + "\n", encoding="utf-8")
+        argv = [arg.format(bad=bad, out=out) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {bad}: line 2: invalid JSON: Exceeds the limit (4300 digits) "
+            "for integer string conversion: value has 5000 digits; "
+            "use sys.set_int_max_str_digits() to increase the limit\n"
+        )
+        assert not out.exists()
+
     def test_load_keeps_the_error_and_its_line(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from pnrkit import ingest
 from pnrkit.cli import main
 from pnrkit.errors import (
     BoundsError,
@@ -26,6 +27,7 @@ from pnrkit.errors import (
     ValidationError,
 )
 from pnrkit.ingest import (
+    Dataset,
     build_dataset,
     dataset_stats,
     emit_annotations,
@@ -262,8 +264,8 @@ def score_series(draw):
 
 
 @st.composite
-def pnr_score_maps(draw):
-    ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
+def pnr_score_maps(draw, ids=clip_ids):
+    ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
     return {clip_id: draw(score_series()) for clip_id in ids}
 
 
@@ -900,6 +902,214 @@ class TestStrictLines:
         (window,) = parse_pnr_scores(line)["a"].windows
         assert window.confidence == 1.0 and type(window.confidence) is float
         assert parse_oscc_scores('{"clip_id": "a", "prob": 0}') == {"a": 0.0}
+
+
+class TestJoinedDecodeTrap:
+    """One json.loads of the joined lines is no substitute for the line reader:
+    these files decode to as many objects as they have lines."""
+
+    CASES = {
+        "annotations": (
+            parse_annotations,
+            '{"clip_id": "a", "fps": 30.0, "num_frames": 9}, {"clip_id": "b", "fps": 30.0, "num_frames": 9}\n'
+            '{"clip_id": "c", "fps": 30.0, "num_frames": 9, "pnr_frame": 0, "other_pnr_frames": [1\n'
+            "2]}\n",
+        ),
+        "pnr_scores": (
+            parse_pnr_scores,
+            '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5}, {"clip_id": "b", "start": 0, "end": 4, "confidence": 0.5}\n'
+            '{"clip_id": "c", "start": 0, "end": 4\n'
+            '"confidence": 0.5}\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", CASES)
+    def test_refused_at_line_one(self, fmt):
+        parse, text = self.CASES[fmt]
+        lines = text.splitlines()
+        assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
+        for stream in (text, io.StringIO(text)):
+            with pytest.raises(ParseError) as info:
+                parse(stream)
+            assert str(info.value) == "line 1: invalid JSON: Extra data"
+            assert info.value.line_no == 1
+
+
+# Canonical records of the two formats, as (key, JSON text) pairs in the
+# emitters' key order, and the perturbations that take a line off that form
+# or test the values the score fast path converts itself.
+fast_ids = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'),
+                   min_size=1, max_size=6)
+ID_TOKENS = [json.dumps("é中"), '"é中"', '"ß\\u00df"', json.dumps('q"'), '"a\\/b"', '""', "7"]
+INT_TOKENS = ["0", "1", "99", "-1", "1.0", "1E1", "true", "1" * 5000]
+FLOAT_TOKENS = ["0", "1", "-0.0", "1E5", "5E-1", "0.5e0", "1e999", "NaN", "-0.5", "1" * 5000]
+TOKENS = {"clip_id": ID_TOKENS, "confidence": FLOAT_TOKENS, "fps": FLOAT_TOKENS,
+          "state_change": ["1", "null"], "other_pnr_frames": ["[99]", "[1, 1]", "[0.0]", "5"]}
+
+
+@st.composite
+def score_fields(draw):
+    start = draw(st.integers(0, 40))
+    return [
+        ("clip_id", json.dumps(draw(st.sampled_from(["a", "b", "c"])))),
+        ("start", str(start)),
+        ("end", str(start + draw(st.integers(1, 6)))),
+        ("confidence", repr(draw(unit))),
+    ]
+
+
+@st.composite
+def annotation_fields(draw):
+    num_frames = draw(st.integers(1, 30))
+    fields = [
+        ("clip_id", json.dumps(draw(fast_ids))),
+        ("fps", repr(draw(st.floats(min_value=0.5, max_value=120.0)))),
+        ("num_frames", str(num_frames)),
+    ]
+    if draw(st.booleans()):
+        fields.append(("state_change", draw(st.sampled_from(["true", "false"]))))
+    if draw(st.booleans()):
+        frames = draw(st.lists(st.integers(0, num_frames - 1), min_size=1, max_size=3, unique=True))
+        fields.append(("pnr_frame", str(frames[0])))
+        if len(frames) > 1 or draw(st.booleans()):
+            fields.append(("other_pnr_frames", json.dumps(frames[1:])))
+    return fields
+
+
+@st.composite
+def perturbed_documents(draw, fields, key_fields):
+    # records are distinct in their key fields; repeats come from the copy below
+    records = draw(st.lists(fields, max_size=6, unique_by=lambda rec: tuple(rec[:key_fields])))
+    # half the documents keep the emitters' layout, so a value the fast path
+    # converts and checks itself is compared with the line reader's
+    layout = draw(st.booleans())
+    lines = []
+    for record in records:
+        if draw(st.integers(0, 4)) == 0:
+            i = draw(st.integers(0, len(record) - 1))
+            key = record[i][0]
+            record[i] = (key, draw(st.sampled_from(TOKENS.get(key, INT_TOKENS))))
+        item_sep, key_sep, pad = ", ", ": ", ("", "")
+        if layout:
+            if draw(st.integers(0, 9)) == 0:
+                record = draw(st.permutations(record))
+            item_sep, key_sep = draw(st.sampled_from([(", ", ": ")] * 8 + [(",", ":"), ("  ,\t", " :  ")]))
+            pad = draw(st.sampled_from([("", "")] * 8 + [(" ", ""), ("", "\t ")]))
+        line = "{" + item_sep.join(f'"{key}"{key_sep}{value}' for key, value in record) + "}"
+        lines.append(pad[0] + line + pad[1])
+    if lines and draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if layout and draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    ending = "\r\n" if layout and draw(st.integers(0, 4)) == 0 else "\n"
+    text = ending.join(lines) + (ending if draw(st.integers(0, 3)) else "")
+    return ("\ufeff" if layout and draw(st.integers(0, 9)) == 0 else "") + text
+
+
+def _outcome(parse, stream):
+    try:
+        result = parse(stream)
+    except PnrKitError as exc:
+        return type(exc), str(exc), exc.line_no
+    # insertion order too: it is the order of the clips' first lines
+    return result, list(result.clips if isinstance(result, Dataset) else result)
+
+
+class TestFastPath:
+    """Score text in the form the emitters write is read by one line pattern;
+    text and lines must give exactly the same value or error."""
+
+    @settings(max_examples=300)
+    @given(perturbed_documents(score_fields(), key_fields=3))
+    def test_scores_text_and_lines_agree(self, text):
+        assert _outcome(parse_pnr_scores, text) == _outcome(
+            parse_pnr_scores, text.splitlines(keepends=True)
+        )
+
+    @given(perturbed_documents(annotation_fields(), key_fields=1))
+    def test_annotations_text_and_lines_agree(self, text):
+        assert _outcome(parse_annotations, text) == _outcome(
+            parse_annotations, text.splitlines(keepends=True)
+        )
+
+    # lines in the emitters' layout whose values only the fast path's own
+    # conversions and the window constructor can refuse or must get right
+    CANONICAL_EDGES = [
+        '{"clip_id": "a", "start": 4, "end": 4, "confidence": 0.5}',
+        '{"clip_id": "a", "start": 5, "end": 4, "confidence": 0.5}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": 1E5}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": -0.5}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": 1e999}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": -0.0}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": 5E-1}',
+        '{"clip_id": "a", "start": 0, "end": 9' + "9" * 5000 + ', "confidence": 0.5}',
+        # digits that int() and float() read but JSON does not allow
+        '{"clip_id": "a", "start": 1\u0661, "end": 40, "confidence": 0.5}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.\u0665}',
+        '{"clip_id": "z", "start": 0, "end": 4, "confidence": 0.25}',
+    ]
+
+    @pytest.mark.parametrize("line", CANONICAL_EDGES)
+    @pytest.mark.parametrize("last", [True, False], ids=["last", "first"])
+    def test_own_checks_match_the_line_reader(self, line, last):
+        fmt = "pnr_scores"
+        lines = [FIRST_LINE[fmt], line] if last else [line, GOOD_LINE[fmt]]
+        text = _lines(*lines)
+        expected = _outcome(parse_pnr_scores, io.StringIO(text))
+        assert _outcome(parse_pnr_scores, text) == expected
+        assert _outcome(parse_pnr_scores, text[:-1]) == expected
+
+    @staticmethod
+    def _no_line_reader(monkeypatch):
+        def line_reader(*args, **kwargs):
+            raise AssertionError("canonical text left the fast path")
+
+        monkeypatch.setattr(ingest, "_read_line", line_reader)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(series_by_clip=pnr_score_maps(fast_ids))
+    def test_emitted_text_stays_on_it(self, monkeypatch, series_by_clip):
+        scores = emit_pnr_scores(series_by_clip)
+        with monkeypatch.context() as patch:
+            self._no_line_reader(patch)
+            assert parse_pnr_scores(scores) == series_by_clip
+            # as does the same text without its final line ending, or with CRLF
+            assert parse_pnr_scores(scores[:-1]) == series_by_clip
+            assert parse_pnr_scores(scores.replace("\n", "\r\n")) == series_by_clip
+
+    def test_json_dumps_lines_stay_on_it(self, monkeypatch):
+        score_lines = [
+            {"clip_id": "k-1", "start": 16, "end": 48, "confidence": 0.125},
+            {"clip_id": "k-1", "start": 0, "end": 32, "confidence": 1e-05},
+            {"clip_id": "w/2", "start": 0, "end": 32, "confidence": 1.0},
+        ]
+        scores = "".join(json.dumps(rec) + "\n" for rec in score_lines)
+        expected = parse_pnr_scores(scores.splitlines(keepends=True))
+        self._no_line_reader(monkeypatch)
+        assert parse_pnr_scores(scores) == expected
+        assert [w.start for w in expected["k-1"].windows] == [0, 16]
+
+    def test_only_lines_off_it_go_to_the_line_reader(self, monkeypatch):
+        lines = [
+            '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5}',
+            '{"clip_id":"a","start":4,"end":8,"confidence":0.25}',
+            '{"clip_id": "a", "start": 8, "end": 12, "confidence": 1}',
+            "",
+            '{"clip_id": "b", "start": 0, "end": 4, "confidence": 0.75}',
+        ]
+        text = "\n".join(lines) + " "
+        expected = parse_pnr_scores(text.splitlines(keepends=True))
+        read = []
+        line_reader = ingest._read_line
+
+        def spy(raw, line_no, record):
+            read.append((line_no, raw))
+            line_reader(raw, line_no, record)
+
+        monkeypatch.setattr(ingest, "_read_line", spy)
+        assert parse_pnr_scores(text) == expected
+        assert read == [(2, lines[1]), (3, lines[2]), (4, ""), (5, lines[4] + " ")]
+        assert [w.confidence for w in expected["a"].windows] == [0.5, 0.25, 1.0]
 
 
 class TestFrameBin:

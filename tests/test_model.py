@@ -1,7 +1,10 @@
 """Core type and fraction-coordinate behavior."""
 
+import copy
 import dataclasses
 import math
+import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -209,6 +212,103 @@ class TestTypeValidation:
         ensure_window_in_clip(FrameWindow(208, 240), clip)
         with pytest.raises(BoundsError):
             ensure_window_in_clip(FrameWindow(209, 241), clip)
+
+
+class TestWindowContract:
+    """Windows are checked immutable tuples: (start, end), (start, end, confidence)."""
+
+    def test_equality_is_tuple_equality(self):
+        assert FrameWindow(0, 4) == (0, 4)
+        assert ScoredWindow(0, 4, 0.5) == (0, 4, 0.5)
+        assert ScoredWindow(0, 4, 1) == ScoredWindow(0, 4, 1.0)
+        # a scored window is one field longer, so never equals a bare window
+        assert FrameWindow(0, 4) != ScoredWindow(0, 4, 0.5)
+        assert FrameWindow(0, 4) != (0, 5)
+
+    def test_hash_and_order_are_the_tuple_ones(self):
+        assert hash(FrameWindow(0, 4)) == hash((0, 4))
+        assert hash(ScoredWindow(0, 4, 0.5)) == hash((0, 4, 0.5))
+        assert len({FrameWindow(0, 4), (0, 4), FrameWindow(0, 4)}) == 1
+        windows = [ScoredWindow(4, 8, 0.1), ScoredWindow(0, 8, 0.2), ScoredWindow(0, 4, 0.9)]
+        assert sorted(windows) == [(0, 4, 0.9), (0, 8, 0.2), (4, 8, 0.1)]
+
+    def test_fields_and_len(self):
+        sw = ScoredWindow(3, 7, 0.25)
+        assert (sw.start, sw.end, sw.confidence) == (3, 7, 0.25) == tuple(sw[:])
+        assert isinstance(sw, FrameWindow) and isinstance(sw, tuple)
+        # len is the frame count, not the number of fields
+        assert len(sw) == 4 and len(FrameWindow(3, 7)) == 4 and len(FrameWindow(0, 1)) == 1
+        assert sw.contains(3) and not sw.contains(7)
+
+    @pytest.mark.parametrize(
+        "window", [FrameWindow(2, 9), ScoredWindow(2, 9, 0.75)], ids=["frame", "scored"]
+    )
+    def test_immutable(self, window):
+        for name in ("start", "end", "confidence", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(window, name, 1)
+        with pytest.raises(TypeError):
+            window[0] = 1
+        assert not hasattr(window, "__dict__")
+
+    @pytest.mark.parametrize(
+        "window", [FrameWindow(2, 9), ScoredWindow(2, 9, 0.75)], ids=["frame", "scored"]
+    )
+    def test_copy_and_pickle_round_trip(self, window):
+        copies = [copy.copy(window), copy.deepcopy(window)] + [
+            pickle.loads(pickle.dumps(window, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies:
+            assert type(twin) is type(window)
+            assert twin == window and len(twin) == len(window)
+
+    def test_read_without_len(self):
+        # len is the frame count, which a window past sys.maxsize frames cannot
+        # report; names, indexing, unpacking, copy and pickle never ask for it
+        huge = ScoredWindow(1, sys.maxsize + 2, 0.5)
+        start, end, confidence = huge
+        assert (start, end, confidence) == (huge.start, huge.end, huge.confidence)
+        assert (huge[0], huge[1], huge[2]) == huge[:] == (1, sys.maxsize + 2, 0.5)
+        assert huge.contains(sys.maxsize) and not huge.contains(0)
+        twins = [copy.copy(huge)] + [
+            pickle.loads(pickle.dumps(huge, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert all(type(twin) is ScoredWindow and twin == huge for twin in twins)
+        assert repr(huge) == f"ScoredWindow(start=1, end={sys.maxsize + 2}, confidence=0.5)"
+        with pytest.raises(OverflowError):
+            len(huge)
+
+    def test_repr(self):
+        assert repr(FrameWindow(0, 4)) == "FrameWindow(start=0, end=4)"
+        assert repr(ScoredWindow(0, 4, 0.5)) == "ScoredWindow(start=0, end=4, confidence=0.5)"
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: FrameWindow(-1, 7), "window start must be >= 0, got -1"),
+            (lambda: FrameWindow(5, 5), "window [5, 5) is empty or inverted"),
+            (lambda: FrameWindow(5, 4), "window [5, 4) is empty or inverted"),
+            (lambda: FrameWindow(0, math.inf), "window end must be finite, got inf"),
+            (lambda: ScoredWindow(-1, 4, 0.5), "window start must be >= 0, got -1"),
+            (lambda: ScoredWindow(4, 4, 2.0), "window [4, 4) is empty or inverted"),
+            (lambda: ScoredWindow(0, math.inf, 0.5), "window end must be finite, got inf"),
+            (lambda: ScoredWindow(0, 4, 1.1), "confidence must be in [0, 1], got 1.1"),
+            (lambda: ScoredWindow(0, 4, -0.1), "confidence must be in [0, 1], got -0.1"),
+            (lambda: ScoredWindow(0, 4, math.inf), "confidence must be in [0, 1], got inf"),
+        ],
+    )
+    def test_constructor_messages(self, make, message):
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_fields_are_required(self):
+        with pytest.raises(TypeError):
+            FrameWindow(0)
+        with pytest.raises(TypeError):
+            ScoredWindow(0, 4)
 
 
 WINDOWS = WindowingConfig(num_windows=4, window_len=32)

@@ -59,6 +59,7 @@ class Dataset:
     pnr: dict[str, PnrAnnotation]
     oscc: dict[str, bool]
 
+    # perfbench/tracer.py counts the records parse_annotations read with len()
     def __len__(self) -> int:
         return len(self.clips)
 

@@ -29,7 +29,7 @@ from pnrkit.model import (
     window_center_fraction,
     window_center_frame,
 )
-from pnrkit.sampling import WindowingConfig, dense_windows
+from pnrkit.sampling import WindowingConfig, _sweep_starts
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,10 @@ def oracle_error(
     """
     ensure_annotation_in_clip(annotation, clip)
     truth = annotation.positive_frame / clip.fps
+    w = config.window_len
     return min(
-        abs(window_center_frame(win) / clip.fps - truth)
-        for win in dense_windows(clip, config)
+        abs(window_center_frame((s, s + w)) / clip.fps - truth)
+        for s in _sweep_starts(clip, config)
     )
 
 
@@ -132,12 +133,11 @@ def score_dense_windows(
 ) -> ScoreSeries:
     """Pair each distinct window of a dense sweep, in sweep order, with one
     externally produced confidence, as a score file holds each window once."""
-    windows = tuple(dict.fromkeys(dense_windows(clip, config)))
-    if len(confidences) != len(windows):
+    starts = dict.fromkeys(_sweep_starts(clip, config))
+    if len(confidences) != len(starts):
         raise ValidationError(
             f"clip {clip.clip_id!r}: {len(confidences)} confidences for "
-            f"{len(windows)} windows"
+            f"{len(starts)} windows"
         )
-    return ScoreSeries(
-        tuple(ScoredWindow(win.start, win.end, c) for win, c in zip(windows, confidences))
-    )
+    w = config.window_len
+    return ScoreSeries(tuple(ScoredWindow(s, s + w, c) for s, c in zip(starts, confidences)))

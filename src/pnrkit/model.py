@@ -103,11 +103,8 @@ class FrameWindow(tuple):
 
     The window does not name its clip: the clip is the key its series
     is stored under, or the sampler call it comes from.  It is the
-    immutable tuple ``(start, end)``, so it equals, hashes and sorts as
-    that tuple, and ``len`` is its frame count, ``end - start``.  As
-    ``len`` is not the number of fields, read a window by name, index or
-    unpacking, never with ``tuple()``, ``list()`` or ``*``: those take
-    ``len`` as a size hint and allocate one slot per frame.
+    immutable tuple ``(start, end)``, so it equals, hashes, sorts and
+    unpacks as that tuple; its frame count is ``end - start``.
     """
 
     __slots__ = ()
@@ -121,13 +118,9 @@ class FrameWindow(tuple):
     start = property(itemgetter(0), doc="First frame of the window.")
     end = property(itemgetter(1), doc="Frame just past the window.")
 
-    def __len__(self) -> int:
-        return self[1] - self[0]
-
-    def __reduce__(self) -> tuple:
-        # the fields as a plain tuple, for copy and every pickle protocol;
-        # the default reduction of protocols 0 and 1 would call tuple(self)
-        return type(self), self[:]
+    def __getnewargs__(self) -> tuple:
+        # tuple's own passes the fields as one tuple, which __new__ refuses
+        return self[:]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
@@ -229,7 +222,7 @@ def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
 
 
 def window_center_frame(window: FrameWindow) -> float:
-    """Center of a window in frame units: start + (len - 1) / 2."""
+    """Center of a window in frame units: start + (end - start - 1) / 2."""
     start = window[0]
     return start + (window[1] - start - 1) / 2
 

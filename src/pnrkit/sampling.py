@@ -97,6 +97,23 @@ def tsn_sample(clip: Clip, config: SamplerConfig) -> tuple[int, ...]:
     return tuple(picks)
 
 
+def _sweep_starts(clip: Clip, config: WindowingConfig) -> list[int]:
+    w, count = config.window_len, config.num_windows
+    _check_fits(clip, w)
+    if count == 1:
+        return [0]
+    # round_half_up(k * span / (N - 1)) in integers, so a huge clip
+    # cannot round a start past n - w
+    span, den = clip.num_frames - w, 2 * (count - 1)
+    return [(2 * k * span + count - 1) // den for k in range(count)]
+
+
+def _held_ranges(frames: tuple[int, ...], num_frames: int, window_len: int) -> list[range]:
+    # a window [s, s + w) holds frame f iff s in [f - w + 1, f]
+    w = window_len
+    return [range(max(f - w + 1, 0), min(f, num_frames - w) + 1) for f in frames]
+
+
 def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...]:
     """Sweep N windows of w frames evenly across the clip.
 
@@ -105,16 +122,8 @@ def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...
     just [0, w).  When n - w < N - 1 some windows repeat.  Raises
     ClipTooShortError when n < w.
     """
-    n, w, count = clip.num_frames, config.window_len, config.num_windows
-    _check_fits(clip, w)
-    if count == 1:
-        starts = [0]
-    else:
-        # round_half_up(k * span / (N - 1)) in integers, so a huge clip
-        # cannot round a start past n - w
-        span, den = n - w, 2 * (count - 1)
-        starts = [(2 * k * span + count - 1) // den for k in range(count)]
-    return tuple(FrameWindow(s, s + w) for s in starts)
+    w = config.window_len
+    return tuple(FrameWindow(s, s + w) for s in _sweep_starts(clip, config))
 
 
 def positive_window(
@@ -146,11 +155,8 @@ def valid_negative_starts(
     n, w = clip.num_frames, config.window_len
     _check_fits(clip, w)
     ensure_annotation_in_clip(annotation, clip)
-    taken: set[int] = set()
-    for frame in annotation.all_frames:
-        # a window [s, s + w) contains frame iff s in [frame - w + 1, frame]
-        taken.update(range(max(frame - w + 1, 0), min(frame, n - w) + 1))
-    return tuple(s for s in range(n - w + 1) if s not in taken)
+    held = set().union(*_held_ranges(annotation.all_frames, n, w))
+    return tuple(s for s in range(n - w + 1) if s not in held)
 
 
 def negative_windows(

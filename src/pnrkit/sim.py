@@ -34,7 +34,7 @@ from pnrkit.model import (
     fraction_to_frame,
     round_half_up,
 )
-from pnrkit.sampling import WindowingConfig, _rng, dense_windows
+from pnrkit.sampling import WindowingConfig, _held_ranges, _rng, _sweep_starts
 
 
 @dataclass(frozen=True)
@@ -142,22 +142,21 @@ def simulate_scores(
     seed: int = 0,
 ) -> dict[str, ScoreSeries]:
     """Score every clip's distinct dense windows with hit/miss Beta noise."""
+    hit, miss = (noise.hit_alpha, noise.hit_beta), (noise.miss_alpha, noise.miss_beta)
+    w = windows.window_len
     out: dict[str, ScoreSeries] = {}
     for i, (clip_id, clip) in enumerate(ds.clips.items()):
         rng = _rng(seed, 1, i)
-        ann = ds.pnr.get(clip_id)
-        frames = ann.all_frames if ann is not None else ()
-        scored = []
         # a sweep of more windows than a short clip has starts repeats
-        # windows; each distinct window is scored once
-        for win in dict.fromkeys(dense_windows(clip, windows)):
-            hit = any(win.contains(f) for f in frames)
-            if hit:
-                conf = rng.betavariate(noise.hit_alpha, noise.hit_beta)
-            else:
-                conf = rng.betavariate(noise.miss_alpha, noise.miss_beta)
-            scored.append(ScoredWindow(win.start, win.end, conf))
-        out[clip_id] = ScoreSeries(tuple(scored))
+        # starts; each distinct window is scored once
+        starts = dict.fromkeys(_sweep_starts(clip, windows))
+        ann = ds.pnr.get(clip_id)
+        held = _held_ranges(ann.all_frames if ann is not None else (), clip.num_frames, w)
+        scored = tuple(
+            ScoredWindow(s, s + w, rng.betavariate(*(hit if any(s in r for r in held) else miss)))
+            for s in starts
+        )
+        out[clip_id] = ScoreSeries(scored)
     return out
 
 

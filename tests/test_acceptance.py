@@ -56,7 +56,7 @@ def brute_force_select(series, clip, config):
     n = clip.num_frames
     rows = []
     for sw in series.windows:
-        center = sw.start + (len(sw) - 1) / 2
+        center = sw.start + (sw.end - sw.start - 1) / 2
         frac = 0.0 if n == 1 else center / (n - 1)
         rows.append((sw, center, frac))
     kept = [r for r in rows if r[0].confidence > config.threshold]

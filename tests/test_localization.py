@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnrkit.errors import BoundsError, DomainError, EmptyInputError, ValidationError
-from pnrkit.ingest import emit_pnr_scores, parse_pnr_scores
+from pnrkit.ingest import build_dataset, emit_pnr_scores, parse_pnr_scores
 from pnrkit.localization import (
     SelectionConfig,
     baseline_center,
@@ -19,12 +19,29 @@ from pnrkit.localization import (
 )
 from pnrkit.model import (
     Clip,
+    FrameWindow,
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
     window_center_frame,
 )
 from pnrkit.sampling import WindowingConfig, dense_windows
+from pnrkit.sim import SimConfig, gen_dataset, simulate_scores
+
+
+@st.composite
+def sweeps(draw):
+    """(n, w, N, fps) of a dense sweep, often one window, a clip of exactly
+    one window, or more windows than the clip has starts."""
+    w = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.one_of(st.just(w), st.integers(min_value=w, max_value=200)))
+    count = draw(st.one_of(
+        st.just(1),
+        st.integers(min_value=n - w + 2, max_value=n - w + 40),
+        st.integers(min_value=1, max_value=48),
+    ))
+    fps = draw(st.sampled_from([30.0, 29.97, 24.0, 1.0]))
+    return n, w, count, fps
 
 
 def series_of(triples):
@@ -36,7 +53,7 @@ def reference_select(series, clip, config):
     n = clip.num_frames
 
     def frac(sw):
-        center = sw.start + (len(sw) - 1) / 2
+        center = sw.start + (sw.end - sw.start - 1) / 2
         return 0.0 if n == 1 else center / (n - 1)
 
     candidates = sorted(
@@ -45,14 +62,14 @@ def reference_select(series, clip, config):
     )
     if candidates:
         chosen = candidates[0]
-        center = chosen.start + (len(chosen) - 1) / 2
+        center = chosen.start + (chosen.end - chosen.start - 1) / 2
         return center / clip.fps
     if config.fallback == "prior-point":
         return math.floor(config.prior_fraction * (n - 1) + 0.5) / clip.fps
     best = sorted(
         series.windows, key=lambda sw: (-sw.confidence, sw.start, sw.end)
     )[0]
-    return (best.start + (len(best) - 1) / 2) / clip.fps
+    return (best.start + (best.end - best.start - 1) / 2) / clip.fps
 
 
 class TestSelectPnr:
@@ -202,14 +219,19 @@ class TestOracleError:
         # edge clamping keeps the 16 vs 32 ratio below the interior value 2
         assert (163 / 1200) / (17 / 200) == pytest.approx(163 / 102)
 
-    def test_brute_force_agreement(self):
-        clip = Clip("c", 30.0, 311)
-        cfg = WindowingConfig(num_windows=7)
-        centers = [window_center_frame(w) / clip.fps for w in dense_windows(clip, cfg)]
-        for p in range(0, 311, 13):
-            expected = min(abs(c - p / clip.fps) for c in centers)
-            got = oracle_error(PnrAnnotation(p), clip, cfg)
-            assert got == pytest.approx(expected)
+    @given(sweeps())
+    @example((311, 32, 7, 30.0))
+    @settings(max_examples=150)
+    def test_brute_force_agreement(self, sweep):
+        # the exact float the min over the dense windows' center times gives,
+        # at every frame of the clip
+        n, w, count, fps = sweep
+        clip = Clip("c", fps, n)
+        cfg = WindowingConfig(num_windows=count, window_len=w)
+        centers = [window_center_frame(win) / fps for win in dense_windows(clip, cfg)]
+        for p in range(n):
+            expected = min(abs(c - p / fps) for c in centers)
+            assert oracle_error(PnrAnnotation(p), clip, cfg) == expected
 
     def test_errors(self):
         with pytest.raises(ValidationError):
@@ -244,3 +266,35 @@ class TestScoreDenseWindows:
         assert parse_pnr_scores(emit_pnr_scores({"c": series})) == {"c": series}
         with pytest.raises(ValidationError, match="^clip 'c': 16 confidences for 9 windows$"):
             score_dense_windows(clip, config, [0.5] * 16)
+
+
+class TestSweepBuildsNoWindow:
+    def test_consumers_run_with_frame_window_refused(self, monkeypatch):
+        # the oracle, the simulator and score_dense_windows read the sweep's
+        # integer starts: refusing every FrameWindow changes none of their values
+        ds = gen_dataset(SimConfig(n_clips=12, duration_min_sec=1.1, duration_max_sec=3.0, seed=5))
+        ds = build_dataset([*ds.clips.values(), Clip("bare", 30.0, 50)], ds.pnr, ds.oscc)
+
+        def run():
+            out = []
+            for count in (1, 16, 32, 90):
+                cfg = WindowingConfig(num_windows=count)
+                scores = simulate_scores(ds, cfg, seed=4)
+                oracle = [oracle_error(ds.pnr[c], ds.clips[c], cfg) for c in ds.pnr]
+                rescored = {
+                    c: score_dense_windows(ds.clips[c], cfg, [sw.confidence for sw in s.windows])
+                    for c, s in scores.items()
+                }
+                out.append((scores, oracle, rescored))
+            return out
+
+        expected = run()
+        assert all(rescored == scores for scores, _, rescored in expected)
+
+        def refuse(cls, *args):
+            raise AssertionError(f"built {cls.__name__}{args}")
+
+        monkeypatch.setattr(FrameWindow, "__new__", refuse)
+        with pytest.raises(AssertionError, match=r"^built FrameWindow\(0, 1\)$"):
+            FrameWindow(0, 1)
+        assert run() == expected

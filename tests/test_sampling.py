@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
-from pnrkit.model import Clip, PnrAnnotation, round_half_up
+from pnrkit.model import Clip, FrameWindow, PnrAnnotation, round_half_up
 from pnrkit.sampling import (
     SamplerConfig,
     WindowingConfig,
@@ -85,7 +85,7 @@ class TestDenseWindows:
         assert len(starts) == 32
         assert starts[:6] == [0, 7, 13, 20, 27, 34]
         assert starts[-1] == 208
-        assert all(len(w) == 32 for w in wins)
+        assert all(w.end - w.start == 32 for w in wins)
 
     def test_two_windows_hit_both_ends(self):
         wins = dense_windows(clip_of(240), WindowingConfig(num_windows=2))
@@ -194,7 +194,7 @@ class TestPositiveWindow:
         p = data.draw(st.integers(min_value=0, max_value=n - 1))
         cfg = WindowingConfig(num_windows=16, jitter=jitter)
         win = positive_window(PnrAnnotation(p), clip_of(n), cfg, seed)
-        assert len(win) == 32
+        assert win.end - win.start == 32
         assert win.contains(p)
         assert 0 <= win.start and win.end <= n
 
@@ -213,7 +213,7 @@ class TestNegativeWindows:
         wins = negative_windows(ann, clip_of(240), cfg, seed=11, count=64)
         assert len(wins) == 64
         for win in wins:
-            assert len(win) == 32 and win.end <= 240
+            assert win.end - win.start == 32 and win.end <= 240
             for frame in ann.all_frames:
                 assert not win.contains(frame)
 
@@ -242,22 +242,27 @@ class TestNegativeWindows:
         assert a == b
 
     @given(
-        st.integers(min_value=40, max_value=1000),
+        st.integers(min_value=1, max_value=48),
         st.data(),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=200)
-    def test_exclusion_property(self, n, data, seed):
-        p = data.draw(st.integers(min_value=0, max_value=n - 1))
-        others = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n - 1).filter(lambda f: f != p),
-                max_size=4,
-                unique=True,
-            )
+    def test_exclusion_property(self, w, data, seed):
+        n = data.draw(st.one_of(st.just(w), st.integers(min_value=w, max_value=1000)))
+        # frames in the last w - 1 frames are those whose windows the last
+        # start, n - w, clips
+        frames = st.one_of(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=min(n - w + 1, n - 1), max_value=n - 1),
         )
+        p = data.draw(frames)
+        others = [f for f in data.draw(st.lists(frames, max_size=4, unique=True)) if f != p]
         ann = PnrAnnotation(p, tuple(others))
-        cfg = WindowingConfig(num_windows=16)
+        cfg = WindowingConfig(num_windows=16, window_len=w)
+        assert list(valid_negative_starts(ann, clip_of(n), cfg)) == [
+            s for s in range(n - w + 1)
+            if not any(FrameWindow(s, s + w).contains(f) for f in ann.all_frames)
+        ]
         try:
             wins = negative_windows(ann, clip_of(n), cfg, seed, count=8)
         except NegativeSpaceEmpty:

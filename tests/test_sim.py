@@ -164,15 +164,16 @@ def test_positive_sd_above_one_is_refused_without_drawing():
 
 
 # Runs in a fresh interpreter, so that run_fresh's timeout ends a hang.
-# Simulates one clip of up to 1e300 seconds into the directory given, then
-# localizes and oracles it, and prints the three exit codes.
+# Simulates one clip of up to 1e300 seconds into the directory given, under
+# the extra config lines given, then localizes and oracles it, and prints
+# the three exit codes.
 HUGE_CLIP = """
 import os, sys
 from pnrkit.cli import main
 out = sys.argv[1]
 config, annotations = os.path.join(out, "sim.cfg"), os.path.join(out, "annotations.jsonl")
 with open(config, "w") as handle:
-    handle.write("n_clips = 1\\nduration_max_sec = 1e300\\n")
+    handle.write("n_clips = 1\\nduration_max_sec = 1e300\\n" + sys.argv[2])
 print(
     main(["simulate", "--config", config, "--out-dir", out, "--quiet"]),
     main(["localize", "--scores", os.path.join(out, "scores_pnr.jsonl"),
@@ -183,12 +184,22 @@ print(
 """
 
 
+def run_huge_clip(tmp_path, extra=""):
+    proc = run_fresh(["-c", HUGE_CLIP, str(tmp_path), extra], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 0\n", proc.stderr
+
+
 def test_huge_clip_round_trips(tmp_path):
     # window starts are integers, so the last window of a clip too long
     # for a float to count its frames still ends at the clip's end
-    proc = run_fresh(["-c", HUGE_CLIP, str(tmp_path)], timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0 0\n", proc.stderr
+    run_huge_clip(tmp_path)
+
+
+def test_huge_window_round_trips(tmp_path):
+    # the simulator's hit test costs the same for any window length, so a
+    # window of 10**9 frames is scored at once
+    run_huge_clip(tmp_path, "window_len = 1000000000\n")
 
 
 # sha256 of each file of `simulate` at n_clips = 4, seed = 3, num_windows = 4,

@@ -90,27 +90,47 @@ def build_dataset(
 
 
 _raw_decode = json.JSONDecoder().raw_decode
-_LINE_ENDINGS = ("\n", "\r\n")
 
 
-def _read(stream: str | Iterable[str], record: Callable[[dict], None]) -> None:
+def _joined(stream: str | Iterable[str]) -> str:
+    """An iterable of lines, with or without their "\n", as the text it joins to."""
+    if isinstance(stream, str):
+        return stream
+    return "\n".join(line.removesuffix("\n") for line in stream)
+
+
+def _read(
+    text: str, record: Callable[[dict], None], take: Callable[[str, int], int] | None = None
+) -> None:
     """Run ``record`` on the JSON object of each non-blank line; an error
     of the line or of ``record`` leaves naming the line, a model
-    ValidationError as a ParseError."""
-    lines = stream.split("\n") if isinstance(stream, str) else stream
-    for line_no, raw in enumerate(lines, 1):
-        _read_line(raw, line_no, record)
+    ValidationError as a ParseError.  ``take(text, at)`` may read the line
+    at ``at`` itself and return the next line's start, or -1 if it did not."""
+    # a cursor, as text.split("\n") would hold a second copy of the text
+    at, size, line_no = 0, len(text), 0
+    while at < size:
+        line_no += 1
+        if take is not None:
+            after = take(text, at)
+            if after >= 0:
+                at = after
+                continue
+        stop = text.find("\n", at)
+        if stop < 0:
+            stop = size
+        _read_line(text[at:stop], line_no, record)
+        at = stop + 1
 
 
 def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
-    # a value that spans the whole line, up to a line ending left on by a
-    # file, is what json.loads would give; blank lines, other edge
+    # a value that spans the whole line, up to the "\r" of a "\r\n"
+    # ending, is what json.loads would give; blank lines, other edge
     # whitespace, a BOM and bad JSON go through strip() and json.loads,
     # whose messages the errors repeat
     try:
         try:
             obj, end = _raw_decode(raw)
-            whole = end == len(raw) or raw[end:] in _LINE_ENDINGS
+            whole = end == len(raw) or raw[end:] == "\r"
         except ValueError:
             whole = False
         if not whole:
@@ -211,7 +231,7 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
         # checked last, so a line with its own fault reports that fault
         _put(clips, clip_id, clip, "clip_id")
 
-    _read(stream, record)
+    _read(_joined(stream), record)
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
 
 
@@ -232,7 +252,6 @@ def emit_annotations(dataset: Dataset) -> str:
 
 
 _SCORE_KEYS = ("clip_id", "start", "end", "confidence")
-_SCORE_KEY_SET = frozenset(_SCORE_KEYS)
 # a score line exactly as emit_pnr_scores and json.dumps (default
 # separators) write it, with a \n or \r\n ending; digits are [0-9], never
 # \d, as int() and float() also read digits that JSON does not allow
@@ -252,30 +271,33 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
 
     def record(obj: dict) -> None:
-        # one test passes a well-formed line; any other line goes through
-        # the validators, which raise the error or accept an int confidence
-        if not (
-            obj.keys() == _SCORE_KEY_SET
-            and type(clip_id := obj["clip_id"]) is str
-            and clip_id
-            and type(start := obj["start"]) is int
-            and type(end := obj["end"]) is int
-            and type(confidence := obj["confidence"]) is float
-            and 0.0 <= confidence <= 1.0
-        ):
-            _check_keys(obj, _SCORE_KEYS)
-            clip_id = _as_str(obj, "clip_id")
-            start = _as_int(obj, "start")
-            end = _as_int(obj, "end")
-            confidence = _as_number(obj, "confidence")
+        _check_keys(obj, _SCORE_KEYS)
+        clip_id = _as_str(obj, "clip_id")
+        start = _as_int(obj, "start")
+        end = _as_int(obj, "end")
+        confidence = _as_number(obj, "confidence")
         grouped[clip_id].append(ScoredWindow(start, end, confidence))
 
-    if isinstance(stream, str):
-        _walk_scores(stream, grouped, record)
-    else:
-        # kept as a list so a duplicate window can be traced back to its line
-        stream = list(stream)
-        _read(stream, record)
+    # anchored matches, not finditer, so no search runs on past a line off
+    # the pattern; such a line, or one whose values int(), float() or
+    # ScoredWindow refuse, goes to the line reader and ``record``, which
+    # make every error and every value the pattern does not cover
+    match = _SCORE_LINE.match
+
+    def take(text: str, at: int) -> int:
+        line = match(text, at)
+        if line is None:
+            return -1
+        clip_id, start, end, confidence = line.groups()
+        try:  # the conversions the JSON decoder makes
+            window = ScoredWindow(int(start), int(end), float(confidence))
+        except (ValueError, DomainError):
+            return -1
+        grouped[clip_id].append(window)
+        return line.end()
+
+    text = _joined(stream)
+    _read(text, record, take)
     series_by_clip = {}
     for clip_id, windows in grouped.items():
         # tuple order is (start, end) order, as a clip holds each window
@@ -283,44 +305,12 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
         windows.sort()
         for a, b in zip(windows, windows[1:]):
             if a[0] == b[0] and a[1] == b[1]:
-                _raise_at_second_line(stream, clip_id, b)
+                _raise_at_second_line(text, clip_id, b)
         series_by_clip[clip_id] = ScoreSeries(tuple(windows))
     return series_by_clip
 
 
-def _walk_scores(
-    text: str, grouped: dict[str, list[ScoredWindow]], record: Callable[[dict], None]
-) -> None:
-    """Read score text as _read does, but take each line that _SCORE_LINE
-    matches where the previous line ended straight to a window.  A line
-    off the pattern, or one whose values int(), float() or ScoredWindow
-    refuse, goes to _read_line and ``record`` alone, so those make every
-    error and every value the pattern does not cover."""
-    # anchored matches, not finditer: a search would scan the rest of the
-    # text for a later match at a line off the pattern
-    match, at, size, line_no = _SCORE_LINE.match, 0, len(text), 0
-    while at < size:
-        line_no += 1
-        line = match(text, at)
-        if line is not None:
-            clip_id, start, end, confidence = line.groups()
-            try:
-                # the conversions the JSON decoder makes
-                window = ScoredWindow(int(start), int(end), float(confidence))
-            except (ValueError, DomainError):
-                pass
-            else:
-                grouped[clip_id].append(window)
-                at = line.end()
-                continue
-        stop = text.find("\n", at)
-        if stop < 0:
-            stop = size
-        _read_line(text[at:stop], line_no, record)
-        at = stop + 1
-
-
-def _raise_at_second_line(stream: str | list[str], clip_id: str, window: ScoredWindow) -> None:
+def _raise_at_second_line(text: str, clip_id: str, window: ScoredWindow) -> None:
     """Raise the duplicate-window error at the second record of a window."""
     copies = []
 
@@ -332,7 +322,7 @@ def _raise_at_second_line(stream: str | list[str], clip_id: str, window: ScoredW
                     f"duplicate window [{window.start}, {window.end}) for clip {clip_id!r}"
                 )
 
-    _read(stream, record)
+    _read(text, record)
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
@@ -361,7 +351,7 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
         ensure_range("'prob'", prob, 0, 1)
         _put(probs, clip_id, prob, "probability for clip")
 
-    _read(stream, record)
+    _read(_joined(stream), record)
     return probs
 
 
@@ -387,7 +377,7 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
         )
         _put(preds, clip_id, pred, "prediction for clip")
 
-    _read(stream, record)
+    _read(_joined(stream), record)
     return preds
 
 

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -873,6 +875,7 @@ class TestStrictLines:
             raise AssertionError("a well-formed line was decoded twice")
 
         monkeypatch.setattr(json, "loads", second_decode)
+        assert parse(text) == expected
         assert parse(io.StringIO(text)) == expected
         assert parse(text.splitlines(keepends=True)) == expected
 
@@ -891,7 +894,12 @@ class TestStrictLines:
         in_id = _document(fmt, GOOD_LINE[fmt].replace('"a"', f'"a{sep}"'))
         trailing = FIRST_LINE[fmt] + sep + "\nnot json\n"
         for text in (in_id, trailing):
-            assert outcome(text) == outcome(io.StringIO(text))
+            # an iterable of lines is read as the text it joins to, so lines
+            # without endings, and an element holding a "\n", read alike too
+            lines = text.split("\n")
+            inner = [lines[0] + "\n" + lines[1] + "\n", *lines[2:]]
+            for stream in (io.StringIO(text), lines, inner):
+                assert outcome(stream) == outcome(text)
         assert outcome(trailing) == (ParseError, "line 2: invalid JSON: Expecting value", 2)
         if sep in "\u2028\u2029\x85":  # JSON strings may hold these raw
             result = outcome(in_id)
@@ -1015,16 +1023,23 @@ def _outcome(parse, stream):
     return result, list(result.clips if isinstance(result, Dataset) else result)
 
 
+def _line_reader_outcome(stream):
+    """parse_pnr_scores's outcome with a pattern that matches no line, so
+    the line reader reads every line."""
+    with mock.patch.object(ingest, "_SCORE_LINE", re.compile(r"(?!)")):
+        return _outcome(parse_pnr_scores, stream)
+
+
 class TestFastPath:
     """Score text in the form the emitters write is read by one line pattern;
-    text and lines must give exactly the same value or error."""
+    it must give exactly the value or error the line reader alone gives."""
 
     @settings(max_examples=300)
     @given(perturbed_documents(score_fields(), key_fields=3))
     def test_scores_text_and_lines_agree(self, text):
-        assert _outcome(parse_pnr_scores, text) == _outcome(
-            parse_pnr_scores, text.splitlines(keepends=True)
-        )
+        expected = _line_reader_outcome(text)
+        assert _outcome(parse_pnr_scores, text) == expected
+        assert _outcome(parse_pnr_scores, text.splitlines(keepends=True)) == expected
 
     @given(perturbed_documents(annotation_fields(), key_fields=1))
     def test_annotations_text_and_lines_agree(self, text):
@@ -1055,7 +1070,7 @@ class TestFastPath:
         fmt = "pnr_scores"
         lines = [FIRST_LINE[fmt], line] if last else [line, GOOD_LINE[fmt]]
         text = _lines(*lines)
-        expected = _outcome(parse_pnr_scores, io.StringIO(text))
+        expected = _line_reader_outcome(text)
         assert _outcome(parse_pnr_scores, text) == expected
         assert _outcome(parse_pnr_scores, text[:-1]) == expected
 
@@ -1076,6 +1091,9 @@ class TestFastPath:
             # as does the same text without its final line ending, or with CRLF
             assert parse_pnr_scores(scores[:-1]) == series_by_clip
             assert parse_pnr_scores(scores.replace("\n", "\r\n")) == series_by_clip
+            # and its lines, with or without their endings
+            assert parse_pnr_scores(scores.splitlines(keepends=True)) == series_by_clip
+            assert parse_pnr_scores(scores.splitlines()) == series_by_clip
 
     def test_json_dumps_lines_stay_on_it(self, monkeypatch):
         score_lines = [

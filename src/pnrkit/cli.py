@@ -132,6 +132,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     rows = ["# clip_id\toracle_error_sec"]
     total = 0.0
     for clip_id in sorted(ds.pnr):
+        if "\t" in clip_id or "\n" in clip_id or "\r" in clip_id:
+            raise ValidationError(
+                f"{args.annotations}: clip id {clip_id!r} would split its TSV row"
+            )
         clip = ds.clips[clip_id]
         err = _blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config)
         total += err

@@ -1,19 +1,13 @@
 """Line-oriented wire formats and the in-memory dataset.
 
-Every on-disk artifact is JSON Lines with one record per line.  Parsers
-are strict: unknown keys, wrong types, out-of-range values, and
-duplicate clip ids are errors, reported with 1-based line numbers.
-Emitters write records with a fixed key order and no extra whitespace
-beyond the JSON defaults, so identical inputs produce identical bytes.
-
-Formats:
-
-* annotations: ``{"clip_id", "fps", "num_frames"}`` plus optional
-  ``"state_change"`` (bool), ``"pnr_frame"`` (int), and
-  ``"other_pnr_frames"`` (list of int).
-* state-change window scores: ``{"clip_id", "start", "end", "confidence"}``.
-* state-change probabilities: ``{"clip_id", "prob"}``.
-* predictions: ``{"clip_id", "time_sec", "frame", "source"}``.
+Every on-disk artifact is JSON Lines with one record per line.  Each
+format (annotations, window scores, state-change probabilities,
+predictions) is one table below: each key, in written order, with the
+check that reads its value.  Parsers are strict and check every record
+in one order: its key set, then each key's type, then the value rules
+(the model constructors, the frame-in-clip check, repeated clip ids);
+errors carry 1-based line numbers.  Emitters write the table's keys in
+order with the JSON defaults, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -152,32 +146,19 @@ def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
         raise type(exc)(str(exc), line_no) from None
 
 
-def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    keys = set(obj)
-    missing = [k for k in required if k not in keys]
-    if missing:
-        raise ParseError(f"missing key(s): {', '.join(missing)}")
-    unknown = keys - set(required) - set(optional)
-    if unknown:
-        raise ParseError(f"unknown key(s): {', '.join(sorted(unknown))}")
-
-
-def _as_str(obj: dict, key: str) -> str:
-    v = obj[key]
+def _as_str(v: object, key: str) -> str:
     if not isinstance(v, str) or not v:
         raise ParseError(f"{key!r} must be a non-empty string")
     return v
 
 
-def _as_int(obj: dict, key: str) -> int:
-    v = obj[key]
+def _as_int(v: object, key: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{key!r} must be an integer")
     return v
 
 
-def _as_number(obj: dict, key: str) -> float:
-    v = obj[key]
+def _as_number(v: object, key: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{key!r} must be a number")
     try:
@@ -190,15 +171,60 @@ def _as_number(obj: dict, key: str) -> float:
     return x
 
 
-def _as_bool(obj: dict, key: str) -> bool:
-    v = obj[key]
+def _as_bool(v: object, key: str) -> bool:
     if not isinstance(v, bool):
         raise ParseError(f"{key!r} must be a boolean")
     return v
 
 
-_ANNOTATION_REQUIRED = ("clip_id", "fps", "num_frames")
-_ANNOTATION_OPTIONAL = ("state_change", "pnr_frame", "other_pnr_frames")
+def _as_ints(v: object, key: str) -> tuple[int, ...]:
+    if not isinstance(v, list) or any(isinstance(f, bool) or not isinstance(f, int) for f in v):
+        raise ParseError(f"{key!r} must be a list of integers")
+    return tuple(v)
+
+
+def _format(required: dict[str, Callable], optional: dict[str, Callable] = {}) -> tuple:
+    """A wire format as one table: each key, in the order it is written,
+    with the check that reads its value; then the keys every record has,
+    and the keys a record may leave out."""
+    return {**required, **optional}, tuple(required), tuple(optional)
+
+
+_ANNOTATION = _format(
+    {"clip_id": _as_str, "fps": _as_number, "num_frames": _as_int},
+    {"state_change": _as_bool, "pnr_frame": _as_int, "other_pnr_frames": _as_ints},
+)
+_SCORE = _format({"clip_id": _as_str, "start": _as_int, "end": _as_int, "confidence": _as_number})
+_PROB = _format({"clip_id": _as_str, "prob": _as_number})
+_PREDICTION = _format(
+    {"clip_id": _as_str, "time_sec": _as_number, "frame": _as_int, "source": _as_str}
+)
+
+
+def _fields(obj: dict, fmt: tuple) -> list:
+    """The checked values of a record of ``fmt``, in written order; an
+    absent optional key reads as None.  The key set is checked first:
+    missing keys are named in written order, then unknown keys sorted."""
+    checks, required, _ = fmt
+    if obj.keys() != checks.keys():
+        missing = [k for k in required if k not in obj]
+        if missing:
+            raise ParseError(f"missing key(s): {', '.join(missing)}")
+        unknown = obj.keys() - checks.keys()
+        if unknown:
+            raise ParseError(f"unknown key(s): {', '.join(sorted(unknown))}")
+    return [check(obj[key], key) if key in obj else None for key, check in checks.items()]
+
+
+def _line(fmt: tuple, values: Iterable) -> str:
+    """One record of ``fmt`` as json.dumps writes it, keys in written
+    order; a None value leaves its optional key out."""
+    checks, _, optional = fmt
+    record = dict(zip(checks, values))
+    for key in optional:
+        if record[key] is None:
+            del record[key]
+    return json.dumps(record) + "\n"
 
 
 def parse_annotations(stream: str | Iterable[str]) -> Dataset:
@@ -208,26 +234,16 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     oscc: dict[str, bool] = {}
 
     def record(obj: dict) -> None:
-        _check_keys(obj, _ANNOTATION_REQUIRED, _ANNOTATION_OPTIONAL)
-        clip_id = _as_str(obj, "clip_id")
-        clip = Clip(clip_id, _as_number(obj, "fps"), _as_int(obj, "num_frames"))
-        if "state_change" in obj:
-            oscc[clip_id] = _as_bool(obj, "state_change")
-        if "other_pnr_frames" in obj and "pnr_frame" not in obj:
-            raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
-        if "pnr_frame" in obj:
-            positive = _as_int(obj, "pnr_frame")
-            others: tuple[int, ...] = ()
-            if "other_pnr_frames" in obj:
-                raw = obj["other_pnr_frames"]
-                if not isinstance(raw, list) or any(
-                    isinstance(f, bool) or not isinstance(f, int) for f in raw
-                ):
-                    raise ParseError("'other_pnr_frames' must be a list of integers")
-                others = tuple(raw)
-            ann = PnrAnnotation(positive, others)
+        clip_id, fps, num_frames, state_change, positive, others = _fields(obj, _ANNOTATION)
+        clip = Clip(clip_id, fps, num_frames)
+        if state_change is not None:
+            oscc[clip_id] = state_change
+        if positive is not None:
+            ann = PnrAnnotation(positive, others or ())
             ensure_annotation_in_clip(ann, clip)
             pnr[clip_id] = ann
+        elif others is not None:
+            raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
         # checked last, so a line with its own fault reports that fault
         _put(clips, clip_id, clip, "clip_id")
 
@@ -239,22 +255,18 @@ def emit_annotations(dataset: Dataset) -> str:
     """Serialize a Dataset back to annotation lines, clip order preserved."""
     rows = []
     for clip_id, clip in dataset.clips.items():
-        rec: dict = {"clip_id": clip_id, "fps": clip.fps, "num_frames": clip.num_frames}
-        if clip_id in dataset.oscc:
-            rec["state_change"] = dataset.oscc[clip_id]
+        positive = others = None
         ann = dataset.pnr.get(clip_id)
         if ann is not None:
-            rec["pnr_frame"] = ann.positive_frame
-            if ann.negative_frames:
-                rec["other_pnr_frames"] = list(ann.negative_frames)
-        rows.append(json.dumps(rec))
-    return "".join(row + "\n" for row in rows)
+            positive, others = ann.positive_frame, list(ann.negative_frames) or None
+        values = (clip_id, clip.fps, clip.num_frames, dataset.oscc.get(clip_id), positive, others)
+        rows.append(_line(_ANNOTATION, values))
+    return "".join(rows)
 
 
-_SCORE_KEYS = ("clip_id", "start", "end", "confidence")
-# a score line exactly as emit_pnr_scores and json.dumps (default
-# separators) write it, with a \n or \r\n ending; digits are [0-9], never
-# \d, as int() and float() also read digits that JSON does not allow
+# a score line exactly as emit_pnr_scores and _line(_SCORE, ...) write it
+# (json.dumps, default separators), with a \n or \r\n ending; digits are
+# [0-9], never \d, as int() and float() also read digits JSON does not allow
 _SCORE_LINE = re.compile(
     r'\{"clip_id": "([^"\\\x00-\x1f]+)", "start": (0|[1-9][0-9]*), '
     r'"end": (0|[1-9][0-9]*), "confidence": '
@@ -271,11 +283,7 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
 
     def record(obj: dict) -> None:
-        _check_keys(obj, _SCORE_KEYS)
-        clip_id = _as_str(obj, "clip_id")
-        start = _as_int(obj, "start")
-        end = _as_int(obj, "end")
-        confidence = _as_number(obj, "confidence")
+        clip_id, start, end, confidence = _fields(obj, _SCORE)
         grouped[clip_id].append(ScoredWindow(start, end, confidence))
 
     # anchored matches, not finditer, so no search runs on past a line off
@@ -315,7 +323,7 @@ def _raise_at_second_line(text: str, clip_id: str, window: ScoredWindow) -> None
     copies = []
 
     def record(obj: dict) -> None:
-        if (obj["clip_id"], obj["start"], obj["end"]) == (clip_id, window.start, window.end):
+        if _fields(obj, _SCORE)[:3] == [clip_id, window.start, window.end]:
             copies.append(obj)
             if len(copies) == 2:
                 raise ConflictError(
@@ -326,8 +334,9 @@ def _raise_at_second_line(text: str, clip_id: str, window: ScoredWindow) -> None
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
-    # the bytes json.dumps writes for each record: ints as themselves, a
-    # float by float.__repr__ (also for float subclasses such as numpy's)
+    # the bytes _line(_SCORE, ...) writes for each record, without building
+    # a dict per window: ints as themselves, a float by float.__repr__
+    # (also for float subclasses such as numpy's)
     rows = []
     for clip_id, series in series_by_clip.items():
         head = '{"clip_id": ' + json.dumps(clip_id) + ', "start": '
@@ -337,17 +346,12 @@ def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
     return "".join(rows)
 
 
-_PROB_KEYS = ("clip_id", "prob")
-
-
 def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
     """Parse per-clip state-change probabilities."""
     probs: dict[str, float] = {}
 
     def record(obj: dict) -> None:
-        _check_keys(obj, _PROB_KEYS)
-        clip_id = _as_str(obj, "clip_id")
-        prob = _as_number(obj, "prob")
+        clip_id, prob = _fields(obj, _PROB)
         ensure_range("'prob'", prob, 0, 1)
         _put(probs, clip_id, prob, "probability for clip")
 
@@ -356,13 +360,7 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
 
 
 def emit_oscc_scores(probs: Mapping[str, float]) -> str:
-    return "".join(
-        json.dumps({"clip_id": clip_id, "prob": prob}) + "\n"
-        for clip_id, prob in probs.items()
-    )
-
-
-_PREDICTION_KEYS = ("clip_id", "time_sec", "frame", "source")
+    return "".join(_line(_PROB, item) for item in probs.items())
 
 
 def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
@@ -370,12 +368,8 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
     preds: dict[str, PnrPrediction] = {}
 
     def record(obj: dict) -> None:
-        _check_keys(obj, _PREDICTION_KEYS)
-        clip_id = _as_str(obj, "clip_id")
-        pred = PnrPrediction(
-            _as_number(obj, "time_sec"), _as_int(obj, "frame"), _as_str(obj, "source")
-        )
-        _put(preds, clip_id, pred, "prediction for clip")
+        clip_id, time_sec, frame, source = _fields(obj, _PREDICTION)
+        _put(preds, clip_id, PnrPrediction(time_sec, frame, source), "prediction for clip")
 
     _read(_joined(stream), record)
     return preds
@@ -383,16 +377,7 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
 
 def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
     return "".join(
-        json.dumps(
-            {
-                "clip_id": clip_id,
-                "time_sec": p.time_sec,
-                "frame": p.frame,
-                "source": p.source,
-            }
-        )
-        + "\n"
-        for clip_id, p in preds.items()
+        _line(_PREDICTION, (clip_id, p.time_sec, p.frame, p.source)) for clip_id, p in preds.items()
     )
 
 
@@ -425,6 +410,11 @@ def frame_bin(frame: int, num_frames: int, bins: int) -> int:
     if not 0 <= frame < num_frames:
         raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
     return min(frame * bins // max(num_frames - 1, 1), bins - 1)
+
+
+def bin_center(k: int, bins: int) -> float:
+    """Center of bin k of ``frame_bin``'s bins: the one rule of both plot TSVs."""
+    return (k + 0.5) / bins
 
 
 @dataclass(frozen=True)
@@ -497,6 +487,6 @@ def stats_plot_data(stats: DatasetStats) -> str:
     """Histogram TSV: bin center, positive count, negative count."""
     rows = ["# bin_center\tpositive_count\tnegative_count"]
     for k in range(stats.bins):
-        center = (k + 0.5) / stats.bins
+        center = bin_center(k, stats.bins)
         rows.append(f"{center:.6f}\t{stats.positive_hist[k]}\t{stats.negative_hist[k]}")
     return "\n".join(rows) + "\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from pnrkit.errors import CoverageError, EmptyInputError
-from pnrkit.ingest import Dataset, frame_bin
+from pnrkit.ingest import Dataset, bin_center, frame_bin
 from pnrkit.model import PnrPrediction, ensure_range
 
 
@@ -152,7 +152,7 @@ def error_plot_data(report: MetricsReport) -> str:
     if report.per_bin is None:
         raise EmptyInputError("report carries no per-bin data")
     rows = ["# bin_center\tmean_error_sec\tcount"]
-    for b in report.per_bin:
+    for k, b in enumerate(report.per_bin):
         mean = f"{b.mean_error_sec:.6f}" if b.mean_error_sec is not None else "nan"
-        rows.append(f"{(b.lo + b.hi) / 2:.6f}\t{mean}\t{b.count}")
+        rows.append(f"{bin_center(k, len(report.per_bin)):.6f}\t{mean}\t{b.count}")
     return "\n".join(rows) + "\n"

@@ -1,6 +1,7 @@
 """Command-line pipelines: composition, determinism, diagnostics."""
 
 import argparse
+import json
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,23 @@ class TestWindowsAndStats:
         errors = [line.split("\t") for line in plot.read_text(encoding="utf-8").splitlines()[1:]]
         assert [int(count) for _, _, count in errors] == [0] * 15 + [1] + [0] * 6
 
+    @pytest.mark.parametrize("bins", [10, 320])
+    def test_both_plot_files_print_one_bin_center(self, tmp_path, bins):
+        # (lo + hi) / 2 and (k + 0.5) / bins first print apart at 320 bins
+        plot_files = {"stats": tmp_path / "hist.tsv", "evaluate": tmp_path / "plot.tsv"}
+        common = ["--annotations", str(FIXTURE), "--bins", str(bins), "--quiet"]
+        assert main(["stats", *common, "--out", str(plot_files["stats"])]) == 0
+        preds = tmp_path / "preds.jsonl"
+        assert main(["baseline", "--mode", "center", *common[:2], "--out", str(preds)]) == 0
+        assert main(["evaluate", "--task", "pnr", "--preds", str(preds), *common,
+                     "--plot-data", str(plot_files["evaluate"])]) == 0
+        centers = {
+            name: [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+            for name, path in plot_files.items()
+        }
+        assert centers["stats"] == centers["evaluate"]
+        assert centers["stats"] == [f"{(k + 0.5) / bins:.6f}" for k in range(bins)]
+
     def test_stats_table_and_tsv(self, tmp_path, capsys):
         tsv = tmp_path / "fig1.tsv"
         assert main(["stats", "--annotations", str(FIXTURE), "--out", str(tsv), "--quiet"]) == 0
@@ -448,6 +466,27 @@ class TestDiagnostics:
         assert captured.out == ""
         assert captured.err == (
             f"pnrkit: error: {annotations}: clip 'a' has 20 frames, needs at least 32\n"
+        )
+
+    @pytest.mark.parametrize("clip_id", ["a\nb", "c\td", "e\rf"], ids=ascii)
+    def test_oracle_refuses_an_id_its_tsv_cannot_hold(self, tmp_path, capsys, clip_id):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(
+            "".join(
+                json.dumps({"clip_id": c, "fps": 30.0, "num_frames": 90, "pnr_frame": 5}) + "\n"
+                for c in ("a", clip_id, "z")
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "oracle.tsv"
+        argv = ["oracle", "--n", "4", "--window", "8", "--annotations", str(annotations)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 2 * (
+            f"pnrkit: error: {annotations}: clip id {clip_id!r} would split its TSV row\n"
         )
 
     def test_missing_file(self, capsys):

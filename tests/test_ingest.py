@@ -817,6 +817,53 @@ DUPLICATES = [
 ]
 
 
+# Lines with two faults, each reported at the first in the order every
+# record is checked: its key set, then each key's type in written order,
+# then the value rules (model constructors, 'other_pnr_frames' requires
+# 'pnr_frame', frame in clip, repeated id).  Clip "z" repeats line 1's.
+TWO_FAULTS = [
+    # (format, case, line, message)
+    ('annotations', 'type-after-clip-domain', '{"clip_id": "a", "fps": -1, "num_frames": 9, "state_change": "x"}',
+     "line 3: 'state_change' must be a boolean"),
+    ('annotations', 'pnr-type-after-frames-domain', '{"clip_id": "a", "fps": 30.0, "num_frames": 0, "pnr_frame": "1"}',
+     "line 3: 'pnr_frame' must be an integer"),
+    ('annotations', 'others-type-before-requires', '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "other_pnr_frames": [2.5]}',
+     "line 3: 'other_pnr_frames' must be a list of integers"),
+    ('annotations', 'missing-before-unknown', '{"clip_id": 5, "fps": 30.0, "x": 1}',
+     'line 3: missing key(s): num_frames'),
+    ('annotations', 'unknown-before-type', '{"clip_id": 5, "fps": 30.0, "num_frames": 9, "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('annotations', 'types-in-written-order', '{"num_frames": true, "fps": "30", "clip_id": "a"}',
+     "line 3: 'fps' must be a number"),
+    ('annotations', 'clip-before-requires', '{"clip_id": "a", "fps": 0.0, "num_frames": 9, "other_pnr_frames": [2]}',
+     'line 3: fps must be positive, got 0.0'),
+    ('annotations', 'in-clip-before-repeat', '{"clip_id": "z", "fps": 30.0, "num_frames": 9, "pnr_frame": 9}',
+     "line 3: clip 'z': annotated frame 9 outside 9-frame clip"),
+    ('pnr_scores', 'missing-before-unknown', '{"start": 0, "x": 1}',
+     'line 3: missing key(s): clip_id, end, confidence'),
+    ('pnr_scores', 'unknown-before-type', '{"clip_id": 5, "start": 0, "end": 4, "confidence": 0.5, "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('pnr_scores', 'type-before-window', '{"clip_id": "a", "start": 8, "end": 4, "confidence": "x"}',
+     "line 3: 'confidence' must be a number"),
+    ('pnr_scores', 'types-in-written-order', '{"confidence": 0.5, "end": true, "start": "0", "clip_id": "a"}',
+     "line 3: 'start' must be an integer"),
+    ('pnr_scores', 'window-before-repeat', '{"clip_id": "z", "start": 0, "end": 4, "confidence": 1.5}',
+     'line 3: confidence must be in [0, 1], got 1.5'),
+    ('oscc_scores', 'unknown-before-type', '{"clip_id": "", "prob": 0.5, "x": 1}',
+     'line 3: unknown key(s): x'),
+    ('oscc_scores', 'type-before-range', '{"clip_id": "", "prob": 1.5}',
+     "line 3: 'clip_id' must be a non-empty string"),
+    ('oscc_scores', 'range-before-repeat', '{"clip_id": "z", "prob": 1.5}',
+     "line 3: 'prob' must be in [0, 1], got 1.5"),
+    ('predictions', 'missing-before-unknown', '{"clip_id": "a", "frame": "1", "y": 1}',
+     'line 3: missing key(s): time_sec, source'),
+    ('predictions', 'type-before-prediction', '{"clip_id": "a", "time_sec": -1.0, "frame": 1.0, "source": "guess"}',
+     "line 3: 'frame' must be an integer"),
+    ('predictions', 'prediction-before-repeat', '{"clip_id": "z", "time_sec": -1.0, "frame": 30, "source": "selected"}',
+     'line 3: time_sec must be >= 0, got -1.0'),
+]
+
+
 # characters at which str.splitlines() breaks a line but a file does not
 SPLITLINES_ONLY_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
@@ -849,6 +896,14 @@ class TestStrictLines:
         assert str(info.value) == message
         assert info.value.line_no == line_no
         assert str(info.value).startswith(f"line {line_no}: ")
+
+    @pytest.mark.parametrize(
+        "fmt,case,line,message", TWO_FAULTS, ids=[f"{row[0]}-{row[1]}" for row in TWO_FAULTS]
+    )
+    def test_two_faults_report_the_first_checked(self, fmt, case, line, message):
+        with pytest.raises(ParseError) as info:
+            PARSERS[fmt](_document(fmt, line))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("fmt", PARSERS)
     @pytest.mark.parametrize(
@@ -1128,6 +1183,71 @@ class TestFastPath:
         assert parse_pnr_scores(text) == expected
         assert read == [(2, lines[1]), (3, lines[2]), (4, ""), (5, lines[4] + " ")]
         assert [w.confidence for w in expected["a"].windows] == [0.5, 0.25, 1.0]
+
+
+TABLES = {
+    "annotations": ingest._ANNOTATION,
+    "pnr_scores": ingest._SCORE,
+    "oscc_scores": ingest._PROB,
+    "predictions": ingest._PREDICTION,
+}
+
+
+class TestFormatTables:
+    """Each format's keys are written once, in its table in ingest; the
+    emitters write them in the table's order."""
+
+    @staticmethod
+    def assert_table_order(fmt, text, every_key=False):
+        checks, required, optional = TABLES[fmt]
+        assert list(checks) == [*required, *optional]
+        for line in text.splitlines():
+            keys = list(json.loads(line))
+            assert keys == [key for key in checks if key in keys]
+            assert set(required) <= set(keys)
+            if every_key:
+                assert keys == list(checks)
+
+    def test_every_key_in_written_order(self):
+        ds = build_dataset([Clip("a", 30.0, 9)], {"a": PnrAnnotation(1, (4, 2))}, {"a": False})
+        self.assert_table_order("annotations", emit_annotations(ds), every_key=True)
+        series = ScoreSeries((ScoredWindow(0, 4, 0.5), ScoredWindow(2, 6, 1)))
+        self.assert_table_order("pnr_scores", emit_pnr_scores({"a": series}), every_key=True)
+        self.assert_table_order("oscc_scores", emit_oscc_scores({"a": 0.5}), every_key=True)
+        preds = {"a": PnrPrediction(1.0, 30, "fallback-prior")}
+        self.assert_table_order("predictions", emit_predictions(preds), every_key=True)
+
+    @given(datasets(), pnr_score_maps(), st.dictionaries(clip_ids, unit), prediction_maps())
+    def test_any_records(self, dataset, series_by_clip, probs, preds):
+        self.assert_table_order("annotations", emit_annotations(dataset))
+        self.assert_table_order("pnr_scores", emit_pnr_scores(series_by_clip))
+        self.assert_table_order("oscc_scores", emit_oscc_scores(probs), every_key=True)
+        self.assert_table_order("predictions", emit_predictions(preds), every_key=True)
+
+    @given(
+        st.dictionaries(
+            awkward_ids,
+            st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 512), confidences), max_size=6),
+            max_size=5,
+        )
+    )
+    def test_pnr_emitter_writes_the_table_line(self, raw):
+        series_by_clip = {
+            clip_id: ScoreSeries(tuple(ScoredWindow(s, s + w, c) for s, w, c in windows))
+            for clip_id, windows in raw.items()
+        }
+        assert emit_pnr_scores(series_by_clip) == "".join(
+            ingest._line(ingest._SCORE, (clip_id, *window))
+            for clip_id, series in series_by_clip.items()
+            for window in series.windows
+        )
+
+    @given(pnr_score_maps(fast_ids))
+    def test_pnr_emitter_lines_match_the_score_pattern(self, series_by_clip):
+        lines = emit_pnr_scores(series_by_clip).splitlines(keepends=True)
+        assert len(lines) == sum(len(series.windows) for series in series_by_clip.values())
+        for line in lines:
+            assert ingest._SCORE_LINE.fullmatch(line)
 
 
 class TestFrameBin:

@@ -209,9 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _load(args.config, _lib.parse_sim_config)
     sim_cfg = settings.sim
     if args.seed is not None:
-        import dataclasses  # not at the top: no other subcommand needs it
-
-        sim_cfg = dataclasses.replace(sim_cfg, seed=args.seed)
+        sim_cfg = sim_cfg._replace(seed=args.seed)
     ds = _lib.gen_dataset(sim_cfg)
     scores = _lib.simulate_scores(ds, settings.windows, settings.noise, seed=sim_cfg.seed)
     probs = _lib.simulate_oscc(ds, settings.noise, seed=sim_cfg.seed)

@@ -25,7 +25,7 @@ from pnrkit.model import (
     ScoredWindow,
     ScoreSeries,
     ensure_range,
-    ensure_window_in_clip,
+    ensure_windows_in_clip,
     window_center_frame,
 )
 
@@ -52,13 +52,12 @@ def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
     its first window in (center, start, end) order, then input order."""
     centers: list[float] = []
     confidences: list[float] = []
-    keyed = sorted(
-        (window_center_frame(sw), sw[0], sw[1], i) for i, sw in enumerate(series.windows)
-    )
+    windows = series.windows
+    keyed = sorted((window_center_frame(sw), sw[0], sw[1], i) for i, sw in enumerate(windows))
     for center, _, _, i in keyed:
         if not centers or centers[-1] != center:
             centers.append(center)
-            confidences.append(series.windows[i][2])
+            confidences.append(windows[i][2])
     return centers, confidences
 
 
@@ -93,8 +92,7 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
         if not series.windows:
             raise EmptyInputError("a series has no windows")
         if clip is not None:
-            for sw in series.windows:
-                ensure_window_in_clip(sw, clip)
+            ensure_windows_in_clip(series.windows, clip)
 
     # union of the input geometries, one point per distinct (start, end)
     points = sorted(

@@ -18,7 +18,6 @@ import math
 import os
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from pnrkit.errors import (
@@ -33,6 +32,7 @@ from pnrkit.model import (
     Clip,
     PnrAnnotation,
     PnrPrediction,
+    Record,
     ScoredWindow,
     ScoreSeries,
     ensure_annotation_in_clip,
@@ -40,8 +40,7 @@ from pnrkit.model import (
 )
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Clips plus whatever annotations they carry.
 
     Keys of ``pnr`` and ``oscc`` are subsets of ``clips``; ``oscc`` maps
@@ -49,13 +48,15 @@ class Dataset:
     read-only; they are built once and shared.
     """
 
-    clips: dict[str, Clip]
-    pnr: dict[str, PnrAnnotation]
-    oscc: dict[str, bool]
+    __slots__ = ()
 
-    # perfbench/tracer.py counts the records parse_annotations read with len()
+    def __new__(cls, clips: dict[str, Clip], pnr: dict[str, PnrAnnotation], oscc: dict[str, bool]):
+        return tuple.__new__(cls, (clips, pnr, oscc))
+
+    # the clip count, not the field count: perfbench/tracer.py counts the
+    # records parse_annotations read with len()
     def __len__(self) -> int:
-        return len(self.clips)
+        return len(self[0])
 
 
 def _put(store: dict, clip_id: str, value, what: str) -> None:
@@ -278,7 +279,8 @@ _SCORE_LINE = re.compile(
 def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     """Parse window scores into one series per clip, sorted by start.
 
-    A clip may score each ``(start, end)`` window once.
+    A clip may score each ``(start, end)`` window once; a repeat is
+    reported at its own line, as any fault on a later line comes after it.
     """
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
 
@@ -305,30 +307,37 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
         return line.end()
 
     text = _joined(stream)
-    _read(text, record, take)
-    series_by_clip = {}
-    for clip_id, windows in grouped.items():
-        # tuple order is (start, end) order, as a clip holds each window
-        # once; a repeated window sits right after its first
+    try:
+        _read(text, record, take)
+    except (ParseError, ConflictError):
+        # a window repeated on a line before the failing one is the first fault
+        _sort_windows(text, grouped)
+        raise
+    _sort_windows(text, grouped)
+    return {clip_id: ScoreSeries(tuple(windows)) for clip_id, windows in grouped.items()}
+
+
+def _sort_windows(text: str, grouped: dict[str, list[ScoredWindow]]) -> None:
+    """Sort each clip's windows by (start, end), the tuple order, and refuse
+    a repeated window: a repeat sorts right after its first copy."""
+    for windows in grouped.values():
         windows.sort()
         for a, b in zip(windows, windows[1:]):
             if a[0] == b[0] and a[1] == b[1]:
-                _raise_at_second_line(text, clip_id, b)
-        series_by_clip[clip_id] = ScoreSeries(tuple(windows))
-    return series_by_clip
+                _raise_at_first_repeat(text)
 
 
-def _raise_at_second_line(text: str, clip_id: str, window: ScoredWindow) -> None:
-    """Raise the duplicate-window error at the second record of a window."""
-    copies = []
+def _raise_at_first_repeat(text: str) -> None:
+    """Raise the duplicate-window error at the first line that repeats a
+    window of its clip, as the other formats do for a repeated clip id."""
+    seen = set()
 
     def record(obj: dict) -> None:
-        if _fields(obj, _SCORE)[:3] == [clip_id, window.start, window.end]:
-            copies.append(obj)
-            if len(copies) == 2:
-                raise ConflictError(
-                    f"duplicate window [{window.start}, {window.end}) for clip {clip_id!r}"
-                )
+        key = tuple(_fields(obj, _SCORE)[:3])
+        if key in seen:
+            clip_id, start, end = key
+            raise ConflictError(f"duplicate window [{start}, {end}) for clip {clip_id!r}")
+        seen.add(key)
 
     _read(text, record)
 
@@ -417,19 +426,34 @@ def bin_center(k: int, bins: int) -> float:
     return (k + 0.5) / bins
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+def bin_label(lo: float, hi: float, bins: int) -> str:
+    """``[lo,hi)`` with as many decimals as tell ``bins`` bins apart, at
+    least two: the one label rule of both printed tables."""
+    places = max(2, len(str(bins - 1)))
+    return f"[{lo:.{places}f},{hi:.{places}f})"
+
+
+class DatasetStats(Record):
     """Summary counts and position histograms for one dataset."""
 
-    n_clips: int
-    n_pnr_annotated: int
-    n_oscc_annotated: int
-    pnr_per_clip_mean: float | None
-    pnr_per_clip_min: int | None
-    pnr_per_clip_max: int | None
-    bins: int
-    positive_hist: tuple[int, ...]
-    negative_hist: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n_clips: int,
+        n_pnr_annotated: int,
+        n_oscc_annotated: int,
+        pnr_per_clip_mean: float | None,
+        pnr_per_clip_min: int | None,
+        pnr_per_clip_max: int | None,
+        bins: int,
+        positive_hist: tuple[int, ...],
+        negative_hist: tuple[int, ...],
+    ):
+        return tuple.__new__(cls, (
+            n_clips, n_pnr_annotated, n_oscc_annotated, pnr_per_clip_mean, pnr_per_clip_min,
+            pnr_per_clip_max, bins, positive_hist, negative_hist,
+        ))
 
 
 def dataset_stats(dataset: Dataset, bins: int = 10) -> DatasetStats:
@@ -476,10 +500,8 @@ def render_stats(stats: DatasetStats) -> str:
         )
     lines.append("bin         positives  negatives")
     for k in range(stats.bins):
-        lo, hi = k / stats.bins, (k + 1) / stats.bins
-        lines.append(
-            f"[{lo:.2f},{hi:.2f})  {stats.positive_hist[k]:>9d}  {stats.negative_hist[k]:>9d}"
-        )
+        label = bin_label(k / stats.bins, (k + 1) / stats.bins, stats.bins)
+        lines.append(f"{label}  {stats.positive_hist[k]:>9d}  {stats.negative_hist[k]:>9d}")
     return "\n".join(lines) + "\n"
 
 

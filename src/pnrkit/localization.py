@@ -11,19 +11,18 @@ too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from pnrkit.errors import FALLBACKS, EmptyInputError, ValidationError
 from pnrkit.model import (
     Clip,
     FrameWindow,
     PnrAnnotation,
     PnrPrediction,
+    Record,
     ScoredWindow,
     ScoreSeries,
     ensure_annotation_in_clip,
     ensure_range,
-    ensure_window_in_clip,
+    ensure_windows_in_clip,
     fraction_to_frame,
     round_half_up,
     window_center_fraction,
@@ -32,21 +31,19 @@ from pnrkit.model import (
 from pnrkit.sampling import WindowingConfig, _sweep_starts
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
+class SelectionConfig(Record):
     """Selection rule settings: threshold, prior fraction, fallback."""
 
-    threshold: float = 0.7
-    prior_fraction: float = 0.43
-    fallback: str = "prior-point"
+    __slots__ = ()
 
-    def __post_init__(self):
-        ensure_range("threshold", self.threshold, 0, 1)
-        ensure_range("prior_fraction", self.prior_fraction, 0, 1)
-        if self.fallback not in FALLBACKS:
-            raise ValidationError(
-                f"fallback must be one of {FALLBACKS}, got {self.fallback!r}"
-            )
+    def __new__(
+        cls, threshold: float = 0.7, prior_fraction: float = 0.43, fallback: str = "prior-point"
+    ):
+        ensure_range("threshold", threshold, 0, 1)
+        ensure_range("prior_fraction", prior_fraction, 0, 1)
+        if fallback not in FALLBACKS:
+            raise ValidationError(f"fallback must be one of {FALLBACKS}, got {fallback!r}")
+        return tuple.__new__(cls, (threshold, prior_fraction, fallback))
 
 
 def _window_prediction(window: FrameWindow, fps: float, source: str) -> PnrPrediction:
@@ -73,8 +70,7 @@ def select_pnr(
     """
     if not series.windows:
         raise EmptyInputError(f"clip {clip.clip_id!r}: no scored windows")
-    for sw in series.windows:
-        ensure_window_in_clip(sw, clip)
+    ensure_windows_in_clip(series.windows, clip)
 
     # windows are (start, end, confidence) tuples; these run per window,
     # so they index instead of reading the named fields
@@ -120,11 +116,10 @@ def oracle_error(
     the floor for any selector restricted to those window centers.
     """
     ensure_annotation_in_clip(annotation, clip)
-    truth = annotation.positive_frame / clip.fps
-    w = config.window_len
+    fps, w = clip.fps, config.window_len
+    truth = annotation.positive_frame / fps
     return min(
-        abs(window_center_frame((s, s + w)) / clip.fps - truth)
-        for s in _sweep_starts(clip, config)
+        abs(window_center_frame((s, s + w)) / fps - truth) for s in _sweep_starts(clip, config)
     )
 
 

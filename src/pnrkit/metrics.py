@@ -9,36 +9,35 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from pnrkit.errors import CoverageError, EmptyInputError
-from pnrkit.ingest import Dataset, bin_center, frame_bin
-from pnrkit.model import PnrPrediction, ensure_range
+from pnrkit.ingest import Dataset, bin_center, bin_label, frame_bin
+from pnrkit.model import PnrPrediction, Record, ensure_range
 
 
-@dataclass(frozen=True)
-class BinError:
+class BinError(Record):
     """Mean absolute error of the clips whose truth falls in one bin."""
 
-    lo: float
-    hi: float
-    count: int
-    mean_error_sec: float | None
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float, count: int, mean_error_sec: float | None):
+        return tuple.__new__(cls, (lo, hi, count, mean_error_sec))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
     """One evaluation result: task, clip count, headline, optional bins.
 
     The headline is accuracy for the classification task and mean
     absolute error in seconds for localization.
     """
 
-    task: str
-    n_clips: int
-    headline: float
-    per_bin: tuple[BinError, ...] | None = None
+    __slots__ = ()
+
+    def __new__(
+        cls, task: str, n_clips: int, headline: float, per_bin: tuple[BinError, ...] | None = None
+    ):
+        return tuple.__new__(cls, (task, n_clips, headline, per_bin))
 
 
 def _check_coverage(predicted: set[str], annotated: set[str], what: str) -> None:
@@ -128,7 +127,8 @@ def render_report(report: MetricsReport) -> str:
         lines.append("bin          count  mean_error_sec")
         for b in report.per_bin:
             mean = f"{b.mean_error_sec:.6f}" if b.mean_error_sec is not None else "-"
-            lines.append(f"[{b.lo:.2f},{b.hi:.2f})  {b.count:>5d}  {mean}")
+            label = bin_label(b.lo, b.hi, len(report.per_bin))
+            lines.append(f"{label}  {b.count:>5d}  {mean}")
     return "\n".join(lines) + "\n"
 
 

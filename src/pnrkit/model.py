@@ -1,5 +1,9 @@
 """Core clip, annotation, and window types plus the fraction coordinate.
 
+Every record type, here and in the other modules, is a ``Record``: an
+immutable tuple of its fields, checked in ``__new__``, with the fields
+named as read-only attributes.
+
 Positions inside a clip are expressed two ways: as integer frame indices
 in [0, num_frames) and as fractions of the clip in [0, 1].  The fraction
 of frame i in an n-frame clip is i / (n - 1), so frame 0 maps to 0.0 and
@@ -10,8 +14,8 @@ the last frame maps to 1.0.  Windows are half-open frame ranges
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Iterable
 
 from pnrkit.errors import BoundsError, DomainError, ValidationError
 
@@ -47,27 +51,55 @@ def ensure_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class Clip:
+class Record(tuple):
+    """An immutable record: the tuple of its fields, checked when built.
+
+    A record type declares ``__slots__ = ()`` and a ``__new__`` that checks
+    its fields and returns ``tuple.__new__(cls, fields)``.  The parameter
+    names of that ``__new__`` are its ``_fields``, each a read-only
+    attribute over its slot.  A record equals, hashes, sorts and unpacks
+    as the plain tuple of its fields; ``len`` is the field count.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
+
+    def __getnewargs__(self) -> tuple:
+        # tuple's own passes the fields as one tuple, which __new__ refuses
+        return self[:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked again by ``__new__``."""
+        return type(self)(**dict(zip(self._fields, self), **changes))
+
+
+class Clip(Record):
     """A video clip identified by id, frame rate, and frame count."""
 
-    clip_id: str
-    fps: float
-    num_frames: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.clip_id:
+    def __new__(cls, clip_id: str, fps: float, num_frames: int):
+        if not clip_id:
             raise ValidationError("clip_id must be a non-empty string")
-        ensure_positive("fps", self.fps)
-        ensure_range("num_frames", self.num_frames, 1)
+        ensure_positive("fps", fps)
+        ensure_range("num_frames", num_frames, 1)
+        return tuple.__new__(cls, (clip_id, fps, num_frames))
 
     @property
     def duration_sec(self) -> float:
         return self.num_frames / self.fps
 
 
-@dataclass(frozen=True)
-class PnrAnnotation:
+class PnrAnnotation(Record):
     """Ground-truth state-change frames for one clip.
 
     The annotation does not name its clip: annotations live in maps
@@ -78,19 +110,17 @@ class PnrAnnotation:
     sampling but are never evaluation targets.
     """
 
-    positive_frame: int
-    negative_frames: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        ensure_range("positive_frame", self.positive_frame, 0)
-        for frame in self.negative_frames:
+    def __new__(cls, positive_frame: int, negative_frames: tuple[int, ...] = ()):
+        ensure_range("positive_frame", positive_frame, 0)
+        for frame in negative_frames:
             ensure_range("negative_frames", frame, 0)
-        if self.positive_frame in self.negative_frames:
-            raise ValidationError(
-                f"positive frame {self.positive_frame} repeated in negative_frames"
-            )
-        if len(set(self.negative_frames)) != len(self.negative_frames):
+        if positive_frame in negative_frames:
+            raise ValidationError(f"positive frame {positive_frame} repeated in negative_frames")
+        if len(set(negative_frames)) != len(negative_frames):
             raise ValidationError("duplicate negative frames")
+        return tuple.__new__(cls, (positive_frame, negative_frames))
 
     @property
     def all_frames(self) -> tuple[int, ...]:
@@ -98,33 +128,20 @@ class PnrAnnotation:
         return (self.positive_frame, *self.negative_frames)
 
 
-class FrameWindow(tuple):
+class FrameWindow(Record):
     """A half-open frame range [start, end) within one clip.
 
     The window does not name its clip: the clip is the key its series
     is stored under, or the sampler call it comes from.  It is the
-    immutable tuple ``(start, end)``, so it equals, hashes, sorts and
-    unpacks as that tuple; its frame count is ``end - start``.
+    tuple ``(start, end)``; its frame count is ``end - start``.
     """
 
     __slots__ = ()
-    _fields = ("start", "end")
 
     def __new__(cls, start: int, end: int):
         if not 0 <= start < end < math.inf:
             _refuse_window(start, end)
         return tuple.__new__(cls, (start, end))
-
-    start = property(itemgetter(0), doc="First frame of the window.")
-    end = property(itemgetter(1), doc="Frame just past the window.")
-
-    def __getnewargs__(self) -> tuple:
-        # tuple's own passes the fields as one tuple, which __new__ refuses
-        return self[:]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
 
     def contains(self, frame: int) -> bool:
         return self[0] <= frame < self[1]
@@ -135,15 +152,12 @@ class ScoredWindow(FrameWindow):
     ``(start, end, confidence)``."""
 
     __slots__ = ()
-    _fields = ("start", "end", "confidence")
 
     def __new__(cls, start: int, end: int, confidence: float):
         if not (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0):
             _refuse_window(start, end)
             raise DomainError(f"confidence must be in [0, 1], got {confidence}")
         return tuple.__new__(cls, (start, end, confidence))
-
-    confidence = property(itemgetter(2), doc="The scorer's confidence.")
 
 
 def _refuse_window(start: int, end: int) -> None:
@@ -157,30 +171,30 @@ def _refuse_window(start: int, end: int) -> None:
         raise DomainError(f"window end must be finite, got {end}")
 
 
-@dataclass(frozen=True)
-class ScoreSeries:
+class ScoreSeries(Record):
     """All scored windows one scorer produced for one clip.
 
     The series does not name its clip: series live in maps keyed by
     clip id, like every other per-clip value.
     """
 
-    windows: tuple[ScoredWindow, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, windows: tuple[ScoredWindow, ...] = ()):
+        return tuple.__new__(cls, (windows,))
 
 
-@dataclass(frozen=True)
-class PnrPrediction:
+class PnrPrediction(Record):
     """A single predicted state-change instant for one clip."""
 
-    time_sec: float
-    frame: int
-    source: str = field(compare=False, default="selected")
+    __slots__ = ()
 
-    def __post_init__(self):
-        ensure_range("time_sec", self.time_sec, 0)
-        ensure_range("frame", self.frame, 0)
-        if self.source not in SOURCES:
-            raise ValidationError(f"unknown prediction source {self.source!r}")
+    def __new__(cls, time_sec: float, frame: int, source: str = "selected"):
+        ensure_range("time_sec", time_sec, 0)
+        ensure_range("frame", frame, 0)
+        if source not in SOURCES:
+            raise ValidationError(f"unknown prediction source {source!r}")
+        return tuple.__new__(cls, (time_sec, frame, source))
 
 
 def frame_to_fraction(frame: int, num_frames: int) -> float:
@@ -203,21 +217,24 @@ def fraction_to_frame(fraction: float, num_frames: int) -> int:
     return round_half_up(fraction * (num_frames - 1))
 
 
-def ensure_window_in_clip(window: FrameWindow, clip: Clip) -> None:
-    if window[1] > clip.num_frames:
-        raise BoundsError(
-            f"window [{window[0]}, {window[1]}) exceeds clip "
-            f"{clip.clip_id!r} of {clip.num_frames} frames"
-        )
+def ensure_windows_in_clip(windows: Iterable[FrameWindow], clip: Clip) -> None:
+    """Every window ends inside the clip; the first that does not is named."""
+    num_frames = clip.num_frames  # read once: this runs once per window
+    for window in windows:
+        if window[1] > num_frames:
+            raise BoundsError(
+                f"window [{window[0]}, {window[1]}) exceeds clip "
+                f"{clip.clip_id!r} of {num_frames} frames"
+            )
 
 
 def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
     """Every annotated frame lies inside the clip."""
+    num_frames = clip.num_frames
     for frame in annotation.all_frames:
-        if frame >= clip.num_frames:
+        if frame >= num_frames:
             raise BoundsError(
-                f"clip {clip.clip_id!r}: annotated frame {frame} outside "
-                f"{clip.num_frames}-frame clip"
+                f"clip {clip.clip_id!r}: annotated frame {frame} outside {num_frames}-frame clip"
             )
 
 

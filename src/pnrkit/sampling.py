@@ -14,13 +14,13 @@ seed, so one seed always gives the same frames and windows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
 from pnrkit.model import (
     Clip,
     FrameWindow,
     PnrAnnotation,
+    Record,
     ensure_annotation_in_clip,
     ensure_range,
 )
@@ -28,32 +28,28 @@ from pnrkit.model import (
 SAMPLER_MODES = ("train-random", "test-uniform")
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     """Segment sampler settings: M segments, mode, and RNG seed."""
 
-    num_segments: int
-    mode: str = "test-uniform"
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        ensure_range("num_segments", self.num_segments, 1)
-        if self.mode not in SAMPLER_MODES:
-            raise ValidationError(f"mode must be one of {SAMPLER_MODES}, got {self.mode!r}")
+    def __new__(cls, num_segments: int, mode: str = "test-uniform", seed: int = 0):
+        ensure_range("num_segments", num_segments, 1)
+        if mode not in SAMPLER_MODES:
+            raise ValidationError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
+        return tuple.__new__(cls, (num_segments, mode, seed))
 
 
-@dataclass(frozen=True)
-class WindowingConfig:
+class WindowingConfig(Record):
     """Window sweep settings: N windows of w frames, train jitter j."""
 
-    num_windows: int
-    window_len: int = 32
-    jitter: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        ensure_range("num_windows", self.num_windows, 1)
-        ensure_range("window_len", self.window_len, 1)
-        ensure_range("jitter", self.jitter, 0)
+    def __new__(cls, num_windows: int, window_len: int = 32, jitter: int = 8):
+        ensure_range("num_windows", num_windows, 1)
+        ensure_range("window_len", window_len, 1)
+        ensure_range("jitter", jitter, 0)
+        return tuple.__new__(cls, (num_windows, window_len, jitter))
 
 
 def _rng(seed: int, *key: int) -> random.Random:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
 
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, build_dataset
 from pnrkit.model import (
     Clip,
     PnrAnnotation,
+    Record,
     ScoredWindow,
     ScoreSeries,
     ensure_positive,
@@ -37,33 +37,38 @@ from pnrkit.model import (
 from pnrkit.sampling import WindowingConfig, _held_ranges, _rng, _sweep_starts
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Dataset generator settings."""
 
-    n_clips: int = 1000
-    fps: float = 30.0
-    duration_min_sec: float = 5.0
-    duration_max_sec: float = 8.0
-    positive_mean: float = 0.43
-    positive_sd: float = 0.12
-    negatives_lambda: float = 2.48
-    state_change_prob: float = 0.5
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        ensure_range("n_clips", self.n_clips, 1)
-        ensure_positive("fps", self.fps)
-        ensure_positive("duration_min_sec", self.duration_min_sec)
-        ensure_range("duration_max_sec", self.duration_max_sec, self.duration_min_sec)
-        ensure_range("positive_mean", self.positive_mean, 0, 1)
-        ensure_range("positive_sd", self.positive_sd, 0, 1)
-        ensure_range("negatives_lambda", self.negatives_lambda, 0)
-        ensure_range("state_change_prob", self.state_change_prob, 0, 1)
+    def __new__(
+        cls,
+        n_clips: int = 1000,
+        fps: float = 30.0,
+        duration_min_sec: float = 5.0,
+        duration_max_sec: float = 8.0,
+        positive_mean: float = 0.43,
+        positive_sd: float = 0.12,
+        negatives_lambda: float = 2.48,
+        state_change_prob: float = 0.5,
+        seed: int = 0,
+    ):
+        ensure_range("n_clips", n_clips, 1)
+        ensure_positive("fps", fps)
+        ensure_positive("duration_min_sec", duration_min_sec)
+        ensure_range("duration_max_sec", duration_max_sec, duration_min_sec)
+        ensure_range("positive_mean", positive_mean, 0, 1)
+        ensure_range("positive_sd", positive_sd, 0, 1)
+        ensure_range("negatives_lambda", negatives_lambda, 0)
+        ensure_range("state_change_prob", state_change_prob, 0, 1)
+        return tuple.__new__(cls, (
+            n_clips, fps, duration_min_sec, duration_max_sec, positive_mean, positive_sd,
+            negatives_lambda, state_change_prob, seed,
+        ))
 
 
-@dataclass(frozen=True)
-class ScorerNoiseModel:
+class ScorerNoiseModel(Record):
     """Beta confidence parameters for hit and miss windows.
 
     A hit is a window containing any annotated state-change frame,
@@ -71,16 +76,20 @@ class ScorerNoiseModel:
     classifier scores a clip on the wrong side of 0.5.
     """
 
-    hit_alpha: float = 9.0
-    hit_beta: float = 2.0
-    miss_alpha: float = 2.0
-    miss_beta: float = 9.0
-    oscc_flip_prob: float = 0.1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("hit_alpha", "hit_beta", "miss_alpha", "miss_beta"):
-            ensure_positive(name, getattr(self, name))
-        ensure_range("oscc_flip_prob", self.oscc_flip_prob, 0, 1)
+    def __new__(
+        cls,
+        hit_alpha: float = 9.0,
+        hit_beta: float = 2.0,
+        miss_alpha: float = 2.0,
+        miss_beta: float = 9.0,
+        oscc_flip_prob: float = 0.1,
+    ):
+        for name, value in zip(cls._fields, (hit_alpha, hit_beta, miss_alpha, miss_beta)):
+            ensure_positive(name, value)
+        ensure_range("oscc_flip_prob", oscc_flip_prob, 0, 1)
+        return tuple.__new__(cls, (hit_alpha, hit_beta, miss_alpha, miss_beta, oscc_flip_prob))
 
 
 def _truncated_normal(rng: random.Random, mean: float, sd: float) -> float:
@@ -178,23 +187,23 @@ def simulate_oscc(
     return out
 
 
-@dataclass(frozen=True)
-class SimSettings:
+class SimSettings(Record):
     """Everything a simulation run needs: generator, noise, windowing."""
 
-    sim: SimConfig
-    noise: ScorerNoiseModel
-    windows: WindowingConfig
+    __slots__ = ()
+
+    def __new__(cls, sim: SimConfig, noise: ScorerNoiseModel, windows: WindowingConfig):
+        return tuple.__new__(cls, (sim, noise, windows))
 
 
-# every field of the three settings classes is a config key, except the
-# training jitter, which simulate does not use
+# every field of the three settings classes is a config key, an int or a float as
+# its __new__ annotation says, except the training jitter, which simulate does not use
 _SETTINGS_CLASSES = {"sim": SimConfig, "noise": ScorerNoiseModel, "windows": WindowingConfig}
 _KEYS = {
-    f.name: (group, int if f.type == "int" else float)
+    name: (group, int if cls.__new__.__annotations__[name] == "int" else float)
     for group, cls in _SETTINGS_CLASSES.items()
-    for f in fields(cls)
-    if f.name != "jitter"
+    for name in cls._fields
+    if name != "jitter"
 }
 
 

@@ -220,6 +220,41 @@ class TestBaselineAndOracle:
         assert "mean_oracle_error_sec:" in captured.err
 
 
+STATS_TABLE_10 = """\
+clips: 3
+pnr-annotated: 3
+oscc-annotated: 3
+state-change frames per clip: mean 3.6667 min 3 max 4
+bin         positives  negatives
+[0.00,0.10)          0          2
+[0.10,0.20)          0          0
+[0.20,0.30)          0          1
+[0.30,0.40)          0          0
+[0.40,0.50)          3          0
+[0.50,0.60)          0          2
+[0.60,0.70)          0          0
+[0.70,0.80)          0          1
+[0.80,0.90)          0          1
+[0.90,1.00)          0          1
+"""
+REPORT_TABLE_10 = """\
+task: pnr
+clips: 3
+mae_sec: 0.558333
+bin          count  mean_error_sec
+[0.00,0.10)      0  -
+[0.10,0.20)      0  -
+[0.20,0.30)      0  -
+[0.30,0.40)      0  -
+[0.40,0.50)      3  0.558333
+[0.50,0.60)      0  -
+[0.60,0.70)      0  -
+[0.70,0.80)      0  -
+[0.80,0.90)      0  -
+[0.90,1.00)      0  -
+"""
+
+
 class TestWindowsAndStats:
     def test_windows_table(self, capsys):
         assert main(["windows", "--frames", "240", "--n", "2", "--quiet"]) == 0
@@ -276,6 +311,31 @@ class TestWindowsAndStats:
         }
         assert centers["stats"] == centers["evaluate"]
         assert centers["stats"] == [f"{(k + 0.5) / bins:.6f}" for k in range(bins)]
+
+    def tables(self, tmp_path, capsys, bins):
+        """The printed stats table and pnr report of the fixture at ``bins`` bins."""
+        common = ["--annotations", str(FIXTURE), "--bins", str(bins), "--quiet"]
+        assert main(["stats", *common]) == 0
+        stats = capsys.readouterr().out
+        preds = tmp_path / "preds.jsonl"
+        assert main(["baseline", "--mode", "center", *common[:2], "--out", str(preds)]) == 0
+        assert main(["evaluate", "--task", "pnr", "--preds", str(preds), *common]) == 0
+        return stats, capsys.readouterr().out
+
+    def test_tables_at_ten_bins(self, tmp_path, capsys):
+        stats, report = self.tables(tmp_path, capsys, 10)
+        assert stats == STATS_TABLE_10
+        assert report == REPORT_TABLE_10
+
+    @pytest.mark.parametrize("bins", [1, 7, 10, 100, 101, 320, 1000])
+    def test_table_labels_tell_every_bin_apart(self, tmp_path, capsys, bins):
+        for table in self.tables(tmp_path, capsys, bins):
+            labels = [line.split()[0] for line in table.splitlines() if line.startswith("[")]
+            assert len(set(labels)) == len(labels) == bins
+            edges = [label[1:-1].split(",") for label in labels]
+            assert [hi for _, hi in edges[:-1]] == [lo for lo, _ in edges[1:]]
+            if bins <= 100:  # two decimals, as ever
+                assert labels == [f"[{k / bins:.2f},{(k + 1) / bins:.2f})" for k in range(bins)]
 
     def test_stats_table_and_tsv(self, tmp_path, capsys):
         tsv = tmp_path / "fig1.tsv"

@@ -137,6 +137,14 @@ def test_help_loads_only_the_cli_and_errors():
     assert "dataclasses" not in modules
 
 
+@pytest.mark.parametrize("label", ["--help", *SUBCOMMANDS])
+def test_no_stage_loads_dataclasses_or_inspect(run_dir, label):
+    # records are plain tuple subclasses; dataclasses would pull in inspect,
+    # ast, dis and tokenize at start-up
+    argv = ["--help"] if label == "--help" else subcommand(label, run_dir)
+    assert not loaded_by(argv) & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "label, unused",
     [

@@ -316,7 +316,7 @@ class TestEmitParseRoundTrip:
     def test_predictions(self, preds):
         parsed = parse_predictions(emit_predictions(preds))
         assert parsed == preds
-        # source is not part of prediction equality, so compare it too
+        # source is part of prediction equality; compare it on its own too
         assert [p.source for p in parsed.values()] == [p.source for p in preds.values()]
 
     @given(datasets())
@@ -501,6 +501,38 @@ class TestDuplicateWindows:
             with pytest.raises(ConflictError) as info:
                 parse_pnr_scores(stream)
             assert str(info.value) == "line 5: duplicate window [0, 32) for clip 'a'"
+
+    @pytest.mark.parametrize("separators", [None, (",", ":")], ids=["emitted", "compact"])
+    def test_repeat_is_reported_before_a_later_bad_line(self, separators):
+        records = [
+            {"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5},
+            {"clip_id": "a", "start": 0, "end": 4, "confidence": 0.25},
+            {"clip_id": "a", "start": 4, "end": 8, "confidence": 2},
+        ]
+        text = "".join(json.dumps(r, separators=separators) + "\n" for r in records)
+        for stream in (text, text.splitlines()):
+            with pytest.raises(ConflictError) as info:
+                parse_pnr_scores(stream)
+            assert str(info.value) == "line 2: duplicate window [0, 4) for clip 'a'"
+            assert info.value.line_no == 2
+        # a bad line with no repeat before it is reported as itself
+        with pytest.raises(ParseError, match=r"^line 2: confidence must be in \[0, 1\], got 2.0$"):
+            parse_pnr_scores([text.splitlines()[0], text.splitlines()[2]])
+
+    def test_first_repeated_line_is_reported(self):
+        # as for a repeated clip id in the other formats: the first line
+        # that repeats, whichever clip or window it repeats
+        lines = [
+            '{"clip_id": "a", "start": 8, "end": 40, "confidence": 0.5}',
+            '{"clip_id": "b", "start": 0, "end": 32, "confidence": 0.5}',
+            '{"clip_id": "b", "start": 0, "end": 32, "confidence": 0.5}',
+            '{"clip_id": "a", "start": 8, "end": 40, "confidence": 0.5}',
+            '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.5}',
+            '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.5}',
+        ]
+        with pytest.raises(ConflictError) as info:
+            parse_pnr_scores(lines)
+        assert str(info.value) == "line 3: duplicate window [0, 32) for clip 'b'"
 
     def test_third_copy_reports_the_second(self):
         line = '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.5}\n'

@@ -1,7 +1,6 @@
 """Core type and fraction-coordinate behavior."""
 
 import copy
-import dataclasses
 import math
 import pickle
 import sys
@@ -12,18 +11,21 @@ from hypothesis import strategies as st
 
 from pnrkit import model
 from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
-from pnrkit.ingest import build_dataset, parse_annotations
+from pnrkit.ingest import build_dataset, dataset_stats, parse_annotations
 from pnrkit.localization import SelectionConfig, oracle_error
+from pnrkit.metrics import BinError, MetricsReport
 from pnrkit.model import (
     Clip,
     FrameWindow,
     PnrAnnotation,
     PnrPrediction,
+    Record,
     ScoredWindow,
+    ScoreSeries,
     ensure_annotation_in_clip,
     ensure_positive,
     ensure_range,
-    ensure_window_in_clip,
+    ensure_windows_in_clip,
     frame_to_fraction,
     fraction_to_frame,
     round_half_up,
@@ -38,7 +40,7 @@ from pnrkit.sampling import (
     positive_window,
     valid_negative_starts,
 )
-from pnrkit.sim import ScorerNoiseModel, SimConfig
+from pnrkit.sim import ScorerNoiseModel, SimConfig, SimSettings
 
 
 class TestRoundHalfUp:
@@ -209,13 +211,101 @@ class TestTypeValidation:
 
     def test_ensure_window_in_clip(self):
         clip = Clip("c", 30.0, 240)
-        ensure_window_in_clip(FrameWindow(208, 240), clip)
+        ensure_windows_in_clip([FrameWindow(208, 240)], clip)
         with pytest.raises(BoundsError):
-            ensure_window_in_clip(FrameWindow(209, 241), clip)
+            ensure_windows_in_clip([FrameWindow(209, 241)], clip)
+        # the first window past the end is the one named
+        windows = [FrameWindow(0, 32), FrameWindow(209, 241), FrameWindow(300, 310)]
+        with pytest.raises(BoundsError) as info:
+            ensure_windows_in_clip(windows, clip)
+        assert str(info.value) == "window [209, 241) exceeds clip 'c' of 240 frames"
 
 
-class TestWindowContract:
-    """Windows are checked immutable tuples: (start, end), (start, end, confidence)."""
+def _dataset():
+    clip = Clip("c", 30.0, 240)
+    return build_dataset([clip], {"c": PnrAnnotation(103, (55,))}, {"c": True})
+
+
+# one instance of every record type
+RECORDS = [
+    Clip("c", 30.0, 240),
+    PnrAnnotation(103, (55, 180)),
+    FrameWindow(2, 9),
+    ScoredWindow(2, 9, 0.75),
+    ScoreSeries((ScoredWindow(0, 32, 0.5), ScoredWindow(8, 40, 0.25))),
+    PnrPrediction(3.45, 103, "fallback-prior"),
+    _dataset(),
+    dataset_stats(_dataset(), bins=4),
+    SamplerConfig(num_segments=8, mode="train-random", seed=3),
+    WindowingConfig(num_windows=16, window_len=24, jitter=4),
+    SelectionConfig(threshold=0.5, prior_fraction=0.4, fallback="argmax-confidence"),
+    BinError(0.0, 0.25, 2, 0.5),
+    MetricsReport("pnr", 2, 0.5, (BinError(0.0, 0.5, 2, 0.5), BinError(0.5, 1.0, 0, None))),
+    SimConfig(n_clips=3, seed=7),
+    ScorerNoiseModel(hit_alpha=5.0, oscc_flip_prob=0.2),
+    SimSettings(SimConfig(n_clips=3), ScorerNoiseModel(), WindowingConfig(num_windows=16)),
+]
+RECORD_IDS = [type(record).__name__ for record in RECORDS]
+# record type -> a field and a valid new value for it
+REPLACEMENTS = {
+    "Clip": ("num_frames", 300),
+    "PnrAnnotation": ("negative_frames", ()),
+    "FrameWindow": ("end", 12),
+    "ScoredWindow": ("confidence", 0.5),
+    "ScoreSeries": ("windows", ()),
+    "PnrPrediction": ("source", "selected"),
+    "Dataset": ("oscc", {}),
+    "DatasetStats": ("n_clips", 5),
+    "SamplerConfig": ("seed", 4),
+    "WindowingConfig": ("jitter", 0),
+    "SelectionConfig": ("threshold", 0.9),
+    "BinError": ("count", 3),
+    "MetricsReport": ("per_bin", None),
+    "SimConfig": ("seed", 8),
+    "ScorerNoiseModel": ("miss_beta", 3.0),
+    "SimSettings": ("windows", WindowingConfig(num_windows=8)),
+}
+_R = dict(zip(RECORD_IDS, RECORDS))
+# a change the record's own checks refuse, with the constructor's message
+REFUSED = [
+    (_R["Clip"], {"clip_id": ""}, ValidationError, "clip_id must be a non-empty string"),
+    (_R["Clip"], {"fps": 0.0}, DomainError, "fps must be positive, got 0.0"),
+    (_R["PnrAnnotation"], {"negative_frames": (55, 55)}, ValidationError,
+     "duplicate negative frames"),
+    (_R["PnrAnnotation"], {"positive_frame": 55}, ValidationError,
+     "positive frame 55 repeated in negative_frames"),
+    (_R["FrameWindow"], {"end": 2}, DomainError, "window [2, 2) is empty or inverted"),
+    (_R["ScoredWindow"], {"confidence": 1.5}, DomainError, "confidence must be in [0, 1], got 1.5"),
+    (_R["PnrPrediction"], {"source": "guess"}, ValidationError,
+     "unknown prediction source 'guess'"),
+    (_R["SamplerConfig"], {"mode": "random"}, ValidationError,
+     "mode must be one of ('train-random', 'test-uniform'), got 'random'"),
+    (_R["WindowingConfig"], {"jitter": -1}, DomainError, "jitter must be >= 0, got -1"),
+    (_R["SelectionConfig"], {"fallback": "none"}, ValidationError,
+     "fallback must be one of ('prior-point', 'argmax-confidence'), got 'none'"),
+    (_R["SimConfig"], {"duration_max_sec": 4.0}, DomainError,
+     "duration_max_sec must be >= 5.0, got 4.0"),
+    (_R["ScorerNoiseModel"], {"miss_beta": 0.0}, DomainError, "miss_beta must be positive, got 0.0"),
+]
+
+
+def record_types():
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("pnrkit."):
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+class TestRecordContract:
+    """Every record is a checked immutable tuple of its fields; windows are
+    (start, end) and (start, end, confidence)."""
+
+    def test_every_record_type_is_listed(self):
+        assert {type(record) for record in RECORDS} == record_types()
+        assert len(RECORDS) == len(record_types()) == 16
 
     def test_equality_is_tuple_equality(self):
         assert FrameWindow(0, 4) == (0, 4)
@@ -224,6 +314,30 @@ class TestWindowContract:
         # a scored window is one field longer, so never equals a bare window
         assert FrameWindow(0, 4) != ScoredWindow(0, 4, 0.5)
         assert FrameWindow(0, 4) != (0, 5)
+        # every field takes part, a prediction's source too, and the type does not
+        assert PnrPrediction(1.0, 30, "selected") != PnrPrediction(1.0, 30, "fallback-prior")
+        assert PnrPrediction(1.0, 30) == (1.0, 30, "selected")
+        assert Clip("c", 30.0, 240) == ("c", 30.0, 240)
+        assert SelectionConfig() == (0.7, 0.43, "prior-point")
+        assert BinError(0.0, 0.5, 1, None) == (0.0, 0.5, 1, None)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_hash_is_the_tuple_one(self, record):
+        try:
+            expected = hash(tuple(record))
+        except TypeError:  # a Dataset holds dicts
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_fields_read_their_slots(self, record):
+        values = tuple(record)
+        assert len(values) == len(record._fields)
+        assert tuple(getattr(record, name) for name in record._fields) == values == record[:]
+        assert type(record)(*values) == record
+        assert type(record)(**dict(zip(record._fields, values))) == record
 
     def test_hash_and_order_are_the_tuple_ones(self):
         assert hash(FrameWindow(0, 4)) == hash((0, 4))
@@ -240,28 +354,25 @@ class TestWindowContract:
         assert len(sw) == 3 and len(FrameWindow(3, 7)) == 2 and len(FrameWindow(0, 1)) == 2
         assert sw.contains(3) and not sw.contains(7)
 
-    @pytest.mark.parametrize(
-        "window", [FrameWindow(2, 9), ScoredWindow(2, 9, 0.75)], ids=["frame", "scored"]
-    )
-    def test_immutable(self, window):
-        for name in ("start", "end", "confidence", "extra"):
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_immutable(self, record):
+        for name in (*record._fields, "start", "end", "confidence", "extra"):
             with pytest.raises(AttributeError):
-                setattr(window, name, 1)
+                setattr(record, name, 1)
         with pytest.raises(TypeError):
-            window[0] = 1
-        assert not hasattr(window, "__dict__")
+            record[0] = 1
+        assert not hasattr(record, "__dict__")
 
-    @pytest.mark.parametrize(
-        "window", [FrameWindow(2, 9), ScoredWindow(2, 9, 0.75)], ids=["frame", "scored"]
-    )
-    def test_copy_and_pickle_round_trip(self, window):
-        copies = [copy.copy(window), copy.deepcopy(window)] + [
-            pickle.loads(pickle.dumps(window, protocol))
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_copy_and_pickle_round_trip(self, record):
+        copies = [copy.copy(record), copy.deepcopy(record)] + [
+            pickle.loads(pickle.dumps(record, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
         ]
         for twin in copies:
-            assert type(twin) is type(window)
-            assert twin == window and len(twin) == len(window)
+            assert type(twin) is type(record)
+            assert twin == record and len(twin) == len(record)
+            assert tuple(map(type, twin)) == tuple(map(type, record))
 
     def test_read_without_len(self):
         # a window past sys.maxsize frames reads like any other: len is its
@@ -286,6 +397,39 @@ class TestWindowContract:
     def test_repr(self):
         assert repr(FrameWindow(0, 4)) == "FrameWindow(start=0, end=4)"
         assert repr(ScoredWindow(0, 4, 0.5)) == "ScoredWindow(start=0, end=4, confidence=0.5)"
+        assert repr(Clip("c", 30.0, 240)) == "Clip(clip_id='c', fps=30.0, num_frames=240)"
+        assert repr(PnrPrediction(1.0, 30)) == (
+            "PnrPrediction(time_sec=1.0, frame=30, source='selected')"
+        )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_repr_names_every_field_and_reads_back(self, record):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record))
+        assert repr(record) == f"{type(record).__name__}({shown})"
+        assert eval(repr(record), {cls.__name__: cls for cls in record_types()}) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_replace_changes_only_the_named_field(self, record):
+        same = record._replace()
+        assert type(same) is type(record) and same == record
+        name, value = REPLACEMENTS[type(record).__name__]
+        twin = record._replace(**{name: value})
+        assert type(twin) is type(record) and getattr(twin, name) == value != getattr(record, name)
+        assert [v for n, v in zip(twin._fields, twin) if n != name] == [
+            v for n, v in zip(record._fields, record) if n != name
+        ]
+        with pytest.raises(TypeError):
+            record._replace(no_such_field=1)
+
+    @pytest.mark.parametrize(
+        "record, changes, error, message",
+        REFUSED,
+        ids=[f"{type(record).__name__}.{next(iter(changes))}" for record, changes, *_ in REFUSED],
+    )
+    def test_replace_runs_the_checks_again(self, record, changes, error, message):
+        with pytest.raises(error) as info:
+            record._replace(**changes)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "make, message",
@@ -363,9 +507,9 @@ class TestAnnotationInClip:
 def test_only_clip_carries_its_id():
     # every other per-clip value sits in a map keyed by clip id
     records = {
-        name: {f.name for f in dataclasses.fields(obj)}
+        name: set(obj._fields)
         for name, obj in vars(model).items()
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and not name.startswith("_")
+        if isinstance(obj, type) and issubclass(obj, model.Record) and obj is not model.Record
     }
     assert {"Clip", "PnrAnnotation", "PnrPrediction", "ScoreSeries"} <= set(records)
     assert [name for name, fields in records.items() if "clip_id" in fields] == ["Clip"]
@@ -439,11 +583,11 @@ VALID = [
     PnrPrediction(1.0, 30),
 ]
 NUMERIC_FIELDS = [
-    (valid, f.name)
+    (valid, name)
     for valid in VALID
-    for f in dataclasses.fields(valid)
+    for name in valid._fields
     # the seed is checked where it seeds a stream, by sampling._rng
-    if f.type in ("int", "float") and f.name != "seed"
+    if type(valid).__new__.__annotations__[name] in ("int", "float") and name != "seed"
 ]
 
 
@@ -461,4 +605,4 @@ def test_numeric_fields_are_found():
 )
 def test_every_numeric_field_refuses_non_finite(valid, name, value):
     with pytest.raises(DomainError):
-        dataclasses.replace(valid, **{name: value})
+        valid._replace(**{name: value})

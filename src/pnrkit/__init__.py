@@ -17,16 +17,15 @@ _EXPORTS = {
     "errors": "BoundsError ClipTooShortError ConflictError CoverageError DomainError "
     "EmptyInputError NegativeSpaceEmpty ParseError PnrKitError ValidationError",
     "fusion": "fuse_oscc fuse_pnr",
-    "ingest": "Dataset DatasetStats build_dataset dataset_stats emit_annotations "
-    "emit_oscc_scores emit_pnr_scores emit_predictions parse_annotations parse_oscc_scores "
-    "parse_pnr_scores parse_predictions render_stats stats_plot_data write_text_atomic",
-    "localization": "SelectionConfig baseline_center baseline_fraction oracle_error "
-    "score_dense_windows select_pnr",
-    "metrics": "BinError MetricsReport error_plot_data oscc_accuracy per_position_error "
-    "pnr_mae render_report report_to_json",
+    "ingest": "Dataset build_dataset emit_annotations emit_oscc_scores emit_pnr_scores "
+    "emit_predictions parse_annotations parse_oscc_scores parse_pnr_scores parse_predictions "
+    "write_text_atomic",
+    "localization": "SelectionConfig baseline_center baseline_fraction oracle_error select_pnr",
+    "metrics": "BinError DatasetStats MetricsReport dataset_stats error_plot_data oscc_accuracy "
+    "per_position_error pnr_mae render_report render_stats report_to_json stats_plot_data",
     "model": "Clip FrameWindow PnrAnnotation PnrPrediction ScoredWindow ScoreSeries "
-    "frame_to_fraction fraction_to_frame round_half_up window_center_fraction "
-    "window_center_frame window_center_time",
+    "fraction_to_frame round_half_up window_center_fraction window_center_frame "
+    "window_center_time",
     "sampling": "SamplerConfig WindowingConfig dense_windows negative_windows "
     "positive_window tsn_sample valid_negative_starts",
     "sim": "ScorerNoiseModel SimConfig SimSettings gen_dataset parse_sim_config "

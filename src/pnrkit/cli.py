@@ -3,7 +3,8 @@
 Every stage reads and writes the documented line formats, so simulated
 scores can be swapped for real scorer output at any boundary.  Data
 goes to --out when given (written atomically) and to standard output
-otherwise; informational notes go to standard error unless --quiet.
+otherwise, but stats and evaluate print a table and write another form
+to --out; informational notes go to standard error unless --quiet.
 Failures exit nonzero with a one-line diagnostic naming the offending
 input.
 """
@@ -225,8 +226,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", help="suppress notes on standard error")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress notes on standard error")
+    common = argparse.ArgumentParser(add_help=False, parents=[quiet])
     common.add_argument("--out", default=None, help="write data here instead of standard output")
 
     parser = argparse.ArgumentParser(
@@ -235,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common], help="annotation counts and position histograms")
+    p = sub.add_parser("stats", parents=[quiet], help="annotation counts and position histograms")
+    p.add_argument("--out", default=None, help="also write the histogram plot TSV here")
     p.add_argument("--annotations", required=True, help="annotation file (JSON lines)")
     p.add_argument("--bins", type=int, default=10, help="histogram bin count")
     p.set_defaults(handler=_cmd_stats)
@@ -275,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional annotation file for clip id and window bounds checks")
     p.set_defaults(handler=_cmd_fuse)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score predictions against annotations")
+    p = sub.add_parser("evaluate", parents=[quiet], help="score predictions against annotations")
+    p.add_argument("--out", default=None, help="also write the report as one JSON line here")
     p.add_argument("--task", choices=("oscc", "pnr"), required=True)
     p.add_argument("--preds", required=True, help="prediction file (pnr) or probability file (oscc)")
     p.add_argument("--annotations", required=True)
@@ -283,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", default=None, help="write per-bin TSV here (pnr only)")
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate a synthetic labeled dataset")
+    # no abbreviations, so --out is refused, not read as --out-dir
+    p = sub.add_parser("simulate", parents=[quiet], help="generate a synthetic labeled dataset",
+                       allow_abbrev=False)
     p.add_argument("--config", required=True, help="key = value settings file")
     p.add_argument("--out-dir", required=True, help="directory for the emitted files")
     p.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")

@@ -1,4 +1,4 @@
-"""Line-oriented wire formats and the in-memory dataset.
+"""Line-oriented wire formats, the in-memory dataset, and atomic writes.
 
 Every on-disk artifact is JSON Lines with one record per line.  Each
 format (annotations, window scores, state-change probabilities,
@@ -20,14 +20,7 @@ import re
 from collections import defaultdict
 from typing import Callable, Iterable, Mapping
 
-from pnrkit.errors import (
-    BoundsError,
-    ConflictError,
-    DomainError,
-    EmptyInputError,
-    ParseError,
-    ValidationError,
-)
+from pnrkit.errors import ConflictError, DomainError, ParseError, ValidationError
 from pnrkit.model import (
     Clip,
     PnrAnnotation,
@@ -410,105 +403,3 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
             os.remove(tmp)
         raise
 
-
-def frame_bin(frame: int, num_frames: int, bins: int) -> int:
-    """Histogram bin of frame / (n - 1): bin k covers [k/bins, (k+1)/bins),
-    and the last bin also takes 1.0.  Integer arithmetic keeps a frame on
-    a bin edge out of the bin below."""
-    ensure_range("bins", bins, 1)
-    if not 0 <= frame < num_frames:
-        raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
-    return min(frame * bins // max(num_frames - 1, 1), bins - 1)
-
-
-def bin_center(k: int, bins: int) -> float:
-    """Center of bin k of ``frame_bin``'s bins: the one rule of both plot TSVs."""
-    return (k + 0.5) / bins
-
-
-def bin_label(lo: float, hi: float, bins: int) -> str:
-    """``[lo,hi)`` with as many decimals as tell ``bins`` bins apart, at
-    least two: the one label rule of both printed tables."""
-    places = max(2, len(str(bins - 1)))
-    return f"[{lo:.{places}f},{hi:.{places}f})"
-
-
-class DatasetStats(Record):
-    """Summary counts and position histograms for one dataset."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n_clips: int,
-        n_pnr_annotated: int,
-        n_oscc_annotated: int,
-        pnr_per_clip_mean: float | None,
-        pnr_per_clip_min: int | None,
-        pnr_per_clip_max: int | None,
-        bins: int,
-        positive_hist: tuple[int, ...],
-        negative_hist: tuple[int, ...],
-    ):
-        return tuple.__new__(cls, (
-            n_clips, n_pnr_annotated, n_oscc_annotated, pnr_per_clip_mean, pnr_per_clip_min,
-            pnr_per_clip_max, bins, positive_hist, negative_hist,
-        ))
-
-
-def dataset_stats(dataset: Dataset, bins: int = 10) -> DatasetStats:
-    """Count annotations and histogram their fractional positions."""
-    ensure_range("bins", bins, 1)
-    if not dataset.clips:
-        raise EmptyInputError("dataset has no clips")
-    positive_hist = [0] * bins
-    negative_hist = [0] * bins
-    counts: list[int] = []
-    for clip_id, ann in dataset.pnr.items():
-        n = dataset.clips[clip_id].num_frames
-        counts.append(len(ann.all_frames))
-        positive_hist[frame_bin(ann.positive_frame, n, bins)] += 1
-        for frame in ann.negative_frames:
-            negative_hist[frame_bin(frame, n, bins)] += 1
-    return DatasetStats(
-        n_clips=len(dataset.clips),
-        n_pnr_annotated=len(dataset.pnr),
-        n_oscc_annotated=len(dataset.oscc),
-        pnr_per_clip_mean=sum(counts) / len(counts) if counts else None,
-        pnr_per_clip_min=min(counts) if counts else None,
-        pnr_per_clip_max=max(counts) if counts else None,
-        bins=bins,
-        positive_hist=tuple(positive_hist),
-        negative_hist=tuple(negative_hist),
-    )
-
-
-def render_stats(stats: DatasetStats) -> str:
-    """Human-readable stats summary."""
-    lines = [
-        f"clips: {stats.n_clips}",
-        f"pnr-annotated: {stats.n_pnr_annotated}",
-        f"oscc-annotated: {stats.n_oscc_annotated}",
-    ]
-    if stats.pnr_per_clip_mean is None:
-        lines.append("state-change frames per clip: none")
-    else:
-        lines.append(
-            "state-change frames per clip: "
-            f"mean {stats.pnr_per_clip_mean:.4f} "
-            f"min {stats.pnr_per_clip_min} max {stats.pnr_per_clip_max}"
-        )
-    lines.append("bin         positives  negatives")
-    for k in range(stats.bins):
-        label = bin_label(k / stats.bins, (k + 1) / stats.bins, stats.bins)
-        lines.append(f"{label}  {stats.positive_hist[k]:>9d}  {stats.negative_hist[k]:>9d}")
-    return "\n".join(lines) + "\n"
-
-
-def stats_plot_data(stats: DatasetStats) -> str:
-    """Histogram TSV: bin center, positive count, negative count."""
-    rows = ["# bin_center\tpositive_count\tnegative_count"]
-    for k in range(stats.bins):
-        center = bin_center(k, stats.bins)
-        rows.append(f"{center:.6f}\t{stats.positive_hist[k]}\t{stats.negative_hist[k]}")
-    return "\n".join(rows) + "\n"

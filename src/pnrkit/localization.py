@@ -18,7 +18,6 @@ from pnrkit.model import (
     PnrAnnotation,
     PnrPrediction,
     Record,
-    ScoredWindow,
     ScoreSeries,
     ensure_annotation_in_clip,
     ensure_range,
@@ -121,18 +120,3 @@ def oracle_error(
     return min(
         abs(window_center_frame((s, s + w)) / fps - truth) for s in _sweep_starts(clip, config)
     )
-
-
-def score_dense_windows(
-    clip: Clip, config: WindowingConfig, confidences: list[float]
-) -> ScoreSeries:
-    """Pair each distinct window of a dense sweep, in sweep order, with one
-    externally produced confidence, as a score file holds each window once."""
-    starts = dict.fromkeys(_sweep_starts(clip, config))
-    if len(confidences) != len(starts):
-        raise ValidationError(
-            f"clip {clip.clip_id!r}: {len(confidences)} confidences for "
-            f"{len(starts)} windows"
-        )
-    w = config.window_len
-    return ScoreSeries(tuple(ScoredWindow(s, s + w, c) for s, c in zip(starts, confidences)))

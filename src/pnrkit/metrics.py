@@ -1,4 +1,5 @@
-"""Accuracy, localization error, and per-position error reports.
+"""Accuracy, localization error, and position binning with both binned
+tables: the dataset's position histograms and the per-position errors.
 
 Coverage is strict in both directions: every annotated clip must carry
 a prediction and every prediction must refer to an annotated clip.
@@ -11,9 +12,111 @@ import json
 import math
 from typing import Mapping
 
-from pnrkit.errors import CoverageError, EmptyInputError
-from pnrkit.ingest import Dataset, bin_center, bin_label, frame_bin
+from pnrkit.errors import BoundsError, CoverageError, EmptyInputError
+from pnrkit.ingest import Dataset
 from pnrkit.model import PnrPrediction, Record, ensure_range
+
+
+def frame_bin(frame: int, num_frames: int, bins: int) -> int:
+    """Histogram bin of frame / (n - 1): bin k covers [k/bins, (k+1)/bins),
+    and the last bin also takes 1.0.  Integer arithmetic keeps a frame on
+    a bin edge out of the bin below."""
+    ensure_range("bins", bins, 1)
+    if not 0 <= frame < num_frames:
+        raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
+    return min(frame * bins // max(num_frames - 1, 1), bins - 1)
+
+
+def bin_center(k: int, bins: int) -> float:
+    """Center of bin k of ``frame_bin``'s bins: the one rule of both plot TSVs."""
+    return (k + 0.5) / bins
+
+
+def bin_label(lo: float, hi: float, bins: int) -> str:
+    """``[lo,hi)`` with as many decimals as tell ``bins`` bins apart, at
+    least two: the one label rule of both printed tables."""
+    places = max(2, len(str(bins - 1)))
+    return f"[{lo:.{places}f},{hi:.{places}f})"
+
+
+class DatasetStats(Record):
+    """Summary counts and position histograms for one dataset."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n_clips: int,
+        n_pnr_annotated: int,
+        n_oscc_annotated: int,
+        pnr_per_clip_mean: float | None,
+        pnr_per_clip_min: int | None,
+        pnr_per_clip_max: int | None,
+        bins: int,
+        positive_hist: tuple[int, ...],
+        negative_hist: tuple[int, ...],
+    ):
+        return tuple.__new__(cls, (
+            n_clips, n_pnr_annotated, n_oscc_annotated, pnr_per_clip_mean, pnr_per_clip_min,
+            pnr_per_clip_max, bins, positive_hist, negative_hist,
+        ))
+
+
+def dataset_stats(dataset: Dataset, bins: int = 10) -> DatasetStats:
+    """Count annotations and histogram their fractional positions."""
+    ensure_range("bins", bins, 1)
+    if not dataset.clips:
+        raise EmptyInputError("dataset has no clips")
+    positive_hist, negative_hist = [0] * bins, [0] * bins
+    counts: list[int] = []
+    for clip_id, ann in dataset.pnr.items():
+        n = dataset.clips[clip_id].num_frames
+        counts.append(len(ann.all_frames))
+        positive_hist[frame_bin(ann.positive_frame, n, bins)] += 1
+        for frame in ann.negative_frames:
+            negative_hist[frame_bin(frame, n, bins)] += 1
+    return DatasetStats(
+        n_clips=len(dataset.clips),
+        n_pnr_annotated=len(dataset.pnr),
+        n_oscc_annotated=len(dataset.oscc),
+        pnr_per_clip_mean=sum(counts) / len(counts) if counts else None,
+        pnr_per_clip_min=min(counts) if counts else None,
+        pnr_per_clip_max=max(counts) if counts else None,
+        bins=bins,
+        positive_hist=tuple(positive_hist),
+        negative_hist=tuple(negative_hist),
+    )
+
+
+def render_stats(stats: DatasetStats) -> str:
+    """Human-readable stats summary."""
+    lines = [
+        f"clips: {stats.n_clips}",
+        f"pnr-annotated: {stats.n_pnr_annotated}",
+        f"oscc-annotated: {stats.n_oscc_annotated}",
+    ]
+    if stats.pnr_per_clip_mean is None:
+        lines.append("state-change frames per clip: none")
+    else:
+        lines.append(
+            "state-change frames per clip: "
+            f"mean {stats.pnr_per_clip_mean:.4f} "
+            f"min {stats.pnr_per_clip_min} max {stats.pnr_per_clip_max}"
+        )
+    lines.append("bin         positives  negatives")
+    for k in range(stats.bins):
+        label = bin_label(k / stats.bins, (k + 1) / stats.bins, stats.bins)
+        lines.append(f"{label}  {stats.positive_hist[k]:>9d}  {stats.negative_hist[k]:>9d}")
+    return "\n".join(lines) + "\n"
+
+
+def stats_plot_data(stats: DatasetStats) -> str:
+    """Histogram TSV: bin center, positive count, negative count."""
+    rows = ["# bin_center\tpositive_count\tnegative_count"]
+    for k in range(stats.bins):
+        center = bin_center(k, stats.bins)
+        rows.append(f"{center:.6f}\t{stats.positive_hist[k]}\t{stats.negative_hist[k]}")
+    return "\n".join(rows) + "\n"
 
 
 class BinError(Record):
@@ -48,9 +151,7 @@ def _check_coverage(predicted: set[str], annotated: set[str], what: str) -> None
         )
     extra = predicted - annotated
     if extra:
-        raise CoverageError(
-            f"{what} prediction for unannotated clip(s)", tuple(sorted(extra))
-        )
+        raise CoverageError(f"{what} prediction for unannotated clip(s)", tuple(sorted(extra)))
 
 
 def oscc_accuracy(preds: Mapping[str, bool], ds: Dataset) -> MetricsReport:
@@ -109,9 +210,7 @@ def per_position_error(
         )
         for k in range(bins)
     )
-    headline = (
-        math.fsum(b.mean_error_sec * b.count for b in per_bin if b.count) / len(errors)
-    )
+    headline = math.fsum(b.mean_error_sec * b.count for b in per_bin if b.count) / len(errors)
     return MetricsReport(task="pnr", n_clips=len(errors), headline=headline, per_bin=per_bin)
 
 

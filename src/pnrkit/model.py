@@ -94,10 +94,6 @@ class Clip(Record):
         ensure_range("num_frames", num_frames, 1)
         return tuple.__new__(cls, (clip_id, fps, num_frames))
 
-    @property
-    def duration_sec(self) -> float:
-        return self.num_frames / self.fps
-
 
 class PnrAnnotation(Record):
     """Ground-truth state-change frames for one clip.
@@ -113,6 +109,7 @@ class PnrAnnotation(Record):
     __slots__ = ()
 
     def __new__(cls, positive_frame: int, negative_frames: tuple[int, ...] = ()):
+        negative_frames = tuple(negative_frames)  # the caller's list stays the caller's
         ensure_range("positive_frame", positive_frame, 0)
         for frame in negative_frames:
             ensure_range("negative_frames", frame, 0)
@@ -195,19 +192,6 @@ class PnrPrediction(Record):
         if source not in SOURCES:
             raise ValidationError(f"unknown prediction source {source!r}")
         return tuple.__new__(cls, (time_sec, frame, source))
-
-
-def frame_to_fraction(frame: int, num_frames: int) -> float:
-    """Map a frame index to its fractional position in the clip.
-
-    A single-frame clip puts its only frame at fraction 0.0.
-    """
-    ensure_range("num_frames", num_frames, 1)
-    if not 0 <= frame < num_frames:
-        raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
-    if num_frames == 1:
-        return 0.0
-    return frame / (num_frames - 1)
 
 
 def fraction_to_frame(fraction: float, num_frames: int) -> int:

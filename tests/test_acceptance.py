@@ -13,15 +13,9 @@ import pytest
 
 from pnrkit.cli import main
 from pnrkit.fusion import fuse_oscc, fuse_pnr
-from pnrkit.ingest import (
-    build_dataset,
-    dataset_stats,
-    emit_annotations,
-    parse_annotations,
-    parse_predictions,
-)
+from pnrkit.ingest import build_dataset, emit_annotations, parse_annotations, parse_predictions
 from pnrkit.localization import SelectionConfig, baseline_center, baseline_fraction, oracle_error, select_pnr
-from pnrkit.metrics import per_position_error, pnr_mae
+from pnrkit.metrics import dataset_stats, per_position_error, pnr_mae
 from pnrkit.model import (
     Clip,
     PnrAnnotation,

@@ -13,6 +13,19 @@ from pnrkit.ingest import parse_annotations, parse_oscc_scores, parse_pnr_scores
 FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
 
 
+def subcommand_parsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def with_option(option):
+    return {
+        name
+        for name, parser in subcommand_parsers().items()
+        if any(option in action.option_strings for action in parser._actions)
+    }
+
+
 @pytest.fixture()
 def sim_dir(tmp_path):
     """A small simulated dataset shared by the pipeline tests."""
@@ -71,6 +84,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "sim.cfg" in err and "bogus" in err
 
+
+    def test_out_is_refused(self, sim_dir, tmp_path, capsys):
+        # simulate writes to --out-dir only; --out is not read as its abbreviation
+        out_dir, out = tmp_path / "d", tmp_path / "x"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", str(tmp_path / "sim.cfg"), "--out-dir", str(out_dir),
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists() and not out_dir.exists()
 
     @pytest.mark.parametrize("config, flag", [("seed = -1\n", []), ("", ["--seed", "-5"])])
     def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys, config, flag):
@@ -638,15 +661,25 @@ class TestDiagnostics:
             main(["localize", "--scores", str(sim_dir / "scores_pnr.jsonl"),
                   "--annotations", str(sim_dir / "annotations.jsonl"), "--seed", "1"])
         assert info.value.code == 2
-        sub = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        with_seed = {
-            name
-            for name, parser in sub.choices.items()
-            if any("--seed" in action.option_strings for action in parser._actions)
+        assert with_option("--seed") == {"simulate"}
+
+    def test_out_is_offered_where_it_writes(self):
+        assert with_option("--out") == {
+            "stats", "windows", "localize", "baseline", "oracle", "fuse", "evaluate"
         }
-        assert with_seed == {"simulate"}
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("stats", "also write the histogram plot TSV here"),
+            ("evaluate", "also write the report as one JSON line here"),
+        ],
+    )
+    def test_out_help_says_what_it_writes(self, command, text):
+        # both print their table to standard output whether or not --out is given
+        parser = subcommand_parsers()[command]
+        (out,) = [action for action in parser._actions if "--out" in action.option_strings]
+        assert out.help == text
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):

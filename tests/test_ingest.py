@@ -1,14 +1,11 @@
-"""Wire-format parsing, emission, dataset assembly, and statistics."""
+"""Wire-format parsing, emission, dataset assembly, and atomic writes."""
 
 import contextlib
 import io
 import json
-import math
 import os
 import re
 import tempfile
-from bisect import bisect_right
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,30 +16,18 @@ from hypothesis import strategies as st
 
 from pnrkit import ingest
 from pnrkit.cli import main
-from pnrkit.errors import (
-    BoundsError,
-    ConflictError,
-    DomainError,
-    EmptyInputError,
-    ParseError,
-    PnrKitError,
-    ValidationError,
-)
+from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
 from pnrkit.ingest import (
     Dataset,
     build_dataset,
-    dataset_stats,
     emit_annotations,
     emit_oscc_scores,
     emit_pnr_scores,
     emit_predictions,
-    frame_bin,
     parse_annotations,
     parse_oscc_scores,
     parse_pnr_scores,
     parse_predictions,
-    render_stats,
-    stats_plot_data,
     write_text_atomic,
 )
 from pnrkit.model import (
@@ -1280,71 +1265,6 @@ class TestFormatTables:
         assert len(lines) == sum(len(series.windows) for series in series_by_clip.values())
         for line in lines:
             assert ingest._SCORE_LINE.fullmatch(line)
-
-
-class TestFrameBin:
-    def test_matches_exact_fractions(self):
-        # bin k holds the fractions from k / bins on, so its first frame in an
-        # n-frame clip is the least frame with frame / (n - 1) >= k / bins
-        for n in range(2, 301):
-            for bins in range(1, 61):
-                firsts = [math.ceil(Fraction(k * (n - 1), bins)) for k in range(bins)]
-                expected = [bisect_right(firsts, frame) - 1 for frame in range(n)]
-                assert [frame_bin(frame, n, bins) for frame in range(n)] == expected, (n, bins)
-
-    def test_single_frame_clip(self):
-        assert [frame_bin(0, 1, bins) for bins in (1, 2, 10)] == [0, 0, 0]
-
-    def test_bin_edge(self):
-        # 15 / 22 * 22 rounds to just below 15, which put the frame a bin low
-        assert int(15 / 22 * 22) == 14
-        assert frame_bin(15, 23, 22) == 15
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            frame_bin(0, 10, 0)
-        with pytest.raises(BoundsError):
-            frame_bin(10, 10, 4)
-        with pytest.raises(BoundsError):
-            frame_bin(-1, 10, 4)
-
-
-class TestDatasetStats:
-    def test_fixture_counts(self, fixture_text):
-        stats = dataset_stats(parse_annotations(fixture_text), bins=10)
-        assert stats.n_clips == 3
-        assert stats.n_pnr_annotated == 3
-        assert stats.n_oscc_annotated == 3
-        # per-clip totals are 3, 4, 4 state-change frames
-        assert stats.pnr_per_clip_mean == 11 / 3
-        assert stats.pnr_per_clip_min == 3
-        assert stats.pnr_per_clip_max == 4
-
-    def test_fixture_histograms(self, fixture_text):
-        stats = dataset_stats(parse_annotations(fixture_text), bins=10)
-        assert stats.positive_hist == (0, 0, 0, 0, 3, 0, 0, 0, 0, 0)
-        assert stats.negative_hist == (2, 0, 1, 0, 0, 2, 0, 1, 1, 1)
-        assert sum(stats.negative_hist) == 8
-
-    def test_no_pnr_annotations(self):
-        stats = dataset_stats(build_dataset([Clip("a", 30.0, 100)]))
-        assert stats.pnr_per_clip_mean is None
-        assert stats.positive_hist == (0,) * 10
-
-    def test_empty_dataset(self):
-        with pytest.raises(EmptyInputError):
-            dataset_stats(build_dataset([]))
-
-    def test_rendering(self, fixture_text):
-        stats = dataset_stats(parse_annotations(fixture_text), bins=10)
-        table = render_stats(stats)
-        assert "clips: 3" in table
-        assert "mean 3.6667" in table
-        tsv = stats_plot_data(stats)
-        lines = tsv.splitlines()
-        assert lines[0] == "# bin_center\tpositive_count\tnegative_count"
-        assert len(lines) == 11
-        assert lines[5] == "0.450000\t3\t0"
 
 
 class TestAtomicWrite:

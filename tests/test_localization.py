@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnrkit.errors import BoundsError, DomainError, EmptyInputError, ValidationError
-from pnrkit.ingest import build_dataset, emit_pnr_scores, parse_pnr_scores
+from pnrkit.ingest import build_dataset
 from pnrkit.localization import (
     SelectionConfig,
     baseline_center,
     baseline_fraction,
     oracle_error,
-    score_dense_windows,
     select_pnr,
 )
 from pnrkit.model import (
@@ -238,40 +237,10 @@ class TestOracleError:
             oracle_error(PnrAnnotation(500), Clip("c", 30.0, 240), WindowingConfig(num_windows=2))
 
 
-class TestScoreDenseWindows:
-    def test_pairs_in_order(self):
-        clip = Clip("c", 30.0, 240)
-        series = score_dense_windows(clip, WindowingConfig(num_windows=2), [0.25, 0.75])
-        assert [(sw.start, sw.confidence) for sw in series.windows] == [
-            (0, 0.25),
-            (208, 0.75),
-        ]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            score_dense_windows(Clip("c", 30.0, 240), WindowingConfig(num_windows=2), [0.5])
-
-    def test_short_clip_round_trips_through_a_score_file(self):
-        # 40 frames hold 9 starts of a 32-frame window, so a 16-window
-        # sweep repeats windows; a score file may hold each window once
-        clip = Clip("c", 30.0, 40)
-        config = WindowingConfig(num_windows=16)
-        distinct = list(dict.fromkeys(dense_windows(clip, config)))
-        assert len(dense_windows(clip, config)) == 16 and len(distinct) == 9
-        confidences = [k / 10 for k in range(9)]
-        series = score_dense_windows(clip, config, confidences)
-        assert [(sw.start, sw.end, sw.confidence) for sw in series.windows] == [
-            (w.start, w.end, c) for w, c in zip(distinct, confidences)
-        ]
-        assert parse_pnr_scores(emit_pnr_scores({"c": series})) == {"c": series}
-        with pytest.raises(ValidationError, match="^clip 'c': 16 confidences for 9 windows$"):
-            score_dense_windows(clip, config, [0.5] * 16)
-
-
 class TestSweepBuildsNoWindow:
     def test_consumers_run_with_frame_window_refused(self, monkeypatch):
-        # the oracle, the simulator and score_dense_windows read the sweep's
-        # integer starts: refusing every FrameWindow changes none of their values
+        # the oracle and the simulator read the sweep's integer starts:
+        # refusing every FrameWindow changes none of their values
         ds = gen_dataset(SimConfig(n_clips=12, duration_min_sec=1.1, duration_max_sec=3.0, seed=5))
         ds = build_dataset([*ds.clips.values(), Clip("bare", 30.0, 50)], ds.pnr, ds.oscc)
 
@@ -281,15 +250,10 @@ class TestSweepBuildsNoWindow:
                 cfg = WindowingConfig(num_windows=count)
                 scores = simulate_scores(ds, cfg, seed=4)
                 oracle = [oracle_error(ds.pnr[c], ds.clips[c], cfg) for c in ds.pnr]
-                rescored = {
-                    c: score_dense_windows(ds.clips[c], cfg, [sw.confidence for sw in s.windows])
-                    for c, s in scores.items()
-                }
-                out.append((scores, oracle, rescored))
+                out.append((scores, oracle))
             return out
 
         expected = run()
-        assert all(rescored == scores for scores, _, rescored in expected)
 
         def refuse(cls, *args):
             raise AssertionError(f"built {cls.__name__}{args}")

@@ -1,21 +1,36 @@
-"""Accuracy, localization error, and per-position breakdown."""
+"""Position binning, dataset statistics, accuracy, localization error, and
+per-position breakdown."""
 
 import json
 import math
+from bisect import bisect_right
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pnrkit.errors import CoverageError, DomainError, EmptyInputError
-from pnrkit.ingest import build_dataset
+from pnrkit.errors import BoundsError, CoverageError, DomainError, EmptyInputError
+from pnrkit.ingest import build_dataset, parse_annotations
 from pnrkit.metrics import (
+    dataset_stats,
     error_plot_data,
+    frame_bin,
     oscc_accuracy,
     per_position_error,
     pnr_mae,
     render_report,
+    render_stats,
     report_to_json,
+    stats_plot_data,
 )
 from pnrkit.model import Clip, PnrAnnotation, PnrPrediction
+
+FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
+
+
+@pytest.fixture()
+def fixture_text():
+    return FIXTURE.read_text(encoding="utf-8")
 
 
 def pnr_dataset(truths, num_frames=240, fps=30.0):
@@ -32,6 +47,71 @@ def preds_at(times, source="selected", fps=30.0):
         f"c{i}": PnrPrediction(t, round(t * fps), source)
         for i, t in enumerate(times)
     }
+
+
+class TestFrameBin:
+    def test_matches_exact_fractions(self):
+        # bin k holds the fractions from k / bins on, so its first frame in an
+        # n-frame clip is the least frame with frame / (n - 1) >= k / bins
+        for n in range(2, 301):
+            for bins in range(1, 61):
+                firsts = [math.ceil(Fraction(k * (n - 1), bins)) for k in range(bins)]
+                expected = [bisect_right(firsts, frame) - 1 for frame in range(n)]
+                assert [frame_bin(frame, n, bins) for frame in range(n)] == expected, (n, bins)
+
+    def test_single_frame_clip(self):
+        assert [frame_bin(0, 1, bins) for bins in (1, 2, 10)] == [0, 0, 0]
+
+    def test_bin_edge(self):
+        # 15 / 22 * 22 rounds to just below 15, which put the frame a bin low
+        assert int(15 / 22 * 22) == 14
+        assert frame_bin(15, 23, 22) == 15
+
+    def test_errors(self):
+        with pytest.raises(DomainError):
+            frame_bin(0, 10, 0)
+        with pytest.raises(BoundsError):
+            frame_bin(10, 10, 4)
+        with pytest.raises(BoundsError):
+            frame_bin(-1, 10, 4)
+
+
+class TestDatasetStats:
+    def test_fixture_counts(self, fixture_text):
+        stats = dataset_stats(parse_annotations(fixture_text), bins=10)
+        assert stats.n_clips == 3
+        assert stats.n_pnr_annotated == 3
+        assert stats.n_oscc_annotated == 3
+        # per-clip totals are 3, 4, 4 state-change frames
+        assert stats.pnr_per_clip_mean == 11 / 3
+        assert stats.pnr_per_clip_min == 3
+        assert stats.pnr_per_clip_max == 4
+
+    def test_fixture_histograms(self, fixture_text):
+        stats = dataset_stats(parse_annotations(fixture_text), bins=10)
+        assert stats.positive_hist == (0, 0, 0, 0, 3, 0, 0, 0, 0, 0)
+        assert stats.negative_hist == (2, 0, 1, 0, 0, 2, 0, 1, 1, 1)
+        assert sum(stats.negative_hist) == 8
+
+    def test_no_pnr_annotations(self):
+        stats = dataset_stats(build_dataset([Clip("a", 30.0, 100)]))
+        assert stats.pnr_per_clip_mean is None
+        assert stats.positive_hist == (0,) * 10
+
+    def test_empty_dataset(self):
+        with pytest.raises(EmptyInputError):
+            dataset_stats(build_dataset([]))
+
+    def test_rendering(self, fixture_text):
+        stats = dataset_stats(parse_annotations(fixture_text), bins=10)
+        table = render_stats(stats)
+        assert "clips: 3" in table
+        assert "mean 3.6667" in table
+        tsv = stats_plot_data(stats)
+        lines = tsv.splitlines()
+        assert lines[0] == "# bin_center\tpositive_count\tnegative_count"
+        assert len(lines) == 11
+        assert lines[5] == "0.450000\t3\t0"
 
 
 class TestOsccAccuracy:

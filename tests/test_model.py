@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from pnrkit import model
 from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
-from pnrkit.ingest import build_dataset, dataset_stats, parse_annotations
+from pnrkit.ingest import build_dataset, parse_annotations
 from pnrkit.localization import SelectionConfig, oracle_error
-from pnrkit.metrics import BinError, MetricsReport
+from pnrkit.metrics import BinError, MetricsReport, dataset_stats
 from pnrkit.model import (
     Clip,
     FrameWindow,
@@ -26,7 +26,6 @@ from pnrkit.model import (
     ensure_positive,
     ensure_range,
     ensure_windows_in_clip,
-    frame_to_fraction,
     fraction_to_frame,
     round_half_up,
     window_center_fraction,
@@ -52,18 +51,32 @@ class TestRoundHalfUp:
         assert round_half_up(x) == expected
 
 
+def frame_fraction(frame, num_frames):
+    """The fraction of a frame, written out: frame / (n - 1), and 0.0 in a
+    single-frame clip."""
+    return frame / (num_frames - 1) if num_frames > 1 else 0.0
+
+
 class TestFractionCoordinate:
-    def test_frame_to_fraction_reference_point(self):
+    # a one-frame window is centered on its frame, so window_center_fraction
+    # gives the fraction of that frame
+    def test_frame_fraction_reference_point(self):
         # frame 103 of a 240-frame clip sits just under the 0.43 mark
-        assert frame_to_fraction(103, 240) == pytest.approx(103 / 239)
-        assert 0.430 < frame_to_fraction(103, 240) < 0.431
+        fraction = frame_fraction(103, 240)
+        assert fraction == 103 / 239
+        assert 0.430 < fraction < 0.431
+        assert window_center_fraction(FrameWindow(103, 104), 240) == fraction
+        assert fraction_to_frame(fraction, 240) == 103
 
     def test_endpoints(self):
-        assert frame_to_fraction(0, 240) == 0.0
-        assert frame_to_fraction(239, 240) == 1.0
+        assert frame_fraction(0, 240) == 0.0
+        assert frame_fraction(239, 240) == 1.0
+        assert window_center_fraction(FrameWindow(0, 1), 240) == 0.0
+        assert window_center_fraction(FrameWindow(239, 240), 240) == 1.0
 
     def test_single_frame_clip(self):
-        assert frame_to_fraction(0, 1) == 0.0
+        assert frame_fraction(0, 1) == 0.0
+        assert window_center_fraction(FrameWindow(0, 1), 1) == 0.0
         assert fraction_to_frame(0.0, 1) == 0
         assert fraction_to_frame(1.0, 1) == 0
         assert fraction_to_frame(0.43, 1) == 0
@@ -80,23 +93,21 @@ class TestFractionCoordinate:
         assert fraction_to_frame(1.0, 240) == 239
 
     def test_out_of_range(self):
-        with pytest.raises(BoundsError):
-            frame_to_fraction(240, 240)
-        with pytest.raises(BoundsError):
-            frame_to_fraction(-1, 240)
         with pytest.raises(DomainError):
             fraction_to_frame(1.5, 240)
         with pytest.raises(DomainError):
             fraction_to_frame(-0.1, 240)
         with pytest.raises(DomainError):
-            frame_to_fraction(0, 0)
+            window_center_fraction(FrameWindow(0, 1), 0)
         with pytest.raises(DomainError):
             fraction_to_frame(0.5, 0)
 
     @given(st.integers(min_value=1, max_value=5000), st.data())
     def test_round_trip_is_exact(self, num_frames, data):
         frame = data.draw(st.integers(min_value=0, max_value=num_frames - 1))
-        assert fraction_to_frame(frame_to_fraction(frame, num_frames), num_frames) == frame
+        fraction = frame_fraction(frame, num_frames)
+        assert fraction_to_frame(fraction, num_frames) == frame
+        assert window_center_fraction(FrameWindow(frame, frame + 1), num_frames) == fraction
 
     @given(
         st.integers(min_value=1, max_value=5000),
@@ -160,7 +171,7 @@ class TestWindowCenters:
 class TestTypeValidation:
     def test_clip(self):
         clip = Clip("c", 30.0, 240)
-        assert clip.duration_sec == 8.0
+        assert (clip.clip_id, clip.fps, clip.num_frames) == ("c", 30.0, 240)
         with pytest.raises(DomainError):
             Clip("c", 0.0, 240)
         with pytest.raises(DomainError):
@@ -199,6 +210,22 @@ class TestTypeValidation:
             PnrAnnotation(-1)
         with pytest.raises(DomainError):
             PnrAnnotation(5, (-2,))
+
+    def test_pnr_annotation_copies_its_negative_frames(self):
+        # a list passed in is stored as a tuple, so the caller's later
+        # changes cannot undo the checks or make the record unhashable
+        frames = [1, 2]
+        ann = PnrAnnotation(5, frames)
+        assert type(ann.negative_frames) is tuple
+        frames.append(5)
+        assert ann.all_frames == (5, 1, 2)
+        assert hash(ann) == hash((5, (1, 2)))
+        with pytest.raises(AttributeError):
+            ann.negative_frames.append(5)
+        # a one-shot iterator is read once, for the checks and the record alike
+        assert PnrAnnotation(5, iter([1, 2])).negative_frames == (1, 2)
+        with pytest.raises(ValidationError, match="^duplicate negative frames$"):
+            PnrAnnotation(5, iter([1, 1]))
 
     def test_prediction(self):
         PnrPrediction(3.45, 103, "selected")

@@ -11,9 +11,9 @@ from helpers import run_fresh
 
 from pnrkit.cli import main
 from pnrkit.errors import DomainError, ParseError
-from pnrkit.ingest import emit_annotations
+from pnrkit.ingest import build_dataset, emit_annotations, emit_pnr_scores, parse_pnr_scores
 from pnrkit.localization import select_pnr
-from pnrkit.model import fraction_to_frame
+from pnrkit.model import Clip, PnrAnnotation, fraction_to_frame
 from pnrkit.sampling import WindowingConfig, dense_windows
 from pnrkit.sim import (
     ScorerNoiseModel,
@@ -252,6 +252,24 @@ class TestSimulateScores:
         for clip_id, series in scores.items():
             assert len(dense_windows(ds.clips[clip_id], windows)) == 16
             assert [(sw.start, sw.end) for sw in series.windows] == [(0, 32), (1, 33)]
+
+    def test_short_clip_round_trips_through_a_score_file(self):
+        # 40 frames hold 9 starts of a 32-frame window, so a 16-window
+        # sweep repeats windows; a score file may hold each window once
+        clip = Clip("c", 30.0, 40)
+        config = WindowingConfig(num_windows=16)
+        distinct = list(dict.fromkeys(dense_windows(clip, config)))
+        assert len(dense_windows(clip, config)) == 16 and len(distinct) == 9
+        scores = simulate_scores(build_dataset([clip], {"c": PnrAnnotation(20)}), config, seed=0)
+        assert [(sw.start, sw.end) for sw in scores["c"].windows] == [
+            (w.start, w.end) for w in distinct
+        ]
+        assert parse_pnr_scores(emit_pnr_scores(scores)) == scores
+
+    def test_two_window_sweep_scores_both_ends_in_order(self):
+        ds = build_dataset([Clip("c", 30.0, 240)])
+        series = simulate_scores(ds, WindowingConfig(num_windows=2), seed=0)["c"]
+        assert [(sw.start, sw.end) for sw in series.windows] == [(0, 32), (208, 240)]
 
     def test_all_miss_model_forces_fallback(self):
         ds = gen_dataset(SimConfig(n_clips=25, seed=6))

@@ -4,7 +4,9 @@ Every stage reads and writes the documented line formats, so simulated
 scores can be swapped for real scorer output at any boundary.  Data
 goes to --out when given (written atomically) and to standard output
 otherwise, but stats and evaluate print a table and write another form
-to --out; informational notes go to standard error unless --quiet.
+to --out.  A stage checks and computes everything first, then formats
+and writes its data one clip at a time, so no whole output file is held
+in memory.  Informational notes go to standard error unless --quiet.
 Failures exit nonzero with a one-line diagnostic naming the offending
 input.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import pnrkit
 from pnrkit.errors import FALLBACKS, CoverageError, EmptyInputError, PnrKitError, ValidationError
@@ -60,16 +62,22 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
     return _blame(path, parse, _read_text(path))
 
 
-def _write(args: argparse.Namespace, path: str, text: str) -> None:
+def _write(args: argparse.Namespace, path: str, text: str | Iterable[str]) -> None:
     _lib.write_text_atomic(path, text)
     _info(args, f"wrote {path}")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     if args.out:
-        _write(args, args.out, text)
+        _write(args, args.out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+def _per_clip(emit: Callable[[Mapping[str, T]], str], by_clip: Mapping[str, T]) -> Iterator[str]:
+    """The text emit(by_clip) gives, one clip's lines at a time, formatted
+    as the writer draws them."""
+    return (emit({clip_id: value}) for clip_id, value in by_clip.items())
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -84,10 +92,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_windows(args: argparse.Namespace) -> int:
     clip = _lib.Clip("clip", args.fps, args.frames)
     config = _lib.WindowingConfig(num_windows=args.n, window_len=args.window)
-    rows = ["# index\tstart\tend\tcenter_sec"]
+    rows = ["# index\tstart\tend\tcenter_sec\n"]
     for i, win in enumerate(_lib.dense_windows(clip, config)):
-        rows.append(f"{i}\t{win.start}\t{win.end}\t{_lib.window_center_time(win, clip.fps):.6f}")
-    _emit(args, "\n".join(rows) + "\n")
+        rows.append(f"{i}\t{win.start}\t{win.end}\t{_lib.window_center_time(win, clip.fps):.6f}\n")
+    _emit(args, rows)
     return 0
 
 
@@ -105,7 +113,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         if clip is None:
             raise ValidationError(f"{args.scores}: scores for unknown clip {clip_id!r}")
         preds[clip_id] = _blame(args.scores, _lib.select_pnr, series, clip, config)
-    _emit(args, _lib.emit_predictions(preds))
+    _emit(args, _per_clip(_lib.emit_predictions, preds))
     _info(args, f"localized {len(preds)} clip(s)")
     return 0
 
@@ -121,7 +129,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             preds[clip_id] = _lib.baseline_center(clip)
         else:
             preds[clip_id] = _lib.baseline_fraction(clip, args.fraction)
-    _emit(args, _lib.emit_predictions(preds))
+    _emit(args, _per_clip(_lib.emit_predictions, preds))
     return 0
 
 
@@ -130,7 +138,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
     config = _lib.WindowingConfig(num_windows=args.n, window_len=args.window)
-    rows = ["# clip_id\toracle_error_sec"]
+    rows = ["# clip_id\toracle_error_sec\n"]
     total = 0.0
     for clip_id in sorted(ds.pnr):
         if "\t" in clip_id or "\n" in clip_id or "\r" in clip_id:
@@ -140,8 +148,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         clip = ds.clips[clip_id]
         err = _blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config)
         total += err
-        rows.append(f"{clip_id}\t{err:.6f}")
-    _emit(args, "\n".join(rows) + "\n")
+        rows.append(f"{clip_id}\t{err:.6f}\n")
+    _emit(args, rows)
     _info(args, f"mean_oracle_error_sec: {total / len(ds.pnr):.6f}")
     return 0
 
@@ -175,7 +183,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                 )
         values = [scores[clip_id] for scores in score_maps]
         fused[clip_id] = _lib.fuse_oscc(values) if oscc else _lib.fuse_pnr(values, clip)
-    _emit(args, _lib.emit_oscc_scores(fused) if oscc else _lib.emit_pnr_scores(fused))
+    _emit(args, _per_clip(_lib.emit_oscc_scores if oscc else _lib.emit_pnr_scores, fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0
 
@@ -214,14 +222,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ds = _lib.gen_dataset(sim_cfg)
     scores = _lib.simulate_scores(ds, settings.windows, settings.noise, seed=sim_cfg.seed)
     probs = _lib.simulate_oscc(ds, settings.noise, seed=sim_cfg.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = (
-        ("annotations.jsonl", _lib.emit_annotations(ds)),
-        ("scores_pnr.jsonl", _lib.emit_pnr_scores(scores)),
-        ("scores_oscc.jsonl", _lib.emit_oscc_scores(probs)),
-    )
-    for name, text in outputs:
-        _write(args, os.path.join(args.out_dir, name), text)
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
+    _write(args, os.path.join(out, "annotations.jsonl"), _lib.emit_annotations(ds))
+    _write(args, os.path.join(out, "scores_pnr.jsonl"), _per_clip(_lib.emit_pnr_scores, scores))
+    _write(args, os.path.join(out, "scores_oscc.jsonl"), _per_clip(_lib.emit_oscc_scores, probs))
     return 0
 
 
@@ -295,11 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
     p.set_defaults(handler=_cmd_simulate)
 
+    # each subcommand reports the options it does not know (see main)
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # parse_args would report a subcommand's unknown options through the
+    # top-level parser, whose usage line lists only the subcommands
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
     except (PnrKitError, OSError) as exc:

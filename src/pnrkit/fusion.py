@@ -16,7 +16,6 @@ unchanged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Sequence
 
 from pnrkit.errors import EmptyInputError
@@ -61,16 +60,20 @@ def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
     return centers, confidences
 
 
-def _nearest_confidence(
-    centers: list[float], confidences: list[float], point_center: float
-) -> float:
-    # nearest center by binary search; a tie goes to the lower center
-    i = bisect_left(centers, point_center)
-    if i == len(centers) or (
-        i > 0 and point_center - centers[i - 1] <= centers[i] - point_center
-    ):
-        i -= 1
-    return confidences[i]
+def _nearest_confidences(
+    centers: list[float], confidences: list[float], point_centers: list[float]
+) -> list[float]:
+    """The confidence of the nearest center to each of the ascending
+    point_centers; a tie goes to the lower center."""
+    # one forward merge: the nearest center never moves down as the
+    # point moves up, so each step tries only the next center
+    j, last = 0, len(centers) - 1
+    nearest = []
+    for pc in point_centers:
+        while j < last and centers[j + 1] - pc < pc - centers[j]:
+            j += 1
+        nearest.append(confidences[j])
+    return nearest
 
 
 def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> ScoreSeries:
@@ -81,10 +84,11 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
     confidence of its own window with the nearest center (ties go to the
     lower center, then the lower (start, end), then the earlier window
     in input order); contributions average into the fused confidence.
-    The lookup is a binary search over each series' sorted centers, so
-    fusing P points from W windows costs O((P + W) log W).  Passing the
-    clip additionally bounds-checks every window.  The result does not
-    depend on the order of the series.
+    The lookup is one forward merge of the sorted points with each
+    series' sorted centers, so past the sorts, fusing P points from W
+    windows costs O(P + W) per series.  Passing the clip additionally
+    bounds-checks every window.  The result does not depend on the order
+    of the series.
     """
     if len(series_list) == 0:
         raise EmptyInputError("no series to fuse")
@@ -102,9 +106,13 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
             for sw in series.windows
         }
     )
-    lookups = [_center_lookup(series) for series in series_list]
-    fused = []
-    for center, start, end in points:
-        contributions = [_nearest_confidence(*lookup, center) for lookup in lookups]
-        fused.append(ScoredWindow(start, end, _mean(contributions)))
-    return ScoreSeries(tuple(fused))
+    point_centers = [center for center, _, _ in points]
+    columns = [
+        _nearest_confidences(*_center_lookup(series), point_centers) for series in series_list
+    ]
+    return ScoreSeries(
+        tuple(
+            ScoredWindow(start, end, _mean(contributions))
+            for (_, start, end), contributions in zip(points, zip(*columns))
+        )
+    )

@@ -383,11 +383,14 @@ def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
     )
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via a temp file so partial output never lands.
+def write_text_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write text, or the pieces of an iterable of strings in turn, to
+    path via a temp file so partial output never lands.
 
-    The file gets mode 0o666 less the umask, like any file the process
-    opens for writing.
+    Pieces are written as they are drawn, so the whole text need never
+    be held at once; an iterable that raises leaves the old file.  The
+    file gets mode 0o666 less the umask, like any file the process opens
+    for writing.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -396,7 +399,10 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -14,6 +14,8 @@ seed, so one seed always gives the same frames and windows.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Sequence
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
 from pnrkit.model import (
@@ -104,10 +106,16 @@ def _sweep_starts(clip: Clip, config: WindowingConfig) -> list[int]:
     return [(2 * k * span + count - 1) // den for k in range(count)]
 
 
-def _held_ranges(frames: tuple[int, ...], num_frames: int, window_len: int) -> list[range]:
+def _held_starts(frames: Iterable[int], starts: Sequence[int], window_len: int) -> set[int]:
+    """Those of the ascending starts whose window of window_len frames
+    holds any of frames, found by two binary searches a frame, so the
+    cost does not grow with the window length."""
     # a window [s, s + w) holds frame f iff s in [f - w + 1, f]
-    w = window_len
-    return [range(max(f - w + 1, 0), min(f, num_frames - w) + 1) for f in frames]
+    held: set[int] = set()
+    for f in frames:
+        lo, hi = bisect_left(starts, f - window_len + 1), bisect_right(starts, f)
+        held.update(starts[lo:hi])
+    return held
 
 
 def dense_windows(clip: Clip, config: WindowingConfig) -> tuple[FrameWindow, ...]:
@@ -151,8 +159,9 @@ def valid_negative_starts(
     n, w = clip.num_frames, config.window_len
     _check_fits(clip, w)
     ensure_annotation_in_clip(annotation, clip)
-    held = set().union(*_held_ranges(annotation.all_frames, n, w))
-    return tuple(s for s in range(n - w + 1) if s not in held)
+    starts = range(n - w + 1)
+    held = _held_starts(annotation.all_frames, starts, w)
+    return tuple(s for s in starts if s not in held)
 
 
 def negative_windows(

@@ -34,7 +34,7 @@ from pnrkit.model import (
     fraction_to_frame,
     round_half_up,
 )
-from pnrkit.sampling import WindowingConfig, _held_ranges, _rng, _sweep_starts
+from pnrkit.sampling import WindowingConfig, _held_starts, _rng, _sweep_starts
 
 
 class SimConfig(Record):
@@ -158,11 +158,11 @@ def simulate_scores(
         rng = _rng(seed, 1, i)
         # a sweep of more windows than a short clip has starts repeats
         # starts; each distinct window is scored once
-        starts = dict.fromkeys(_sweep_starts(clip, windows))
+        starts = list(dict.fromkeys(_sweep_starts(clip, windows)))
         ann = ds.pnr.get(clip_id)
-        held = _held_ranges(ann.all_frames if ann is not None else (), clip.num_frames, w)
+        held = _held_starts(ann.all_frames if ann is not None else (), starts, w)
         scored = tuple(
-            ScoredWindow(s, s + w, rng.betavariate(*(hit if any(s in r for r in held) else miss)))
+            ScoredWindow(s, s + w, rng.betavariate(*(hit if s in held else miss)))
             for s in starts
         )
         out[clip_id] = ScoreSeries(scored)

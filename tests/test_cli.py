@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,20 @@ class TestSimulate:
         assert info.value.code == 2
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not out.exists() and not out_dir.exists()
+
+    def test_peak_memory_stays_below_the_score_file(self, tmp_path):
+        # the score file is written one clip at a time as it is formatted,
+        # so its whole text and its row strings are never held at once
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_clips = 1000\nseed = 5\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path),
+                         "--quiet"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (tmp_path / "scores_pnr.jsonl").stat().st_size
 
     @pytest.mark.parametrize("config, flag", [("seed = -1\n", []), ("", ["--seed", "-5"])])
     def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys, config, flag):
@@ -276,6 +291,30 @@ bin          count  mean_error_sec
 [0.80,0.90)      0  -
 [0.90,1.00)      0  -
 """
+
+
+class TestStdoutMatchesOut:
+    """A stage writes the same bytes to standard output as to --out."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localize", "--scores", "{scores}", "--annotations", "{ann}"],
+            ["baseline", "--mode", "fraction", "--annotations", "{ann}"],
+            ["oracle", "--n", "16", "--annotations", "{ann}"],
+            ["windows", "--frames", "300", "--n", "16"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_same_bytes(self, sim_dir, capsys, argv):
+        names = {"scores": sim_dir / "scores_pnr.jsonl", "ann": sim_dir / "annotations.jsonl"}
+        argv = [arg.format_map(names) for arg in argv] + ["--quiet"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = sim_dir / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed and out.read_text(encoding="utf-8") == printed
 
 
 class TestWindowsAndStats:
@@ -680,6 +719,22 @@ class TestDiagnostics:
         parser = subcommand_parsers()[command]
         (out,) = [action for action in parser._actions if "--out" in action.option_strings]
         assert out.help == text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localize", "--scores", "a", "--annotations", "b", "--bogus", "1"],
+            ["oracle", "--annotations", "a", "--n", "4", "--bogus"],
+        ],
+    )
+    def test_unknown_option_shows_the_subcommand_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pnrkit {argv[0]} [-h]")
+        unknown = " ".join(argv[argv.index("--bogus"):])
+        assert err.endswith(f"pnrkit {argv[0]}: error: unrecognized arguments: {unknown}\n")
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):

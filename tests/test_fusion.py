@@ -202,7 +202,7 @@ class TestFusePnr:
 
 
 class TestNearestCenterLookup:
-    """fuse_pnr's binary search picks exactly the full-scan window."""
+    """fuse_pnr's nearest-center merge picks exactly the full-scan window."""
 
     @given(st.lists(mixed_series(), min_size=1, max_size=4))
     @settings(max_examples=400)

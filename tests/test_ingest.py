@@ -1289,6 +1289,25 @@ class TestAtomicWrite:
             os.umask(old)
         assert first == second == mode
 
+    def test_writes_each_piece_of_an_iterable(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        write_text_atomic(target, (f"{i}\n" for i in range(3)))
+        assert target.read_text(encoding="utf-8") == "0\n1\n2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_pieces_that_raise_leave_target_untouched(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        write_text_atomic(target, "original\n")
+
+        def pieces():
+            yield "next\n"
+            raise ValueError("formatting failed")
+
+        with pytest.raises(ValueError):
+            write_text_atomic(target, pieces())
+        assert target.read_text(encoding="utf-8") == "original\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
     def test_failure_leaves_target_untouched(self, tmp_path, monkeypatch):
         target = tmp_path / "out.jsonl"
         write_text_atomic(target, "original\n")

@@ -4,9 +4,10 @@ Every stage reads and writes the documented line formats, so simulated
 scores can be swapped for real scorer output at any boundary.  Data
 goes to --out when given (written atomically) and to standard output
 otherwise, but stats and evaluate print a table and write another form
-to --out.  A stage checks and computes everything first, then formats
-and writes its data one clip at a time, so no whole output file is held
-in memory.  Informational notes go to standard error unless --quiet.
+to --out.  A stage reads each input line by line as it parses it, checks
+and computes everything, then formats and writes its data one clip at a
+time, so no whole input or output file is held in memory.  Informational
+notes go to standard error unless --quiet.
 Failures exit nonzero with a one-line diagnostic naming the offending
 input.
 """
@@ -43,11 +44,6 @@ def _info(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _blame(path: str, call: Callable[..., T], *args, only: type[PnrKitError] = PnrKitError) -> T:
     """Return call(*args), putting path in front of the message of an error
     of type only; the error keeps its type and fields."""
@@ -58,8 +54,12 @@ def _blame(path: str, call: Callable[..., T], *args, only: type[PnrKitError] = P
         raise
 
 
-def _load(path: str, parse: Callable[[str], T]) -> T:
-    return _blame(path, parse, _read_text(path))
+def _load(path: str, parse: Callable[[Iterable[str]], T]) -> T:
+    """parse(the open file at path), whose lines are read as the parser
+    draws them.  A byte that is not UTF-8 reaches the parser as a lone
+    surrogate, so the parser reports it at its line, after the lines before."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return _blame(path, parse, handle)
 
 
 def _write(args: argparse.Namespace, path: str, text: str | Iterable[str]) -> None:

@@ -3,11 +3,14 @@
 Every on-disk artifact is JSON Lines with one record per line.  Each
 format (annotations, window scores, state-change probabilities,
 predictions) is one table below: each key, in written order, with the
-check that reads its value.  Parsers are strict and check every record
-in one order: its key set, then each key's type, then the value rules
-(the model constructors, the frame-in-clip check, repeated clip ids);
-errors carry 1-based line numbers.  Emitters write the table's keys in
-order with the JSON defaults, so identical inputs give identical bytes.
+check that reads its value.  Parsers take a str or an iterable of lines,
+such as an open file, and read it line by line as they parse it, so no
+whole input text is held.  They are strict and check every record in one
+order: its key set (a key may appear once), then each key's type, then
+the value rules (the model constructors, the frame-in-clip check,
+repeated clip ids); errors carry 1-based line numbers.  Emitters write
+the table's keys in order with the JSON defaults, so identical inputs
+give identical bytes, and callers write their text one clip at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import math
 import os
 import re
 from collections import defaultdict
-from typing import Callable, Iterable, Mapping
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Mapping
 
 from pnrkit.errors import ConflictError, DomainError, ParseError, ValidationError
 from pnrkit.model import (
@@ -77,37 +81,107 @@ def build_dataset(
     return Dataset(clips=clip_map, pnr=dict(pnr), oscc=dict(oscc))
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json keeps the last copy of a repeated key, so a record could say two things
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
-def _joined(stream: str | Iterable[str]) -> str:
-    """An iterable of lines, with or without their "\n", as the text it joins to."""
-    if isinstance(stream, str):
-        return stream
-    return "\n".join(line.removesuffix("\n") for line in stream)
+_raw_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
+
+
+# lines drawn from an iterable at a time; a block of them is a few dozen KB
+_BLOCK_LINES = 256
+
+# the characters no UTF-8 text holds: a file opened with
+# errors="surrogateescape", as the CLI opens its inputs, hands on each
+# byte it cannot decode as one of these; compiled (by re.search) only
+# once a block is not ASCII, as it costs a stage 0.1 MB to compile
+_SURROGATES = "[\ud800-\udfff]"
+
+
+def _blocks(source: str | Iterable[str]) -> Iterator[str]:
+    """The text source joins to, as blocks of whole lines, each read only
+    when the one before has been handed on.
+
+    A str is one block, read in place.  The items of an iterable (the
+    lines of a file, say) are drawn a few hundred at a time: each item is
+    a line with or without its "\n", or lines joined by "\n", and its
+    block ends each item with one "\n".  A line that is not UTF-8 text
+    is a ParseError at that line, raised once the lines before it are
+    handed on.
+    """
+    if isinstance(source, str):
+        texts: Iterable[str] = (source,)
+    else:
+        texts = _joined_items(iter(source))
+    lines_before = 0
+    for text in texts:
+        bad = None if text.isascii() else re.search(_SURROGATES, text)
+        if bad is None:
+            yield text
+            lines_before += text.count("\n")
+            continue
+        start = text.rfind("\n", 0, bad.start()) + 1
+        if start:
+            yield text[:start]
+        stop = text.find("\n", start)
+        line = text[start:] if stop < 0 else text[start:stop]
+        line_no = lines_before + text.count("\n", 0, start) + 1
+        # the first names the byte a surrogate stands for, as decoding it
+        # would; the second fails on any surrogate the first lets through
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            line.encode("utf-8")
+        except UnicodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc}", line_no) from None
+
+
+def _joined_items(items: Iterator[str]) -> Iterator[str]:
+    """Blocks of up to _BLOCK_LINES items, each item ended by one "\n"."""
+    while lines := list(map(str.removesuffix, islice(items, _BLOCK_LINES), repeat("\n"))):
+        lines.append("")
+        yield "\n".join(lines)
+
+
+def _lines(source: str | Iterable[str]) -> Iterator[str]:
+    """Each line of source, without its "\n", as its block is read."""
+    for text in _blocks(source):
+        yield from text.removesuffix("\n").split("\n")
 
 
 def _read(
-    text: str, record: Callable[[dict], None], take: Callable[[str, int], int] | None = None
+    source: str | Iterable[str],
+    record: Callable[[dict], None],
+    take: Callable[[str, int], int] | None = None,
 ) -> None:
     """Run ``record`` on the JSON object of each non-blank line; an error
     of the line or of ``record`` leaves naming the line, a model
     ValidationError as a ParseError.  ``take(text, at)`` may read the line
-    at ``at`` itself and return the next line's start, or -1 if it did not."""
-    # a cursor, as text.split("\n") would hold a second copy of the text
-    at, size, line_no = 0, len(text), 0
-    while at < size:
-        line_no += 1
-        if take is not None:
-            after = take(text, at)
-            if after >= 0:
-                at = after
-                continue
-        stop = text.find("\n", at)
-        if stop < 0:
-            stop = size
-        _read_line(text[at:stop], line_no, record)
-        at = stop + 1
+    of a block that starts at ``at`` itself and return the next line's
+    start, or -1 if it did not."""
+    line_no = 0
+    for text in _blocks(source):
+        # a cursor, as text.split("\n") would hold a second copy of the text
+        at, size = 0, len(text)
+        while at < size:
+            line_no += 1
+            if take is not None:
+                after = take(text, at)
+                if after >= 0:
+                    at = after
+                    continue
+            stop = text.find("\n", at)
+            if stop < 0:
+                stop = size
+            _read_line(text[at:stop], line_no, record)
+            at = stop + 1
 
 
 def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
@@ -125,11 +199,13 @@ def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
             text = raw.strip()
             if not text:
                 return
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
     except ValueError as exc:  # an integer longer than int() may convert
         raise ParseError(f"invalid JSON: {exc}", line_no) from None
+    except ParseError as exc:  # a repeated key
+        raise ParseError(str(exc), line_no) from None
     try:
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object")
@@ -241,7 +317,7 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
         # checked last, so a line with its own fault reports that fault
         _put(clips, clip_id, clip, "clip_id")
 
-    _read(_joined(stream), record)
+    _read(stream, record)
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
 
 
@@ -276,10 +352,14 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     reported at its own line, as any fault on a later line comes after it.
     """
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
+    # the window of each line read, None for a line with none, so that the
+    # lines can be replayed without reading them again should one repeat
+    placed: list[ScoredWindow | None] = []
 
     def record(obj: dict) -> None:
         clip_id, start, end, confidence = _fields(obj, _SCORE)
-        grouped[clip_id].append(ScoredWindow(start, end, confidence))
+        window = placed[-1] = ScoredWindow(start, end, confidence)
+        grouped[clip_id].append(window)
 
     # anchored matches, not finditer, so no search runs on past a line off
     # the pattern; such a line, or one whose values int(), float() or
@@ -289,50 +369,58 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
 
     def take(text: str, at: int) -> int:
         line = match(text, at)
-        if line is None:
-            return -1
-        clip_id, start, end, confidence = line.groups()
-        try:  # the conversions the JSON decoder makes
-            window = ScoredWindow(int(start), int(end), float(confidence))
-        except (ValueError, DomainError):
-            return -1
-        grouped[clip_id].append(window)
-        return line.end()
+        if line is not None:
+            clip_id, start, end, confidence = line.groups()
+            try:  # the conversions the JSON decoder makes
+                window = ScoredWindow(int(start), int(end), float(confidence))
+            except (ValueError, DomainError):
+                pass
+            else:
+                grouped[clip_id].append(window)
+                placed.append(window)
+                return line.end()
+        placed.append(None)
+        return -1
 
-    text = _joined(stream)
     try:
-        _read(text, record, take)
+        _read(stream, record, take)
     except (ParseError, ConflictError):
         # a window repeated on a line before the failing one is the first fault
-        _sort_windows(text, grouped)
+        _sorted_series(grouped, placed)
         raise
-    _sort_windows(text, grouped)
-    return {clip_id: ScoreSeries(tuple(windows)) for clip_id, windows in grouped.items()}
+    return _sorted_series(grouped, placed)
 
 
-def _sort_windows(text: str, grouped: dict[str, list[ScoredWindow]]) -> None:
-    """Sort each clip's windows by (start, end), the tuple order, and refuse
-    a repeated window: a repeat sorts right after its first copy."""
-    for windows in grouped.values():
+def _sorted_series(
+    grouped: dict[str, list[ScoredWindow]], placed: list[ScoredWindow | None]
+) -> dict[str, ScoreSeries]:
+    """Each clip's windows sorted by (start, end), the tuple order; a
+    repeated window, which sorts right after its first copy, is refused
+    at the first line that repeats one, as the other formats refuse a
+    repeated clip id."""
+    series = {}
+    owners = {}  # id of each window of a clip that repeats one -> clip id
+    for clip_id, windows in grouped.items():
         windows.sort()
         for a, b in zip(windows, windows[1:]):
             if a[0] == b[0] and a[1] == b[1]:
-                _raise_at_first_repeat(text)
-
-
-def _raise_at_first_repeat(text: str) -> None:
-    """Raise the duplicate-window error at the first line that repeats a
-    window of its clip, as the other formats do for a repeated clip id."""
-    seen = set()
-
-    def record(obj: dict) -> None:
-        key = tuple(_fields(obj, _SCORE)[:3])
-        if key in seen:
-            clip_id, start, end = key
-            raise ConflictError(f"duplicate window [{start}, {end}) for clip {clip_id!r}")
-        seen.add(key)
-
-    _read(text, record)
+                owners.update(dict.fromkeys(map(id, windows), clip_id))
+                break
+        else:
+            series[clip_id] = ScoreSeries(tuple(windows))
+            windows.clear()  # so the lists and the series are never all held at once
+    if owners:  # replay the lines read
+        seen = set()
+        for line_no, window in enumerate(placed, 1):
+            clip_id = owners.get(id(window))
+            if clip_id is not None:
+                key = clip_id, window[0], window[1]
+                if key in seen:
+                    raise ConflictError(
+                        f"duplicate window [{key[1]}, {key[2]}) for clip {clip_id!r}", line_no
+                    )
+                seen.add(key)
+    return series
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
@@ -357,7 +445,7 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
         ensure_range("'prob'", prob, 0, 1)
         _put(probs, clip_id, prob, "probability for clip")
 
-    _read(_joined(stream), record)
+    _read(stream, record)
     return probs
 
 
@@ -373,7 +461,7 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
         clip_id, time_sec, frame, source = _fields(obj, _PREDICTION)
         _put(preds, clip_id, PnrPrediction(time_sec, frame, source), "prediction for clip")
 
-    _read(_joined(stream), record)
+    _read(stream, record)
     return preds
 
 

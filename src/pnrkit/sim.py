@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterable
 
 from pnrkit.errors import DomainError, ParseError
-from pnrkit.ingest import Dataset, build_dataset
+from pnrkit.ingest import Dataset, _lines, build_dataset
 from pnrkit.model import (
     Clip,
     PnrAnnotation,
@@ -207,7 +208,7 @@ _KEYS = {
 }
 
 
-def parse_sim_config(text: str) -> SimSettings:
+def parse_sim_config(text: str | Iterable[str]) -> SimSettings:
     """Parse ``key = value`` simulation settings.
 
     One assignment per line; ``#`` starts a comment; blank lines are
@@ -217,7 +218,7 @@ def parse_sim_config(text: str) -> SimSettings:
     ``num_windows`` defaulting to 16.
     """
     kwargs: dict[str, dict[str, float | int]] = {group: {} for group in _SETTINGS_CLASSES}
-    for line_no, raw in enumerate(text.split("\n"), 1):
+    for line_no, raw in enumerate(_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -145,6 +146,28 @@ class TestLocalizeAndEvaluate:
                      "--annotations", ann, "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "task: pnr" in out and "mae_sec:" in out
+
+    def test_peak_memory_stays_below_twice_the_score_file(self, tmp_path):
+        # the score file is read line by line as it is parsed, so its whole
+        # text is never held beside the windows parsed from it
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_clips = 1000\nseed = 5\n", encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(run), "--quiet"]) == 0
+        scores = run / "scores_pnr.jsonl"
+        lines = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(5).shuffle(lines)
+        scores.write_text("".join(lines), encoding="utf-8")
+        argv = ["localize", "--scores", str(scores), "--annotations", str(run / "annotations.jsonl"),
+                "--out", str(tmp_path / "preds.jsonl"), "--quiet"]
+        assert main(argv) == 0  # loads the modules the stage runs
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * scores.stat().st_size
 
     def test_selection_flags_change_predictions(self, sim_dir):
         ann = str(sim_dir / "annotations.jsonl")
@@ -654,6 +677,52 @@ class TestDiagnostics:
             "use sys.set_int_max_str_digits() to increase the limit\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["stats", "--annotations", "{bad}"],
+             '{{"clip_id": "c{i}", "fps": 30.0, "num_frames": 90}}'),
+            (["localize", "--scores", "{bad}", "--annotations", str(FIXTURE), "--out", "{out}"],
+             '{{"clip_id": "c{i}", "start": 0, "end": 32, "confidence": 0.5}}'),
+            (["evaluate", "--task", "pnr", "--preds", "{bad}", "--annotations", str(FIXTURE)],
+             '{{"clip_id": "c{i}", "time_sec": 1.0, "frame": 30, "source": "selected"}}'),
+            (["evaluate", "--task", "oscc", "--preds", "{bad}", "--annotations", str(FIXTURE)],
+             '{{"clip_id": "c{i}", "prob": 0.5}}'),
+            (["simulate", "--config", "{bad}", "--out-dir", "{out}"],
+             "# note c{i}: a comment as long as a record line"),
+        ],
+        ids=["annotations", "pnr_scores", "predictions", "oscc_scores", "sim_config"],
+    )
+    def test_byte_that_is_not_utf8_is_a_line_error(self, tmp_path, capsys, argv, line):
+        # past the first 8 KiB, which the file is decoded in; each line is good
+        # apart from the 0xff byte put into line 351
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+        lines = [line.format(i=i) for i in range(400)]
+        lines[350] = lines[350].replace("c350", "c\udcff350")
+        bad.write_bytes("".join(x + "\n" for x in lines).encode("utf-8", "surrogateescape"))
+        assert bad.read_bytes().index(b"\xff") > 8192
+        argv = [arg.format(bad=bad, out=out) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {bad}: line 351: invalid UTF-8: 'utf-8' codec can't decode byte "
+            f"0xff in position {lines[350].index(chr(0xDCFF))}: invalid start byte\n"
+        )
+        assert not out.exists()
+
+    def test_repeated_key_is_a_line_error(self, tmp_path, capsys):
+        # json would keep the last copy and score the clip as 0.1
+        probs = tmp_path / "probs.jsonl"
+        probs.write_text(
+            '{"clip_id": "kitchen-001", "prob": 0.9, "prob": 0.1}\n', encoding="utf-8"
+        )
+        argv = ["evaluate", "--task", "oscc", "--preds", str(probs), "--annotations", str(FIXTURE)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {probs}: line 1: duplicate key 'prob'\n"
 
     def test_load_keeps_the_error_and_its_line(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

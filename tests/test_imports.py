@@ -194,6 +194,24 @@ def test_every_imported_name_is_used(path):
     assert [(name, line) for name, line in imported_names(tree) if name not in used] == []
 
 
+WHOLE_READS = {"read", "read_text", "readlines"}
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "pnrkit").glob("*.py")), ids=lambda p: p.name)
+def test_no_whole_file_reads(path):
+    # every input is read line by line as it is parsed; a call to one of
+    # these would hold a whole input text again
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in WHOLE_READS
+    ]
+    assert calls == []
+
+
 # Runs in a fresh interpreter: the package imports no module of its own
 # until a name is read, then resolves every exported name.
 EXPORTS = """

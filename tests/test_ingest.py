@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from pnrkit import ingest
-from pnrkit.cli import main
+from pnrkit.cli import _load, main
 from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
 from pnrkit.ingest import (
     Dataset,
@@ -38,6 +40,7 @@ from pnrkit.model import (
     ScoredWindow,
     ScoreSeries,
 )
+from pnrkit.sim import parse_sim_config
 
 FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
 
@@ -808,6 +811,21 @@ MALFORMED = [
 ]
 
 
+# Faults the table above let through: a key repeated in one record, which
+# json would read last-wins.
+REPEATED_KEYS = [
+    # (format, case, line_no, line, message)
+    ('annotations', 'repeated-key', 3, '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "fps": 25.0}',
+     "line 3: duplicate key 'fps'"),
+    ('pnr_scores', 'repeated-key', 3, '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5, "clip_id": "b"}',
+     "line 3: duplicate key 'clip_id'"),
+    ('oscc_scores', 'repeated-key', 3, '{"clip_id": "a", "prob": 0.9, "prob": 0.1}',
+     "line 3: duplicate key 'prob'"),
+    ('predictions', 'repeated-key', 3, '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected", "frame": 31}',
+     "line 3: duplicate key 'frame'"),
+]
+
+
 def _lines(*lines):
     return "".join(line + "\n" for line in lines)
 
@@ -891,7 +909,8 @@ def _document(fmt, line):
 
 class TestStrictLines:
     @pytest.mark.parametrize(
-        "fmt,case,line_no,line,message", MALFORMED, ids=[f"{row[0]}-{row[1]}" for row in MALFORMED]
+        "fmt,case,line_no,line,message", MALFORMED + REPEATED_KEYS,
+        ids=[f"{row[0]}-{row[1]}" for row in MALFORMED + REPEATED_KEYS],
     )
     # a file object yields lines that keep their line endings
     @pytest.mark.parametrize("source", [str, io.StringIO], ids=["text", "file"])
@@ -1265,6 +1284,167 @@ class TestFormatTables:
         assert len(lines) == sum(len(series.windows) for series in series_by_clip.values())
         for line in lines:
             assert ingest._SCORE_LINE.fullmatch(line)
+
+
+# Documents long enough to span several blocks of lines an iterable is
+# drawn in, with blank lines across the first block's end; the clips of
+# the window scores come in no order.
+SOURCE_RECORDS = {
+    "annotations": lambda i: f'{{"clip_id": "c{i:04d}", "fps": 30.0, "num_frames": 90}}',
+    "pnr_scores": lambda i: (
+        f'{{"clip_id": "c{i % 40:04d}", "start": {i // 40 * 2}, "end": {i // 40 * 2 + 8}, '
+        f'"confidence": {i % 7 / 8}}}'
+    ),
+    "oscc_scores": lambda i: f'{{"clip_id": "c{i:04d}", "prob": {i % 5 / 4}}}',
+    "predictions": lambda i: (
+        f'{{"clip_id": "c{i:04d}", "time_sec": 1.0, "frame": 30, "source": "selected"}}'
+    ),
+    "sim_config": lambda i: f"# note {i}, as long as a record line or longer",
+}
+SOURCE_PARSERS = {**PARSERS, "sim_config": parse_sim_config}
+
+
+def _source_documents(fmt):
+    """A good document, one with a bad line 401, and one that repeats an
+    id (a window, a key) on line 301 before a bad line 501."""
+    lines = [SOURCE_RECORDS[fmt](i) for i in range(600)]
+    if fmt == "pnr_scores":
+        random.Random(3).shuffle(lines)
+    lines[253:257] = ["", "  ", "", ""]
+    if fmt == "sim_config":
+        lines[100], lines[200] = "seed = 4", "n_clips = 7  # a comment"
+    bad_line = "bogus = 1" if fmt == "sim_config" else "not json"
+    bad = lines.copy()
+    bad[400] = bad_line
+    repeat = lines.copy()
+    repeat[300], repeat[500] = repeat[100], bad_line
+    return {name: "".join(line + "\n" for line in doc)
+            for name, doc in (("good", lines), ("bad", bad), ("repeat", repeat))}
+
+
+@contextlib.contextmanager
+def _pipe(text):
+    """A file object reading text from an os.pipe, fed by a thread."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        # a parser that stops at a fault closes the pipe with bytes unread
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as sink:
+            sink.write(text.encode("utf-8"))
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        with os.fdopen(read_fd, encoding="utf-8") as source:
+            yield source
+    finally:
+        feeder.join()
+
+
+class TestEverySourceReadsAlike:
+    """A str, lines with or without their endings, a one-shot iterator, a
+    StringIO, a file the CLI opens and a pipe give one result or one error."""
+
+    SOURCES = {
+        "lines": lambda text: text.splitlines(keepends=True),
+        "bare-lines": lambda text: text.split("\n"),
+        "iterator": lambda text: iter(text.splitlines(keepends=True)),
+        "stringio": io.StringIO,
+    }
+
+    @staticmethod
+    def outcomes(parse, text, tmp_path):
+        path = tmp_path / "input.jsonl"
+        path.write_text(text, encoding="utf-8")
+        found = {"text": _outcome(parse, text)}
+        for name, source in TestEverySourceReadsAlike.SOURCES.items():
+            found[name] = _outcome(parse, source(text))
+        loaded = _outcome(lambda _: _load(str(path), parse), None)
+        if loaded[0] in (ParseError, ConflictError):
+            kind, message, line_no = loaded
+            loaded = kind, message.removeprefix(f"{path}: "), line_no
+        found["file"] = loaded
+        with _pipe(text) as source:
+            found["pipe"] = _outcome(parse, source)
+        return found
+
+    @pytest.mark.parametrize("fmt", SOURCE_PARSERS)
+    @pytest.mark.parametrize("doc", ["good", "bad", "repeat"])
+    def test_one_outcome(self, fmt, doc, tmp_path):
+        parse = SOURCE_PARSERS[fmt]
+        found = self.outcomes(parse, _source_documents(fmt)[doc], tmp_path)
+        expected = found.pop("text")
+        assert found == dict.fromkeys(found, expected)
+        if doc == "bad":
+            assert expected[0] is ParseError and expected[2] == 401
+        elif doc == "repeat":
+            repeated = ParseError if fmt == "sim_config" else ConflictError
+            assert expected[0] is repeated and expected[2] == 301
+        else:
+            assert not isinstance(expected[0], type)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_a_file_may_end_its_lines_in_cr(self, ending, tmp_path):
+        # the CLI opens its inputs with universal newlines, as it always has
+        text = _source_documents("pnr_scores")["good"]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        assert _load(str(path), parse_pnr_scores) == parse_pnr_scores(text)
+
+    def test_good_windows_come_sorted(self):
+        series = parse_pnr_scores(_source_documents("pnr_scores")["good"])
+        assert len(series) == 40 and sum(len(s.windows) for s in series.values()) == 596
+        for s in series.values():
+            assert list(s.windows) == sorted(s.windows)
+
+
+def _spoil(line, char):
+    """line with char put into its clip id, or into its comment."""
+    return line.replace('"c', '"c' + char, 1) if '"c' in line else line.replace("# ", "# " + char, 1)
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a ParseError at its own line, after any
+    fault on a line before it."""
+
+    @staticmethod
+    def bad_file(tmp_path, fmt, bad_at, fault_at=None):
+        lines = [SOURCE_RECORDS[fmt](i) for i in range(300)]
+        if fault_at is not None:
+            lines[fault_at - 1] = "bogus = 1" if fmt == "sim_config" else "not json"
+        # the CLI's open() decodes 8 KiB at a time; the bad byte lies past the first
+        lines[bad_at - 1] = _spoil(lines[bad_at - 1], "\udcff")
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+        assert path.read_bytes().index(b"\xff") > 8192
+        return path
+
+    @pytest.mark.parametrize("fmt", SOURCE_PARSERS)
+    @pytest.mark.parametrize("fault_at", [3, 250], ids=["earlier-chunk", "same-chunk"])
+    def test_an_earlier_fault_comes_first(self, fmt, fault_at, tmp_path):
+        path = self.bad_file(tmp_path, fmt, 251, fault_at)
+        with pytest.raises(ParseError) as info:
+            _load(str(path), SOURCE_PARSERS[fmt])
+        assert info.value.line_no == fault_at
+
+    def test_a_repeated_window_comes_first(self, tmp_path):
+        path = self.bad_file(tmp_path, "pnr_scores", 251)
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\n") + 1] + data)  # line 2 repeats line 1
+        with pytest.raises(ConflictError) as info:
+            _load(str(path), parse_pnr_scores)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("fmt", SOURCE_PARSERS)
+    @pytest.mark.parametrize("char", ["\udcff", "\ud800"], ids=["escaped-byte", "lone-surrogate"])
+    def test_text_with_a_surrogate_is_refused_too(self, fmt, char):
+        lines = [SOURCE_RECORDS[fmt](i) for i in range(4)]
+        lines[2] = _spoil(lines[2], char)
+        text = "".join(line + "\n" for line in lines)
+        for stream in (text, text.splitlines()):
+            with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8: 'utf-8' codec can't") as info:
+                SOURCE_PARSERS[fmt](stream)
+            assert info.value.line_no == 3
 
 
 class TestAtomicWrite:

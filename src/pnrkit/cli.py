@@ -159,6 +159,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         raise ValidationError("fuse requires --out")
     if len(args.scores) < 2:
         raise ValidationError(f"fuse needs two or more --scores files, got {len(args.scores)}")
+    from pnrkit.model import ensure_windows_in_clip  # pnrkit does not export it
     ds = _load(args.annotations, _lib.parse_annotations) if args.annotations else None
     oscc = args.task == "oscc"
     parse = _lib.parse_oscc_scores if oscc else _lib.parse_pnr_scores
@@ -173,7 +174,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             raise CoverageError(f"{path}: no scores for clip(s)", missing)
     fused = {}
     for clip_id in clip_ids:
-        clip = None
+        values = [scores[clip_id] for scores in score_maps]
         if ds is not None:
             clip = ds.clips.get(clip_id)
             if clip is None:
@@ -181,8 +182,12 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                     f"{args.scores[0]}: scores for unknown clip {clip_id!r} "
                     f"(not in {args.annotations})"
                 )
-        values = [scores[clip_id] for scores in score_maps]
-        fused[clip_id] = _lib.fuse_oscc(values) if oscc else _lib.fuse_pnr(values, clip)
+            if not oscc:
+                # checked here rather than by fuse_pnr, so that a window
+                # outside its clip names its file
+                for path, series in zip(args.scores, values):
+                    _blame(path, ensure_windows_in_clip, series.windows, clip)
+        fused[clip_id] = _lib.fuse_oscc(values) if oscc else _lib.fuse_pnr(values)
     _emit(args, _per_clip(_lib.emit_oscc_scores if oscc else _lib.emit_pnr_scores, fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0

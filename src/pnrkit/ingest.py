@@ -5,7 +5,7 @@ format (annotations, window scores, state-change probabilities,
 predictions) is one table below: each key, in written order, with the
 check that reads its value.  Parsers take a str or an iterable of lines,
 such as an open file, and read it line by line as they parse it, so no
-whole input text is held.  They are strict and check every record in one
+whole input file is held.  They are strict and check every record in one
 order: its key set (a key may appear once), then each key's type, then
 the value rules (the model constructors, the frame-in-clip check,
 repeated clip ids); errors carry 1-based line numbers.  Emitters write
@@ -21,7 +21,6 @@ import math
 import os
 import re
 from collections import defaultdict
-from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from pnrkit.errors import ConflictError, DomainError, ParseError, ValidationError
@@ -96,92 +95,35 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _raw_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
 
 
-# lines drawn from an iterable at a time; a block of them is a few dozen KB
-_BLOCK_LINES = 256
-
-# the characters no UTF-8 text holds: a file opened with
-# errors="surrogateescape", as the CLI opens its inputs, hands on each
-# byte it cannot decode as one of these; compiled (by re.search) only
-# once a block is not ASCII, as it costs a stage 0.1 MB to compile
-_SURROGATES = "[\ud800-\udfff]"
-
-
-def _blocks(source: str | Iterable[str]) -> Iterator[str]:
-    """The text source joins to, as blocks of whole lines, each read only
-    when the one before has been handed on.
-
-    A str is one block, read in place.  The items of an iterable (the
-    lines of a file, say) are drawn a few hundred at a time: each item is
-    a line with or without its "\n", or lines joined by "\n", and its
-    block ends each item with one "\n".  A line that is not UTF-8 text
-    is a ParseError at that line, raised once the lines before it are
-    handed on.
-    """
-    if isinstance(source, str):
-        texts: Iterable[str] = (source,)
-    else:
-        texts = _joined_items(iter(source))
-    lines_before = 0
-    for text in texts:
-        bad = None if text.isascii() else re.search(_SURROGATES, text)
-        if bad is None:
-            yield text
-            lines_before += text.count("\n")
-            continue
-        start = text.rfind("\n", 0, bad.start()) + 1
-        if start:
-            yield text[:start]
-        stop = text.find("\n", start)
-        line = text[start:] if stop < 0 else text[start:stop]
-        line_no = lines_before + text.count("\n", 0, start) + 1
-        # the first names the byte a surrogate stands for, as decoding it
-        # would; the second fails on any surrogate the first lets through
-        try:
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
-            line.encode("utf-8")
-        except UnicodeError as exc:
-            raise ParseError(f"invalid UTF-8: {exc}", line_no) from None
-
-
-def _joined_items(items: Iterator[str]) -> Iterator[str]:
-    """Blocks of up to _BLOCK_LINES items, each item ended by one "\n"."""
-    while lines := list(map(str.removesuffix, islice(items, _BLOCK_LINES), repeat("\n"))):
-        lines.append("")
-        yield "\n".join(lines)
-
-
 def _lines(source: str | Iterable[str]) -> Iterator[str]:
-    """Each line of source, without its "\n", as its block is read."""
-    for text in _blocks(source):
-        yield from text.removesuffix("\n").split("\n")
-
-
-def _read(
-    source: str | Iterable[str],
-    record: Callable[[dict], None],
-    take: Callable[[str, int], int] | None = None,
-) -> None:
-    """Run ``record`` on the JSON object of each non-blank line; an error
-    of the line or of ``record`` leaves naming the line, a model
-    ValidationError as a ParseError.  ``take(text, at)`` may read the line
-    of a block that starts at ``at`` itself and return the next line's
-    start, or -1 if it did not."""
+    """Each line of source without its "\n", drawn as the one before is
+    handed on.  A str is split at "\n", and so is each item of an iterable
+    (a line of an open file, say) once its own "\n" is cut off.  A line
+    that is not UTF-8 text is a ParseError at that line: the CLI opens its
+    inputs with errors="surrogateescape", which hands on a bad byte as a
+    lone surrogate."""
     line_no = 0
-    for text in _blocks(source):
-        # a cursor, as text.split("\n") would hold a second copy of the text
-        at, size = 0, len(text)
-        while at < size:
+    for item in (source,) if isinstance(source, str) else source:
+        for line in item.removesuffix("\n").split("\n"):
             line_no += 1
-            if take is not None:
-                after = take(text, at)
-                if after >= 0:
-                    at = after
-                    continue
-            stop = text.find("\n", at)
-            if stop < 0:
-                stop = size
-            _read_line(text[at:stop], line_no, record)
-            at = stop + 1
+            if not line.isascii():
+                # the first names the byte a surrogate stands for, as
+                # decoding it would; the second fails on any surrogate the
+                # first lets through
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    line.encode("utf-8")
+                except UnicodeError as exc:
+                    raise ParseError(f"invalid UTF-8: {exc}", line_no) from None
+            yield line
+
+
+def _read(source: str | Iterable[str], record: Callable[[dict], None]) -> None:
+    """Run ``record`` on the JSON object of each non-blank line of source;
+    an error of the line or of ``record`` leaves naming the line, a model
+    ValidationError as a ParseError."""
+    for line_no, line in enumerate(_lines(source), 1):
+        _read_line(line, line_no, record)
 
 
 def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
@@ -335,13 +277,13 @@ def emit_annotations(dataset: Dataset) -> str:
 
 
 # a score line exactly as emit_pnr_scores and _line(_SCORE, ...) write it
-# (json.dumps, default separators), with a \n or \r\n ending; digits are
+# (json.dumps, default separators), with or without its ending; digits are
 # [0-9], never \d, as int() and float() also read digits JSON does not allow
 _SCORE_LINE = re.compile(
     r'\{"clip_id": "([^"\\\x00-\x1f]+)", "start": (0|[1-9][0-9]*), '
     r'"end": (0|[1-9][0-9]*), "confidence": '
     r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-    r"\}(?:\r?\n|\Z)"
+    r"\}\r?\n?\Z"
 )
 
 
@@ -361,29 +303,25 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
         window = placed[-1] = ScoredWindow(start, end, confidence)
         grouped[clip_id].append(window)
 
-    # anchored matches, not finditer, so no search runs on past a line off
-    # the pattern; such a line, or one whose values int(), float() or
+    # a line off the pattern, or one whose values int(), float() or
     # ScoredWindow refuse, goes to the line reader and ``record``, which
     # make every error and every value the pattern does not cover
     match = _SCORE_LINE.match
-
-    def take(text: str, at: int) -> int:
-        line = match(text, at)
-        if line is not None:
-            clip_id, start, end, confidence = line.groups()
-            try:  # the conversions the JSON decoder makes
-                window = ScoredWindow(int(start), int(end), float(confidence))
-            except (ValueError, DomainError):
-                pass
-            else:
-                grouped[clip_id].append(window)
-                placed.append(window)
-                return line.end()
-        placed.append(None)
-        return -1
-
     try:
-        _read(stream, record, take)
+        for line_no, line in enumerate(_lines(stream), 1):
+            found = match(line)
+            if found is not None:
+                clip_id, start, end, confidence = found.groups()
+                try:  # the conversions the JSON decoder makes
+                    window = ScoredWindow(int(start), int(end), float(confidence))
+                except (ValueError, DomainError):
+                    pass
+                else:
+                    grouped[clip_id].append(window)
+                    placed.append(window)
+                    continue
+            placed.append(None)
+            _read_line(line, line_no, record)
     except (ParseError, ConflictError):
         # a window repeated on a line before the failing one is the first fault
         _sorted_series(grouped, placed)

@@ -140,9 +140,6 @@ class FrameWindow(Record):
             _refuse_window(start, end)
         return tuple.__new__(cls, (start, end))
 
-    def contains(self, frame: int) -> bool:
-        return self[0] <= frame < self[1]
-
 
 class ScoredWindow(FrameWindow):
     """A window with a scorer confidence in [0, 1]: the tuple

@@ -586,20 +586,39 @@ class TestDiagnostics:
         assert captured.out == ""
         assert captured.err == f"pnrkit: error: {empty}: dataset has no clips\n"
 
-    def test_localize_window_outside_clip_names_the_scores_file(self, tmp_path, capsys):
+    # the scores files each command reads, and the one a window outside its
+    # clip is blamed on: the first, in --scores order, that holds one
+    OUTSIDE_CLIP = {
+        "localize": (["bad"], "bad"),
+        "fuse": (["good", "bad", "worse"], "bad"),
+    }
+
+    @pytest.mark.parametrize("command", OUTSIDE_CLIP)
+    def test_window_outside_clip_names_the_scores_file(self, command, tmp_path, capsys):
         annotations = tmp_path / "annotations.jsonl"
-        annotations.write_text('{"clip_id": "a", "fps": 30.0, "num_frames": 20}\n', encoding="utf-8")
-        scores = tmp_path / "scores.jsonl"
-        scores.write_text(
-            '{"clip_id": "a", "start": 0, "end": 40, "confidence": 0.9}\n', encoding="utf-8"
-        )
-        argv = ["localize", "--scores", str(scores), "--annotations", str(annotations)]
+        annotations.write_text('{"clip_id": "a", "fps": 30.0, "num_frames": 100}\n', encoding="utf-8")
+        windows = {"good": [(0, 40)], "bad": [(0, 40), (0, 400)], "worse": [(60, 500)]}
+        for name, spans in windows.items():
+            (tmp_path / f"{name}.jsonl").write_text(
+                "".join(
+                    f'{{"clip_id": "a", "start": {s}, "end": {e}, "confidence": 0.9}}\n'
+                    for s, e in spans
+                ),
+                encoding="utf-8",
+            )
+        names, blamed = self.OUTSIDE_CLIP[command]
+        scores = [str(tmp_path / f"{name}.jsonl") for name in names]
+        argv = [command, "--annotations", str(annotations), "--scores", *scores]
+        if command == "fuse":
+            argv += ["--task", "pnr", "--out", str(tmp_path / "fused.jsonl")]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"pnrkit: error: {scores}: window [0, 40) exceeds clip 'a' of 20 frames\n"
+            f"pnrkit: error: {tmp_path / blamed}.jsonl: window [0, 400) exceeds clip 'a' "
+            "of 100 frames\n"
         )
+        assert not (tmp_path / "fused.jsonl").exists()
 
     def test_oracle_short_clip_names_the_annotation_file(self, tmp_path, capsys):
         annotations = tmp_path / "annotations.jsonl"

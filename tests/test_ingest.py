@@ -1182,9 +1182,10 @@ class TestFastPath:
             # as does the same text without its final line ending, or with CRLF
             assert parse_pnr_scores(scores[:-1]) == series_by_clip
             assert parse_pnr_scores(scores.replace("\n", "\r\n")) == series_by_clip
-            # and its lines, with or without their endings
+            # and its lines, with or without their endings, or drawn from a file
             assert parse_pnr_scores(scores.splitlines(keepends=True)) == series_by_clip
             assert parse_pnr_scores(scores.splitlines()) == series_by_clip
+            assert parse_pnr_scores(io.StringIO(scores)) == series_by_clip
 
     def test_json_dumps_lines_stay_on_it(self, monkeypatch):
         score_lines = [
@@ -1286,9 +1287,8 @@ class TestFormatTables:
             assert ingest._SCORE_LINE.fullmatch(line)
 
 
-# Documents long enough to span several blocks of lines an iterable is
-# drawn in, with blank lines across the first block's end; the clips of
-# the window scores come in no order.
+# Documents of a few hundred lines with a run of blank lines in them; the
+# clips of the window scores come in no order.
 SOURCE_RECORDS = {
     "annotations": lambda i: f'{{"clip_id": "c{i:04d}", "fps": 30.0, "num_frames": 90}}',
     "pnr_scores": lambda i: (
@@ -1419,21 +1419,34 @@ class TestNotUtf8:
         assert path.read_bytes().index(b"\xff") > 8192
         return path
 
+    @staticmethod
+    def readers(path):
+        """parse applied to the file at path as the CLI opens it, and to its
+        text as a str and as a list of lines."""
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        return [
+            lambda parse: _load(str(path), parse),
+            lambda parse: parse(text),
+            lambda parse: parse(text.splitlines(keepends=True)),
+        ]
+
     @pytest.mark.parametrize("fmt", SOURCE_PARSERS)
     @pytest.mark.parametrize("fault_at", [3, 250], ids=["earlier-chunk", "same-chunk"])
     def test_an_earlier_fault_comes_first(self, fmt, fault_at, tmp_path):
         path = self.bad_file(tmp_path, fmt, 251, fault_at)
-        with pytest.raises(ParseError) as info:
-            _load(str(path), SOURCE_PARSERS[fmt])
-        assert info.value.line_no == fault_at
+        for read in self.readers(path):
+            with pytest.raises(ParseError) as info:
+                read(SOURCE_PARSERS[fmt])
+            assert info.value.line_no == fault_at
 
     def test_a_repeated_window_comes_first(self, tmp_path):
         path = self.bad_file(tmp_path, "pnr_scores", 251)
         data = path.read_bytes()
         path.write_bytes(data[: data.index(b"\n") + 1] + data)  # line 2 repeats line 1
-        with pytest.raises(ConflictError) as info:
-            _load(str(path), parse_pnr_scores)
-        assert info.value.line_no == 2
+        for read in self.readers(path):
+            with pytest.raises(ConflictError) as info:
+                read(parse_pnr_scores)
+            assert info.value.line_no == 2
 
     @pytest.mark.parametrize("fmt", SOURCE_PARSERS)
     @pytest.mark.parametrize("char", ["\udcff", "\ud800"], ids=["escaped-byte", "lone-surrogate"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
-from pnrkit.model import Clip, FrameWindow, PnrAnnotation, round_half_up
+from pnrkit.model import Clip, PnrAnnotation, round_half_up
 from pnrkit.sampling import (
     SamplerConfig,
     WindowingConfig,
@@ -195,7 +195,7 @@ class TestPositiveWindow:
         cfg = WindowingConfig(num_windows=16, jitter=jitter)
         win = positive_window(PnrAnnotation(p), clip_of(n), cfg, seed)
         assert win.end - win.start == 32
-        assert win.contains(p)
+        assert win.start <= p < win.end
         assert 0 <= win.start and win.end <= n
 
 
@@ -215,7 +215,7 @@ class TestNegativeWindows:
         for win in wins:
             assert win.end - win.start == 32 and win.end <= 240
             for frame in ann.all_frames:
-                assert not win.contains(frame)
+                assert not win.start <= frame < win.end
 
     def test_empty_negative_space(self):
         # a single-window clip with any annotation leaves nowhere to sample
@@ -261,7 +261,7 @@ class TestNegativeWindows:
         cfg = WindowingConfig(num_windows=16, window_len=w)
         assert list(valid_negative_starts(ann, clip_of(n), cfg)) == [
             s for s in range(n - w + 1)
-            if not any(FrameWindow(s, s + w).contains(f) for f in ann.all_frames)
+            if not any(s <= f < s + w for f in ann.all_frames)
         ]
         try:
             wins = negative_windows(ann, clip_of(n), cfg, seed, count=8)
@@ -271,7 +271,7 @@ class TestNegativeWindows:
             assert len(starts) == 0
             return
         for win in wins:
-            assert all(not win.contains(f) for f in ann.all_frames)
+            assert all(not win.start <= f < win.end for f in ann.all_frames)
 
 
 class TestSeeds:

@@ -28,7 +28,8 @@ from pnrkit import (
 def main():
     ds = gen_dataset(SimConfig(n_clips=5_000, seed=3))
     windows = WindowingConfig(num_windows=16)
-    scores = simulate_scores(ds, windows, ScorerNoiseModel(), seed=3)
+    # dict() draws each clip once; both selection rules below read every clip
+    scores = dict(simulate_scores(ds, windows, ScorerNoiseModel(), seed=3))
 
     rows = []
     rows.append(("always center", pnr_mae(

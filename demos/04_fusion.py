@@ -24,12 +24,13 @@ from pnrkit import (
 
 def main():
     ds = gen_dataset(SimConfig(n_clips=5_000, seed=8))
-    scorer_a = simulate_scores(
+    # dict() draws each clip once; fusing and selecting both read every clip
+    scorer_a = dict(simulate_scores(
         ds, WindowingConfig(num_windows=32), ScorerNoiseModel(hit_alpha=7.0), seed=81
-    )
-    scorer_b = simulate_scores(
+    ))
+    scorer_b = dict(simulate_scores(
         ds, WindowingConfig(num_windows=16), ScorerNoiseModel(hit_beta=3.0), seed=82
-    )
+    ))
     fused = {c: fuse_pnr([scorer_a[c], scorer_b[c]], ds.clips[c]) for c in ds.clips}
 
     print("localization MAE (s)")

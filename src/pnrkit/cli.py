@@ -4,12 +4,16 @@ Every stage reads and writes the documented line formats, so simulated
 scores can be swapped for real scorer output at any boundary.  Data
 goes to --out when given (written atomically) and to standard output
 otherwise, but stats and evaluate print a table and write another form
-to --out.  A stage reads each input line by line as it parses it, checks
-and computes everything, then formats and writes its data one clip at a
-time, so no whole input or output file is held in memory.  Informational
-notes go to standard error unless --quiet.
+to --out.  A stage reads each input line by line as it parses it and
+runs every check before its first write: checks first, then compute,
+format and write per clip, so no whole input or output file is held in
+memory, and simulate and fuse hold no clip's result but the one being
+written.  Where a step can itself refuse a clip (localize's selection,
+oracle's fit), every clip is computed before the first write instead.
+Informational notes go to standard error unless --quiet.
 Failures exit nonzero with a one-line diagnostic naming the offending
-input.
+input, and an option that the chosen mode does not read is refused.  A
+reader that closes standard output early ends the run quietly, exit 1.
 """
 
 from __future__ import annotations
@@ -74,10 +78,19 @@ def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _per_clip(emit: Callable[[Mapping[str, T]], str], by_clip: Mapping[str, T]) -> Iterator[str]:
-    """The text emit(by_clip) gives, one clip's lines at a time, formatted
-    as the writer draws them."""
-    return (emit({clip_id: value}) for clip_id, value in by_clip.items())
+def _per_clip(
+    emit: Callable[[Mapping[str, T]], str], items: Iterable[tuple[str, T]]
+) -> Iterator[str]:
+    """The text emit(dict(items)) gives, one clip's lines at a time: each
+    (clip id, value) pair is drawn and formatted as the writer reaches it."""
+    return (emit({clip_id: value}) for clip_id, value in items)
+
+
+def _refuse_unread(args: argparse.Namespace, mode: str, *dests: str) -> None:
+    """Refuse each option of dests given on the command line, which only mode reads."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValidationError(f"--{dest.replace('_', '-')} applies to {mode} only")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -113,12 +126,15 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         if clip is None:
             raise ValidationError(f"{args.scores}: scores for unknown clip {clip_id!r}")
         preds[clip_id] = _blame(args.scores, _lib.select_pnr, series, clip, config)
-    _emit(args, _per_clip(_lib.emit_predictions, preds))
+    _emit(args, _per_clip(_lib.emit_predictions, preds.items()))
     _info(args, f"localized {len(preds)} clip(s)")
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    if args.mode == "center":
+        _refuse_unread(args, "--mode fraction", "fraction")
+    fraction = 0.43 if args.fraction is None else args.fraction
     ds = _load(args.annotations, _lib.parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
@@ -128,8 +144,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         if args.mode == "center":
             preds[clip_id] = _lib.baseline_center(clip)
         else:
-            preds[clip_id] = _lib.baseline_fraction(clip, args.fraction)
-    _emit(args, _per_clip(_lib.emit_predictions, preds))
+            preds[clip_id] = _lib.baseline_fraction(clip, fraction)
+    _emit(args, _per_clip(_lib.emit_predictions, preds.items()))
     return 0
 
 
@@ -172,38 +188,38 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         missing = tuple(clip_id for clip_id in clip_ids if clip_id not in scores)
         if missing:
             raise CoverageError(f"{path}: no scores for clip(s)", missing)
-    fused = {}
-    for clip_id in clip_ids:
-        values = [scores[clip_id] for scores in score_maps]
-        if ds is not None:
-            clip = ds.clips.get(clip_id)
-            if clip is None:
-                raise ValidationError(
-                    f"{args.scores[0]}: scores for unknown clip {clip_id!r} "
-                    f"(not in {args.annotations})"
-                )
-            if not oscc:
-                # checked here rather than by fuse_pnr, so that a window
-                # outside its clip names its file
-                for path, series in zip(args.scores, values):
-                    _blame(path, ensure_windows_in_clip, series.windows, clip)
-        fused[clip_id] = _lib.fuse_oscc(values) if oscc else _lib.fuse_pnr(values)
+    for clip_id in clip_ids if ds is not None else ():
+        clip = ds.clips.get(clip_id)
+        if clip is None:
+            raise ValidationError(
+                f"{args.scores[0]}: scores for unknown clip {clip_id!r} "
+                f"(not in {args.annotations})"
+            )
+        if not oscc:
+            # checked here rather than by fuse_pnr, so that a window
+            # outside its clip names its file
+            for path, scores in zip(args.scores, score_maps):
+                _blame(path, ensure_windows_in_clip, scores[clip_id].windows, clip)
+    # fuse refuses no input that passed the checks above, so each clip is
+    # fused only as the writer reaches it
+    fuse = _lib.fuse_oscc if oscc else _lib.fuse_pnr
+    fused = ((clip_id, fuse([scores[clip_id] for scores in score_maps])) for clip_id in clip_ids)
     _emit(args, _per_clip(_lib.emit_oscc_scores if oscc else _lib.emit_pnr_scores, fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.task == "oscc":
+        _refuse_unread(args, "--task pnr", "bins", "plot_data")
     ds = _load(args.annotations, _lib.parse_annotations)
     if args.task == "oscc":
-        if args.plot_data:
-            raise ValidationError("--plot-data applies to --task pnr only")
         probs = _load(args.preds, _lib.parse_oscc_scores)
         preds = {c: p >= 0.5 for c, p in probs.items()}
         metric, options = _lib.oscc_accuracy, ()
     else:
         preds = _load(args.preds, _lib.parse_predictions)
-        metric, options = _lib.per_position_error, (args.bins,)
+        metric, options = _lib.per_position_error, (10 if args.bins is None else args.bins,)
     # a clip missing from or extra in the preds file is the preds file's
     # fault, and no labels at all the annotation file's
     report = _blame(
@@ -225,13 +241,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         sim_cfg = sim_cfg._replace(seed=args.seed)
     ds = _lib.gen_dataset(sim_cfg)
+    # checks every clip against the window now; each clip is drawn as the writer reaches it
     scores = _lib.simulate_scores(ds, settings.windows, settings.noise, seed=sim_cfg.seed)
     probs = _lib.simulate_oscc(ds, settings.noise, seed=sim_cfg.seed)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    _write(args, os.path.join(out, "annotations.jsonl"), _lib.emit_annotations(ds))
-    _write(args, os.path.join(out, "scores_pnr.jsonl"), _per_clip(_lib.emit_pnr_scores, scores))
-    _write(args, os.path.join(out, "scores_oscc.jsonl"), _per_clip(_lib.emit_oscc_scores, probs))
+    # gen_dataset labels every clip both ways
+    annotations = (
+        _lib.emit_annotations(_lib.Dataset({c: clip}, {c: ds.pnr[c]}, {c: ds.oscc[c]}))
+        for c, clip in ds.clips.items()
+    )
+    _write(args, os.path.join(out, "annotations.jsonl"), annotations)
+    _write(args, os.path.join(out, "scores_pnr.jsonl"),
+           _per_clip(_lib.emit_pnr_scores, scores.items()))
+    _write(args, os.path.join(out, "scores_oscc.jsonl"),
+           _per_clip(_lib.emit_oscc_scores, probs.items()))
     return 0
 
 
@@ -271,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", parents=[common], help="constant-position predictions")
     p.add_argument("--mode", choices=("center", "fraction"), required=True)
-    p.add_argument("--fraction", type=float, default=0.43, help="fraction for --mode fraction")
+    p.add_argument("--fraction", type=float, default=None,
+                   help="fraction for --mode fraction (default 0.43)")
     p.add_argument("--annotations", required=True)
     p.set_defaults(handler=_cmd_baseline)
 
@@ -293,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("oscc", "pnr"), required=True)
     p.add_argument("--preds", required=True, help="prediction file (pnr) or probability file (oscc)")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--bins", type=int, default=10, help="position bins for the pnr breakdown")
+    p.add_argument("--bins", type=int, default=None,
+                   help="position bins for the pnr breakdown (default 10)")
     p.add_argument("--plot-data", default=None, help="write per-bin TSV here (pnr only)")
     p.set_defaults(handler=_cmd_evaluate)
 
@@ -318,7 +344,15 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return args.handler(args)
+        rc = args.handler(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader of standard output stopped early, as `| head` does: exit
+        # 1 quietly, and point stdout at devnull so the flush at exit cannot
+        # fail again (the SIGPIPE note in the Python docs for signal)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PnrKitError, OSError) as exc:
         print(f"pnrkit: error: {exc}", file=sys.stderr)
         return 2

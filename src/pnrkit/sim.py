@@ -14,13 +14,17 @@ agree and runs are reproducible.  Each clip's draws come from a
 ``random.Random`` stream keyed (seed, family tag, clip index), with tag
 0 for the dataset, 1 for the window scorer and 2 for the classifier, so
 no two families share a stream even under one seed.
+
+simulate_scores checks first, then draws a clip's window scores when
+that clip is read: it holds no series, and reading a clip again redraws
+it from its own stream, to the same values.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, _lines, build_dataset
@@ -35,7 +39,7 @@ from pnrkit.model import (
     fraction_to_frame,
     round_half_up,
 )
-from pnrkit.sampling import WindowingConfig, _held_starts, _rng, _sweep_starts
+from pnrkit.sampling import WindowingConfig, _check_fits, _held_starts, _rng, _sweep_starts
 
 
 class SimConfig(Record):
@@ -150,24 +154,48 @@ def simulate_scores(
     windows: WindowingConfig,
     noise: ScorerNoiseModel = ScorerNoiseModel(),
     seed: int = 0,
-) -> dict[str, ScoreSeries]:
-    """Score every clip's distinct dense windows with hit/miss Beta noise."""
-    hit, miss = (noise.hit_alpha, noise.hit_beta), (noise.miss_alpha, noise.miss_beta)
-    w = windows.window_len
-    out: dict[str, ScoreSeries] = {}
-    for i, (clip_id, clip) in enumerate(ds.clips.items()):
-        rng = _rng(seed, 1, i)
+) -> Mapping[str, ScoreSeries]:
+    """Score every clip's distinct dense windows with hit/miss Beta noise.
+
+    The seed and the fit of every clip to the window (ClipTooShortError)
+    are checked now.  The result is a read-only mapping that draws a
+    clip's series from that clip's own stream when the clip is read, so
+    it holds no series; reading a clip again draws it again, to the same
+    values.  Take dict() of it to draw every clip once and keep them.
+    """
+    _rng(seed)  # refuses a bad seed now, not at the first read
+    for clip in ds.clips.values():
+        _check_fits(clip, windows.window_len)
+    return _DrawnScores(ds, windows, noise, seed)
+
+
+class _DrawnScores(Mapping):
+    """The window scores of simulate_scores, drawn per clip on read."""
+
+    def __init__(self, ds: Dataset, windows: WindowingConfig, noise: ScorerNoiseModel, seed: int):
+        self._index = {clip_id: i for i, clip_id in enumerate(ds.clips)}
+        self._ds, self._windows, self._seed = ds, windows, seed
+        self._hit = (noise.hit_alpha, noise.hit_beta)
+        self._miss = (noise.miss_alpha, noise.miss_beta)
+
+    def __getitem__(self, clip_id: str) -> ScoreSeries:
+        rng = _rng(self._seed, 1, self._index[clip_id])
+        w = self._windows.window_len
         # a sweep of more windows than a short clip has starts repeats
         # starts; each distinct window is scored once
-        starts = list(dict.fromkeys(_sweep_starts(clip, windows)))
-        ann = ds.pnr.get(clip_id)
+        starts = list(dict.fromkeys(_sweep_starts(self._ds.clips[clip_id], self._windows)))
+        ann = self._ds.pnr.get(clip_id)
         held = _held_starts(ann.all_frames if ann is not None else (), starts, w)
-        scored = tuple(
-            ScoredWindow(s, s + w, rng.betavariate(*(hit if s in held else miss)))
-            for s in starts
-        )
-        out[clip_id] = ScoreSeries(scored)
-    return out
+        hit, miss = self._hit, self._miss
+        return ScoreSeries(tuple(
+            ScoredWindow(s, s + w, rng.betavariate(*(hit if s in held else miss))) for s in starts
+        ))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def simulate_oscc(

@@ -2,11 +2,12 @@
 
 import argparse
 import json
+import os
 import random
-import tracemalloc
 from pathlib import Path
 
 import pytest
+from helpers import run_fresh, traced_peak
 
 from pnrkit.cli import _load, build_parser, main
 from pnrkit.errors import ConflictError, ParseError
@@ -102,14 +103,39 @@ class TestSimulate:
         # so its whole text and its row strings are never held at once
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n_clips = 1000\nseed = 5\n", encoding="utf-8")
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path),
-                         "--quiet"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(
+            main, ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path), "--quiet"]
+        )
+        assert rc == 0
         assert peak < 3 * (tmp_path / "scores_pnr.jsonl").stat().st_size
+
+    def test_peak_memory_does_not_grow_with_windows_per_clip(self, tmp_path):
+        # each clip's scores are drawn as the writer reaches them, so at 64
+        # windows a clip the run holds a small part of its score file
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_clips = 2\n", encoding="utf-8")
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path), "--quiet"]
+        assert main(argv) == 0  # loads the modules the stage runs
+        cfg.write_text("n_clips = 1000\nseed = 5\nnum_windows = 64\n", encoding="utf-8")
+        rc, peak = traced_peak(main, argv)
+        assert rc == 0
+        assert peak < 0.5 * (tmp_path / "scores_pnr.jsonl").stat().st_size
+
+    def test_checks_run_before_the_first_write(self, tmp_path, capsys):
+        # every clip is checked against the window before any clip is drawn
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "n_clips = 4\nduration_min_sec = 5.07\nduration_max_sec = 5.07\nwindow_len = 200\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pnrkit: error: clip 'clip000000' has 152 frames, needs at least 200\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, flag", [("seed = -1\n", []), ("", ["--seed", "-5"])])
     def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys, config, flag):
@@ -161,12 +187,8 @@ class TestLocalizeAndEvaluate:
         argv = ["localize", "--scores", str(scores), "--annotations", str(run / "annotations.jsonl"),
                 "--out", str(tmp_path / "preds.jsonl"), "--quiet"]
         assert main(argv) == 0  # loads the modules the stage runs
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(main, argv)
+        assert rc == 0
         assert peak < 2 * scores.stat().st_size
 
     def test_selection_flags_change_predictions(self, sim_dir):
@@ -453,6 +475,23 @@ class TestFuse:
                      "--annotations", str(sim_dir / "annotations.jsonl"),
                      "--out", str(tmp_path / "fused_preds.jsonl"), "--quiet"]) == 0
 
+    def test_pnr_peak_memory_stays_below_the_inputs(self, tmp_path):
+        # each clip is fused as the writer reaches it, so no fused series is
+        # held beside the parsed inputs once written
+        scores = []
+        for n in (16, 32):
+            cfg = tmp_path / f"sim{n}.cfg"
+            cfg.write_text(f"n_clips = 1000\nseed = 5\nnum_windows = {n}\n", encoding="utf-8")
+            run = tmp_path / f"run{n}"
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(run), "--quiet"]) == 0
+            scores.append(run / "scores_pnr.jsonl")
+        argv = ["fuse", "--task", "pnr", "--scores", *map(str, scores),
+                "--out", str(tmp_path / "fused.jsonl"), "--quiet"]
+        assert main(argv) == 0  # loads the modules the stage runs
+        rc, peak = traced_peak(main, argv)
+        assert rc == 0
+        assert peak < 1.8 * sum(path.stat().st_size for path in scores)
+
     def test_oscc_fusion_is_mean(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -550,6 +589,45 @@ COVERAGE_FAULTS = {
 
 
 class TestDiagnostics:
+    # options that only another mode of their subcommand reads
+    EVALUATE_OSCC = ["evaluate", "--task", "oscc", "--preds", "{preds}"]
+    UNREAD_OPTIONS = {
+        "evaluate-oscc-bins": ([*EVALUATE_OSCC, "--bins", "7"], "--bins", "--task pnr"),
+        "evaluate-oscc-plot-data": ([*EVALUATE_OSCC, "--plot-data", "{plot}"],
+                                    "--plot-data", "--task pnr"),
+        "baseline-center-fraction": (["baseline", "--mode", "center", "--fraction", "0.9"],
+                                     "--fraction", "--mode fraction"),
+    }
+
+    @pytest.mark.parametrize(
+        "argv, option, mode", UNREAD_OPTIONS.values(), ids=list(UNREAD_OPTIONS)
+    )
+    def test_an_option_its_mode_does_not_read_is_refused(
+        self, tmp_path, capsys, argv, option, mode
+    ):
+        # without the option each run is valid and exits 0
+        preds, plot = tmp_path / "preds.jsonl", tmp_path / "plot.tsv"
+        preds.write_text("".join(PREDICTION_LINES["oscc"][clip_id] for clip_id in (
+            "kitchen-001", "workshop-002", "garden-003")), encoding="utf-8")
+        argv = [arg.format(preds=preds, plot=plot) for arg in argv]
+        assert main([*argv, "--annotations", str(FIXTURE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {option} applies to {mode} only\n"
+        assert not plot.exists()
+
+    def test_an_early_closed_stdout_is_a_quiet_exit_1(self):
+        # the reader has gone, as when `| head -1` has its line; that is no
+        # fault of the input, so nothing is reported
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_fresh(["-m", "pnrkit.cli", "baseline", "--mode", "center",
+                              "--annotations", str(FIXTURE)], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     @pytest.mark.parametrize("fault", COVERAGE_FAULTS.values(), ids=list(COVERAGE_FAULTS))
     @pytest.mark.parametrize("task, what", [("pnr", "localization"), ("oscc", "state-change")])
     def test_evaluate_coverage_names_the_preds_file(self, tmp_path, capsys, task, what, fault):

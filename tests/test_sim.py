@@ -9,8 +9,9 @@ import re
 import pytest
 from helpers import run_fresh
 
+import pnrkit.sim
 from pnrkit.cli import main
-from pnrkit.errors import DomainError, ParseError
+from pnrkit.errors import ClipTooShortError, DomainError, ParseError
 from pnrkit.ingest import build_dataset, emit_annotations, emit_pnr_scores, parse_pnr_scores
 from pnrkit.localization import select_pnr
 from pnrkit.model import Clip, PnrAnnotation, fraction_to_frame
@@ -284,6 +285,45 @@ class TestSimulateScores:
         windows = WindowingConfig(num_windows=16)
         assert simulate_scores(ds, windows, seed=3) == simulate_scores(ds, windows, seed=3)
         assert simulate_scores(ds, windows, seed=3) != simulate_scores(ds, windows, seed=4)
+
+    @pytest.fixture()
+    def streams(self, monkeypatch):
+        """The keys of the random streams sim opens, in order."""
+        keys, rng = [], pnrkit.sim._rng
+        monkeypatch.setattr(
+            pnrkit.sim, "_rng", lambda seed, *key: keys.append(key) or rng(seed, *key)
+        )
+        return keys
+
+    def test_result_is_a_mapping_drawn_on_read(self, streams):
+        ds = gen_dataset(SimConfig(n_clips=6, seed=8))
+        streams.clear()
+        scores = simulate_scores(ds, WindowingConfig(num_windows=16), seed=3)
+        assert streams == [()]  # the seed check; no clip is drawn yet
+        assert len(scores) == 6 and list(scores) == list(ds.clips)
+        assert "clip000002" in scores and "ghost" not in scores
+        with pytest.raises(KeyError):
+            scores["ghost"]
+        with pytest.raises(TypeError):
+            scores["clip000002"] = scores["clip000002"]
+        assert streams == [(), (1, 2), (1, 2)]
+        streams.clear()
+        # every read draws the clip from its own stream again, to the same values
+        assert scores["clip000004"] == scores["clip000004"]
+        assert streams == [(1, 4), (1, 4)]
+        streams.clear()
+        drawn = dict(scores.items())
+        assert streams == [(1, i) for i in range(6)]
+        assert scores == drawn and drawn == scores
+
+    def test_every_clip_and_the_seed_are_checked_at_call_time(self, streams):
+        ds = build_dataset([Clip("a", 30.0, 240), Clip("b", 30.0, 152)])
+        with pytest.raises(ClipTooShortError) as info:
+            simulate_scores(ds, WindowingConfig(num_windows=16, window_len=200))
+        assert str(info.value) == "clip 'b' has 152 frames, needs at least 200"
+        with pytest.raises(DomainError):
+            simulate_scores(ds, WindowingConfig(num_windows=16), seed=-1)
+        assert all(key == () for key in streams)
 
 
 class TestSimulateOscc:

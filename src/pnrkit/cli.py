@@ -24,7 +24,9 @@ import sys
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import pnrkit
-from pnrkit.errors import FALLBACKS, CoverageError, EmptyInputError, PnrKitError, ValidationError
+from pnrkit.errors import (
+    FALLBACKS, BoundsError, CoverageError, EmptyInputError, PnrKitError, ValidationError,
+)
 
 T = TypeVar("T")
 
@@ -48,9 +50,9 @@ def _info(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _blame(path: str, call: Callable[..., T], *args, only: type[PnrKitError] = PnrKitError) -> T:
+def _blame(path: str, call: Callable[..., T], *args, only: type | tuple = PnrKitError) -> T:
     """Return call(*args), putting path in front of the message of an error
-    of type only; the error keeps its type and fields."""
+    of a type of only; the error keeps its type and fields."""
     try:
         return call(*args)
     except only as exc:
@@ -220,11 +222,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         preds = _load(args.preds, _lib.parse_predictions)
         metric, options = _lib.per_position_error, (10 if args.bins is None else args.bins,)
-    # a clip missing from or extra in the preds file is the preds file's
-    # fault, and no labels at all the annotation file's
+    # a clip missing from or extra in the preds file, or a prediction
+    # outside its clip, is the preds file's fault, and no labels at all the
+    # annotation file's
     report = _blame(
         args.annotations,
-        lambda: _blame(args.preds, metric, preds, ds, *options, only=CoverageError),
+        lambda: _blame(args.preds, metric, preds, ds, *options, only=(CoverageError, BoundsError)),
         only=EmptyInputError,
     )
     sys.stdout.write(_lib.render_report(report))

@@ -3,14 +3,14 @@
 Every on-disk artifact is JSON Lines with one record per line.  Each
 format (annotations, window scores, state-change probabilities,
 predictions) is one table below: each key, in written order, with the
-check that reads its value.  Parsers take a str or an iterable of lines,
-such as an open file, and read it line by line as they parse it, so no
-whole input file is held.  They are strict and check every record in one
+check that reads its value.  Emitters write the keys in that order with
+the JSON defaults, so identical inputs give identical bytes.  Parsers
+take a str or an iterable of lines, such as an open file, and read it a
+block of lines at a time through a pattern built from the table, so no
+whole input is held.  They are strict and check every record in one
 order: its key set (a key may appear once), then each key's type, then
 the value rules (the model constructors, the frame-in-clip check,
-repeated clip ids); errors carry 1-based line numbers.  Emitters write
-the table's keys in order with the JSON defaults, so identical inputs
-give identical bytes, and callers write their text one clip at a time.
+repeated clip ids); errors carry 1-based line numbers.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ import math
 import os
 import re
 from collections import defaultdict
+from itertools import count, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
-from pnrkit.errors import ConflictError, DomainError, ParseError, ValidationError
+from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
 from pnrkit.model import (
-    Clip,
-    PnrAnnotation,
-    PnrPrediction,
-    Record,
-    ScoredWindow,
-    ScoreSeries,
-    ensure_annotation_in_clip,
-    ensure_range,
+    Clip, PnrAnnotation, PnrPrediction, Record, ScoredWindow, ScoreSeries,
+    ensure_annotation_in_clip, ensure_range,
 )
 
 
@@ -62,9 +57,7 @@ def _put(store: dict, clip_id: str, value, what: str) -> None:
 
 
 def build_dataset(
-    clips: Iterable[Clip],
-    pnr: Mapping[str, PnrAnnotation] = {},
-    oscc: Mapping[str, bool] = {},
+    clips: Iterable[Clip], pnr: Mapping[str, PnrAnnotation] = {}, oscc: Mapping[str, bool] = {}
 ) -> Dataset:
     """Assemble and cross-validate a Dataset from clips and two label maps
     keyed by clip id."""
@@ -93,69 +86,96 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _raw_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
+_BLOCK = 64  # the most lines a parser reads at a time
 
 
-def _lines(source: str | Iterable[str]) -> Iterator[str]:
-    """Each line of source without its "\n", drawn as the one before is
-    handed on.  A str is split at "\n", and so is each item of an iterable
-    (a line of an open file, say) once its own "\n" is cut off.  A line
-    that is not UTF-8 text is a ParseError at that line: the CLI opens its
-    inputs with errors="surrogateescape", which hands on a bad byte as a
-    lone surrogate."""
-    line_no = 0
-    for item in (source,) if isinstance(source, str) else source:
-        for line in item.removesuffix("\n").split("\n"):
-            line_no += 1
-            if not line.isascii():
-                # the first names the byte a surrogate stands for, as
-                # decoding it would; the second fails on any surrogate the
-                # first lets through
+def _lines(source: str | Iterable[str]) -> Iterator[list[str]]:
+    """The lines of source without their "\n", in blocks of at most _BLOCK, each
+    drawn as the one before is handed on.  A str is split at "\n", as is each item
+    of an iterable (a line of an open file, say) once its own "\n" is cut off.  A
+    line that is not UTF-8 (a lone surrogate, as errors="surrogateescape" hands on
+    a bad byte) is a ParseError at that line, once the lines before it are handed on."""
+    items, line_no = iter((source,) if isinstance(source, str) else source), 0
+    while chunk := list(islice(items, _BLOCK)):
+        lines = "\n".join(map(str.removesuffix, chunk, repeat("\n"))).split("\n")
+        for start in range(0, len(lines), _BLOCK):
+            block = lines[start : start + _BLOCK]
+            for i, line in enumerate(() if all(map(str.isascii, block)) else block):
+                # name the byte a surrogate stands for, then fail on any other surrogate
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                     line.encode("utf-8")
                 except UnicodeError as exc:
-                    raise ParseError(f"invalid UTF-8: {exc}", line_no) from None
-            yield line
+                    if i:
+                        yield block[:i]
+                    raise ParseError(f"invalid UTF-8: {exc}", line_no + i + 1) from None
+            yield block
+            line_no += len(block)
 
 
-def _read(source: str | Iterable[str], record: Callable[[dict], None]) -> None:
-    """Run ``record`` on the JSON object of each non-blank line of source;
-    an error of the line or of ``record`` leaves naming the line, a model
-    ValidationError as a ParseError."""
-    for line_no, line in enumerate(_lines(source), 1):
-        _read_line(line, line_no, record)
+def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) -> None:
+    """Run record(line_no, *values) on the checked values of each non-blank line of
+    source in line order; an error of the line or of ``record`` names the line.  A
+    block of lines all on fmt's pattern is read by one findall, any other line by
+    line: a line off the pattern, or with a value the decoder reads otherwise (an
+    int too long for int(), a number past the floats), by the line reader."""
+    findall, reads = _pattern(fmt)
+
+    def take(rows: list[tuple], n: int, first: int) -> bool:  # the n lines' records, or none
+        if len(rows) != n:
+            return False
+        try:  # each key's column, as its read converts it
+            columns = [*map(list, map(map, reads, zip(*rows)))]
+        except ValueError:
+            return False
+        # an inf makes its column's sum inf or nan (as may a sum too large)
+        if not all(math.isfinite(sum(c)) for c, read in zip(columns, reads) if read is float):
+            return False
+        line_nos = count(first)
+        try:  # a record returns None, so any() applies every one
+            any(map(record, line_nos, *columns))
+        except (ValidationError, ParseError, ConflictError) as exc:  # at the line drawn last
+            raise _at_line(exc, next(line_nos) - 1) from None
+        return True
+
+    first = 1
+    for block in _lines(source):
+        rows = findall("\n" + "\n".join(block))
+        if not take(rows, len(block), first):
+            for line_no, line in enumerate(block, first):  # a block without rows has no line on it
+                if not (rows and take(findall("\n" + line), 1, line_no)):
+                    _read_line(line, line_no, lambda obj: record(line_no, *_fields(obj, fmt)))
+        first += len(block)
+
+
+def _at_line(exc: PnrKitError, line_no: int) -> PnrKitError:
+    # a model ValidationError is a fault of the line's text
+    return (ParseError if isinstance(exc, ValidationError) else type(exc))(str(exc), line_no)
 
 
 def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
-    # a value that spans the whole line, up to the "\r" of a "\r\n"
-    # ending, is what json.loads would give; blank lines, other edge
-    # whitespace, a BOM and bad JSON go through strip() and json.loads,
-    # whose messages the errors repeat
+    # a line that is one whole value (up to a "\r\n" ending's "\r") decodes as json.loads
+    # would; any other goes through strip() and json.loads, whose messages the errors repeat
     try:
         try:
             obj, end = _raw_decode(raw)
-            whole = end == len(raw) or raw[end:] == "\r"
+            if raw[end:] not in ("", "\r"):
+                raise ValueError
         except ValueError:
-            whole = False
-        if not whole:
             text = raw.strip()
             if not text:
                 return
             obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-    except ValueError as exc:  # an integer longer than int() may convert
-        raise ParseError(f"invalid JSON: {exc}", line_no) from None
+    except ValueError as exc:  # a JSONDecodeError's msg, or an int longer than int() takes
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
     except ParseError as exc:  # a repeated key
-        raise ParseError(str(exc), line_no) from None
+        raise _at_line(exc, line_no) from None
     try:
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object")
         record(obj)
-    except ValidationError as exc:
-        raise ParseError(str(exc), line_no) from None
-    except (ParseError, ConflictError) as exc:
-        raise type(exc)(str(exc), line_no) from None
+    except (ValidationError, ParseError, ConflictError) as exc:
+        raise _at_line(exc, line_no) from None
 
 
 def _as_str(v: object, key: str) -> str:
@@ -212,6 +232,29 @@ _PREDICTION = _format(
     {"clip_id": _as_str, "time_sec": _as_number, "frame": _as_int, "source": _as_str}
 )
 
+_INT = "(?:0|[1-9][0-9]*)"
+# each check's values as json.dumps writes them, digits [0-9] as int() also reads \d, and how
+# the decoder reads them; it reads "-0" as the int 0, so a number has a fraction or an exponent
+_TOKENS = {
+    _as_str: (r'"([^"\\\x00-\x1f]+)"', str),
+    _as_int: (f"({_INT})", int),
+    _as_number: (rf"(-?{_INT}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))", float),
+    _as_bool: ("(true|false)", "true".__eq__),
+    _as_ints: (rf"\[({_INT}(?:, {_INT})*)\]", lambda v: tuple(map(int, v.split(", ")))),
+}
+
+
+def _pattern(fmt: tuple) -> tuple:
+    """The findall of fmt's pattern, a "\n" (re skips to it) and a line as the emitters
+    write it, and each key's read of what it finds ("" if absent); re caches it."""
+    checks, required, _ = fmt
+    line, reads = "", []  # the first key is required: line[2:] cuts its ", "
+    for key, check in checks.items():
+        token, read = _TOKENS[check]
+        line += f', "{key}": {token}' if key in required else f'(?:, "{key}": {token})?'
+        reads.append(read if key in required else lambda v, read=read: read(v) if v else None)
+    return re.compile(rf"\n\{{{line[2:]}\}}\r?(?=\n|\Z)").findall, reads
+
 
 def _fields(obj: dict, fmt: tuple) -> list:
     """The checked values of a record of ``fmt``, in written order; an
@@ -232,10 +275,7 @@ def _line(fmt: tuple, values: Iterable) -> str:
     """One record of ``fmt`` as json.dumps writes it, keys in written
     order; a None value leaves its optional key out."""
     checks, _, optional = fmt
-    record = dict(zip(checks, values))
-    for key in optional:
-        if record[key] is None:
-            del record[key]
+    record = {k: v for k, v in zip(checks, values) if v is not None or k not in optional}
     return json.dumps(record) + "\n"
 
 
@@ -245,8 +285,7 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     pnr: dict[str, PnrAnnotation] = {}
     oscc: dict[str, bool] = {}
 
-    def record(obj: dict) -> None:
-        clip_id, fps, num_frames, state_change, positive, others = _fields(obj, _ANNOTATION)
+    def record(_, clip_id, fps, num_frames, state_change, positive, others) -> None:
         clip = Clip(clip_id, fps, num_frames)
         if state_change is not None:
             oscc[clip_id] = state_change
@@ -259,7 +298,7 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
         # checked last, so a line with its own fault reports that fault
         _put(clips, clip_id, clip, "clip_id")
 
-    _read(stream, record)
+    _read(stream, _ANNOTATION, record)
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
 
 
@@ -276,17 +315,6 @@ def emit_annotations(dataset: Dataset) -> str:
     return "".join(rows)
 
 
-# a score line exactly as emit_pnr_scores and _line(_SCORE, ...) write it
-# (json.dumps, default separators), with or without its ending; digits are
-# [0-9], never \d, as int() and float() also read digits JSON does not allow
-_SCORE_LINE = re.compile(
-    r'\{"clip_id": "([^"\\\x00-\x1f]+)", "start": (0|[1-9][0-9]*), '
-    r'"end": (0|[1-9][0-9]*), "confidence": '
-    r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-    r"\}\r?\n?\Z"
-)
-
-
 def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     """Parse window scores into one series per clip, sorted by start.
 
@@ -294,49 +322,28 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     reported at its own line, as any fault on a later line comes after it.
     """
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
-    # the window of each line read, None for a line with none, so that the
-    # lines can be replayed without reading them again should one repeat
+    # the window of each line read (None if blank), to replay should one repeat
     placed: list[ScoredWindow | None] = []
 
-    def record(obj: dict) -> None:
-        clip_id, start, end, confidence = _fields(obj, _SCORE)
-        window = placed[-1] = ScoredWindow(start, end, confidence)
+    def record(line_no, clip_id, start, end, confidence) -> None:
+        window = ScoredWindow(start, end, confidence)
         grouped[clip_id].append(window)
-
-    # a line off the pattern, or one whose values int(), float() or
-    # ScoredWindow refuse, goes to the line reader and ``record``, which
-    # make every error and every value the pattern does not cover
-    match = _SCORE_LINE.match
-    try:
-        for line_no, line in enumerate(_lines(stream), 1):
-            found = match(line)
-            if found is not None:
-                clip_id, start, end, confidence = found.groups()
-                try:  # the conversions the JSON decoder makes
-                    window = ScoredWindow(int(start), int(end), float(confidence))
-                except (ValueError, DomainError):
-                    pass
-                else:
-                    grouped[clip_id].append(window)
-                    placed.append(window)
-                    continue
+        while len(placed) < line_no - 1:
             placed.append(None)
-            _read_line(line, line_no, record)
-    except (ParseError, ConflictError):
-        # a window repeated on a line before the failing one is the first fault
+        placed.append(window)
+
+    try:
+        _read(stream, _SCORE, record)
+    except (ParseError, ConflictError):  # a window repeated before is the first fault
         _sorted_series(grouped, placed)
         raise
     return _sorted_series(grouped, placed)
 
 
-def _sorted_series(
-    grouped: dict[str, list[ScoredWindow]], placed: list[ScoredWindow | None]
-) -> dict[str, ScoreSeries]:
-    """Each clip's windows sorted by (start, end), the tuple order; a
-    repeated window, which sorts right after its first copy, is refused
-    at the first line that repeats one, as the other formats refuse a
-    repeated clip id."""
-    series = {}
+def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSeries]:
+    """Each clip's windows sorted by (start, end), the tuple order; a repeated
+    window, which sorts right after its first copy, is refused at the first
+    line that repeats one, as the other formats refuse a repeated clip id."""
     owners = {}  # id of each window of a clip that repeats one -> clip id
     for clip_id, windows in grouped.items():
         windows.sort()
@@ -344,9 +351,6 @@ def _sorted_series(
             if a[0] == b[0] and a[1] == b[1]:
                 owners.update(dict.fromkeys(map(id, windows), clip_id))
                 break
-        else:
-            series[clip_id] = ScoreSeries(tuple(windows))
-            windows.clear()  # so the lists and the series are never all held at once
     if owners:  # replay the lines read
         seen = set()
         for line_no, window in enumerate(placed, 1):
@@ -358,7 +362,8 @@ def _sorted_series(
                         f"duplicate window [{key[1]}, {key[2]}) for clip {clip_id!r}", line_no
                     )
                 seen.add(key)
-    return series
+    placed.clear()  # freed before the series are built; each list goes as its series comes
+    return {clip_id: ScoreSeries(tuple(grouped.pop(clip_id))) for clip_id in list(grouped)}
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
@@ -378,12 +383,11 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
     """Parse per-clip state-change probabilities."""
     probs: dict[str, float] = {}
 
-    def record(obj: dict) -> None:
-        clip_id, prob = _fields(obj, _PROB)
+    def record(_, clip_id, prob) -> None:
         ensure_range("'prob'", prob, 0, 1)
         _put(probs, clip_id, prob, "probability for clip")
 
-    _read(stream, record)
+    _read(stream, _PROB, record)
     return probs
 
 
@@ -395,11 +399,10 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
     """Parse localization predictions, one per clip."""
     preds: dict[str, PnrPrediction] = {}
 
-    def record(obj: dict) -> None:
-        clip_id, time_sec, frame, source = _fields(obj, _PREDICTION)
+    def record(_, clip_id, time_sec, frame, source) -> None:
         _put(preds, clip_id, PnrPrediction(time_sec, frame, source), "prediction for clip")
 
-    _read(stream, record)
+    _read(stream, _PREDICTION, record)
     return preds
 
 
@@ -425,10 +428,7 @@ def write_text_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            if isinstance(text, str):
-                handle.write(text)
-            else:
-                handle.writelines(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -169,8 +169,14 @@ def _clip_errors(preds: Mapping[str, PnrPrediction], ds: Dataset) -> dict[str, f
         raise EmptyInputError("no state-change frame annotations to evaluate")
     errors = {}
     for clip_id, ann in ds.pnr.items():
-        truth = ann.positive_frame / ds.clips[clip_id].fps
-        errors[clip_id] = abs(preds[clip_id].time_sec - truth)
+        clip, pred = ds.clips[clip_id], preds[clip_id]
+        end = clip.num_frames / clip.fps
+        if pred.frame >= clip.num_frames or pred.time_sec > end:
+            raise BoundsError(
+                f"clip {clip_id!r}: prediction at frame {pred.frame}, {pred.time_sec} s, is "
+                f"outside the clip's {clip.num_frames} frames, {end} s"
+            )
+        errors[clip_id] = abs(pred.time_sec - ann.positive_frame / clip.fps)
     return errors
 
 

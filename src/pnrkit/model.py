@@ -92,6 +92,11 @@ class Clip(Record):
             raise ValidationError("clip_id must be a non-empty string")
         ensure_positive("fps", fps)
         ensure_range("num_frames", num_frames, 1)
+        try:  # a frame's time is frame / fps, so the last one's must be a float
+            last = (num_frames - 1) / fps
+        except OverflowError:  # an int too large for a float
+            last = math.inf
+        ensure_range("last frame time (num_frames - 1) / fps", last, 0)
         return tuple.__new__(cls, (clip_id, fps, num_frames))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, _lines, build_dataset
@@ -246,7 +247,7 @@ def parse_sim_config(text: str | Iterable[str]) -> SimSettings:
     ``num_windows`` defaulting to 16.
     """
     kwargs: dict[str, dict[str, float | int]] = {group: {} for group in _SETTINGS_CLASSES}
-    for line_no, raw in enumerate(_lines(text), 1):
+    for line_no, raw in enumerate(chain.from_iterable(_lines(text)), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -628,6 +628,69 @@ class TestDiagnostics:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
 
+    # a clip whose last frame's time, (num_frames - 1) / fps, is no finite float
+    CLIP_TIMES = {
+        "tiny-fps": (["oracle", "--n", "4", "--annotations", "{ann}"],
+                     '{"clip_id": "a", "fps": 1e-310, "num_frames": 100, "pnr_frame": 40}', "{ann}: line 1: "),
+        "frame-count-past-the-floats": (
+            ["oracle", "--n", "4", "--annotations", "{ann}"],
+            '{"clip_id": "a", "fps": 30.0, "num_frames": 1' + "0" * 400 + ', "pnr_frame": 40}', "{ann}: line 1: "),
+        "windows-tiny-fps": (["windows", "--frames", "100", "--n", "3", "--fps", "1e-310"], None, ""),
+    }
+
+    @pytest.mark.parametrize("argv, line, where", CLIP_TIMES.values(), ids=list(CLIP_TIMES))
+    def test_a_clip_time_past_the_floats_is_refused(self, tmp_path, capsys, argv, line, where):
+        ann = tmp_path / "ann.jsonl"
+        if line is not None:
+            ann.write_text(line + "\n", encoding="utf-8")
+        assert main([arg.format(ann=ann) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {where.format(ann=ann)}"
+            "last frame time (num_frames - 1) / fps must be finite, got inf\n"
+        )
+
+    # predictions against the fixture's clips: kitchen-001 (240 frames, 8 s)
+    # and workshop-002 (210 frames, 7 s); garden-003 is predicted as given
+    OUTSIDE_CLIP = {
+        "frame-at-the-frame-count": (
+            {"workshop-002": (1.0, 210)},
+            "clip 'workshop-002': prediction at frame 210, 1.0 s, is outside the clip's 210 "
+            "frames, 7.0 s",
+        ),
+        "time-past-the-end": (
+            {"kitchen-001": (99.0, 30)},
+            "clip 'kitchen-001': prediction at frame 30, 99.0 s, is outside the clip's 240 "
+            "frames, 8.0 s",
+        ),
+        "times-whose-sum-overflows": (
+            {"kitchen-001": (1.7e308, 30), "workshop-002": (1.7e308, 30)},
+            "clip 'kitchen-001': prediction at frame 30, 1.7e+308 s, is outside the clip's 240 "
+            "frames, 8.0 s",
+        ),
+        "last-frame-at-the-end": ({"kitchen-001": (8.0, 239), "workshop-002": (7.0, 209)}, None),
+    }
+
+    @pytest.mark.parametrize("changed, message", OUTSIDE_CLIP.values(), ids=list(OUTSIDE_CLIP))
+    def test_evaluate_refuses_a_prediction_outside_its_clip(self, tmp_path, capsys, changed, message):
+        preds = tmp_path / "preds.jsonl"
+        predicted = {"kitchen-001": (1.0, 30), "workshop-002": (1.0, 30), "garden-003": (1.0, 30),
+                     **changed}
+        preds.write_text("".join(
+            json.dumps({"clip_id": clip_id, "time_sec": t, "frame": f, "source": "selected"}) + "\n"
+            for clip_id, (t, f) in predicted.items()
+        ), encoding="utf-8")
+        argv = ["evaluate", "--task", "pnr", "--preds", str(preds), "--annotations", str(FIXTURE)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        if message is None:
+            assert (rc, captured.err) == (0, "")
+        else:
+            assert rc == 2
+            assert captured.out == ""
+            assert captured.err == f"pnrkit: error: {preds}: {message}\n"
+
     @pytest.mark.parametrize("fault", COVERAGE_FAULTS.values(), ids=list(COVERAGE_FAULTS))
     @pytest.mark.parametrize("task, what", [("pnr", "localization"), ("oscc", "state-change")])
     def test_evaluate_coverage_names_the_preds_file(self, tmp_path, capsys, task, what, fault):

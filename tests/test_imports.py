@@ -168,6 +168,54 @@ def test_subcommand_skips_modules_it_does_not_run(run_dir, label, runs, unused):
     assert not modules & unused
 
 
+# Runs main(argv) in a fresh interpreter and prints its exit code and the
+# formats whose line pattern it compiled, told apart by a key of each.
+COMPILED_BY = """
+import contextlib, io, json, re, sys
+patterns, compile = [], re.compile
+
+def spy(pattern, flags=0):
+    patterns.append(pattern)
+    return compile(pattern, flags)
+
+re.compile = spy
+from pnrkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+keys = {"num_frames": "annotations", "confidence": "scores", "prob": "probabilities",
+        "time_sec": "predictions"}
+print(json.dumps([rc, sorted({name for pattern in patterns for key, name in keys.items()
+                              if isinstance(pattern, str) and f'"{key}": ' in pattern})]))
+"""
+
+
+@pytest.mark.parametrize(
+    "label, formats",
+    [
+        ("--help", []),
+        ("windows", []),
+        ("simulate", []),
+        ("stats", ["annotations"]),
+        ("oracle", ["annotations"]),
+        ("evaluate-oscc", ["annotations", "probabilities"]),
+        ("evaluate-pnr", ["annotations", "predictions"]),
+        ("localize", ["annotations", "scores"]),
+        ("fuse-pnr", ["annotations", "scores"]),
+        ("fuse-oscc", ["probabilities"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_a_stage_compiles_only_the_line_patterns_it_parses(run_dir, label, formats):
+    # a pattern is compiled the first time its format is parsed, never on import
+    argv = ["--help"] if label == "--help" else subcommand(label, run_dir)
+    proc = run_fresh(["-c", COMPILED_BY, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, formats]
+
+
 @pytest.mark.parametrize("label", list(SUBCOMMANDS))
 def test_no_subcommand_loads_numpy(run_dir, label):
     assert "numpy" not in loaded_by(subcommand(label, run_dir))

@@ -5,7 +5,6 @@ import io
 import json
 import os
 import random
-import re
 import tempfile
 import threading
 from pathlib import Path
@@ -20,7 +19,6 @@ from pnrkit import ingest
 from pnrkit.cli import _load, main
 from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
 from pnrkit.ingest import (
-    Dataset,
     build_dataset,
     emit_annotations,
     emit_oscc_scores,
@@ -260,8 +258,8 @@ def pnr_score_maps(draw, ids=clip_ids):
 
 
 @st.composite
-def prediction_maps(draw):
-    ids = draw(st.lists(clip_ids, max_size=5, unique=True))
+def prediction_maps(draw, ids=clip_ids):
+    ids = draw(st.lists(ids, max_size=5, unique=True))
     return {
         clip_id: PnrPrediction(
             draw(finite_nonneg),
@@ -273,8 +271,8 @@ def prediction_maps(draw):
 
 
 @st.composite
-def datasets(draw):
-    ids = draw(st.lists(clip_ids, min_size=1, max_size=5, unique=True))
+def datasets(draw, ids=clip_ids):
+    ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
     clips, pnr, oscc = [], {}, {}
     for clip_id in ids:
         num_frames = draw(st.integers(1, 500))
@@ -394,12 +392,16 @@ def labeled_clips(draw):
             pnr[clip.clip_id] = PnrAnnotation(frames[0], tuple(frames[1:]))
         if i == 0 or draw(st.booleans()):
             oscc[clip.clip_id] = draw(st.booleans())
-    # errors of unlike size, so a sum that depended on line order would show
+    # errors of unlike size, so a sum that depended on line order would show;
+    # each prediction lies inside its clip, as evaluate requires
     preds = {
-        clip_id: PnrPrediction(
-            draw(st.floats(0.0, 1000.0)), draw(st.integers(0, 300)), draw(st.sampled_from(SOURCES))
+        clip.clip_id: PnrPrediction(
+            draw(st.floats(0.0, clip.num_frames / clip.fps)),
+            draw(st.integers(0, clip.num_frames - 1)),
+            draw(st.sampled_from(SOURCES)),
         )
-        for clip_id in pnr
+        for clip in clips
+        if clip.clip_id in pnr
     }
     probs = [{clip_id: draw(unit) for clip_id in oscc} for _ in range(2)]
     return build_dataset(clips, pnr, oscc), preds, probs
@@ -1034,16 +1036,20 @@ class TestJoinedDecodeTrap:
             assert info.value.line_no == 1
 
 
-# Canonical records of the two formats, as (key, JSON text) pairs in the
+# Canonical records of each format, as (key, JSON text) pairs in the
 # emitters' key order, and the perturbations that take a line off that form
-# or test the values the score fast path converts itself.
+# or test the values the block reader converts itself.
 fast_ids = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'),
                    min_size=1, max_size=6)
 ID_TOKENS = [json.dumps("é中"), '"é中"', '"ß\\u00df"', json.dumps('q"'), '"a\\/b"', '""', "7"]
 INT_TOKENS = ["0", "1", "99", "-1", "1.0", "1E1", "true", "1" * 5000]
-FLOAT_TOKENS = ["0", "1", "-0.0", "1E5", "5E-1", "0.5e0", "1e999", "NaN", "-0.5", "1" * 5000]
+# "-0" is an int to the decoder, so a number key reads it as 0.0, not -0.0
+FLOAT_TOKENS = ["0", "1", "-0", "-0.0", "1E5", "5E-1", "0.5e0", "1e999", "-1e999", "NaN", "-0.5",
+                "1" * 5000]
 TOKENS = {"clip_id": ID_TOKENS, "confidence": FLOAT_TOKENS, "fps": FLOAT_TOKENS,
-          "state_change": ["1", "null"], "other_pnr_frames": ["[99]", "[1, 1]", "[0.0]", "5"]}
+          "prob": FLOAT_TOKENS, "time_sec": FLOAT_TOKENS,
+          "source": ['"guess"', '""', "7", '"fallback-prior"', '"selected"'],
+          "state_change": ["1", "null"], "other_pnr_frames": ["[99]", "[1, 1]", "[0.0]", "5", "[]"]}
 
 
 @st.composite
@@ -1076,6 +1082,30 @@ def annotation_fields(draw):
 
 
 @st.composite
+def prob_fields(draw):
+    return [("clip_id", json.dumps(draw(fast_ids))), ("prob", repr(draw(unit)))]
+
+
+@st.composite
+def prediction_fields(draw):
+    return [
+        ("clip_id", json.dumps(draw(fast_ids))),
+        ("time_sec", repr(draw(finite_nonneg))),
+        ("frame", str(draw(st.integers(0, 10**6)))),
+        ("source", json.dumps(draw(st.sampled_from(SOURCES)))),
+    ]
+
+
+# each format's records, and how many leading fields tell two records apart
+FIELDS = {
+    "annotations": (annotation_fields(), 1),
+    "pnr_scores": (score_fields(), 3),
+    "oscc_scores": (prob_fields(), 1),
+    "predictions": (prediction_fields(), 1),
+}
+
+
+@st.composite
 def perturbed_documents(draw, fields, key_fields):
     # records are distinct in their key fields; repeats come from the copy below
     records = draw(st.lists(fields, max_size=6, unique_by=lambda rec: tuple(rec[:key_fields])))
@@ -1102,7 +1132,7 @@ def perturbed_documents(draw, fields, key_fields):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
     ending = "\r\n" if layout and draw(st.integers(0, 4)) == 0 else "\n"
     text = ending.join(lines) + (ending if draw(st.integers(0, 3)) else "")
-    return ("\ufeff" if layout and draw(st.integers(0, 9)) == 0 else "") + text
+    return ("﻿" if layout and draw(st.integers(0, 9)) == 0 else "") + text
 
 
 def _outcome(parse, stream):
@@ -1110,33 +1140,118 @@ def _outcome(parse, stream):
         result = parse(stream)
     except PnrKitError as exc:
         return type(exc), str(exc), exc.line_no
-    # insertion order too: it is the order of the clips' first lines
-    return result, list(result.clips if isinstance(result, Dataset) else result)
+    # the repr tells -0.0 from 0.0, and shows the insertion order: the order
+    # of the clips' first lines
+    return result, repr(result)
 
 
-def _line_reader_outcome(stream):
-    """parse_pnr_scores's outcome with a pattern that matches no line, so
-    the line reader reads every line."""
-    with mock.patch.object(ingest, "_SCORE_LINE", re.compile(r"(?!)")):
-        return _outcome(parse_pnr_scores, stream)
+def _line_reader_outcome(parse, stream):
+    """parse's outcome with line patterns that match no line, so the line
+    reader reads every line."""
+    with mock.patch.object(ingest, "_pattern", lambda fmt: (lambda text: [], [])):
+        return _outcome(parse, stream)
+
+
+def _on_pattern(fmt, line):
+    """Whether line is wholly on the pattern the parser of fmt reads blocks
+    with, which takes each line after its "\n"."""
+    return ingest._pattern(TABLES[fmt])[0].__self__.fullmatch("\n" + line) is not None
+
+
+# records each emitter writes, with ids the line patterns take as they are
+EMITTED = {
+    "annotations": lambda: datasets(fast_ids).map(emit_annotations),
+    "pnr_scores": lambda: pnr_score_maps(fast_ids).map(emit_pnr_scores),
+    "oscc_scores": lambda: st.dictionaries(fast_ids, unit, max_size=5).map(emit_oscc_scores),
+    "predictions": lambda: prediction_maps(fast_ids).map(emit_predictions),
+}
+
+# lines in the emitters' layout whose values only the block reader's own
+# conversions and the record constructors can refuse or must get right;
+# clip "z" repeats the first line's
+EDGES = [
+    ("annotations", '{"clip_id": "a", "fps": 1e999, "num_frames": 9}'),
+    ("annotations", '{"clip_id": "a", "fps": -1e999, "num_frames": 9}'),
+    ("annotations", '{"clip_id": "a", "fps": 0.0, "num_frames": 9}'),
+    ("annotations", '{"clip_id": "a", "fps": -0.0, "num_frames": 9}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 0}'),
+    ("annotations", '{"clip_id": "a", "fps": 1e-310, "num_frames": 100}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 1' + "0" * 400 + "}"),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9' + "9" * 5000 + "}"),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 9}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "other_pnr_frames": [1]}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [1]}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [2, 2]}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "pnr_frame": 1, "other_pnr_frames": [9' + "9" * 5000 + "]}"),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "state_change": false, "other_pnr_frames": [3]}'),
+    ("annotations", '{"clip_id": "a", "fps": 30.0, "num_frames": 9, "state_change": true, "pnr_frame": 0, "other_pnr_frames": [8, 4]}'),
+    ("annotations", '{"clip_id": "z", "fps": 25.0, "num_frames": 9}'),
+    ("oscc_scores", '{"clip_id": "a", "prob": 1.5}'),
+    ("oscc_scores", '{"clip_id": "a", "prob": -0.0}'),
+    ("oscc_scores", '{"clip_id": "a", "prob": 1e999}'),
+    ("oscc_scores", '{"clip_id": "a", "prob": -1e999}'),
+    ("oscc_scores", '{"clip_id": "a", "prob": 1E-5}'),
+    ("oscc_scores", '{"clip_id": "a", "prob": 0.٥}'),
+    ("oscc_scores", '{"clip_id": "z", "prob": 0.25}'),
+    ("predictions", '{"clip_id": "a", "time_sec": -1.0, "frame": 30, "source": "selected"}'),
+    ("predictions", '{"clip_id": "a", "time_sec": 1e999, "frame": 30, "source": "selected"}'),
+    ("predictions", '{"clip_id": "a", "time_sec": -0.0, "frame": 0, "source": "baseline-center"}'),
+    ("predictions", '{"clip_id": "a", "time_sec": 1.0, "frame": 9' + "9" * 5000 + ', "source": "selected"}'),
+    ("predictions", '{"clip_id": "a", "time_sec": 1.0, "frame": 1١, "source": "selected"}'),
+    ("predictions", '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "guess"}'),
+    ("predictions", '{"clip_id": "z", "time_sec": 1.0, "frame": 30, "source": "selected"}'),
+    ("pnr_scores", '{"clip_id": "a", "start": 4, "end": 4, "confidence": 0.5}'),
+    ("pnr_scores", '{"clip_id": "a", "start": 0, "end": 4, "confidence": -0.0}'),
+    ("pnr_scores", '{"clip_id": "a", "start": 0, "end": 4, "confidence": 1e999}'),
+    ("pnr_scores", '{"clip_id": "z", "start": 0, "end": 4, "confidence": 0.25}'),
+]
 
 
 class TestFastPath:
-    """Score text in the form the emitters write is read by one line pattern;
-    it must give exactly the value or error the line reader alone gives."""
+    """Text in the form the emitters write is read a block of lines at a time
+    by its format's line pattern; it must give exactly the value or error the
+    line reader alone gives, whatever the block size."""
 
     @settings(max_examples=300)
     @given(perturbed_documents(score_fields(), key_fields=3))
     def test_scores_text_and_lines_agree(self, text):
-        expected = _line_reader_outcome(text)
+        expected = _line_reader_outcome(parse_pnr_scores, text)
         assert _outcome(parse_pnr_scores, text) == expected
         assert _outcome(parse_pnr_scores, text.splitlines(keepends=True)) == expected
 
     @given(perturbed_documents(annotation_fields(), key_fields=1))
     def test_annotations_text_and_lines_agree(self, text):
-        assert _outcome(parse_annotations, text) == _outcome(
-            parse_annotations, text.splitlines(keepends=True)
-        )
+        expected = _line_reader_outcome(parse_annotations, text)
+        assert _outcome(parse_annotations, text) == expected
+        assert _outcome(parse_annotations, text.splitlines(keepends=True)) == expected
+
+    @pytest.mark.parametrize("fmt", PARSERS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_block_size_reads_as_the_line_reader(self, fmt, data):
+        fields, key_fields = FIELDS[fmt]
+        text = data.draw(perturbed_documents(fields, key_fields), label="text")
+        parse = PARSERS[fmt]
+        expected = _line_reader_outcome(parse, text)
+        with mock.patch.object(ingest, "_BLOCK", data.draw(st.integers(2, 3), label="block")):
+            assert _outcome(parse, text) == expected
+            assert _outcome(parse, text.splitlines(keepends=True)) == expected
+            assert _outcome(parse, io.StringIO(text)) == expected
+
+    @pytest.mark.parametrize("fmt,line", EDGES, ids=[f"{fmt}-{i}" for i, (fmt, _) in enumerate(EDGES)])
+    def test_edges_at_each_place_in_a_block(self, fmt, line):
+        # six lines in blocks of three: the edge line is put first, in the
+        # middle and last of the first block and of the second
+        fillers = [GOOD_LINE[fmt].replace('"a"', f'"k{i}"') for i in range(4)]
+        for place in range(6):
+            lines = [FIRST_LINE[fmt], *fillers]
+            lines.insert(place, line)
+            text = _lines(*lines)
+            for doc in (text, text[:-1], text.replace("\n", "\r\n")):
+                expected = _line_reader_outcome(PARSERS[fmt], doc)
+                with mock.patch.object(ingest, "_BLOCK", 3):
+                    assert _outcome(PARSERS[fmt], doc) == expected
+                    assert _outcome(PARSERS[fmt], io.StringIO(doc)) == expected
 
     # lines in the emitters' layout whose values only the fast path's own
     # conversions and the window constructor can refuse or must get right
@@ -1150,8 +1265,8 @@ class TestFastPath:
         '{"clip_id": "a", "start": 0, "end": 4, "confidence": 5E-1}',
         '{"clip_id": "a", "start": 0, "end": 9' + "9" * 5000 + ', "confidence": 0.5}',
         # digits that int() and float() read but JSON does not allow
-        '{"clip_id": "a", "start": 1\u0661, "end": 40, "confidence": 0.5}',
-        '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.\u0665}',
+        '{"clip_id": "a", "start": 1١, "end": 40, "confidence": 0.5}',
+        '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.٥}',
         '{"clip_id": "z", "start": 0, "end": 4, "confidence": 0.25}',
     ]
 
@@ -1161,7 +1276,7 @@ class TestFastPath:
         fmt = "pnr_scores"
         lines = [FIRST_LINE[fmt], line] if last else [line, GOOD_LINE[fmt]]
         text = _lines(*lines)
-        expected = _line_reader_outcome(text)
+        expected = _line_reader_outcome(parse_pnr_scores, text)
         assert _outcome(parse_pnr_scores, text) == expected
         assert _outcome(parse_pnr_scores, text[:-1]) == expected
 
@@ -1186,6 +1301,23 @@ class TestFastPath:
             assert parse_pnr_scores(scores.splitlines(keepends=True)) == series_by_clip
             assert parse_pnr_scores(scores.splitlines()) == series_by_clip
             assert parse_pnr_scores(io.StringIO(scores)) == series_by_clip
+
+    @pytest.mark.parametrize("fmt", PARSERS)
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_emitter_stays_on_it(self, monkeypatch, fmt, data):
+        # an empty text is one blank line, which only the line reader reads
+        text = data.draw(EMITTED[fmt]().filter(bool), label="text")
+        for line in text.splitlines():
+            assert _on_pattern(fmt, line)
+        expected = _outcome(PARSERS[fmt], text)
+        assert not isinstance(expected[0], type)  # no error
+        with monkeypatch.context() as patch:
+            self._no_line_reader(patch)
+            patch.setattr(ingest, "_BLOCK", data.draw(st.integers(2, 3), label="block"))
+            for doc in (text, text.replace("\n", "\r\n"), text.splitlines()):
+                assert _outcome(PARSERS[fmt], doc) == expected
+            assert _outcome(PARSERS[fmt], io.StringIO(text)) == expected
 
     def test_json_dumps_lines_stay_on_it(self, monkeypatch):
         score_lines = [
@@ -1281,10 +1413,10 @@ class TestFormatTables:
 
     @given(pnr_score_maps(fast_ids))
     def test_pnr_emitter_lines_match_the_score_pattern(self, series_by_clip):
-        lines = emit_pnr_scores(series_by_clip).splitlines(keepends=True)
+        lines = emit_pnr_scores(series_by_clip).splitlines()
         assert len(lines) == sum(len(series.windows) for series in series_by_clip.values())
         for line in lines:
-            assert ingest._SCORE_LINE.fullmatch(line)
+            assert _on_pattern("pnr_scores", line)
 
 
 # Documents of a few hundred lines with a run of blank lines in them; the

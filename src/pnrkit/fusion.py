@@ -16,7 +16,8 @@ unchanged.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from operator import truediv
+from typing import Iterator, Sequence
 
 from pnrkit.errors import EmptyInputError
 from pnrkit.model import (
@@ -29,12 +30,12 @@ from pnrkit.model import (
 )
 
 
-def _mean(values: Sequence[float]) -> float:
-    # fsum makes the result independent of argument order; the clamp
-    # repairs the final rounding, which can drift one ulp outside the
-    # value range (e.g. three equal values)
-    mean = math.fsum(values) / len(values)
-    return min(max(mean, min(values)), max(values))
+def _means(rows: Sequence[Sequence[float]]) -> Iterator[float]:
+    # each row's mean, in column passes; fsum makes a mean independent of
+    # argument order, and the clamp repairs the final rounding, which can
+    # drift one ulp outside the row's range (e.g. three equal values)
+    means = map(truediv, map(math.fsum, rows), map(len, rows))
+    return map(min, map(max, means, map(min, rows)), map(max, rows))
 
 
 def fuse_oscc(probs: Sequence[float]) -> float:
@@ -43,7 +44,7 @@ def fuse_oscc(probs: Sequence[float]) -> float:
         raise EmptyInputError("no probabilities to fuse")
     for p in probs:
         ensure_range("probability", p, 0, 1)
-    return _mean(probs)
+    return next(_means([probs]))
 
 
 def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
@@ -106,13 +107,9 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
             for sw in series.windows
         }
     )
-    point_centers = [center for center, _, _ in points]
+    point_centers, starts, ends = zip(*points)
     columns = [
         _nearest_confidences(*_center_lookup(series), point_centers) for series in series_list
     ]
-    return ScoreSeries(
-        tuple(
-            ScoredWindow(start, end, _mean(contributions))
-            for (_, start, end), contributions in zip(points, zip(*columns))
-        )
-    )
+    rows = [*zip(*columns)]  # each point's contributions, one from each series
+    return ScoreSeries(tuple(map(ScoredWindow, starts, ends, _means(rows))))

@@ -21,8 +21,9 @@ import math
 import os
 import re
 from collections import defaultdict
-from itertools import count, islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
 from pnrkit.model import (
@@ -50,10 +51,11 @@ class Dataset(Record):
         return len(self[0])
 
 
-def _put(store: dict, clip_id: str, value, what: str) -> None:
-    if clip_id in store:
-        raise ConflictError(f"duplicate {what} {clip_id!r}")
-    store[clip_id] = value
+def _put(store: dict, clip_ids: Sequence[str], values: Iterable, what: str) -> None:
+    # all or none: an id stored before or given twice is refused (named if one is given)
+    if not store.keys().isdisjoint(clip_ids) or len(set(clip_ids)) < len(clip_ids):
+        raise ConflictError(f"duplicate {what} {clip_ids[0]!r}")
+    store.update(zip(clip_ids, values))
 
 
 def build_dataset(
@@ -63,7 +65,7 @@ def build_dataset(
     keyed by clip id."""
     clip_map: dict[str, Clip] = {}
     for clip in clips:
-        _put(clip_map, clip.clip_id, clip, "clip_id")
+        _put(clip_map, (clip.clip_id,), (clip,), "clip_id")
     for labels, what in ((pnr, "state-change annotation"), (oscc, "state-change label")):
         for clip_id in labels:
             if clip_id not in clip_map:
@@ -114,28 +116,31 @@ def _lines(source: str | Iterable[str]) -> Iterator[list[str]]:
 
 
 def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) -> None:
-    """Run record(line_no, *values) on the checked values of each non-blank line of
-    source in line order; an error of the line or of ``record`` names the line.  A
-    block of lines all on fmt's pattern is read by one findall, any other line by
-    line: a line off the pattern, or with a value the decoder reads otherwise (an
-    int too long for int(), a number past the floats), by the line reader."""
+    """Run record(first, *columns) on the checked values of the non-blank lines of
+    source in line order, column k holding key k's values from line first on: a
+    block of lines all on fmt's pattern in one call, read by one findall; any other
+    line alone, and a line off the pattern, or with a value the decoder reads
+    otherwise (an int too long for int(), a number past the floats), by the line
+    reader.  record keeps all of a call's rows or none, so a block it refuses is
+    read again line by line, and an error names its line."""
     findall, reads = _pattern(fmt)
 
     def take(rows: list[tuple], n: int, first: int) -> bool:  # the n lines' records, or none
         if len(rows) != n:
             return False
-        try:  # each key's column, as its read converts it
-            columns = [*map(list, map(map, reads, zip(*rows)))]
+        try:  # each key's column, as its read converts it; a str is its own value
+            columns = [c if read is str else [*map(read, c)] for read, c in zip(reads, zip(*rows))]
         except ValueError:
             return False
         # an inf makes its column's sum inf or nan (as may a sum too large)
         if not all(math.isfinite(sum(c)) for c, read in zip(columns, reads) if read is float):
             return False
-        line_nos = count(first)
-        try:  # a record returns None, so any() applies every one
-            any(map(record, line_nos, *columns))
-        except (ValidationError, ParseError, ConflictError) as exc:  # at the line drawn last
-            raise _at_line(exc, next(line_nos) - 1) from None
+        try:
+            record(first, *columns)
+        except (ValidationError, ParseError, ConflictError) as exc:
+            if n > 1:  # a line at a time, to name the line refused
+                return False
+            raise _at_line(exc, first) from None
         return True
 
     first = 1
@@ -144,7 +149,7 @@ def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) 
         if not take(rows, len(block), first):
             for line_no, line in enumerate(block, first):  # a block without rows has no line on it
                 if not (rows and take(findall("\n" + line), 1, line_no)):
-                    _read_line(line, line_no, lambda obj: record(line_no, *_fields(obj, fmt)))
+                    _read_line(line, line_no, lambda obj: record(line_no, *zip(_fields(obj, fmt))))
         first += len(block)
 
 
@@ -285,18 +290,18 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     pnr: dict[str, PnrAnnotation] = {}
     oscc: dict[str, bool] = {}
 
-    def record(_, clip_id, fps, num_frames, state_change, positive, others) -> None:
-        clip = Clip(clip_id, fps, num_frames)
-        if state_change is not None:
-            oscc[clip_id] = state_change
-        if positive is not None:
-            ann = PnrAnnotation(positive, others or ())
-            ensure_annotation_in_clip(ann, clip)
-            pnr[clip_id] = ann
-        elif others is not None:
-            raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
+    def record(_, clip_ids, fps, num_frames, state_changes, positives, others) -> None:
+        built, anns = [*map(Clip, clip_ids, fps, num_frames)], {}
+        for clip, positive, more in zip(built, positives, others):
+            if positive is not None:
+                anns[clip[0]] = ann = PnrAnnotation(positive, more or ())
+                ensure_annotation_in_clip(ann, clip)
+            elif more is not None:
+                raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
         # checked last, so a line with its own fault reports that fault
-        _put(clips, clip_id, clip, "clip_id")
+        _put(clips, clip_ids, built, "clip_id")
+        pnr.update(anns)
+        oscc.update((c, label) for c, label in zip(clip_ids, state_changes) if label is not None)
 
     _read(stream, _ANNOTATION, record)
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
@@ -325,12 +330,12 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     # the window of each line read (None if blank), to replay should one repeat
     placed: list[ScoredWindow | None] = []
 
-    def record(line_no, clip_id, start, end, confidence) -> None:
-        window = ScoredWindow(start, end, confidence)
-        grouped[clip_id].append(window)
-        while len(placed) < line_no - 1:
-            placed.append(None)
-        placed.append(window)
+    def record(first, clip_ids, starts, ends, confidences) -> None:
+        windows = [*map(ScoredWindow, starts, ends, confidences)]
+        placed.extend(repeat(None, first - 1 - len(placed)))
+        placed.extend(windows)
+        # each window onto its clip's list, which the defaultdict's [] makes if new
+        any(map(list.append, map(grouped.__getitem__, clip_ids), windows))
 
     try:
         _read(stream, _SCORE, record)
@@ -342,15 +347,15 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
 
 def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSeries]:
     """Each clip's windows sorted by (start, end), the tuple order; a repeated
-    window, which sorts right after its first copy, is refused at the first
-    line that repeats one, as the other formats refuse a repeated clip id."""
+    window is refused at the first line that repeats one, as the other formats
+    refuse a repeated clip id."""
     owners = {}  # id of each window of a clip that repeats one -> clip id
+    start, span = itemgetter(0), itemgetter(0, 1)
     for clip_id, windows in grouped.items():
         windows.sort()
-        for a, b in zip(windows, windows[1:]):
-            if a[0] == b[0] and a[1] == b[1]:
-                owners.update(dict.fromkeys(map(id, windows), clip_id))
-                break
+        n = len(windows)  # only windows that share a start can repeat; most series have none
+        if len(set(map(start, windows))) < n and len(set(map(span, windows))) < n:
+            owners.update(dict.fromkeys(map(id, windows), clip_id))
     if owners:  # replay the lines read
         seen = set()
         for line_no, window in enumerate(placed, 1):
@@ -383,9 +388,9 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
     """Parse per-clip state-change probabilities."""
     probs: dict[str, float] = {}
 
-    def record(_, clip_id, prob) -> None:
-        ensure_range("'prob'", prob, 0, 1)
-        _put(probs, clip_id, prob, "probability for clip")
+    def record(_, clip_ids, values) -> None:
+        any(map(ensure_range, repeat("'prob'"), values, repeat(0), repeat(1)))  # each is None
+        _put(probs, clip_ids, values, "probability for clip")
 
     _read(stream, _PROB, record)
     return probs
@@ -399,17 +404,22 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
     """Parse localization predictions, one per clip."""
     preds: dict[str, PnrPrediction] = {}
 
-    def record(_, clip_id, time_sec, frame, source) -> None:
-        _put(preds, clip_id, PnrPrediction(time_sec, frame, source), "prediction for clip")
+    def record(_, clip_ids, times, frames, sources) -> None:
+        _put(preds, clip_ids, [*map(PnrPrediction, times, frames, sources)], "prediction for clip")
 
     _read(stream, _PREDICTION, record)
     return preds
 
 
 def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
-    return "".join(
-        _line(_PREDICTION, (clip_id, p.time_sec, p.frame, p.source)) for clip_id, p in preds.items()
-    )
+    # the bytes _line(_PREDICTION, ...) writes, as emit_pnr_scores writes
+    # them: a source is one of model.SOURCES, which need no escapes
+    rows = []
+    for clip_id, (time_sec, frame, source) in preds.items():
+        t = float.__repr__(time_sec) if isinstance(time_sec, float) else json.dumps(time_sec)
+        rows.append(f'{{"clip_id": {json.dumps(clip_id)}, "time_sec": {t}, "frame": {frame}, '
+                    f'"source": "{source}"}}\n')
+    return "".join(rows)
 
 
 def write_text_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> None:

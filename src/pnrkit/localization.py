@@ -11,6 +11,10 @@ too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import repeat
+from operator import sub
+
 from pnrkit.errors import FALLBACKS, EmptyInputError, ValidationError
 from pnrkit.model import (
     Clip,
@@ -27,7 +31,6 @@ from pnrkit.model import (
     window_center_fraction,
     window_center_frame,
 )
-from pnrkit.sampling import WindowingConfig, _sweep_starts
 
 
 class SelectionConfig(Record):
@@ -76,11 +79,10 @@ def select_pnr(
     threshold = config.threshold
     candidates = [sw for sw in series.windows if sw[2] > threshold]
     if candidates:
-        num_frames, prior = clip.num_frames, config.prior_fraction
-        chosen = min(
-            candidates,
-            key=lambda sw: (abs(window_center_fraction(sw, num_frames) - prior), sw[0], sw[1]),
-        )
+        fractions = map(window_center_fraction, candidates, repeat(clip.num_frames))
+        distances = map(abs, map(sub, fractions, repeat(config.prior_fraction)))
+        # nearest the prior, then the earliest: a window sorts as (start, end, ...)
+        _, chosen = min(zip(distances, candidates))
         return _window_prediction(chosen, clip.fps, "selected")
 
     if config.fallback == "prior-point":
@@ -114,9 +116,15 @@ def oracle_error(
     Returns min over the N dense windows of |center time - truth time|,
     the floor for any selector restricted to those window centers.
     """
+    from pnrkit.sampling import _sweep_starts  # loaded only by the stages that sweep
     ensure_annotation_in_clip(annotation, clip)
     fps, w = clip.fps, config.window_len
     truth = annotation.positive_frame / fps
-    return min(
-        abs(window_center_frame((s, s + w)) / fps - truth) for s in _sweep_starts(clip, config)
-    )
+
+    def time(s: int) -> float:
+        return window_center_frame((s, s + w)) / fps
+
+    # a later start's center time is never earlier, also in floats, so the
+    # two around the truth are nearer it than any other
+    k = bisect_left(starts := _sweep_starts(clip, config), truth, key=time)
+    return min(abs(time(s) - truth) for s in starts[max(k - 1, 0) : k + 1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from pnrkit.errors import BoundsError, CoverageError, EmptyInputError
 from pnrkit.ingest import Dataset
@@ -180,13 +180,23 @@ def _clip_errors(preds: Mapping[str, PnrPrediction], ds: Dataset) -> dict[str, f
     return errors
 
 
+def _mean_error(errors: Iterable[float], count: int) -> float:
+    """fsum(errors) / count; a sum past the largest float is refused."""
+    try:  # no partial sum of errors >= 0 passes their total; a term may be inf
+        if (total := math.fsum(errors)) < math.inf:
+            return total / count
+    except OverflowError:
+        pass
+    raise BoundsError("the localization errors sum past the largest float")
+
+
 def pnr_mae(preds: Mapping[str, PnrPrediction], ds: Dataset) -> MetricsReport:
     """Mean absolute localization error in seconds."""
     errors = _clip_errors(preds, ds)
     return MetricsReport(
         task="pnr",
         n_clips=len(errors),
-        headline=math.fsum(errors.values()) / len(errors),
+        headline=_mean_error(errors.values(), len(errors)),
     )
 
 
@@ -212,11 +222,11 @@ def per_position_error(
             lo=k / bins,
             hi=(k + 1) / bins,
             count=len(grouped[k]),
-            mean_error_sec=math.fsum(grouped[k]) / len(grouped[k]) if grouped[k] else None,
+            mean_error_sec=_mean_error(grouped[k], len(grouped[k])) if grouped[k] else None,
         )
         for k in range(bins)
     )
-    headline = math.fsum(b.mean_error_sec * b.count for b in per_bin if b.count) / len(errors)
+    headline = _mean_error((b.mean_error_sec * b.count for b in per_bin if b.count), len(errors))
     return MetricsReport(task="pnr", n_clips=len(errors), headline=headline, per_bin=per_bin)
 
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -690,6 +691,36 @@ class TestDiagnostics:
             assert rc == 2
             assert captured.out == ""
             assert captured.err == f"pnrkit: error: {preds}: {message}\n"
+
+    # clips about 1.79e308 s long, each predicted 1.7e308 s from its truth:
+    # every prediction is inside its clip, but two errors sum past the floats
+    @pytest.mark.parametrize("positions", [(0, 0), (0, 1_789_999_999)], ids=["one-bin", "two-bins"])
+    @pytest.mark.parametrize("out", [False, True], ids=["table", "out"])
+    def test_evaluate_refuses_errors_that_sum_past_the_floats(self, tmp_path, capsys, positions, out):
+        ann, preds, report = tmp_path / "ann.jsonl", tmp_path / "preds.jsonl", tmp_path / "r.json"
+        ann.write_text("".join(
+            f'{{"clip_id": "{c}", "fps": 1e-299, "num_frames": 1790000000, "pnr_frame": {p}}}\n'
+            for c, p in zip("ab", positions)
+        ), encoding="utf-8")
+        times = [1.7e308 if p == 0 else 0.0 for p in positions]
+        preds.write_text("".join(
+            f'{{"clip_id": "{c}", "time_sec": {t!r}, "frame": 1, "source": "selected"}}\n'
+            for c, t in zip("ab", times)
+        ), encoding="utf-8")
+        argv = ["evaluate", "--task", "pnr", "--preds", str(preds), "--annotations", str(ann)]
+        assert main([*argv, "--out", str(report)] if out else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {preds}: the localization errors sum past the largest float\n"
+        )
+        assert not report.exists()
+        # the same file with one clip fewer is scored, and says nothing non-finite
+        ann.write_text(ann.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        preds.write_text(preds.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        assert main([*argv, "--out", str(report)]) == 0
+        shown = capsys.readouterr().out + report.read_text(encoding="utf-8")
+        assert not {"inf", "nan", "Infinity", "NaN"} & set(re.findall(r"[A-Za-z]+", shown))
 
     @pytest.mark.parametrize("fault", COVERAGE_FAULTS.values(), ids=list(COVERAGE_FAULTS))
     @pytest.mark.parametrize("task, what", [("pnr", "localization"), ("oscc", "state-change")])

@@ -153,9 +153,9 @@ def test_no_stage_loads_dataclasses_or_inspect(run_dir, label):
         ("evaluate-pnr", {"ingest", "metrics"}, {"fusion", "localization", "sampling", "sim"}),
         ("evaluate-oscc", {"ingest", "metrics"}, {"fusion", "localization", "sampling", "sim"}),
         ("stats", {"ingest", "metrics"}, {"fusion", "localization", "sampling", "sim"}),
-        ("localize", {"ingest", "localization"}, {"fusion", "metrics", "sim"}),
+        ("localize", {"ingest", "localization"}, {"fusion", "metrics", "sampling", "sim"}),
         ("oracle", {"ingest", "localization"}, {"fusion", "metrics", "sim"}),
-        ("baseline", {"ingest", "localization"}, {"fusion", "metrics", "sim"}),
+        ("baseline", {"ingest", "localization"}, {"fusion", "metrics", "sampling", "sim"}),
         ("windows", {"sampling"}, {"fusion", "ingest", "localization", "metrics", "sim"}),
         ("fuse-pnr", {"ingest", "fusion"}, {"localization", "metrics", "sampling", "sim"}),
         ("fuse-oscc", {"ingest", "fusion"}, {"localization", "metrics", "sampling", "sim"}),

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -319,7 +320,8 @@ confidences = st.one_of(unit, st.integers(0, 1), unit.map(np.float64))
 
 
 class TestEmitMatchesJsonDumps:
-    """The pnr emitter writes the bytes of one json.dumps call per record."""
+    """The pnr and prediction emitters write the bytes of one json.dumps
+    call per record."""
 
     @staticmethod
     def reference(series_by_clip):
@@ -345,6 +347,21 @@ class TestEmitMatchesJsonDumps:
             for clip_id, windows in raw.items()
         }
         assert emit_pnr_scores(series_by_clip) == self.reference(series_by_clip)
+
+    @given(
+        prediction_maps(awkward_ids),
+        st.lists(st.one_of(st.integers(0, 10**6), st.floats(0, 1e308).map(np.float64)), max_size=5),
+    )
+    def test_any_predictions(self, preds, times):
+        # times that are ints or numpy floats, as a library caller may give
+        preds = {
+            clip_id: p._replace(time_sec=t) for (clip_id, p), t in zip(preds.items(), times)
+        } | {clip_id: p for clip_id, p in list(preds.items())[len(times):]}
+        assert emit_predictions(preds) == "".join(
+            json.dumps({"clip_id": clip_id, "time_sec": p.time_sec, "frame": p.frame,
+                        "source": p.source}) + "\n"
+            for clip_id, p in preds.items()
+        )
 
     def test_int_and_numpy_confidences(self):
         clip_id = 'say "q"\u2028'
@@ -1352,6 +1369,104 @@ class TestFastPath:
         assert parse_pnr_scores(text) == expected
         assert read == [(2, lines[1]), (3, lines[2]), (4, ""), (5, lines[4] + " ")]
         assert [w.confidence for w in expected["a"].windows] == [0.5, 0.25, 1.0]
+
+
+def _score_line(i, clip_id=None):
+    clip_id = f"k{i % 40}" if clip_id is None else clip_id
+    return f'{{"clip_id": "{clip_id}", "start": {i}, "end": {i + 4}, "confidence": 0.5}}'
+
+
+class TestBlockRecords:
+    """A parser takes a block of lines in one call of its record, on the
+    block's columns, and keeps all of them or none; a block it refuses is
+    read again a line at a time, so each error names its own line."""
+
+    BAD_WINDOWS = [
+        '{"clip_id": "k1", "start": 9, "end": 9, "confidence": 0.5}',
+        '{"clip_id": "k1", "start": 9, "end": 4, "confidence": 0.5}',
+        '{"clip_id": "k1", "start": 900, "end": 904, "confidence": 1.5}',
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_WINDOWS)
+    @pytest.mark.parametrize("row", [0, 31, 63], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("block", [0, 1], ids=["block-1", "block-2"])
+    def test_bad_window_at_each_row_of_a_full_block(self, bad, row, block):
+        assert ingest._BLOCK == 64
+        lines = [_score_line(i) for i in range(128)]
+        lines[64 * block + row] = bad
+        text = _lines(*lines)
+        expected = _line_reader_outcome(parse_pnr_scores, text)
+        assert expected[0] is ParseError and expected[2] == 64 * block + row + 1
+        for stream in (text, io.StringIO(text), text.splitlines()):
+            assert _outcome(parse_pnr_scores, stream) == expected
+
+    # a line on its format's pattern that its record refuses
+    REFUSED = {
+        "annotations": '{"clip_id": "a", "fps": 0.0, "num_frames": 9}',
+        "pnr_scores": '{"clip_id": "a", "start": 4, "end": 4, "confidence": 0.5}',
+        "oscc_scores": '{"clip_id": "a", "prob": 1.5}',
+        "predictions": '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "guess"}',
+    }
+
+    @pytest.mark.parametrize("fmt", PARSERS)
+    def test_a_refused_row_of_a_full_block_names_its_line(self, fmt):
+        # line 40 holds a value its record refuses, or repeats line 1
+        lines = [GOOD_LINE[fmt].replace('"a"', f'"k{i}"') for i in range(64)]
+        assert all(_on_pattern(fmt, line) for line in (*lines, self.REFUSED[fmt]))
+        for line_40 in (self.REFUSED[fmt], lines[0]):
+            doc = _lines(*lines[:39], line_40, *lines[40:])
+            expected = _line_reader_outcome(PARSERS[fmt], doc)
+            assert isinstance(expected[0], type) and expected[2] == 40
+            assert _outcome(PARSERS[fmt], doc) == expected
+            assert _outcome(PARSERS[fmt], io.StringIO(doc)) == expected
+
+    @pytest.mark.parametrize("repeat_row, bad_row", [(9, 40), (0, 63), (62, 63), (40, 9)])
+    def test_an_earlier_repeat_is_reported_before_a_bad_line(self, repeat_row, bad_row):
+        lines = [_score_line(i) for i in range(64)]
+        lines[repeat_row] = _score_line(70, clip_id="k2")
+        if repeat_row > 0:
+            lines[0] = _score_line(70, clip_id="k2")
+        lines[bad_row] = self.BAD_WINDOWS[2]
+        text = _lines(*lines)
+        expected = _line_reader_outcome(parse_pnr_scores, text)
+        assert _outcome(parse_pnr_scores, text) == expected
+        if repeat_row < bad_row and repeat_row > 0:
+            assert expected == (
+                ConflictError, f"line {repeat_row + 1}: duplicate window [70, 74) for clip 'k2'",
+                repeat_row + 1,
+            )
+        else:
+            assert expected[0] is ParseError and expected[2] == bad_row + 1
+
+    def test_a_repeat_in_an_earlier_block_is_reported_first(self):
+        lines = [_score_line(i) for i in range(192)]
+        lines[70] = lines[3]
+        lines[150] = self.BAD_WINDOWS[0]
+        expected = (ConflictError, "line 71: duplicate window [3, 7) for clip 'k3'", 71)
+        assert _line_reader_outcome(parse_pnr_scores, _lines(*lines)) == expected
+        assert _outcome(parse_pnr_scores, _lines(*lines)) == expected
+
+    def test_python_calls_per_block_not_per_line(self):
+        # lines on the pattern cost the parser's own functions a few calls a
+        # block (its walker, reader and record); each window is built by the
+        # model's ScoredWindow, which is no function of ingest
+        text = _lines(*(_score_line(i) for i in range(640)))
+        parse_pnr_scores(text)  # the score pattern is compiled on first use
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == ingest.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            series = parse_pnr_scores(text)
+        finally:
+            sys.setprofile(None)
+        assert sum(len(s.windows) for s in series.values()) == 640
+        blocks = 640 // ingest._BLOCK
+        assert calls.count("record") == blocks
+        assert len(calls) <= 8 * blocks + 8
 
 
 TABLES = {

@@ -24,7 +24,7 @@ from pnrkit.model import (
     ScoreSeries,
     window_center_frame,
 )
-from pnrkit.sampling import WindowingConfig, dense_windows
+from pnrkit.sampling import WindowingConfig, _sweep_starts, dense_windows
 from pnrkit.sim import SimConfig, gen_dataset, simulate_scores
 
 
@@ -231,6 +231,26 @@ class TestOracleError:
         for p in range(n):
             expected = min(abs(c - p / fps) for c in centers)
             assert oracle_error(PnrAnnotation(p), clip, cfg) == expected
+
+    @given(data=st.data(), num_frames=st.integers(1, 2**64), fps=st.floats(1e-280, 1e300),
+           count=st.integers(1, 200))
+    @example(data=None, num_frames=1_790_000_000, fps=1e-299, count=16)
+    @settings(max_examples=500)
+    def test_bisection_finds_the_full_scan_minimum(self, data, num_frames, fps, count):
+        # the oracle evaluates only the two sweep centers around the truth;
+        # a scan of all N gives the same float, also for huge or repeated starts
+        if data is None:  # the clip of the largest times Clip allows
+            window_len, frame = 32, num_frames - 1
+        else:
+            window_len = data.draw(st.integers(1, min(num_frames, 10**6)), label="window_len")
+            frame = data.draw(st.integers(0, num_frames - 1), label="frame")
+        clip, cfg = Clip("c", fps, num_frames), WindowingConfig(count, window_len)
+        truth = frame / fps
+        expected = min(
+            abs(window_center_frame((s, s + window_len)) / fps - truth)
+            for s in _sweep_starts(clip, cfg)
+        )
+        assert oracle_error(PnrAnnotation(frame), clip, cfg) == expected
 
     def test_errors(self):
         with pytest.raises(ValidationError):

@@ -353,10 +353,9 @@ class TestEmitMatchesJsonDumps:
         st.lists(st.one_of(st.integers(0, 10**6), st.floats(0, 1e308).map(np.float64)), max_size=5),
     )
     def test_any_predictions(self, preds, times):
-        # times that are ints or numpy floats, as a library caller may give
-        preds = {
-            clip_id: p._replace(time_sec=t) for (clip_id, p), t in zip(preds.items(), times)
-        } | {clip_id: p for clip_id, p in list(preds.items())[len(times):]}
+        # some times ints or numpy floats, as a library caller may give
+        for (clip_id, p), t in zip(list(preds.items()), times):
+            preds[clip_id] = p._replace(time_sec=t)
         assert emit_predictions(preds) == "".join(
             json.dumps({"clip_id": clip_id, "time_sec": p.time_sec, "frame": p.frame,
                         "source": p.source}) + "\n"

@@ -21,6 +21,7 @@ import math
 import os
 import re
 from collections import defaultdict
+from json.encoder import encode_basestring_ascii
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -276,12 +277,13 @@ def _fields(obj: dict, fmt: tuple) -> list:
     return [check(obj[key], key) if key in obj else None for key, check in checks.items()]
 
 
-def _line(fmt: tuple, values: Iterable) -> str:
-    """One record of ``fmt`` as json.dumps writes it, keys in written
-    order; a None value leaves its optional key out."""
-    checks, _, optional = fmt
-    record = {k: v for k, v in zip(checks, values) if v is not None or k not in optional}
-    return json.dumps(record) + "\n"
+def _json(value: object) -> str:
+    """json.dumps(value), without its call for a str, a finite float (numpy's too) or a bool."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return "true" if value is True else "false" if value is False else json.dumps(value)
 
 
 def parse_annotations(stream: str | Iterable[str]) -> Dataset:
@@ -309,14 +311,19 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
 
 def emit_annotations(dataset: Dataset) -> str:
     """Serialize a Dataset back to annotation lines, clip order preserved."""
+    # as emit_pnr_scores writes, keys in _ANNOTATION's order; a key with no value is left out
     rows = []
-    for clip_id, clip in dataset.clips.items():
-        positive = others = None
+    for clip_id, (_, fps, num_frames) in dataset.clips.items():
+        row = f'{{"clip_id": {_json(clip_id)}, "fps": {_json(fps)}, "num_frames": {num_frames}'
+        label = dataset.oscc.get(clip_id)
+        if label is not None:
+            row += f', "state_change": {_json(label)}'
         ann = dataset.pnr.get(clip_id)
         if ann is not None:
-            positive, others = ann.positive_frame, list(ann.negative_frames) or None
-        values = (clip_id, clip.fps, clip.num_frames, dataset.oscc.get(clip_id), positive, others)
-        rows.append(_line(_ANNOTATION, values))
+            row += f', "pnr_frame": {ann[0]}'
+            if ann[1]:
+                row += f', "other_pnr_frames": [{", ".join(map(str, ann[1]))}]'
+        rows.append(row + "}\n")
     return "".join(rows)
 
 
@@ -372,12 +379,11 @@ def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSer
 
 
 def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
-    # the bytes _line(_SCORE, ...) writes for each record, without building
-    # a dict per window: ints as themselves, a float by float.__repr__
-    # (also for float subclasses such as numpy's)
+    # the bytes of one json.dumps per record, keys in _SCORE's order, without
+    # building a dict per window: ints as themselves, the rest as _json does
     rows = []
     for clip_id, series in series_by_clip.items():
-        head = '{"clip_id": ' + json.dumps(clip_id) + ', "start": '
+        head = '{"clip_id": ' + _json(clip_id) + ', "start": '
         for start, end, c in series.windows:
             conf = float.__repr__(c) if isinstance(c, float) else json.dumps(c)
             rows.append(f'{head}{start}, "end": {end}, "confidence": {conf}}}\n')
@@ -397,7 +403,8 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
 
 
 def emit_oscc_scores(probs: Mapping[str, float]) -> str:
-    return "".join(_line(_PROB, item) for item in probs.items())
+    # as emit_pnr_scores writes, keys in _PROB's order
+    return "".join(f'{{"clip_id": {_json(c)}, "prob": {_json(p)}}}\n' for c, p in probs.items())
 
 
 def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
@@ -412,13 +419,12 @@ def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
 
 
 def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
-    # the bytes _line(_PREDICTION, ...) writes, as emit_pnr_scores writes
-    # them: a source is one of model.SOURCES, which need no escapes
+    # as emit_pnr_scores writes, keys in _PREDICTION's order: a source is
+    # one of model.SOURCES, which need no escapes
     rows = []
     for clip_id, (time_sec, frame, source) in preds.items():
-        t = float.__repr__(time_sec) if isinstance(time_sec, float) else json.dumps(time_sec)
-        rows.append(f'{{"clip_id": {json.dumps(clip_id)}, "time_sec": {t}, "frame": {frame}, '
-                    f'"source": "{source}"}}\n')
+        rows.append(f'{{"clip_id": {_json(clip_id)}, "time_sec": {_json(time_sec)}, '
+                    f'"frame": {frame}, "source": "{source}"}}\n')
     return "".join(rows)
 
 

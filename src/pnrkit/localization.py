@@ -15,6 +15,7 @@ from bisect import bisect_left
 from itertools import repeat
 from operator import sub
 
+import pnrkit  # its lazy export resolves the WindowingConfig hint, loading sampling only then
 from pnrkit.errors import FALLBACKS, EmptyInputError, ValidationError
 from pnrkit.model import (
     Clip,
@@ -109,7 +110,7 @@ def baseline_fraction(clip: Clip, fraction: float) -> PnrPrediction:
 
 
 def oracle_error(
-    annotation: PnrAnnotation, clip: Clip, config: WindowingConfig
+    annotation: PnrAnnotation, clip: Clip, config: pnrkit.WindowingConfig
 ) -> float:
     """Best achievable center error over the clip's dense window sweep.
 

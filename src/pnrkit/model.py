@@ -34,7 +34,8 @@ def round_half_up(x: float) -> int:
 
 
 def ensure_range(name: str, value: float, low: float, high: float = math.inf) -> None:
-    """Raise DomainError unless value is finite and in [low, high]; NaN fails."""
+    """Raise DomainError unless value is finite and in [low, high]; NaN and a bool fail."""
+    _refuse_bool(name, value)
     if not low <= value <= high:
         if high == math.inf:
             raise DomainError(f"{name} must be >= {low}, got {value}")
@@ -44,11 +45,18 @@ def ensure_range(name: str, value: float, low: float, high: float = math.inf) ->
 
 
 def ensure_positive(name: str, value: float) -> None:
-    """Raise DomainError unless value is positive and finite."""
+    """Raise DomainError unless value is positive and finite; a bool fails."""
+    _refuse_bool(name, value)
     if not value > 0:
         raise DomainError(f"{name} must be positive, got {value}")
     if value == math.inf:
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _refuse_bool(name: str, value: object) -> None:
+    # True passes as 1, but is written as true, which no number key reads back
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be a number, not {value}")
 
 
 class Record(tuple):
@@ -141,7 +149,7 @@ class FrameWindow(Record):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int):
-        if not 0 <= start < end < math.inf:
+        if not (0 <= start < end < math.inf and type(start) is not bool is not type(end)):
             _refuse_window(start, end)
         return tuple.__new__(cls, (start, end))
 
@@ -153,8 +161,10 @@ class ScoredWindow(FrameWindow):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int, confidence: float):
-        if not (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0):
+        if not (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0
+                and type(start) is not bool is not type(end) and type(confidence) is not bool):
             _refuse_window(start, end)
+            _refuse_bool("confidence", confidence)
             raise DomainError(f"confidence must be in [0, 1], got {confidence}")
         return tuple.__new__(cls, (start, end, confidence))
 
@@ -162,6 +172,8 @@ class ScoredWindow(FrameWindow):
 def _refuse_window(start: int, end: int) -> None:
     # the constructors test all bounds in one chained comparison, which NaN
     # fails; this names the first that fails, and returns if none does
+    _refuse_bool("window start", start)
+    _refuse_bool("window end", end)
     if not start >= 0:
         raise DomainError(f"window start must be >= 0, got {start}")
     if not end > start:

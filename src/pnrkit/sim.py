@@ -18,14 +18,19 @@ no two families share a stream even under one seed.
 simulate_scores checks first, then draws a clip's window scores when
 that clip is read: it holds no series, and reading a clip again redraws
 it from its own stream, to the same values.
+
+The Beta draws copy ``random.Random.betavariate`` (CPython 3.11) to the
+bit, each shape's constants worked out once; Python keeps only the
+sequence of ``random()`` across releases, so this also pins the scores.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain
+from math import exp, log
 
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, _lines, build_dataset
@@ -96,6 +101,55 @@ class ScorerNoiseModel(Record):
             ensure_positive(name, value)
         ensure_range("oscc_flip_prob", oscc_flip_prob, 0, 1)
         return tuple.__new__(cls, (hit_alpha, hit_beta, miss_alpha, miss_beta, oscc_flip_prob))
+
+
+def _gamma(alpha: float) -> Callable[[Callable[[], float]], float]:
+    """draw(random), a Gamma(alpha, 1) draw from a stream's random(), as
+    random.Random.gammavariate(alpha, 1.0) makes it; alpha > 0."""
+    if alpha > 1.0:  # R. C. H. Cheng, Applied Statistics 26 (1977), no. 1, 71-74
+        ainv = math.sqrt(2.0 * alpha - 1.0)
+        bbb, ccc, magic = alpha - log(4.0), alpha + ainv, 1.0 + log(4.5)
+
+        def draw(random: Callable[[], float]) -> float:
+            while True:
+                u1 = random()
+                if not 1e-7 < u1 < 0.9999999:
+                    continue
+                u2 = 1.0 - random()
+                v = log(u1 / (1.0 - u1)) / ainv
+                x = alpha * exp(v)
+                z = u1 * u1 * u2
+                r = bbb + ccc * v - x
+                if r + magic - 4.5 * z >= 0.0 or r >= log(z):
+                    return x  # gammavariate's x * beta, with beta 1.0
+    elif alpha == 1.0:
+        def draw(random: Callable[[], float]) -> float:
+            return -log(1.0 - random())
+    else:  # algorithm GS of Kennedy and Gentle, Statistical Computing
+        b, inverse, less_one = (math.e + alpha) / math.e, 1.0 / alpha, alpha - 1.0
+
+        def draw(random: Callable[[], float]) -> float:
+            while True:
+                p = b * random()
+                x = p**inverse if p <= 1.0 else -log((b - p) / alpha)
+                u1 = random()
+                if p > 1.0:
+                    if u1 <= x**less_one:
+                        return x
+                elif u1 <= exp(-x):
+                    return x
+    return draw
+
+
+def _beta(alpha: float, beta: float) -> Callable[[Callable[[], float]], float]:
+    """draw(random), a Beta(alpha, beta) draw from a stream's random(), as
+    random.Random.betavariate(alpha, beta) makes it."""
+    gamma_alpha, gamma_beta = _gamma(alpha), _gamma(beta)
+
+    def draw(random: Callable[[], float]) -> float:
+        y = gamma_alpha(random)
+        return y / (y + gamma_beta(random)) if y else 0.0
+    return draw
 
 
 def _truncated_normal(rng: random.Random, mean: float, sd: float) -> float:
@@ -176,21 +230,25 @@ class _DrawnScores(Mapping):
     def __init__(self, ds: Dataset, windows: WindowingConfig, noise: ScorerNoiseModel, seed: int):
         self._index = {clip_id: i for i, clip_id in enumerate(ds.clips)}
         self._ds, self._windows, self._seed = ds, windows, seed
-        self._hit = (noise.hit_alpha, noise.hit_beta)
-        self._miss = (noise.miss_alpha, noise.miss_beta)
+        self._hit = _beta(noise.hit_alpha, noise.hit_beta)
+        self._miss = _beta(noise.miss_alpha, noise.miss_beta)
+        self._sweeps: dict[int, tuple[list[int], list[int]]] = {}  # clip length -> starts, ends
 
     def __getitem__(self, clip_id: str) -> ScoreSeries:
-        rng = _rng(self._seed, 1, self._index[clip_id])
-        w = self._windows.window_len
-        # a sweep of more windows than a short clip has starts repeats
-        # starts; each distinct window is scored once
-        starts = list(dict.fromkeys(_sweep_starts(self._ds.clips[clip_id], self._windows)))
+        random = _rng(self._seed, 1, self._index[clip_id]).random
+        clip, w = self._ds.clips[clip_id], self._windows.window_len
+        sweep = self._sweeps.get(clip.num_frames)
+        if sweep is None:
+            # a sweep of more windows than a short clip has starts repeats
+            # starts; each distinct window is scored once
+            starts = list(dict.fromkeys(_sweep_starts(clip, self._windows)))
+            sweep = self._sweeps[clip.num_frames] = starts, [s + w for s in starts]
+        starts, ends = sweep
         ann = self._ds.pnr.get(clip_id)
         held = _held_starts(ann.all_frames if ann is not None else (), starts, w)
         hit, miss = self._hit, self._miss
-        return ScoreSeries(tuple(
-            ScoredWindow(s, s + w, rng.betavariate(*(hit if s in held else miss))) for s in starts
-        ))
+        confidences = [(hit if s in held else miss)(random) for s in starts]
+        return ScoreSeries(tuple(map(ScoredWindow, starts, ends, confidences)))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._index)

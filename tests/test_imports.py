@@ -5,6 +5,7 @@ it does not use."""
 import ast
 import importlib.util
 import json
+import typing
 from collections import Counter
 from importlib import import_module
 
@@ -288,6 +289,20 @@ def test_package_exports_resolve_lazily():
     proc = run_fresh(["-c", EXPORTS])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "65\n"
+
+
+def test_every_public_hint_resolves():
+    # annotations are strings until read (PEP 563); each must name something
+    # its module can reach, a record's __new__ too
+    unresolved = []
+    for name in pnrkit.__all__:
+        value = getattr(pnrkit, name)
+        for target in (value, *([value.__new__] if "__new__" in vars(value) else [])):
+            try:
+                typing.get_type_hints(target)
+            except NameError as exc:
+                unresolved.append((name, str(exc)))
+    assert unresolved == []
 
 
 def test_cli_rejects_unknown_names():

@@ -319,20 +319,47 @@ awkward_ids = st.one_of(
 confidences = st.one_of(unit, st.integers(0, 1), unit.map(np.float64))
 
 
+def table_lines(fmt, records):
+    """Each record as one json.dumps of its format's keys, in the table's
+    order, with the values of the record; a None leaves an optional key out."""
+    checks, _, optional = fmt
+    return "".join(
+        json.dumps({k: v for k, v in zip(checks, values, strict=True)
+                    if v is not None or k not in optional}) + "\n"
+        for values in records
+    )
+
+
+@st.composite
+def awkward_datasets(draw):
+    """Clips with awkward ids and int, float or numpy fps, each with or
+    without a label and an annotation, which may have no other frames."""
+    ids = draw(st.lists(awkward_ids, max_size=5, unique=True))
+    rates = st.floats(0.1, 240.0)
+    fps = st.one_of(st.integers(1, 240), rates, rates.map(np.float64))
+    clips, pnr, oscc = [], {}, {}
+    for clip_id in ids:
+        clips.append(Clip(clip_id, draw(fps), num_frames := draw(st.integers(1, 500))))
+        if (label := draw(st.one_of(st.none(), st.booleans()))) is not None:
+            oscc[clip_id] = label
+        if draw(st.booleans()):
+            frames = draw(
+                st.lists(st.integers(0, num_frames - 1), min_size=1, max_size=4, unique=True)
+            )
+            pnr[clip_id] = PnrAnnotation(frames[0], tuple(frames[1:]))
+    return build_dataset(clips, pnr, oscc)
+
+
 class TestEmitMatchesJsonDumps:
-    """The pnr and prediction emitters write the bytes of one json.dumps
-    call per record."""
+    """Every emitter writes the bytes of one json.dumps call per record,
+    its keys in the order of its format's table."""
 
     @staticmethod
     def reference(series_by_clip):
-        return "".join(
-            json.dumps(
-                {"clip_id": clip_id, "start": sw.start, "end": sw.end, "confidence": sw.confidence}
-            )
-            + "\n"
-            for clip_id, series in series_by_clip.items()
-            for sw in series.windows
-        )
+        return table_lines(ingest._SCORE, (
+            (clip_id, *window) for clip_id, series in series_by_clip.items()
+            for window in series.windows
+        ))
 
     @given(
         st.dictionaries(
@@ -356,10 +383,37 @@ class TestEmitMatchesJsonDumps:
         # some times ints or numpy floats, as a library caller may give
         for (clip_id, p), t in zip(list(preds.items()), times):
             preds[clip_id] = p._replace(time_sec=t)
-        assert emit_predictions(preds) == "".join(
-            json.dumps({"clip_id": clip_id, "time_sec": p.time_sec, "frame": p.frame,
-                        "source": p.source}) + "\n"
-            for clip_id, p in preds.items()
+        assert emit_predictions(preds) == table_lines(
+            ingest._PREDICTION, ((clip_id, *p) for clip_id, p in preds.items())
+        )
+
+    @given(awkward_datasets())
+    def test_any_annotations(self, dataset):
+        def values(clip_id, clip):
+            ann = dataset.pnr.get(clip_id)  # no other frames leave their key out
+            frames = (ann.positive_frame, list(ann.negative_frames) or None) if ann else (None, None)
+            return clip_id, clip.fps, clip.num_frames, dataset.oscc.get(clip_id), *frames
+
+        assert emit_annotations(dataset) == table_lines(
+            ingest._ANNOTATION, (values(*item) for item in dataset.clips.items())
+        )
+
+    @given(st.dictionaries(awkward_ids, confidences, max_size=5))
+    def test_any_probabilities(self, probs):
+        # floats, ints and numpy floats, as a library caller may give
+        assert emit_oscc_scores(probs) == table_lines(ingest._PROB, probs.items())
+
+    def test_annotation_keys_left_out(self):
+        ds = build_dataset(
+            [Clip('say "q"', 30, 9), Clip("b", np.float64(24.0), 9), Clip("c", 2.5, 9)],
+            {'say "q"': PnrAnnotation(4), "b": PnrAnnotation(1, (7, 3))},
+            {"b": False, "c": True},
+        )
+        assert emit_annotations(ds) == (
+            '{"clip_id": "say \\"q\\"", "fps": 30, "num_frames": 9, "pnr_frame": 4}\n'
+            '{"clip_id": "b", "fps": 24.0, "num_frames": 9, "state_change": false, "pnr_frame": 1, '
+            '"other_pnr_frames": [7, 3]}\n'
+            '{"clip_id": "c", "fps": 2.5, "num_frames": 9, "state_change": true}\n'
         )
 
     def test_int_and_numpy_confidences(self):
@@ -1506,24 +1560,6 @@ class TestFormatTables:
         self.assert_table_order("pnr_scores", emit_pnr_scores(series_by_clip))
         self.assert_table_order("oscc_scores", emit_oscc_scores(probs), every_key=True)
         self.assert_table_order("predictions", emit_predictions(preds), every_key=True)
-
-    @given(
-        st.dictionaries(
-            awkward_ids,
-            st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 512), confidences), max_size=6),
-            max_size=5,
-        )
-    )
-    def test_pnr_emitter_writes_the_table_line(self, raw):
-        series_by_clip = {
-            clip_id: ScoreSeries(tuple(ScoredWindow(s, s + w, c) for s, w, c in windows))
-            for clip_id, windows in raw.items()
-        }
-        assert emit_pnr_scores(series_by_clip) == "".join(
-            ingest._line(ingest._SCORE, (clip_id, *window))
-            for clip_id, series in series_by_clip.items()
-            for window in series.windows
-        )
 
     @given(pnr_score_maps(fast_ids))
     def test_pnr_emitter_lines_match_the_score_pattern(self, series_by_clip):

@@ -552,6 +552,8 @@ class TestBoundRule:
             (1.5, 0, 1, "x must be in [0, 1], got 1.5"),
             (math.nan, 0, 1, "x must be in [0, 1], got nan"),
             (math.inf, 0, 1, "x must be in [0, 1], got inf"),
+            (True, 0, 1, "x must be a number, not True"),
+            (False, 0, math.inf, "x must be a number, not False"),
         ],
     )
     def test_range_messages(self, value, low, high, message):
@@ -570,6 +572,7 @@ class TestBoundRule:
             (math.nan, "x must be positive, got nan"),
             (-math.inf, "x must be positive, got -inf"),
             (math.inf, "x must be finite, got inf"),
+            (True, "x must be a number, not True"),
         ],
     )
     def test_positive_messages(self, value, message):
@@ -632,3 +635,39 @@ def test_numeric_fields_are_found():
 def test_every_numeric_field_refuses_non_finite(valid, name, value):
     with pytest.raises(DomainError):
         valid._replace(**{name: value})
+
+
+# the records the wire formats carry, and every number each holds
+WIRE_RECORDS = [
+    Clip("c", 30.0, 240),
+    PnrAnnotation(3, (5,)),
+    FrameWindow(0, 4),
+    ScoredWindow(0, 4, 0.5),
+    PnrPrediction(1.0, 30),
+]
+RECORD_FIELDS = [
+    (valid, name)
+    for valid in WIRE_RECORDS
+    for name in valid._fields
+    if name not in ("clip_id", "source")
+]
+# the windows name their bounds "window start" and "window end"
+BOOL_MESSAGE_NAMES = {"start": "window start", "end": "window end"}
+
+
+def test_record_fields_are_found():
+    assert len(RECORD_FIELDS) == 11
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "valid, name",
+    RECORD_FIELDS + NUMERIC_FIELDS,
+    ids=[f"{type(valid).__name__}.{name}" for valid, name in RECORD_FIELDS + NUMERIC_FIELDS],
+)
+def test_every_numeric_field_refuses_a_bool(valid, name, value):
+    # True == 1 passes every bound, but an emitter would write it as true
+    # (or True), which no number key of a wire format reads back
+    with pytest.raises(DomainError) as info:
+        valid._replace(**{name: (value,) if name == "negative_frames" else value})
+    assert str(info.value) == f"{BOOL_MESSAGE_NAMES.get(name, name)} must be a number, not {value}"

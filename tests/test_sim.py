@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import sys
 
 import pytest
 from helpers import run_fresh
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pnrkit.sim
 from pnrkit.cli import main
@@ -204,8 +208,11 @@ def test_huge_window_round_trips(tmp_path):
 
 
 # sha256 of each file of `simulate` at n_clips = 4, seed = 3, num_windows = 4,
-# pinned so that a change to the draws, in pnrkit or in a Python release's
-# random module, fails here instead of drifting
+# pinned so that a change to the draws fails here instead of drifting.  The
+# window scores' Beta draws are pnrkit's own (sim._beta), made from random()
+# alone, whose sequence Python keeps across releases; the dataset's and the
+# classifier's draws still come from random's normalvariate, expovariate and
+# uniform, which a Python release could change
 PINNED_STREAM = {
     "annotations.jsonl": "83a080f9e4dbbef4e8152151d66b2522f3303e1237ac44631a3b4e2e02d7203a",
     "scores_pnr.jsonl": "6660f3dd800800082f62a869154e1f7fc1fbf67af80480843634ae7ea0efc9ca",
@@ -221,6 +228,43 @@ def test_simulate_stream_is_pinned(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_STREAM
     }
     assert digests == PINNED_STREAM
+
+
+# every shape ScorerNoiseModel takes, with each branch of the Gamma draw:
+# below 1 (algorithm GS), exactly 1 (an exponential) and above 1 (Cheng's)
+shapes = st.one_of(st.just(1.0), st.floats(0.0, 50.0, exclude_min=True))
+
+
+@settings(max_examples=300)
+@given(shapes, shapes, st.integers(0, 2**64))
+def test_beta_draws_are_randoms_to_the_bit(alpha, beta, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    draw = pnrkit.sim._beta(alpha, beta)
+    for _ in range(4):
+        assert draw(ours.random).hex() == theirs.betavariate(alpha, beta).hex()
+    assert ours.random() == theirs.random()  # as many random() calls, too
+
+
+def test_a_clip_is_drawn_by_pnrkit_alone():
+    # each window costs a few calls of pnrkit's own (its Beta draw, two
+    # Gamma draws, ScoredWindow); random.py runs only to seed the clip's stream
+    ds = gen_dataset(SimConfig(n_clips=1, seed=5))
+    scores = simulate_scores(ds, WindowingConfig(num_windows=64), seed=3)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        series = scores["clip000000"]
+    finally:
+        sys.setprofile(None)
+    assert len(series.windows) == 64
+    assert [name for path, name in calls if path == random.__file__] == ["__init__", "seed"]
+    package = os.path.dirname(pnrkit.sim.__file__)
+    assert len([path for path, _ in calls if os.path.dirname(path) == package]) <= 4 * 64 + 16
 
 
 class TestSimulateScores:

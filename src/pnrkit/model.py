@@ -35,8 +35,8 @@ def round_half_up(x: float) -> int:
 
 def ensure_range(name: str, value: float, low: float, high: float = math.inf) -> None:
     """Raise DomainError unless value is finite and in [low, high]; NaN and a bool fail."""
-    _refuse_bool(name, value)
-    if not low <= value <= high:
+    if not low <= value <= high or isinstance(value, bool):
+        _refuse_bool(name, value)
         if high == math.inf:
             raise DomainError(f"{name} must be >= {low}, got {value}")
         raise DomainError(f"{name} must be in [{low}, {high}], got {value}")
@@ -46,8 +46,8 @@ def ensure_range(name: str, value: float, low: float, high: float = math.inf) ->
 
 def ensure_positive(name: str, value: float) -> None:
     """Raise DomainError unless value is positive and finite; a bool fails."""
-    _refuse_bool(name, value)
-    if not value > 0:
+    if not value > 0 or isinstance(value, bool):
+        _refuse_bool(name, value)
         raise DomainError(f"{name} must be positive, got {value}")
     if value == math.inf:
         raise DomainError(f"{name} must be finite, got {value}")
@@ -149,8 +149,8 @@ class FrameWindow(Record):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int):
-        if not (0 <= start < end < math.inf and type(start) is not bool is not type(end)):
-            _refuse_window(start, end)
+        if not 1 < start < end < math.inf:
+            _check_window(start, end)
         return tuple.__new__(cls, (start, end))
 
 
@@ -161,17 +161,18 @@ class ScoredWindow(FrameWindow):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int, confidence: float):
-        if not (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0
-                and type(start) is not bool is not type(end) and type(confidence) is not bool):
-            _refuse_window(start, end)
-            _refuse_bool("confidence", confidence)
-            raise DomainError(f"confidence must be in [0, 1], got {confidence}")
+        if not (1 < start < end < math.inf and 0.0 < confidence < 1.0):
+            _check_window(start, end, confidence)
         return tuple.__new__(cls, (start, end, confidence))
 
 
-def _refuse_window(start: int, end: int) -> None:
-    # the constructors test all bounds in one chained comparison, which NaN
-    # fails; this names the first that fails, and returns if none does
+def _check_window(start: int, end: int, confidence: float = 0.0) -> None:
+    # the constructors pass a window whose start is above 1 and whose confidence is
+    # inside (0, 1) with one chained comparison, which neither NaN nor a bool (0 or 1)
+    # passes; this checks any other window, and names its first fault
+    if (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0
+            and type(start) is not bool is not type(end) and type(confidence) is not bool):
+        return
     _refuse_bool("window start", start)
     _refuse_bool("window end", end)
     if not start >= 0:
@@ -180,6 +181,8 @@ def _refuse_window(start: int, end: int) -> None:
         raise DomainError(f"window [{start}, {end}) is empty or inverted")
     if end == math.inf:
         raise DomainError(f"window end must be finite, got {end}")
+    _refuse_bool("confidence", confidence)
+    raise DomainError(f"confidence must be in [0, 1], got {confidence}")
 
 
 class ScoreSeries(Record):

@@ -122,9 +122,12 @@ def _gamma(alpha: float) -> Callable[[Callable[[], float]], float]:
                 r = bbb + ccc * v - x
                 if r + magic - 4.5 * z >= 0.0 or r >= log(z):
                     return x  # gammavariate's x * beta, with beta 1.0
+
     elif alpha == 1.0:
+
         def draw(random: Callable[[], float]) -> float:
             return -log(1.0 - random())
+
     else:  # algorithm GS of Kennedy and Gentle, Statistical Computing
         b, inverse, less_one = (math.e + alpha) / math.e, 1.0 / alpha, alpha - 1.0
 
@@ -138,6 +141,7 @@ def _gamma(alpha: float) -> Callable[[Callable[[], float]], float]:
                         return x
                 elif u1 <= exp(-x):
                     return x
+
     return draw
 
 
@@ -149,6 +153,7 @@ def _beta(alpha: float, beta: float) -> Callable[[Callable[[], float]], float]:
     def draw(random: Callable[[], float]) -> float:
         y = gamma_alpha(random)
         return y / (y + gamma_beta(random)) if y else 0.0
+
     return draw
 
 

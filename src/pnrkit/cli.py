@@ -4,12 +4,12 @@ Every stage reads and writes the documented line formats, so simulated
 scores can be swapped for real scorer output at any boundary.  Data
 goes to --out when given (written atomically) and to standard output
 otherwise, but stats and evaluate print a table and write another form
-to --out.  A stage reads each input line by line as it parses it and
-runs every check before its first write: checks first, then compute,
-format and write per clip, so no whole input or output file is held in
-memory, and simulate and fuse hold no clip's result but the one being
-written.  Where a step can itself refuse a clip (localize's selection,
-oracle's fit), every clip is computed before the first write instead.
+to --out.  A stage reads each input line by line as it parses it, and
+checks each score or prediction against its annotated clip at its line,
+so every check runs before its first write: checks first, then compute,
+format and write per clip.  No whole input or output file is held, and
+simulate, fuse, localize and baseline hold no clip's result but the one
+being written; oracle, whose fit can refuse a clip, computes all first.
 Informational notes go to standard error unless --quiet.
 Failures exit nonzero with a one-line diagnostic naming the offending
 input, and an option that the chosen mode does not read is refused.  A
@@ -60,12 +60,12 @@ def _blame(path: str, call: Callable[..., T], *args, only: type | tuple = PnrKit
         raise
 
 
-def _load(path: str, parse: Callable[[Iterable[str]], T]) -> T:
-    """parse(the open file at path), whose lines are read as the parser
+def _load(path: str, parse: Callable[..., T], *args) -> T:
+    """parse(the open file at path, *args), whose lines are read as the parser
     draws them.  A byte that is not UTF-8 reaches the parser as a lone
     surrogate, so the parser reports it at its line, after the lines before."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return _blame(path, parse, handle)
+        return _blame(path, parse, handle, *args)
 
 
 def _write(args: argparse.Namespace, path: str, text: str | Iterable[str]) -> None:
@@ -116,20 +116,14 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 def _cmd_localize(args: argparse.Namespace) -> int:
     ds = _load(args.annotations, _lib.parse_annotations)
-    series_by_clip = _load(args.scores, _lib.parse_pnr_scores)
-    if not series_by_clip:
+    scores = _load(args.scores, _lib.parse_pnr_scores, ds.clips)
+    if not scores:
         raise EmptyInputError(f"{args.scores}: no scored windows")
-    config = _lib.SelectionConfig(
-        threshold=args.threshold, prior_fraction=args.prior, fallback=args.fallback
-    )
-    preds = {}
-    for clip_id, series in sorted(series_by_clip.items()):
-        clip = ds.clips.get(clip_id)
-        if clip is None:
-            raise ValidationError(f"{args.scores}: scores for unknown clip {clip_id!r}")
-        preds[clip_id] = _blame(args.scores, _lib.select_pnr, series, clip, config)
-    _emit(args, _per_clip(_lib.emit_predictions, preds.items()))
-    _info(args, f"localized {len(preds)} clip(s)")
+    config = _lib.SelectionConfig(args.threshold, args.prior, args.fallback)
+    # selection refuses no series parsed against its clip: each is selected as it is written
+    preds = ((c, _lib.select_pnr(s, ds.clips[c], config)) for c, s in sorted(scores.items()))
+    _emit(args, _per_clip(_lib.emit_predictions, preds))
+    _info(args, f"localized {len(scores)} clip(s)")
     return 0
 
 
@@ -140,14 +134,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     ds = _load(args.annotations, _lib.parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
-    preds = {}
-    for clip_id in sorted(ds.pnr):
-        clip = ds.clips[clip_id]
-        if args.mode == "center":
-            preds[clip_id] = _lib.baseline_center(clip)
-        else:
-            preds[clip_id] = _lib.baseline_fraction(clip, fraction)
-    _emit(args, _per_clip(_lib.emit_predictions, preds.items()))
+    # only --fraction refuses a clip, and then the first: each is predicted as it is written
+    preds = ((c, _lib.baseline_center(ds.clips[c]) if args.mode == "center"
+              else _lib.baseline_fraction(ds.clips[c], fraction)) for c in sorted(ds.pnr))
+    _emit(args, _per_clip(_lib.emit_predictions, preds))
     return 0
 
 
@@ -160,9 +150,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     total = 0.0
     for clip_id in sorted(ds.pnr):
         if "\t" in clip_id or "\n" in clip_id or "\r" in clip_id:
-            raise ValidationError(
-                f"{args.annotations}: clip id {clip_id!r} would split its TSV row"
-            )
+            raise ValidationError(f"{args.annotations}: clip id {clip_id!r} would split its TSV row")
         clip = ds.clips[clip_id]
         err = _blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config)
         total += err
@@ -177,11 +165,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         raise ValidationError("fuse requires --out")
     if len(args.scores) < 2:
         raise ValidationError(f"fuse needs two or more --scores files, got {len(args.scores)}")
-    from pnrkit.model import ensure_windows_in_clip  # pnrkit does not export it
-    ds = _load(args.annotations, _lib.parse_annotations) if args.annotations else None
+    clips = _load(args.annotations, _lib.parse_annotations).clips if args.annotations else None
     oscc = args.task == "oscc"
     parse = _lib.parse_oscc_scores if oscc else _lib.parse_pnr_scores
-    score_maps = [_load(path, parse) for path in args.scores]
+    score_maps = [_load(path, parse, clips) for path in args.scores]
     clip_ids = sorted(set().union(*score_maps))
     if not clip_ids:
         raise EmptyInputError("no scores to fuse")
@@ -190,18 +177,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         missing = tuple(clip_id for clip_id in clip_ids if clip_id not in scores)
         if missing:
             raise CoverageError(f"{path}: no scores for clip(s)", missing)
-    for clip_id in clip_ids if ds is not None else ():
-        clip = ds.clips.get(clip_id)
-        if clip is None:
-            raise ValidationError(
-                f"{args.scores[0]}: scores for unknown clip {clip_id!r} "
-                f"(not in {args.annotations})"
-            )
-        if not oscc:
-            # checked here rather than by fuse_pnr, so that a window
-            # outside its clip names its file
-            for path, scores in zip(args.scores, score_maps):
-                _blame(path, ensure_windows_in_clip, scores[clip_id].windows, clip)
     # fuse refuses no input that passed the checks above, so each clip is
     # fused only as the writer reaches it
     fuse = _lib.fuse_oscc if oscc else _lib.fuse_pnr
@@ -216,15 +191,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _refuse_unread(args, "--task pnr", "bins", "plot_data")
     ds = _load(args.annotations, _lib.parse_annotations)
     if args.task == "oscc":
-        probs = _load(args.preds, _lib.parse_oscc_scores)
+        probs = _load(args.preds, _lib.parse_oscc_scores, ds.clips)
         preds = {c: p >= 0.5 for c, p in probs.items()}
         metric, options = _lib.oscc_accuracy, ()
     else:
-        preds = _load(args.preds, _lib.parse_predictions)
+        preds = _load(args.preds, _lib.parse_predictions, ds.clips)
         metric, options = _lib.per_position_error, (10 if args.bins is None else args.bins,)
-    # a clip missing from or extra in the preds file, or a prediction
-    # outside its clip, is the preds file's fault, and no labels at all the
-    # annotation file's
+    # a labeled clip the preds file misses, or an unlabeled one it predicts, or errors
+    # that sum past the floats, are its fault, and no labels at all the annotation file's
     report = _blame(
         args.annotations,
         lambda: _blame(args.preds, metric, preds, ds, *options, only=(CoverageError, BoundsError)),

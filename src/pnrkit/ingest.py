@@ -9,8 +9,8 @@ take a str or an iterable of lines, such as an open file, and read it a
 block of lines at a time through a pattern built from the table, so no
 whole input is held.  They are strict and check every record in one
 order: its key set (a key may appear once), then each key's type, then
-the value rules (the model constructors, the frame-in-clip check,
-repeated clip ids); errors carry 1-based line numbers.
+the value rules (the model constructors; given the annotated clips, that
+its clip is one and that it fits; repeated ids); errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import re
 from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
 from pnrkit.model import (
     Clip, PnrAnnotation, PnrPrediction, Record, ScoredWindow, ScoreSeries,
-    ensure_annotation_in_clip, ensure_range,
+    ensure_annotation_in_clip, ensure_prediction_in_clip, ensure_range, ensure_windows_in_clip,
 )
 
 
@@ -67,13 +67,18 @@ def build_dataset(
     clip_map: dict[str, Clip] = {}
     for clip in clips:
         _put(clip_map, (clip.clip_id,), (clip,), "clip_id")
-    for labels, what in ((pnr, "state-change annotation"), (oscc, "state-change label")):
-        for clip_id in labels:
-            if clip_id not in clip_map:
-                raise ValidationError(f"{what} for unknown clip {clip_id!r}")
-    for clip_id, ann in pnr.items():
-        ensure_annotation_in_clip(ann, clip_map[clip_id])
+    owners = _clips_of(pnr, clip_map)
+    _clips_of(oscc, clip_map)
+    any(map(ensure_annotation_in_clip, pnr.values(), owners))  # each call gives None
     return Dataset(clips=clip_map, pnr=dict(pnr), oscc=dict(oscc))
+
+
+def _clips_of(clip_ids: Iterable[str], clips: Mapping[str, Clip] | None) -> list[Clip]:
+    """The clip of each id, or none without clips; the first id clips does not hold is refused."""
+    try:
+        return [] if clips is None else [*map(clips.__getitem__, clip_ids)]
+    except KeyError as exc:
+        raise ValidationError(f"unknown clip {exc.args[0]!r}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -327,7 +332,9 @@ def emit_annotations(dataset: Dataset) -> str:
     return "".join(rows)
 
 
-def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
+def parse_pnr_scores(
+    stream: str | Iterable[str], clips: Mapping[str, Clip] | None = None
+) -> dict[str, ScoreSeries]:
     """Parse window scores into one series per clip, sorted by start.
 
     A clip may score each ``(start, end)`` window once; a repeat is
@@ -336,9 +343,13 @@ def parse_pnr_scores(stream: str | Iterable[str]) -> dict[str, ScoreSeries]:
     grouped: defaultdict[str, list[ScoredWindow]] = defaultdict(list)
     # the window of each line read (None if blank), to replay should one repeat
     placed: list[ScoredWindow | None] = []
+    frames = {clip_id: clip[2] for clip_id, clip in (clips or {}).items()}  # frame counts
 
     def record(first, clip_ids, starts, ends, confidences) -> None:
         windows = [*map(ScoredWindow, starts, ends, confidences)]
+        # a column test of the block first: an unknown clip reads as 0 frames, and fails it
+        if clips is not None and not all(map(le, ends, map(frames.get, clip_ids, repeat(0)))):
+            any(map(ensure_windows_in_clip, zip(windows), _clips_of(clip_ids, clips)))
         placed.extend(repeat(None, first - 1 - len(placed)))
         placed.extend(windows)
         # each window onto its clip's list, which the defaultdict's [] makes if new
@@ -390,12 +401,15 @@ def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
     return "".join(rows)
 
 
-def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
+def parse_oscc_scores(
+    stream: str | Iterable[str], clips: Mapping[str, Clip] | None = None
+) -> dict[str, float]:
     """Parse per-clip state-change probabilities."""
     probs: dict[str, float] = {}
 
     def record(_, clip_ids, values) -> None:
         any(map(ensure_range, repeat("'prob'"), values, repeat(0), repeat(1)))  # each is None
+        _clips_of(clip_ids, clips)
         _put(probs, clip_ids, values, "probability for clip")
 
     _read(stream, _PROB, record)
@@ -403,16 +417,22 @@ def parse_oscc_scores(stream: str | Iterable[str]) -> dict[str, float]:
 
 
 def emit_oscc_scores(probs: Mapping[str, float]) -> str:
-    # as emit_pnr_scores writes, keys in _PROB's order
+    # as emit_pnr_scores writes, keys in _PROB's order, each value as parse_oscc_scores checks it
+    any(map(ensure_range, repeat("'prob'"), probs.values(), repeat(0), repeat(1)))
     return "".join(f'{{"clip_id": {_json(c)}, "prob": {_json(p)}}}\n' for c, p in probs.items())
 
 
-def parse_predictions(stream: str | Iterable[str]) -> dict[str, PnrPrediction]:
+def parse_predictions(
+    stream: str | Iterable[str], clips: Mapping[str, Clip] | None = None
+) -> dict[str, PnrPrediction]:
     """Parse localization predictions, one per clip."""
     preds: dict[str, PnrPrediction] = {}
 
     def record(_, clip_ids, times, frames, sources) -> None:
-        _put(preds, clip_ids, [*map(PnrPrediction, times, frames, sources)], "prediction for clip")
+        built = [*map(PnrPrediction, times, frames, sources)]
+        # one call a line, as a file holds one prediction per clip
+        any(map(ensure_prediction_in_clip, built, _clips_of(clip_ids, clips)))
+        _put(preds, clip_ids, built, "prediction for clip")
 
     _read(stream, _PREDICTION, record)
     return preds

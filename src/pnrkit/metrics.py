@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from pnrkit.errors import BoundsError, CoverageError, EmptyInputError
 from pnrkit.ingest import Dataset
-from pnrkit.model import PnrPrediction, Record, ensure_range
+from pnrkit.model import PnrPrediction, Record, ensure_prediction_in_clip, ensure_range
 
 
 def frame_bin(frame: int, num_frames: int, bins: int) -> int:
@@ -170,12 +170,7 @@ def _clip_errors(preds: Mapping[str, PnrPrediction], ds: Dataset) -> dict[str, f
     errors = {}
     for clip_id, ann in ds.pnr.items():
         clip, pred = ds.clips[clip_id], preds[clip_id]
-        end = clip.num_frames / clip.fps
-        if pred.frame >= clip.num_frames or pred.time_sec > end:
-            raise BoundsError(
-                f"clip {clip_id!r}: prediction at frame {pred.frame}, {pred.time_sec} s, is "
-                f"outside the clip's {clip.num_frames} frames, {end} s"
-            )
+        ensure_prediction_in_clip(pred, clip)
         errors[clip_id] = abs(pred.time_sec - ann.positive_frame / clip.fps)
     return errors
 

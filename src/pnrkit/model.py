@@ -26,6 +26,7 @@ SOURCES = (
     "baseline-center",
     "baseline-fraction",
 )
+_LARGEST = int(math.nextafter(math.inf, 0))  # the largest float, an int to compare ints fast
 
 
 def round_half_up(x: float) -> int:
@@ -149,7 +150,7 @@ class FrameWindow(Record):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int):
-        if not 1 < start < end < math.inf:
+        if not 1 < start < end <= _LARGEST:
             _check_window(start, end)
         return tuple.__new__(cls, (start, end))
 
@@ -161,7 +162,7 @@ class ScoredWindow(FrameWindow):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int, confidence: float):
-        if not (1 < start < end < math.inf and 0.0 < confidence < 1.0):
+        if not (1 < start < end <= _LARGEST and 0.0 < confidence < 1.0):
             _check_window(start, end, confidence)
         return tuple.__new__(cls, (start, end, confidence))
 
@@ -170,7 +171,7 @@ def _check_window(start: int, end: int, confidence: float = 0.0) -> None:
     # the constructors pass a window whose start is above 1 and whose confidence is
     # inside (0, 1) with one chained comparison, which neither NaN nor a bool (0 or 1)
     # passes; this checks any other window, and names its first fault
-    if (0 <= start < end < math.inf and 0.0 <= confidence <= 1.0
+    if (0 <= start < end <= _LARGEST and 0.0 <= confidence <= 1.0
             and type(start) is not bool is not type(end) and type(confidence) is not bool):
         return
     _refuse_bool("window start", start)
@@ -179,7 +180,7 @@ def _check_window(start: int, end: int, confidence: float = 0.0) -> None:
         raise DomainError(f"window start must be >= 0, got {start}")
     if not end > start:
         raise DomainError(f"window [{start}, {end}) is empty or inverted")
-    if end == math.inf:
+    if not end <= _LARGEST:  # an int past the floats, whose center no float holds
         raise DomainError(f"window end must be finite, got {end}")
     _refuse_bool("confidence", confidence)
     raise DomainError(f"confidence must be in [0, 1], got {confidence}")
@@ -227,6 +228,16 @@ def ensure_windows_in_clip(windows: Iterable[FrameWindow], clip: Clip) -> None:
                 f"window [{window[0]}, {window[1]}) exceeds clip "
                 f"{clip.clip_id!r} of {num_frames} frames"
             )
+
+
+def ensure_prediction_in_clip(prediction: PnrPrediction, clip: Clip) -> None:
+    """The predicted frame lies inside the clip, and its time at most the clip's length."""
+    (time_sec, frame, _), (clip_id, fps, num_frames) = prediction, clip
+    if frame >= num_frames or time_sec > num_frames / fps:
+        raise BoundsError(
+            f"clip {clip_id!r}: prediction at frame {frame}, {time_sec} s, is outside the "
+            f"clip's {num_frames} frames, {num_frames / fps} s"
+        )
 
 
 def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:

@@ -56,7 +56,7 @@ class WindowingConfig(Record):
 
 def _rng(seed: int, *key: int) -> random.Random:
     """The stream of a seed, or of (seed, *key) for a substream of it."""
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:  # True is an int
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     # a str seeds through sha512, so neighbouring keys give unrelated streams
     return random.Random(" ".join(map(str, (seed, *key))))

@@ -1,18 +1,25 @@
 """Command-line pipelines: composition, determinism, diagnostics."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from helpers import run_fresh, traced_peak
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import pnrkit.cli
 from pnrkit.cli import _load, build_parser, main
 from pnrkit.errors import ConflictError, ParseError
 from pnrkit.ingest import parse_annotations, parse_oscc_scores, parse_pnr_scores, parse_predictions
+from pnrkit.model import SOURCES
 
 FIXTURE = Path(__file__).parent / "data" / "annotations_3clips.jsonl"
 
@@ -363,6 +370,167 @@ class TestStdoutMatchesOut:
         assert printed and out.read_text(encoding="utf-8") == printed
 
 
+# one annotated clip, 'a': 100 frames at 30 fps (3.33 s), state change at frame 40
+CLIP_A = '{"clip_id": "a", "fps": 30.0, "num_frames": 100, "state_change": true, "pnr_frame": 40}\n'
+GOOD_LINES = {
+    "pnr": '{"clip_id": "a", "start": 0, "end": 40, "confidence": 0.9}',
+    "oscc": '{"clip_id": "a", "prob": 0.6}',
+    "preds": '{"clip_id": "a", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+}
+LOCALIZE = ["localize", "--scores", "{bad}", "--annotations", "{ann}", "--out", "{out}"]
+FUSE = ["fuse", "--scores", "{good}", "{bad}", "--annotations", "{ann}", "--out", "{out}"]
+EVALUATE = ["evaluate", "--preds", "{bad}", "--annotations", "{ann}", "--out", "{out}"]
+# (stage, the format of its bad file, the line put at line 2 of it, the message)
+CLIP_FAULTS = {
+    "localize-unknown": (LOCALIZE, "pnr", '{"clip_id": "x", "start": 0, "end": 40, "confidence": 0.9}',
+                         "unknown clip 'x'"),
+    "localize-window": (LOCALIZE, "pnr", '{"clip_id": "a", "start": 80, "end": 400, "confidence": 0.9}',
+                        "window [80, 400) exceeds clip 'a' of 100 frames"),
+    "fuse-pnr-unknown": ([*FUSE, "--task", "pnr"], "pnr",
+                         '{"clip_id": "x", "start": 0, "end": 40, "confidence": 0.9}',
+                         "unknown clip 'x'"),
+    "fuse-pnr-window": ([*FUSE, "--task", "pnr"], "pnr",
+                        '{"clip_id": "a", "start": 80, "end": 101, "confidence": 0.9}',
+                        "window [80, 101) exceeds clip 'a' of 100 frames"),
+    "fuse-oscc-unknown": ([*FUSE, "--task", "oscc"], "oscc", '{"clip_id": "x", "prob": 0.6}',
+                          "unknown clip 'x'"),
+    "evaluate-pnr-unknown": ([*EVALUATE, "--task", "pnr"], "preds",
+                             '{"clip_id": "x", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+                             "unknown clip 'x'"),
+    "evaluate-pnr-frame": ([*EVALUATE, "--task", "pnr"], "preds",
+                           '{"clip_id": "a", "time_sec": 1.0, "frame": 100, "source": "selected"}',
+                           "clip 'a': prediction at frame 100, 1.0 s, is outside the clip's 100 "
+                           "frames, 3.3333333333333335 s"),
+    "evaluate-pnr-time": ([*EVALUATE, "--task", "pnr"], "preds",
+                          '{"clip_id": "a", "time_sec": 3.4, "frame": 30, "source": "selected"}',
+                          "clip 'a': prediction at frame 30, 3.4 s, is outside the clip's 100 "
+                          "frames, 3.3333333333333335 s"),
+    "evaluate-oscc-unknown": ([*EVALUATE, "--task", "oscc"], "oscc", '{"clip_id": "x", "prob": 0.6}',
+                              "unknown clip 'x'"),
+}
+
+
+class TestClipChecks:
+    """Every score and prediction is checked against its annotated clip at its line."""
+
+    @pytest.mark.parametrize("argv, fmt, line, message", CLIP_FAULTS.values(), ids=list(CLIP_FAULTS))
+    def test_a_record_that_does_not_fit_its_clip_names_file_line_and_clip(
+        self, tmp_path, capsys, argv, fmt, line, message
+    ):
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("ann", "good", "bad", "out")}
+        paths["ann"].write_text(CLIP_A, encoding="utf-8")
+        paths["good"].write_text(GOOD_LINES[fmt] + "\n", encoding="utf-8")
+        paths["bad"].write_text(GOOD_LINES[fmt] + "\n" + line + "\n", encoding="utf-8")
+        argv = [arg.format_map(paths) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {paths['bad']}: line 2: {message}\n"
+        assert not paths["out"].exists()
+        # without the bad line the same stage runs
+        paths["bad"].write_text(GOOD_LINES[fmt] + "\n", encoding="utf-8")
+        assert main(argv + ["--quiet"]) == 0
+
+    def test_localize_writes_each_clip_before_it_selects_the_next(self, tmp_path, monkeypatch):
+        ann, scores = tmp_path / "ann.jsonl", tmp_path / "scores.jsonl"
+        ann.write_text(CLIP_A + CLIP_A.replace('"a"', '"b"'), encoding="utf-8")
+        scores.write_text(GOOD_LINES["pnr"] + "\n" + GOOD_LINES["pnr"].replace('"a"', '"b"') + "\n",
+                          encoding="utf-8")
+        select_pnr, seen = pnrkit.cli.select_pnr, []
+
+        def select_seeing_stdout(*args):
+            seen.append(sys.stdout.getvalue())
+            return select_pnr(*args)
+
+        monkeypatch.setattr(pnrkit.cli, "select_pnr", select_seeing_stdout)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert main(["localize", "--scores", str(scores), "--annotations", str(ann)]) == 0
+        first, second = sys.stdout.getvalue().splitlines(keepends=True)
+        assert seen == ["", first]
+        assert first.startswith('{"clip_id": "a"') and second.startswith('{"clip_id": "b"')
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_baseline_refuses_a_fraction_before_it_writes(self, tmp_path, capsys, out):
+        target = tmp_path / "base.jsonl"
+        argv = ["baseline", "--mode", "fraction", "--fraction", "2", "--annotations", str(FIXTURE)]
+        assert main([*argv, "--out", str(target)] if out else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pnrkit: error: fraction must be in [0, 1], got 2.0\n"
+        assert not target.exists()
+
+
+# numbers at and past the ends of the floats and of the ints a float holds
+EXTREME_INTS = st.one_of(
+    st.integers(-2, 300), st.integers(), st.sampled_from([2**53 + 1, 2**1023, 2**1024, 10**400])
+)
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 0.5, 0.7, 1.0, 1e300, 1.7e308, 1.7976931348623157e308]),
+)
+CLIP_IDS = st.sampled_from(["a", "b", "x"])  # x is never annotated
+RECORDS = {
+    "ann": st.fixed_dictionaries(
+        {"clip_id": st.sampled_from(["a", "b"]), "fps": EXTREME_FLOATS, "num_frames": EXTREME_INTS},
+        optional={"state_change": st.booleans(), "pnr_frame": EXTREME_INTS},
+    ),
+    "scores": st.fixed_dictionaries({"clip_id": CLIP_IDS, "start": EXTREME_INTS,
+                                     "end": EXTREME_INTS, "confidence": EXTREME_FLOATS}),
+    "probs": st.fixed_dictionaries({"clip_id": CLIP_IDS, "prob": EXTREME_FLOATS}),
+    "preds": st.fixed_dictionaries({"clip_id": CLIP_IDS, "time_sec": EXTREME_FLOATS,
+                                    "frame": EXTREME_INTS, "source": st.sampled_from(SOURCES)}),
+}
+# every stage that reads files, with small counts wherever an option sizes a list
+FUZZED_STAGES = [
+    ["stats", "--annotations", "{ann}", "--bins", "3", "--out", "{out}"],
+    ["localize", "--scores", "{scores}", "--annotations", "{ann}"],
+    ["localize", "--scores", "{scores}", "--annotations", "{ann}", "--fallback", "argmax-confidence"],
+    ["baseline", "--mode", "center", "--annotations", "{ann}"],
+    ["baseline", "--mode", "fraction", "--annotations", "{ann}"],
+    ["oracle", "--n", "2", "--window", "4", "--annotations", "{ann}"],
+    ["fuse", "--task", "pnr", "--scores", "{scores}", "{scores}", "--out", "{out}"],
+    ["fuse", "--task", "pnr", "--scores", "{scores}", "{scores}", "--annotations", "{ann}",
+     "--out", "{out}"],
+    ["fuse", "--task", "oscc", "--scores", "{probs}", "{probs}", "--annotations", "{ann}",
+     "--out", "{out}"],
+    ["evaluate", "--task", "pnr", "--preds", "{preds}", "--annotations", "{ann}", "--bins", "3",
+     "--out", "{out}", "--plot-data", "{plot}"],
+    ["evaluate", "--task", "oscc", "--preds", "{probs}", "--annotations", "{ann}", "--out", "{out}"],
+]
+
+
+class TestFuzzedRecords:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(files=st.fixed_dictionaries(
+        {name: st.lists(records, min_size=1, max_size=3) for name, records in RECORDS.items()}
+    ))
+    def test_every_stage_exits_0_or_2_and_writes_nothing_non_finite(self, tmp_path, files):
+        paths = {name: tmp_path / f"{name}.jsonl" for name in (*RECORDS, "out", "plot")}
+        for name, records in files.items():
+            paths[name].write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        for argv in FUZZED_STAGES:
+            for name in ("out", "plot"):
+                paths[name].unlink(missing_ok=True)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([arg.format_map(paths) for arg in argv])
+            notes = err.getvalue().splitlines()
+            errors = [line for line in notes if line.startswith("pnrkit: error:")]
+            assert (rc, len(errors)) in ((0, 0), (2, 1)), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            # an error may name the non-finite value it refuses, and the plot TSV writes
+            # an empty bin's mean as nan; nothing else may hold one
+            shown = [out.getvalue(), *(line for line in notes if line not in errors)]
+            if paths["out"].exists():
+                shown.append(paths["out"].read_text(encoding="utf-8"))
+            if paths["plot"].exists():
+                rows = paths["plot"].read_text(encoding="utf-8").splitlines()
+                shown += [row for row in rows if not row.endswith("\tnan\t0")]
+            words = set(re.findall(r"[A-Za-z]+", "".join(shown)))
+            assert not {"inf", "nan", "Infinity", "NaN"} & words, (argv, shown)
+
+
 class TestWindowsAndStats:
     def test_windows_table(self, capsys):
         assert main(["windows", "--frames", "240", "--n", "2", "--quiet"]) == 0
@@ -538,9 +706,7 @@ class TestFuse:
         fused = tmp_path / "fused.jsonl"
         assert main(["fuse", "--task", "oscc", "--scores", str(a), str(a),
                      "--annotations", str(FIXTURE), "--out", str(fused), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            f"pnrkit: error: {a}: scores for unknown clip 'ghost' (not in {FIXTURE})\n"
-        )
+        assert capsys.readouterr().err == f"pnrkit: error: {a}: line 2: unknown clip 'ghost'\n"
         assert not fused.exists()
 
     def test_fuse_requires_out(self, tmp_path, capsys):
@@ -573,6 +739,7 @@ PREDICTION_LINES = {
         for clip_id in ("kitchen-001", "workshop-002", "garden-003", "ghost")
     },
 }
+GHOST_CLIP = '{"clip_id": "ghost", "fps": 30.0, "num_frames": 100}\n'
 COVERAGE_FAULTS = {
     "partial": (
         ("kitchen-001",),
@@ -657,18 +824,18 @@ class TestDiagnostics:
     OUTSIDE_CLIP = {
         "frame-at-the-frame-count": (
             {"workshop-002": (1.0, 210)},
-            "clip 'workshop-002': prediction at frame 210, 1.0 s, is outside the clip's 210 "
-            "frames, 7.0 s",
+            "line 2: clip 'workshop-002': prediction at frame 210, 1.0 s, is outside the clip's "
+            "210 frames, 7.0 s",
         ),
         "time-past-the-end": (
             {"kitchen-001": (99.0, 30)},
-            "clip 'kitchen-001': prediction at frame 30, 99.0 s, is outside the clip's 240 "
-            "frames, 8.0 s",
+            "line 1: clip 'kitchen-001': prediction at frame 30, 99.0 s, is outside the clip's "
+            "240 frames, 8.0 s",
         ),
         "times-whose-sum-overflows": (
             {"kitchen-001": (1.7e308, 30), "workshop-002": (1.7e308, 30)},
-            "clip 'kitchen-001': prediction at frame 30, 1.7e+308 s, is outside the clip's 240 "
-            "frames, 8.0 s",
+            "line 1: clip 'kitchen-001': prediction at frame 30, 1.7e+308 s, is outside the "
+            "clip's 240 frames, 8.0 s",
         ),
         "last-frame-at-the-end": ({"kitchen-001": (8.0, 239), "workshop-002": (7.0, 209)}, None),
     }
@@ -726,11 +893,13 @@ class TestDiagnostics:
     @pytest.mark.parametrize("task, what", [("pnr", "localization"), ("oscc", "state-change")])
     def test_evaluate_coverage_names_the_preds_file(self, tmp_path, capsys, task, what, fault):
         clip_ids, message = fault
-        preds = tmp_path / "preds.jsonl"
+        preds, annotations = tmp_path / "preds.jsonl", tmp_path / "annotations.jsonl"
         preds.write_text(
             "".join(PREDICTION_LINES[task][clip_id] for clip_id in clip_ids), encoding="utf-8"
         )
-        argv = ["evaluate", "--task", task, "--preds", str(preds), "--annotations", str(FIXTURE)]
+        # the fixture's clips and an unlabeled one, which a prediction may name
+        annotations.write_text(FIXTURE.read_text(encoding="utf-8") + GHOST_CLIP, encoding="utf-8")
+        argv = ["evaluate", "--task", task, "--preds", str(preds), "--annotations", str(annotations)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -759,7 +928,7 @@ class TestDiagnostics:
         assert captured.err == f"pnrkit: error: {empty}: dataset has no clips\n"
 
     # the scores files each command reads, and the one a window outside its
-    # clip is blamed on: the first, in --scores order, that holds one
+    # clip is blamed on, at its line: the first, in --scores order, that holds one
     OUTSIDE_CLIP = {
         "localize": (["bad"], "bad"),
         "fuse": (["good", "bad", "worse"], "bad"),
@@ -787,7 +956,7 @@ class TestDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"pnrkit: error: {tmp_path / blamed}.jsonl: window [0, 400) exceeds clip 'a' "
+            f"pnrkit: error: {tmp_path / blamed}.jsonl: line 2: window [0, 400) exceeds clip 'a' "
             "of 100 frames\n"
         )
         assert not (tmp_path / "fused.jsonl").exists()
@@ -844,21 +1013,23 @@ class TestDiagnostics:
         [
             (["stats", "--annotations", "{bad}"],
              '{"clip_id": "b", "fps": 30.0, "num_frames": BIG}'),
-            (["localize", "--scores", "{bad}", "--annotations", str(FIXTURE)],
-             '{"clip_id": "kitchen-001", "start": BIG, "end": 32, "confidence": 0.5}'),
+            (["localize", "--scores", "{bad}", "--annotations", "{ann}"],
+             '{"clip_id": "b", "start": BIG, "end": 32, "confidence": 0.5}'),
             (["fuse", "--task", "oscc", "--scores", "{bad}", "{bad}", "--out", "{out}"],
              '{"clip_id": "b", "prob": BIG}'),
-            (["evaluate", "--task", "pnr", "--preds", "{bad}", "--annotations", str(FIXTURE)],
+            (["evaluate", "--task", "pnr", "--preds", "{bad}", "--annotations", "{ann}"],
              '{"clip_id": "b", "time_sec": 1.0, "frame": BIG, "source": "selected"}'),
         ],
         ids=["annotations", "pnr_scores", "oscc_scores", "predictions"],
     )
     def test_over_long_integer_is_a_line_error(self, tmp_path, capsys, argv, line):
         # more digits than int() converts by default (sys.get_int_max_str_digits())
-        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        bad, out, ann = tmp_path / "bad.jsonl", tmp_path / "out.jsonl", tmp_path / "ann.jsonl"
+        ann.write_text("".join(f'{{"clip_id": "{c}", "fps": 30.0, "num_frames": 100}}\n'
+                               for c in "ab"), encoding="utf-8")
         first = line.replace('"b"', '"a"').replace("BIG", "1")
         bad.write_text(first + "\n" + line.replace("BIG", "1" * 5000) + "\n", encoding="utf-8")
-        argv = [arg.format(bad=bad, out=out) for arg in argv]
+        argv = [arg.format(bad=bad, out=out, ann=ann) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -874,11 +1045,11 @@ class TestDiagnostics:
         [
             (["stats", "--annotations", "{bad}"],
              '{{"clip_id": "c{i}", "fps": 30.0, "num_frames": 90}}'),
-            (["localize", "--scores", "{bad}", "--annotations", str(FIXTURE), "--out", "{out}"],
+            (["localize", "--scores", "{bad}", "--annotations", "{ann}", "--out", "{out}"],
              '{{"clip_id": "c{i}", "start": 0, "end": 32, "confidence": 0.5}}'),
-            (["evaluate", "--task", "pnr", "--preds", "{bad}", "--annotations", str(FIXTURE)],
+            (["evaluate", "--task", "pnr", "--preds", "{bad}", "--annotations", "{ann}"],
              '{{"clip_id": "c{i}", "time_sec": 1.0, "frame": 30, "source": "selected"}}'),
-            (["evaluate", "--task", "oscc", "--preds", "{bad}", "--annotations", str(FIXTURE)],
+            (["evaluate", "--task", "oscc", "--preds", "{bad}", "--annotations", "{ann}"],
              '{{"clip_id": "c{i}", "prob": 0.5}}'),
             (["simulate", "--config", "{bad}", "--out-dir", "{out}"],
              "# note c{i}: a comment as long as a record line"),
@@ -887,13 +1058,15 @@ class TestDiagnostics:
     )
     def test_byte_that_is_not_utf8_is_a_line_error(self, tmp_path, capsys, argv, line):
         # past the first 8 KiB, which the file is decoded in; each line is good
-        # apart from the 0xff byte put into line 351
-        bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+        # apart from the 0xff byte put into line 351, and its clip is annotated
+        bad, out, ann = tmp_path / "bad.jsonl", tmp_path / "out", tmp_path / "ann.jsonl"
+        ann.write_text("".join(f'{{"clip_id": "c{i}", "fps": 30.0, "num_frames": 90}}\n'
+                               for i in range(400)), encoding="utf-8")
         lines = [line.format(i=i) for i in range(400)]
         lines[350] = lines[350].replace("c350", "c\udcff350")
         bad.write_bytes("".join(x + "\n" for x in lines).encode("utf-8", "surrogateescape"))
         assert bad.read_bytes().index(b"\xff") > 8192
-        argv = [arg.format(bad=bad, out=out) for arg in argv]
+        argv = [arg.format(bad=bad, out=out, ann=ann) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from pnrkit import ingest
 from pnrkit.cli import _load, main
-from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
+from pnrkit.errors import ConflictError, DomainError, ParseError, PnrKitError, ValidationError
 from pnrkit.ingest import (
     build_dataset,
     emit_annotations,
@@ -153,11 +154,34 @@ class TestEmitAnnotations:
         )
 
 
+class TestEmitOsccScores:
+    @pytest.mark.parametrize(
+        "prob, message",
+        [(math.nan, "'prob' must be in [0, 1], got nan"),
+         (2.5, "'prob' must be in [0, 1], got 2.5"),
+         (-0.5, "'prob' must be in [0, 1], got -0.5"),
+         (True, "'prob' must be a number, not True")],
+        ids=["nan", "above-one", "below-zero", "bool"],
+    )
+    def test_refuses_what_the_parser_refuses(self, prob, message):
+        with pytest.raises(DomainError) as info:
+            emit_oscc_scores({"a": 0.5, "b": prob})
+        assert str(info.value) == message
+        with pytest.raises(ParseError):
+            parse_oscc_scores(f'{{"clip_id": "b", "prob": {json.dumps(prob)}}}\n')
+
+    def test_valid_bytes_are_unchanged(self):
+        probs = {"a": 0.0, "b": 1, "c": 0.25, "d": 1.0, "e": 5e-324}
+        text = emit_oscc_scores(probs)
+        assert text == "".join(json.dumps({"clip_id": c, "prob": p}) + "\n" for c, p in probs.items())
+        assert parse_oscc_scores(text) == probs
+
+
 class TestBuildDataset:
     def test_annotation_for_unknown_clip(self):
-        with pytest.raises(ValidationError, match="unknown clip"):
+        with pytest.raises(ValidationError, match="^unknown clip 'b'$"):
             build_dataset([Clip("a", 30.0, 100)], {"b": PnrAnnotation(7)})
-        with pytest.raises(ValidationError, match="unknown clip"):
+        with pytest.raises(ValidationError, match="^unknown clip 'b'$"):
             build_dataset([Clip("a", 30.0, 100)], {}, {"b": True})
 
     def test_frame_beyond_clip(self):
@@ -165,6 +189,72 @@ class TestBuildDataset:
             build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(100)})
         with pytest.raises(ValidationError, match="outside"):
             build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(7, (100,))})
+
+
+CLIPS = {"a": Clip("a", 30.0, 100)}  # 100 frames, 3.33 s
+# (parser, a good line for clip a, a line for an unknown clip, a line outside clip a, its message)
+CLIP_CHECKS = {
+    "pnr_scores": (
+        parse_pnr_scores, '{"clip_id": "a", "start": 60, "end": 100, "confidence": 0.5}',
+        '{"clip_id": "x", "start": 0, "end": 40, "confidence": 0.5}',
+        '{"clip_id": "a", "start": 60, "end": 101, "confidence": 0.5}',
+        "window [60, 101) exceeds clip 'a' of 100 frames",
+    ),
+    "predictions-frame": (
+        parse_predictions, '{"clip_id": "a", "time_sec": 3.3333333333333335, "frame": 99, '
+        '"source": "selected"}',
+        '{"clip_id": "x", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+        '{"clip_id": "a", "time_sec": 1.0, "frame": 100, "source": "selected"}',
+        "clip 'a': prediction at frame 100, 1.0 s, is outside the clip's 100 frames, "
+        "3.3333333333333335 s",
+    ),
+    "predictions-time": (
+        parse_predictions, '{"clip_id": "a", "time_sec": 3.3333333333333335, "frame": 99, '
+        '"source": "selected"}',
+        '{"clip_id": "x", "time_sec": 1.0, "frame": 30, "source": "selected"}',
+        '{"clip_id": "a", "time_sec": 3.3333333333333339, "frame": 30, "source": "selected"}',
+        "clip 'a': prediction at frame 30, 3.333333333333334 s, is outside the clip's 100 "
+        "frames, 3.3333333333333335 s",
+    ),
+    "oscc_scores": (parse_oscc_scores, '{"clip_id": "a", "prob": 0.5}',
+                    '{"clip_id": "x", "prob": 0.5}', None, None),
+}
+
+
+class TestClipChecks:
+    """Given the annotated clips, a parser checks each record against its clip at its line."""
+
+    @pytest.mark.parametrize("parse, good, unknown, outside, message", CLIP_CHECKS.values(),
+                             ids=list(CLIP_CHECKS))
+    @pytest.mark.parametrize("at", [2, 100], ids=["first-block", "later-block"])
+    def test_a_record_that_does_not_fit_names_its_line(
+        self, parse, good, unknown, outside, message, at
+    ):
+        # good lines for clips a0, a1, ... with the faulty line at line `at`
+        clips = {f"a{i}": Clip(f"a{i}", 30.0, 100) for i in range(120)}
+        lines = [good.replace('"a"', f'"a{i}"') for i in range(120)]
+        faults = [(unknown, "unknown clip 'x'")]
+        if outside is not None:
+            clip_id = f"a{at - 1}"
+            faults.append((outside.replace('"a"', f'"{clip_id}"'), message.replace("'a'", f"'{clip_id}'")))
+        for line, expected in faults:
+            text = "\n".join(lines[: at - 1] + [line] + lines[at:]) + "\n"
+            with pytest.raises(ParseError) as info:
+                parse(text, clips)
+            assert str(info.value) == f"line {at}: {expected}"
+            assert info.value.line_no == at
+            parse(text)  # without clips, no clip is checked
+        assert len(parse("\n".join(lines) + "\n", clips)) == 120  # the edge of a clip fits
+
+    def test_a_record_reports_its_own_fault_before_its_clip(self):
+        with pytest.raises(ParseError, match=r"^line 1: confidence must be in \[0, 1\], got 2.0$"):
+            parse_pnr_scores('{"clip_id": "x", "start": 0, "end": 400, "confidence": 2.0}\n', CLIPS)
+
+    def test_a_repeat_before_a_fault_is_reported_first(self):
+        text = "".join(f'{{"clip_id": "a", "start": 0, "end": {e}, "confidence": 0.5}}\n'
+                       for e in (40, 50, 40, 200))
+        with pytest.raises(ConflictError, match=r"^line 3: duplicate window \[0, 40\) for clip 'a'$"):
+            parse_pnr_scores(text, CLIPS)
 
 
 class TestScoreFormats:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from pnrkit import model
 from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
-from pnrkit.ingest import build_dataset, parse_annotations
+from pnrkit.ingest import build_dataset, emit_predictions, parse_annotations, parse_predictions
 from pnrkit.localization import SelectionConfig, oracle_error
-from pnrkit.metrics import BinError, MetricsReport, dataset_stats
+from pnrkit.metrics import BinError, MetricsReport, dataset_stats, pnr_mae
 from pnrkit.model import (
     Clip,
     FrameWindow,
@@ -24,6 +24,7 @@ from pnrkit.model import (
     ScoreSeries,
     ensure_annotation_in_clip,
     ensure_positive,
+    ensure_prediction_in_clip,
     ensure_range,
     ensure_windows_in_clip,
     fraction_to_frame,
@@ -467,6 +468,9 @@ class TestRecordContract:
             (lambda: ScoredWindow(-1, 4, 0.5), "window start must be >= 0, got -1"),
             (lambda: ScoredWindow(4, 4, 2.0), "window [4, 4) is empty or inverted"),
             (lambda: ScoredWindow(0, math.inf, 0.5), "window end must be finite, got inf"),
+            # an int past the floats has no float center
+            (lambda: FrameWindow(0, 2**1024), f"window end must be finite, got {2**1024}"),
+            (lambda: ScoredWindow(0, 10**400, 0.5), f"window end must be finite, got {10**400}"),
             (lambda: ScoredWindow(0, 4, 1.1), "confidence must be in [0, 1], got 1.1"),
             (lambda: ScoredWindow(0, 4, -0.1), "confidence must be in [0, 1], got -0.1"),
             (lambda: ScoredWindow(0, 4, math.inf), "confidence must be in [0, 1], got inf"),
@@ -476,6 +480,11 @@ class TestRecordContract:
         with pytest.raises(DomainError) as info:
             make()
         assert str(info.value) == message
+
+    def test_the_largest_float_end_has_a_center(self):
+        end = int(sys.float_info.max)
+        assert window_center_frame(FrameWindow(end - 3, end)) == sys.float_info.max
+        assert window_center_frame(ScoredWindow(0, end, 0.5)) == sys.float_info.max / 2
 
     def test_fields_are_required(self):
         with pytest.raises(TypeError):
@@ -528,6 +537,35 @@ class TestAnnotationInClip:
             parse_annotations(line)
         assert str(info.value) == "line 1: clip 'c': annotated frame 100 outside 100-frame clip"
         assert info.value.line_no == 1
+
+
+PREDICTION_USERS = {
+    "ensure_prediction_in_clip": ensure_prediction_in_clip,
+    "pnr_mae": lambda pred, clip: pnr_mae({"c": pred}, build_dataset([clip], {"c": PnrAnnotation(5)})),
+    "parse_predictions": lambda pred, clip: parse_predictions(
+        emit_predictions({"c": pred}), {"c": clip}),
+}
+
+
+class TestPredictionInClip:
+    """Every user of a prediction rejects one outside its clip alike."""
+
+    @pytest.mark.parametrize("use", PREDICTION_USERS.values(), ids=list(PREDICTION_USERS))
+    @pytest.mark.parametrize(
+        "prediction, shown",
+        [(PnrPrediction(1.0, 100), "frame 100, 1.0 s"), (PnrPrediction(3.34, 30), "frame 30, 3.34 s")],
+        ids=["frame", "time"],
+    )
+    def test_outside_clip(self, use, prediction, shown):
+        with pytest.raises((BoundsError, ParseError)) as info:
+            use(prediction, Clip("c", 30.0, 100))
+        assert str(info.value).endswith(
+            f"clip 'c': prediction at {shown}, is outside the clip's 100 frames, 3.3333333333333335 s"
+        )
+
+    @pytest.mark.parametrize("use", PREDICTION_USERS.values(), ids=list(PREDICTION_USERS))
+    def test_last_frame_and_end_are_inside(self, use):
+        use(PnrPrediction(100 / 30, 99), Clip("c", 30.0, 100))
 
 
 def test_only_clip_carries_its_id():

@@ -294,7 +294,8 @@ class TestSeeds:
         ranges = (range(0, 9), range(41, 69), range(101, 149), range(181, 209))
         assert starts == tuple(s for r in ranges for s in r)
 
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+    # True is an int to isinstance, but it would seed the stream of the text "True"
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, False])
     def test_bad_seed_rejected_even_without_a_draw(self, seed):
         message = f"seed must be a non-negative integer, got {seed!r}"
         train = SamplerConfig(num_segments=8, mode="train-random", seed=seed)

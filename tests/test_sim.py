@@ -91,6 +91,18 @@ class TestGenDataset:
         with pytest.raises(DomainError, match="^seed must be a non-negative integer, got -1$"):
             gen_dataset(SimConfig(n_clips=2, seed=-1))
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected_by_every_draw(self, seed):
+        # True is an int to isinstance, but it would seed the stream of the text "True"
+        message = f"^seed must be a non-negative integer, got {seed}$"
+        with pytest.raises(DomainError, match=message):
+            gen_dataset(SimConfig(n_clips=2, seed=seed))
+        ds = gen_dataset(SimConfig(n_clips=2))
+        with pytest.raises(DomainError, match=message):
+            simulate_scores(ds, WindowingConfig(num_windows=4), seed=seed)
+        with pytest.raises(DomainError, match=message):
+            simulate_oscc(ds, seed=seed)
+
     @pytest.mark.parametrize("lam", [0.3, 2.48])
     def test_poisson_counts_follow_the_pmf(self, lam):
         rng = random.Random(0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import pnrkit
 from pnrkit.errors import (
@@ -80,14 +80,6 @@ def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _per_clip(
-    emit: Callable[[Mapping[str, T]], str], items: Iterable[tuple[str, T]]
-) -> Iterator[str]:
-    """The text emit(dict(items)) gives, one clip's lines at a time: each
-    (clip id, value) pair is drawn and formatted as the writer reaches it."""
-    return (emit({clip_id: value}) for clip_id, value in items)
-
-
 def _refuse_unread(args: argparse.Namespace, mode: str, *dests: str) -> None:
     """Refuse each option of dests given on the command line, which only mode reads."""
     for dest in dests:
@@ -122,7 +114,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     config = _lib.SelectionConfig(args.threshold, args.prior, args.fallback)
     # selection refuses no series parsed against its clip: each is selected as it is written
     preds = ((c, _lib.select_pnr(s, ds.clips[c], config)) for c, s in sorted(scores.items()))
-    _emit(args, _per_clip(_lib.emit_predictions, preds))
+    _emit(args, _lib.emit_predictions(preds))
     _info(args, f"localized {len(scores)} clip(s)")
     return 0
 
@@ -137,26 +129,28 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     # only --fraction refuses a clip, and then the first: each is predicted as it is written
     preds = ((c, _lib.baseline_center(ds.clips[c]) if args.mode == "center"
               else _lib.baseline_fraction(ds.clips[c], fraction)) for c in sorted(ds.pnr))
-    _emit(args, _per_clip(_lib.emit_predictions, preds))
+    _emit(args, _lib.emit_predictions(preds))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from pnrkit.model import _mean_error  # evaluate's rule, without loading metrics
+
     ds = _load(args.annotations, _lib.parse_annotations)
     if not ds.pnr:
         raise EmptyInputError(f"{args.annotations}: no state-change frame annotations")
     config = _lib.WindowingConfig(num_windows=args.n, window_len=args.window)
     rows = ["# clip_id\toracle_error_sec\n"]
-    total = 0.0
+    errors = []
     for clip_id in sorted(ds.pnr):
         if "\t" in clip_id or "\n" in clip_id or "\r" in clip_id:
             raise ValidationError(f"{args.annotations}: clip id {clip_id!r} would split its TSV row")
         clip = ds.clips[clip_id]
-        err = _blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config)
-        total += err
-        rows.append(f"{clip_id}\t{err:.6f}\n")
+        errors.append(_blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config))
+        rows.append(f"{clip_id}\t{errors[-1]:.6f}\n")
+    mean = _blame(args.annotations, _mean_error, errors, len(errors))
     _emit(args, rows)
-    _info(args, f"mean_oracle_error_sec: {total / len(ds.pnr):.6f}")
+    _info(args, f"mean_oracle_error_sec: {mean:.6f}")
     return 0
 
 
@@ -181,7 +175,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     # fused only as the writer reaches it
     fuse = _lib.fuse_oscc if oscc else _lib.fuse_pnr
     fused = ((clip_id, fuse([scores[clip_id] for scores in score_maps])) for clip_id in clip_ids)
-    _emit(args, _per_clip(_lib.emit_oscc_scores if oscc else _lib.emit_pnr_scores, fused))
+    _emit(args, (_lib.emit_oscc_scores if oscc else _lib.emit_pnr_scores)(fused))
     _info(args, f"fused {len(args.scores)} file(s)")
     return 0
 
@@ -223,16 +217,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     probs = _lib.simulate_oscc(ds, settings.noise, seed=sim_cfg.seed)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    # gen_dataset labels every clip both ways
-    annotations = (
-        _lib.emit_annotations(_lib.Dataset({c: clip}, {c: ds.pnr[c]}, {c: ds.oscc[c]}))
-        for c, clip in ds.clips.items()
-    )
-    _write(args, os.path.join(out, "annotations.jsonl"), annotations)
-    _write(args, os.path.join(out, "scores_pnr.jsonl"),
-           _per_clip(_lib.emit_pnr_scores, scores.items()))
-    _write(args, os.path.join(out, "scores_oscc.jsonl"),
-           _per_clip(_lib.emit_oscc_scores, probs.items()))
+    _write(args, os.path.join(out, "annotations.jsonl"), _lib.emit_annotations(ds))
+    _write(args, os.path.join(out, "scores_pnr.jsonl"), _lib.emit_pnr_scores(scores.items()))
+    _write(args, os.path.join(out, "scores_oscc.jsonl"), _lib.emit_oscc_scores(probs.items()))
     return 0
 
 

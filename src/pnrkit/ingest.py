@@ -3,8 +3,10 @@
 Every on-disk artifact is JSON Lines with one record per line.  Each
 format (annotations, window scores, state-change probabilities,
 predictions) is one table below: each key, in written order, with the
-check that reads its value.  Emitters write the keys in that order with
-the JSON defaults, so identical inputs give identical bytes.  Parsers
+check that reads its value.  Emitters yield one clip's lines at a time,
+from (clip id, value) pairs as dict.items() gives them (annotations from
+a Dataset), and write the keys in that order with the JSON defaults, so
+identical inputs give identical bytes.  Parsers
 take a str or an iterable of lines, such as an open file, and read it a
 block of lines at a time through a pattern built from the table, so no
 whole input is held.  They are strict and check every record in one
@@ -93,7 +95,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-_raw_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
 _BLOCK = 64  # the most lines a parser reads at a time
 
 
@@ -124,11 +125,11 @@ def _lines(source: str | Iterable[str]) -> Iterator[list[str]]:
 def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) -> None:
     """Run record(first, *columns) on the checked values of the non-blank lines of
     source in line order, column k holding key k's values from line first on: a
-    block of lines all on fmt's pattern in one call, read by one findall; any other
-    line alone, and a line off the pattern, or with a value the decoder reads
-    otherwise (an int too long for int(), a number past the floats), by the line
-    reader.  record keeps all of a call's rows or none, so a block it refuses is
-    read again line by line, and an error names its line."""
+    block of lines all on fmt's pattern in one call, read by one findall, and any
+    other block a line at a time by the line reader.  record keeps all of a call's
+    rows or none, so a block it refuses, or one holding a value the decoder reads
+    otherwise (an int too long for int(), a number past the floats), goes to the
+    line reader too, and an error names its line."""
     findall, reads = _pattern(fmt)
 
     def take(rows: list[tuple], n: int, first: int) -> bool:  # the n lines' records, or none
@@ -138,24 +139,21 @@ def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) 
             columns = [c if read is str else [*map(read, c)] for read, c in zip(reads, zip(*rows))]
         except ValueError:
             return False
-        # an inf makes its column's sum inf or nan (as may a sum too large)
-        if not all(math.isfinite(sum(c)) for c, read in zip(columns, reads) if read is float):
+        # finite terms can sum past the floats, so a sum that is not finite checks each
+        if not all(math.isfinite(sum(c)) or all(map(math.isfinite, c))
+                   for c, read in zip(columns, reads) if read is float):
             return False
         try:
             record(first, *columns)
-        except (ValidationError, ParseError, ConflictError) as exc:
-            if n > 1:  # a line at a time, to name the line refused
-                return False
-            raise _at_line(exc, first) from None
+        except (ValidationError, ParseError, ConflictError):
+            return False
         return True
 
     first = 1
     for block in _lines(source):
-        rows = findall("\n" + "\n".join(block))
-        if not take(rows, len(block), first):
-            for line_no, line in enumerate(block, first):  # a block without rows has no line on it
-                if not (rows and take(findall("\n" + line), 1, line_no)):
-                    _read_line(line, line_no, lambda obj: record(line_no, *zip(_fields(obj, fmt))))
+        if not take(findall("\n" + "\n".join(block)), len(block), first):
+            for line_no, line in enumerate(block, first):
+                _read_line(line, line_no, lambda obj: record(line_no, *zip(_fields(obj, fmt))))
         first += len(block)
 
 
@@ -165,18 +163,13 @@ def _at_line(exc: PnrKitError, line_no: int) -> PnrKitError:
 
 
 def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
-    # a line that is one whole value (up to a "\r\n" ending's "\r") decodes as json.loads
-    # would; any other goes through strip() and json.loads, whose messages the errors repeat
+    # a blank line holds no record; any other goes through strip() and json.loads,
+    # whose messages the errors repeat
+    text = raw.strip()
+    if not text:
+        return
     try:
-        try:
-            obj, end = _raw_decode(raw)
-            if raw[end:] not in ("", "\r"):
-                raise ValueError
-        except ValueError:
-            text = raw.strip()
-            if not text:
-                return
-            obj = json.loads(text, object_pairs_hook=_unique_keys)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError's msg, or an int longer than int() takes
         raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
     except ParseError as exc:  # a repeated key
@@ -314,10 +307,9 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
 
 
-def emit_annotations(dataset: Dataset) -> str:
-    """Serialize a Dataset back to annotation lines, clip order preserved."""
+def emit_annotations(dataset: Dataset) -> Iterator[str]:
+    """A Dataset's annotation lines, one clip's at a time, clip order preserved."""
     # as emit_pnr_scores writes, keys in _ANNOTATION's order; a key with no value is left out
-    rows = []
     for clip_id, (_, fps, num_frames) in dataset.clips.items():
         row = f'{{"clip_id": {_json(clip_id)}, "fps": {_json(fps)}, "num_frames": {num_frames}'
         label = dataset.oscc.get(clip_id)
@@ -328,8 +320,7 @@ def emit_annotations(dataset: Dataset) -> str:
             row += f', "pnr_frame": {ann[0]}'
             if ann[1]:
                 row += f', "other_pnr_frames": [{", ".join(map(str, ann[1]))}]'
-        rows.append(row + "}\n")
-    return "".join(rows)
+        yield row + "}\n"
 
 
 def parse_pnr_scores(
@@ -389,16 +380,17 @@ def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSer
     return {clip_id: ScoreSeries(tuple(grouped.pop(clip_id))) for clip_id in list(grouped)}
 
 
-def emit_pnr_scores(series_by_clip: Mapping[str, ScoreSeries]) -> str:
+def emit_pnr_scores(series: Iterable[tuple[str, ScoreSeries]]) -> Iterator[str]:
+    """The lines of each (clip id, series) pair, one clip's at a time, as the pair is drawn."""
     # the bytes of one json.dumps per record, keys in _SCORE's order, without
     # building a dict per window: ints as themselves, the rest as _json does
-    rows = []
-    for clip_id, series in series_by_clip.items():
+    for clip_id, (windows,) in series:
         head = '{"clip_id": ' + _json(clip_id) + ', "start": '
-        for start, end, c in series.windows:
-            conf = float.__repr__(c) if isinstance(c, float) else json.dumps(c)
-            rows.append(f'{head}{start}, "end": {end}, "confidence": {conf}}}\n')
-    return "".join(rows)
+        yield "".join([
+            f'{head}{start}, "end": {end}, "confidence": '
+            f'{float.__repr__(c) if isinstance(c, float) else json.dumps(c)}}}\n'
+            for start, end, c in windows
+        ])
 
 
 def parse_oscc_scores(
@@ -416,10 +408,11 @@ def parse_oscc_scores(
     return probs
 
 
-def emit_oscc_scores(probs: Mapping[str, float]) -> str:
+def emit_oscc_scores(probs: Iterable[tuple[str, float]]) -> Iterator[str]:
     # as emit_pnr_scores writes, keys in _PROB's order, each value as parse_oscc_scores checks it
-    any(map(ensure_range, repeat("'prob'"), probs.values(), repeat(0), repeat(1)))
-    return "".join(f'{{"clip_id": {_json(c)}, "prob": {_json(p)}}}\n' for c, p in probs.items())
+    for clip_id, p in probs:
+        ensure_range("'prob'", p, 0, 1)
+        yield f'{{"clip_id": {_json(clip_id)}, "prob": {_json(p)}}}\n'
 
 
 def parse_predictions(
@@ -438,14 +431,12 @@ def parse_predictions(
     return preds
 
 
-def emit_predictions(preds: Mapping[str, PnrPrediction]) -> str:
+def emit_predictions(preds: Iterable[tuple[str, PnrPrediction]]) -> Iterator[str]:
     # as emit_pnr_scores writes, keys in _PREDICTION's order: a source is
     # one of model.SOURCES, which need no escapes
-    rows = []
-    for clip_id, (time_sec, frame, source) in preds.items():
-        rows.append(f'{{"clip_id": {_json(clip_id)}, "time_sec": {_json(time_sec)}, '
-                    f'"frame": {frame}, "source": "{source}"}}\n')
-    return "".join(rows)
+    for clip_id, (time_sec, frame, source) in preds:
+        yield (f'{{"clip_id": {_json(clip_id)}, "time_sec": {_json(time_sec)}, '
+               f'"frame": {frame}, "source": "{source}"}}\n')
 
 
 def write_text_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> None:

@@ -9,12 +9,11 @@ Silently skipping clips inflates metrics, so mismatches raise instead.
 from __future__ import annotations
 
 import json
-import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from pnrkit.errors import BoundsError, CoverageError, EmptyInputError
 from pnrkit.ingest import Dataset
-from pnrkit.model import PnrPrediction, Record, ensure_prediction_in_clip, ensure_range
+from pnrkit.model import PnrPrediction, Record, _mean_error, ensure_prediction_in_clip, ensure_range
 
 
 def frame_bin(frame: int, num_frames: int, bins: int) -> int:
@@ -173,16 +172,6 @@ def _clip_errors(preds: Mapping[str, PnrPrediction], ds: Dataset) -> dict[str, f
         ensure_prediction_in_clip(pred, clip)
         errors[clip_id] = abs(pred.time_sec - ann.positive_frame / clip.fps)
     return errors
-
-
-def _mean_error(errors: Iterable[float], count: int) -> float:
-    """fsum(errors) / count; a sum past the largest float is refused."""
-    try:  # no partial sum of errors >= 0 passes their total; a term may be inf
-        if (total := math.fsum(errors)) < math.inf:
-            return total / count
-    except OverflowError:
-        pass
-    raise BoundsError("the localization errors sum past the largest float")
 
 
 def pnr_mae(preds: Mapping[str, PnrPrediction], ds: Dataset) -> MetricsReport:

@@ -101,11 +101,11 @@ class Clip(Record):
             raise ValidationError("clip_id must be a non-empty string")
         ensure_positive("fps", fps)
         ensure_range("num_frames", num_frames, 1)
-        try:  # a frame's time is frame / fps, so the last one's must be a float
-            last = (num_frames - 1) / fps
+        try:  # a time in the clip is at most its length, so that must be a float
+            duration = num_frames / fps
         except OverflowError:  # an int too large for a float
-            last = math.inf
-        ensure_range("last frame time (num_frames - 1) / fps", last, 0)
+            duration = math.inf
+        ensure_range("duration num_frames / fps", duration, 0)
         return tuple.__new__(cls, (clip_id, fps, num_frames))
 
 
@@ -248,6 +248,16 @@ def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
             raise BoundsError(
                 f"clip {clip.clip_id!r}: annotated frame {frame} outside {num_frames}-frame clip"
             )
+
+
+def _mean_error(errors: Iterable[float], count: int) -> float:
+    """fsum(errors) / count; a sum past the largest float is refused."""
+    try:  # no partial sum of errors >= 0 passes their total; a term may be inf
+        if (total := math.fsum(errors)) < math.inf:
+            return total / count
+    except OverflowError:
+        pass
+    raise BoundsError("the localization errors sum past the largest float")
 
 
 def window_center_frame(window: FrameWindow) -> float:

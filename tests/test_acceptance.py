@@ -308,7 +308,7 @@ def test_criterion_10_fixture_statistics_and_round_trip():
     ds = parse_annotations(text)
     stats = dataset_stats(ds)
     exact = stats.pnr_per_clip_mean == 11 / 3
-    round_trip = emit_annotations(ds) == text
+    round_trip = "".join(emit_annotations(ds)) == text
     report(
         10,
         "fixture mean 11/3 and byte round-trip",

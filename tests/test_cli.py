@@ -181,6 +181,28 @@ class TestLocalizeAndEvaluate:
         out = capsys.readouterr().out
         assert "task: pnr" in out and "mae_sec:" in out
 
+    def test_files_pnrkit_writes_never_reach_the_line_reader(self, sim_dir, monkeypatch):
+        # each block of every file a stage writes is read on its format's pattern
+        read_by_line = []
+        monkeypatch.setattr(pnrkit.ingest, "_read_line", lambda *args: read_by_line.append(args))
+        files = {name: str(sim_dir / f"{name}.jsonl") for name in
+                 ("annotations", "scores_pnr", "scores_oscc", "preds", "fused", "fused_oscc")}
+        common = ["--annotations", files["annotations"], "--quiet"]
+        for argv in (
+            ["localize", "--scores", files["scores_pnr"], "--out", files["preds"]],
+            ["evaluate", "--task", "pnr", "--preds", files["preds"]],
+            ["evaluate", "--task", "oscc", "--preds", files["scores_oscc"]],
+            ["fuse", "--task", "pnr", "--scores", files["scores_pnr"], files["scores_pnr"],
+             "--out", files["fused"]],
+            ["fuse", "--task", "oscc", "--scores", files["scores_oscc"], files["scores_oscc"],
+             "--out", files["fused_oscc"]],
+            ["localize", "--scores", files["fused"], "--out", files["preds"]],
+            ["evaluate", "--task", "oscc", "--preds", files["fused_oscc"]],
+            ["oracle", "--n", "16"],
+        ):
+            assert main([*argv, *common]) == 0
+        assert read_by_line == []
+
     def test_peak_memory_stays_below_twice_the_score_file(self, tmp_path):
         # the score file is read line by line as it is parsed, so its whole
         # text is never held beside the windows parsed from it
@@ -796,7 +818,7 @@ class TestDiagnostics:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
 
-    # a clip whose last frame's time, (num_frames - 1) / fps, is no finite float
+    # a clip whose length, num_frames / fps, is no finite float
     CLIP_TIMES = {
         "tiny-fps": (["oracle", "--n", "4", "--annotations", "{ann}"],
                      '{"clip_id": "a", "fps": 1e-310, "num_frames": 100, "pnr_frame": 40}', "{ann}: line 1: "),
@@ -816,7 +838,22 @@ class TestDiagnostics:
         assert captured.out == ""
         assert captured.err == (
             f"pnrkit: error: {where.format(ann=ann)}"
-            "last frame time (num_frames - 1) / fps must be finite, got inf\n"
+            "duration num_frames / fps must be finite, got inf\n"
+        )
+
+    def test_a_clip_length_past_the_floats_is_refused_before_evaluate(self, tmp_path, capsys):
+        # its last frame's time is the largest float, but its length rounds up past it
+        ann, preds = tmp_path / "ann.jsonl", tmp_path / "preds.jsonl"
+        ann.write_text(f'{{"clip_id": "a", "fps": 1.0, "num_frames": {2**1024 - 2**970}, '
+                       '"pnr_frame": 40}\n', encoding="utf-8")
+        preds.write_text('{"clip_id": "a", "time_sec": 40.0, "frame": 40, "source": "selected"}\n',
+                         encoding="utf-8")
+        argv = ["evaluate", "--task", "pnr", "--preds", str(preds), "--annotations", str(ann)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {ann}: line 1: duration num_frames / fps must be finite, got inf\n"
         )
 
     # predictions against the fixture's clips: kitchen-001 (240 frames, 8 s)
@@ -960,6 +997,29 @@ class TestDiagnostics:
             "of 100 frames\n"
         )
         assert not (tmp_path / "fused.jsonl").exists()
+
+    # one window at the start of each clip, about 1.7e308 s from its last frame
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_oracle_refuses_errors_that_sum_past_the_floats(self, tmp_path, capsys, out):
+        ann, tsv = tmp_path / "ann.jsonl", tmp_path / "oracle.tsv"
+        line = ('{{"clip_id": "{}", "fps": 1e-300, "num_frames": 170000000, '
+                '"pnr_frame": 169999999}}\n')
+        ann.write_text(line.format("a") + line.format("b"), encoding="utf-8")
+        argv = ["oracle", "--n", "1", "--annotations", str(ann)]
+        assert main([*argv, "--out", str(tsv)] if out else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {ann}: the localization errors sum past the largest float\n"
+        )
+        assert not tsv.exists()
+        # one of the clips alone is measured, and says nothing non-finite
+        ann.write_text(line.format("a"), encoding="utf-8")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mean_oracle_error_sec: 16999998349999998")
+        shown = captured.out + captured.err
+        assert not {"inf", "nan", "Infinity", "NaN"} & set(re.findall(r"[A-Za-z]+", shown))
 
     def test_oracle_short_clip_names_the_annotation_file(self, tmp_path, capsys):
         annotations = tmp_path / "annotations.jsonl"

@@ -140,16 +140,16 @@ class TestParseAnnotations:
 
 class TestEmitAnnotations:
     def test_round_trip_is_byte_identical(self, fixture_text):
-        assert emit_annotations(parse_annotations(fixture_text)) == fixture_text
+        assert "".join(emit_annotations(parse_annotations(fixture_text))) == fixture_text
 
     def test_omits_absent_optionals(self):
         ds = build_dataset([Clip("a", 30.0, 100)])
-        assert emit_annotations(ds) == '{"clip_id": "a", "fps": 30.0, "num_frames": 100}\n'
+        assert "".join(emit_annotations(ds)) == '{"clip_id": "a", "fps": 30.0, "num_frames": 100}\n'
 
     def test_omits_empty_negative_list(self):
         ds = build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(7)})
         assert (
-            emit_annotations(ds)
+            "".join(emit_annotations(ds))
             == '{"clip_id": "a", "fps": 30.0, "num_frames": 100, "pnr_frame": 7}\n'
         )
 
@@ -165,14 +165,14 @@ class TestEmitOsccScores:
     )
     def test_refuses_what_the_parser_refuses(self, prob, message):
         with pytest.raises(DomainError) as info:
-            emit_oscc_scores({"a": 0.5, "b": prob})
+            "".join(emit_oscc_scores({"a": 0.5, "b": prob}.items()))
         assert str(info.value) == message
         with pytest.raises(ParseError):
             parse_oscc_scores(f'{{"clip_id": "b", "prob": {json.dumps(prob)}}}\n')
 
     def test_valid_bytes_are_unchanged(self):
         probs = {"a": 0.0, "b": 1, "c": 0.25, "d": 1.0, "e": 5e-324}
-        text = emit_oscc_scores(probs)
+        text = "".join(emit_oscc_scores(probs.items()))
         assert text == "".join(json.dumps({"clip_id": c, "prob": p}) + "\n" for c, p in probs.items())
         assert parse_oscc_scores(text) == probs
 
@@ -274,7 +274,7 @@ class TestScoreFormats:
             '{"clip_id": "a", "start": 0, "end": 32, "confidence": 0.25}\n'
             '{"clip_id": "a", "start": 12, "end": 44, "confidence": 0.5}\n'
         )
-        assert emit_pnr_scores(parse_pnr_scores(text)) == text
+        assert "".join(emit_pnr_scores(parse_pnr_scores(text).items())) == text
 
     def test_pnr_score_validation(self):
         with pytest.raises(ParseError, match="confidence"):
@@ -290,7 +290,7 @@ class TestScoreFormats:
         text = '{"clip_id": "a", "prob": 0.6}\n{"clip_id": "b", "prob": 0.2}\n'
         probs = parse_oscc_scores(text)
         assert probs == {"a": 0.6, "b": 0.2}
-        assert emit_oscc_scores(probs) == text
+        assert "".join(emit_oscc_scores(probs.items())) == text
         with pytest.raises(ConflictError):
             parse_oscc_scores('{"clip_id": "a", "prob": 0.6}\n{"clip_id": "a", "prob": 0.2}')
         with pytest.raises(ParseError, match="in \\[0, 1\\]"):
@@ -301,7 +301,7 @@ class TestScoreFormats:
             "a": PnrPrediction(3.45, 104, "selected"),
             "b": PnrPrediction(4.0, 120, "baseline-center"),
         }
-        text = emit_predictions(preds)
+        text = "".join(emit_predictions(preds.items()))
         assert parse_predictions(text) == preds
         with pytest.raises(ParseError, match="source"):
             parse_predictions(
@@ -383,22 +383,22 @@ def datasets(draw, ids=clip_ids):
 class TestEmitParseRoundTrip:
     @given(pnr_score_maps())
     def test_pnr_scores(self, series_by_clip):
-        assert parse_pnr_scores(emit_pnr_scores(series_by_clip)) == series_by_clip
+        assert parse_pnr_scores("".join(emit_pnr_scores(series_by_clip.items()))) == series_by_clip
 
     @given(st.dictionaries(clip_ids, unit, max_size=5))
     def test_oscc_scores(self, probs):
-        assert parse_oscc_scores(emit_oscc_scores(probs)) == probs
+        assert parse_oscc_scores("".join(emit_oscc_scores(probs.items()))) == probs
 
     @given(prediction_maps())
     def test_predictions(self, preds):
-        parsed = parse_predictions(emit_predictions(preds))
+        parsed = parse_predictions("".join(emit_predictions(preds.items())))
         assert parsed == preds
         # source is part of prediction equality; compare it on its own too
         assert [p.source for p in parsed.values()] == [p.source for p in preds.values()]
 
     @given(datasets())
     def test_annotations(self, dataset):
-        assert parse_annotations(emit_annotations(dataset)) == dataset
+        assert parse_annotations("".join(emit_annotations(dataset))) == dataset
 
 
 # ids that json must escape, and every confidence type a window may hold
@@ -463,7 +463,7 @@ class TestEmitMatchesJsonDumps:
             clip_id: ScoreSeries(tuple(ScoredWindow(s, s + w, c) for s, w, c in windows))
             for clip_id, windows in raw.items()
         }
-        assert emit_pnr_scores(series_by_clip) == self.reference(series_by_clip)
+        assert "".join(emit_pnr_scores(series_by_clip.items())) == self.reference(series_by_clip)
 
     @given(
         prediction_maps(awkward_ids),
@@ -473,7 +473,7 @@ class TestEmitMatchesJsonDumps:
         # some times ints or numpy floats, as a library caller may give
         for (clip_id, p), t in zip(list(preds.items()), times):
             preds[clip_id] = p._replace(time_sec=t)
-        assert emit_predictions(preds) == table_lines(
+        assert "".join(emit_predictions(preds.items())) == table_lines(
             ingest._PREDICTION, ((clip_id, *p) for clip_id, p in preds.items())
         )
 
@@ -484,14 +484,14 @@ class TestEmitMatchesJsonDumps:
             frames = (ann.positive_frame, list(ann.negative_frames) or None) if ann else (None, None)
             return clip_id, clip.fps, clip.num_frames, dataset.oscc.get(clip_id), *frames
 
-        assert emit_annotations(dataset) == table_lines(
+        assert "".join(emit_annotations(dataset)) == table_lines(
             ingest._ANNOTATION, (values(*item) for item in dataset.clips.items())
         )
 
     @given(st.dictionaries(awkward_ids, confidences, max_size=5))
     def test_any_probabilities(self, probs):
         # floats, ints and numpy floats, as a library caller may give
-        assert emit_oscc_scores(probs) == table_lines(ingest._PROB, probs.items())
+        assert "".join(emit_oscc_scores(probs.items())) == table_lines(ingest._PROB, probs.items())
 
     def test_annotation_keys_left_out(self):
         ds = build_dataset(
@@ -499,7 +499,7 @@ class TestEmitMatchesJsonDumps:
             {'say "q"': PnrAnnotation(4), "b": PnrAnnotation(1, (7, 3))},
             {"b": False, "c": True},
         )
-        assert emit_annotations(ds) == (
+        assert "".join(emit_annotations(ds)) == (
             '{"clip_id": "say \\"q\\"", "fps": 30, "num_frames": 9, "pnr_frame": 4}\n'
             '{"clip_id": "b", "fps": 24.0, "num_frames": 9, "state_change": false, "pnr_frame": 1, '
             '"other_pnr_frames": [7, 3]}\n'
@@ -509,10 +509,55 @@ class TestEmitMatchesJsonDumps:
     def test_int_and_numpy_confidences(self):
         clip_id = 'say "q"\u2028'
         series = ScoreSeries((ScoredWindow(0, 4, 1), ScoredWindow(4, 8, np.float64(0.1))))
-        assert emit_pnr_scores({clip_id: series}) == (
+        assert "".join(emit_pnr_scores({clip_id: series}.items())) == (
             '{"clip_id": "say \\"q\\"\\u2028", "start": 0, "end": 4, "confidence": 1}\n'
             '{"clip_id": "say \\"q\\"\\u2028", "start": 4, "end": 8, "confidence": 0.1}\n'
         )
+
+
+# one value per pair emitter, and the text it writes for clip "a"
+PAIR_EMITTERS = {
+    "pnr_scores": (emit_pnr_scores, ScoreSeries((ScoredWindow(0, 4, 0.5), ScoredWindow(2, 6, 1))),
+                   '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5}\n'
+                   '{"clip_id": "a", "start": 2, "end": 6, "confidence": 1}\n'),
+    "oscc_scores": (emit_oscc_scores, 0.25, '{"clip_id": "a", "prob": 0.25}\n'),
+    "predictions": (emit_predictions, PnrPrediction(1.5, 45, "fallback-prior"),
+                    '{"clip_id": "a", "time_sec": 1.5, "frame": 45, "source": "fallback-prior"}\n'),
+}
+
+
+class TestEmittersStream:
+    """An emitter yields one clip's text at a time, and draws a (clip id,
+    value) pair only once the text of the clip before it is handed on."""
+
+    @pytest.mark.parametrize("emit, value, text_a", PAIR_EMITTERS.values(), ids=list(PAIR_EMITTERS))
+    def test_a_pair_is_drawn_after_the_clip_before_is_yielded(self, emit, value, text_a):
+        drawn = []
+
+        def pairs():
+            for clip_id in "abc":
+                drawn.append(clip_id)
+                yield clip_id, value
+
+        pieces = emit(pairs())
+        assert drawn == []
+        for k, piece in enumerate(pieces):
+            assert drawn == list("abc"[: k + 1])
+            assert piece == text_a.replace('"a"', f'"{"abc"[k]}"')
+        assert drawn == list("abc")
+
+    def test_annotations_yield_one_clip_at_a_time(self):
+        ds = build_dataset([Clip("a", 30.0, 9), Clip("b", 24.0, 9)], {"b": PnrAnnotation(1)})
+        assert [*emit_annotations(ds)] == [
+            '{"clip_id": "a", "fps": 30.0, "num_frames": 9}\n',
+            '{"clip_id": "b", "fps": 24.0, "num_frames": 9, "pnr_frame": 1}\n',
+        ]
+
+    def test_a_bad_probability_stops_the_stream_at_its_clip(self):
+        pieces = emit_oscc_scores([("a", 0.5), ("b", 1.5), ("c", 0.5)])
+        assert next(pieces) == '{"clip_id": "a", "prob": 0.5}\n'
+        with pytest.raises(DomainError, match=r"'prob' must be in \[0, 1\], got 1.5"):
+            next(pieces)
 
 
 @st.composite
@@ -579,13 +624,14 @@ class TestLineOrder:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             annotations = work / "annotations.jsonl"
-            annotations.write_text(emit_annotations(dataset), encoding="utf-8")
+            annotations.write_text("".join(emit_annotations(dataset)), encoding="utf-8")
 
             def outputs(tag, arrange):
                 scores = []
                 for k, series_by_clip in enumerate(score_maps):
                     path = work / f"{tag}-scores{k}.jsonl"
-                    lines = emit_pnr_scores(series_by_clip).splitlines(keepends=True)
+                    text = "".join(emit_pnr_scores(series_by_clip.items()))
+                    lines = text.splitlines(keepends=True)
                     path.write_text("".join(arrange(lines)), encoding="utf-8")
                     scores.append(str(path))
                 preds, fused = work / f"{tag}-preds.jsonl", work / f"{tag}-fused.jsonl"
@@ -603,10 +649,10 @@ class TestLineOrder:
     def test_evaluate_stats_and_oracle(self, data):
         dataset, preds, probs = data.draw(labeled_clips())
         texts = {
-            "annotations": emit_annotations(dataset),
-            "preds": emit_predictions(preds),
-            "probs0": emit_oscc_scores(probs[0]),
-            "probs1": emit_oscc_scores(probs[1]),
+            "annotations": "".join(emit_annotations(dataset)),
+            "preds": "".join(emit_predictions(preds.items())),
+            "probs0": "".join(emit_oscc_scores(probs[0].items())),
+            "probs1": "".join(emit_oscc_scores(probs[1].items())),
         }
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
@@ -1320,10 +1366,13 @@ def _on_pattern(fmt, line):
 
 # records each emitter writes, with ids the line patterns take as they are
 EMITTED = {
-    "annotations": lambda: datasets(fast_ids).map(emit_annotations),
-    "pnr_scores": lambda: pnr_score_maps(fast_ids).map(emit_pnr_scores),
-    "oscc_scores": lambda: st.dictionaries(fast_ids, unit, max_size=5).map(emit_oscc_scores),
-    "predictions": lambda: prediction_maps(fast_ids).map(emit_predictions),
+    "annotations": lambda: datasets(fast_ids).map(lambda ds: "".join(emit_annotations(ds))),
+    "pnr_scores": lambda: pnr_score_maps(fast_ids).map(
+        lambda m: "".join(emit_pnr_scores(m.items()))),
+    "oscc_scores": lambda: st.dictionaries(fast_ids, unit, max_size=5).map(
+        lambda m: "".join(emit_oscc_scores(m.items()))),
+    "predictions": lambda: prediction_maps(fast_ids).map(
+        lambda m: "".join(emit_predictions(m.items()))),
 }
 
 # lines in the emitters' layout whose values only the block reader's own
@@ -1450,7 +1499,7 @@ class TestFastPath:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(series_by_clip=pnr_score_maps(fast_ids))
     def test_emitted_text_stays_on_it(self, monkeypatch, series_by_clip):
-        scores = emit_pnr_scores(series_by_clip)
+        scores = "".join(emit_pnr_scores(series_by_clip.items()))
         with monkeypatch.context() as patch:
             self._no_line_reader(patch)
             assert parse_pnr_scores(scores) == series_by_clip
@@ -1491,15 +1540,22 @@ class TestFastPath:
         assert parse_pnr_scores(scores) == expected
         assert [w.start for w in expected["k-1"].windows] == [0, 16]
 
-    def test_only_lines_off_it_go_to_the_line_reader(self, monkeypatch):
-        lines = [
-            '{"clip_id": "a", "start": 0, "end": 4, "confidence": 0.5}',
-            '{"clip_id":"a","start":4,"end":8,"confidence":0.25}',
-            '{"clip_id": "a", "start": 8, "end": 12, "confidence": 1}',
-            "",
-            '{"clip_id": "b", "start": 0, "end": 4, "confidence": 0.75}',
-        ]
-        text = "\n".join(lines) + " "
+    def test_finite_values_that_sum_past_the_floats_stay_on_it(self, monkeypatch):
+        text = _lines(
+            '{"clip_id": "a", "time_sec": 6e+307, "frame": 1, "source": "selected"}',
+            '{"clip_id": "b", "time_sec": 1.2e+308, "frame": 2, "source": "selected"}',
+        )
+        self._no_line_reader(monkeypatch)
+        assert parse_predictions(text) == {
+            "a": PnrPrediction(6e307, 1), "b": PnrPrediction(1.2e308, 2)
+        }
+
+    def test_a_block_off_it_goes_whole_to_the_line_reader(self, monkeypatch):
+        # blocks of three: the middle block holds one line off the pattern
+        # (no spaces) and goes whole to the line reader; the others stay on it
+        lines = [_score_line(i) for i in range(9)]
+        lines[4] = lines[4].replace(" ", "")
+        text = _lines(*lines)
         expected = parse_pnr_scores(text.splitlines(keepends=True))
         read = []
         line_reader = ingest._read_line
@@ -1509,9 +1565,12 @@ class TestFastPath:
             line_reader(raw, line_no, record)
 
         monkeypatch.setattr(ingest, "_read_line", spy)
-        assert parse_pnr_scores(text) == expected
-        assert read == [(2, lines[1]), (3, lines[2]), (4, ""), (5, lines[4] + " ")]
-        assert [w.confidence for w in expected["a"].windows] == [0.5, 0.25, 1.0]
+        monkeypatch.setattr(ingest, "_BLOCK", 3)
+        for doc in (text, text.splitlines(keepends=True), io.StringIO(text)):
+            read.clear()
+            assert parse_pnr_scores(doc) == expected
+            assert read == [(4, lines[3]), (5, lines[4]), (6, lines[5])]
+        assert sum(len(s.windows) for s in expected.values()) == 9
 
 
 def _score_line(i, clip_id=None):
@@ -1625,10 +1684,10 @@ class TestFormatTables:
     emitters write them in the table's order."""
 
     @staticmethod
-    def assert_table_order(fmt, text, every_key=False):
+    def assert_table_order(fmt, pieces, every_key=False):
         checks, required, optional = TABLES[fmt]
         assert list(checks) == [*required, *optional]
-        for line in text.splitlines():
+        for line in "".join(pieces).splitlines():
             keys = list(json.loads(line))
             assert keys == [key for key in checks if key in keys]
             assert set(required) <= set(keys)
@@ -1639,21 +1698,21 @@ class TestFormatTables:
         ds = build_dataset([Clip("a", 30.0, 9)], {"a": PnrAnnotation(1, (4, 2))}, {"a": False})
         self.assert_table_order("annotations", emit_annotations(ds), every_key=True)
         series = ScoreSeries((ScoredWindow(0, 4, 0.5), ScoredWindow(2, 6, 1)))
-        self.assert_table_order("pnr_scores", emit_pnr_scores({"a": series}), every_key=True)
-        self.assert_table_order("oscc_scores", emit_oscc_scores({"a": 0.5}), every_key=True)
+        self.assert_table_order("pnr_scores", emit_pnr_scores([("a", series)]), every_key=True)
+        self.assert_table_order("oscc_scores", emit_oscc_scores({"a": 0.5}.items()), every_key=True)
         preds = {"a": PnrPrediction(1.0, 30, "fallback-prior")}
-        self.assert_table_order("predictions", emit_predictions(preds), every_key=True)
+        self.assert_table_order("predictions", emit_predictions(preds.items()), every_key=True)
 
     @given(datasets(), pnr_score_maps(), st.dictionaries(clip_ids, unit), prediction_maps())
     def test_any_records(self, dataset, series_by_clip, probs, preds):
         self.assert_table_order("annotations", emit_annotations(dataset))
-        self.assert_table_order("pnr_scores", emit_pnr_scores(series_by_clip))
-        self.assert_table_order("oscc_scores", emit_oscc_scores(probs), every_key=True)
-        self.assert_table_order("predictions", emit_predictions(preds), every_key=True)
+        self.assert_table_order("pnr_scores", emit_pnr_scores(series_by_clip.items()))
+        self.assert_table_order("oscc_scores", emit_oscc_scores(probs.items()), every_key=True)
+        self.assert_table_order("predictions", emit_predictions(preds.items()), every_key=True)
 
     @given(pnr_score_maps(fast_ids))
     def test_pnr_emitter_lines_match_the_score_pattern(self, series_by_clip):
-        lines = emit_pnr_scores(series_by_clip).splitlines()
+        lines = "".join(emit_pnr_scores(series_by_clip.items())).splitlines()
         assert len(lines) == sum(len(series.windows) for series in series_by_clip.values())
         for line in lines:
             assert _on_pattern("pnr_scores", line)

@@ -180,6 +180,14 @@ class TestTypeValidation:
         with pytest.raises(ValidationError):
             Clip("", 30.0, 240)
 
+    def test_clip_length_must_be_a_float(self):
+        # the largest float is 2**1024 - 2**971; an int half way past it rounds to 2**1024
+        with pytest.raises(DomainError, match=r"^duration num_frames / fps must be finite"):
+            Clip("c", 1.0, 2**1024 - 2**970)
+        with pytest.raises(DomainError, match="duration"):
+            Clip("c", 1e-300, 10**9)
+        assert Clip("c", 1.0, 2**1024 - 2**971).num_frames / 1.0 == sys.float_info.max
+
     def test_window(self):
         win = FrameWindow(3, 7)
         assert win.end - win.start == 4
@@ -543,7 +551,7 @@ PREDICTION_USERS = {
     "ensure_prediction_in_clip": ensure_prediction_in_clip,
     "pnr_mae": lambda pred, clip: pnr_mae({"c": pred}, build_dataset([clip], {"c": PnrAnnotation(5)})),
     "parse_predictions": lambda pred, clip: parse_predictions(
-        emit_predictions({"c": pred}), {"c": clip}),
+        "".join(emit_predictions({"c": pred}.items())), {"c": clip}),
 }
 
 

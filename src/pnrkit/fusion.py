@@ -17,25 +17,20 @@ from __future__ import annotations
 
 import math
 from operator import truediv
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from pnrkit.errors import EmptyInputError
 from pnrkit.model import (
-    Clip,
-    ScoredWindow,
-    ScoreSeries,
-    ensure_range,
-    ensure_windows_in_clip,
-    window_center_frame,
+    Clip, ScoredWindow, ScoreSeries, ensure_range, ensure_windows_in_clip, window_center_frame,
 )
 
 
-def _means(rows: Sequence[Sequence[float]]) -> Iterator[float]:
+def _means(rows: Sequence[Sequence[float]]) -> list[float]:
     # each row's mean, in column passes; fsum makes a mean independent of
     # argument order, and the clamp repairs the final rounding, which can
     # drift one ulp outside the row's range (e.g. three equal values)
     means = map(truediv, map(math.fsum, rows), map(len, rows))
-    return map(min, map(max, means, map(min, rows)), map(max, rows))
+    return [*map(min, map(max, means, map(min, rows)), map(max, rows))]
 
 
 def fuse_oscc(probs: Sequence[float]) -> float:
@@ -44,7 +39,7 @@ def fuse_oscc(probs: Sequence[float]) -> float:
         raise EmptyInputError("no probabilities to fuse")
     for p in probs:
         ensure_range("probability", p, 0, 1)
-    return next(_means([probs]))
+    return _means([probs])[0]
 
 
 def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
@@ -112,4 +107,4 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
         _nearest_confidences(*_center_lookup(series), point_centers) for series in series_list
     ]
     rows = [*zip(*columns)]  # each point's contributions, one from each series
-    return ScoreSeries(tuple(map(ScoredWindow, starts, ends, _means(rows))))
+    return ScoreSeries(tuple(ScoredWindow._from_columns(starts, ends, _means(rows))))

@@ -18,14 +18,16 @@ its clip is one and that it fits; repeated ids); errors carry line numbers.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
 import re
 from collections import defaultdict
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from itertools import islice, repeat
-from operator import itemgetter, le
+from itertools import compress, islice, repeat
+from operator import add, is_not, itemgetter, le, lt, not_, truediv
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
@@ -98,28 +100,32 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _BLOCK = 64  # the most lines a parser reads at a time
 
 
-def _lines(source: str | Iterable[str]) -> Iterator[list[str]]:
-    """The lines of source without their "\n", in blocks of at most _BLOCK, each
-    drawn as the one before is handed on.  A str is split at "\n", as is each item
-    of an iterable (a line of an open file, say) once its own "\n" is cut off.  A
-    line that is not UTF-8 (a lone surrogate, as errors="surrogateescape" hands on
-    a bad byte) is a ParseError at that line, once the lines before it are handed on."""
-    items, line_no = iter((source,) if isinstance(source, str) else source), 0
+def _lines(source: str | Iterable[str]) -> Iterator[tuple[str, int]]:
+    """Blocks of source's lines as (text, n), n lines joined by "\n", each drawn as the one before
+    is handed on: _BLOCK items, each a line and its "\n" as a text file's are, or else cut at "\n"
+    once its own is off (a str is cut first).  A line not UTF-8 (a lone surrogate, as errors=
+    "surrogateescape" hands on a bad byte) is a ParseError at it, after the lines before."""
+    file, line_no = isinstance(source, io.TextIOBase), 0
+    items = iter(source.removesuffix("\n").split("\n") if isinstance(source, str) else source)
     while chunk := list(islice(items, _BLOCK)):
-        lines = "\n".join(map(str.removesuffix, chunk, repeat("\n"))).split("\n")
-        for start in range(0, len(lines), _BLOCK):
-            block = lines[start : start + _BLOCK]
-            for i, line in enumerate(() if all(map(str.isascii, block)) else block):
-                # name the byte a surrogate stands for, then fail on any other surrogate
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    line.encode("utf-8")
-                except UnicodeError as exc:
-                    if i:
-                        yield block[:i]
-                    raise ParseError(f"invalid UTF-8: {exc}", line_no + i + 1) from None
-            yield block
-            line_no += len(block)
+        text, n = "".join(chunk).removesuffix("\n"), len(chunk)
+        # a file's items but its last end in "\n", unless newline= keeps a "\r"; then,
+        # as in any other iterable, an item may be more lines, or part of one
+        if not file or "\r" in text or n == 1 and "\n" in text:
+            text = "\n".join(map(str.removesuffix, chunk, repeat("\n")))
+            n = text.count("\n") + 1
+        lines = () if text.isascii() else text.split("\n")
+        for i, line in enumerate(lines):
+            # name the byte a surrogate stands for, then fail on any other surrogate
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                line.encode("utf-8")
+            except UnicodeError as exc:
+                if i:
+                    yield "\n".join(lines[:i]), i
+                raise ParseError(f"invalid UTF-8: {exc}", line_no + i + 1) from None
+        yield text, n
+        line_no += n
 
 
 def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) -> None:
@@ -128,33 +134,28 @@ def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) 
     block of lines all on fmt's pattern in one call, read by one findall, and any
     other block a line at a time by the line reader.  record keeps all of a call's
     rows or none, so a block it refuses, or one holding a value the decoder reads
-    otherwise (an int too long for int(), a number past the floats), goes to the
-    line reader too, and an error names its line."""
+    otherwise (an int too long for int(); a number past the floats reads as inf,
+    which every record refuses), goes to the line reader too, and an error names
+    its line."""
     findall, reads = _pattern(fmt)
-
-    def take(rows: list[tuple], n: int, first: int) -> bool:  # the n lines' records, or none
-        if len(rows) != n:
-            return False
-        try:  # each key's column, as its read converts it; a str is its own value
-            columns = [c if read is str else [*map(read, c)] for read, c in zip(reads, zip(*rows))]
-        except ValueError:
-            return False
-        # finite terms can sum past the floats, so a sum that is not finite checks each
-        if not all(math.isfinite(sum(c)) or all(map(math.isfinite, c))
-                   for c, read in zip(columns, reads) if read is float):
-            return False
-        try:
-            record(first, *columns)
-        except (ValidationError, ParseError, ConflictError):
-            return False
-        return True
-
     first = 1
-    for block in _lines(source):
-        if not take(findall("\n" + "\n".join(block)), len(block), first):
-            for line_no, line in enumerate(block, first):
+    for text, n in _lines(source):
+        try:
+            rows, columns = findall("\n" + text), []
+            if len(rows) < n:  # a line off the pattern, which holds one row a line
+                raise ValueError
+            for read, c in zip(reads, zip(*rows)):  # each key's column, as its read converts it
+                if all(c):
+                    columns.append([*read(c)])
+                else:  # a key some lines leave out reads as None there
+                    present = [*filter(None, c)]
+                    values = {"": None, **dict(zip(present, read(present)))}
+                    columns.append([*map(values.__getitem__, c)])
+            record(first, *columns)
+        except (ValueError, ValidationError, ParseError, ConflictError):  # the line reader's
+            for line_no, line in enumerate(text.split("\n"), first):
                 _read_line(line, line_no, lambda obj: record(line_no, *zip(_fields(obj, fmt))))
-        first += len(block)
+        first += n
 
 
 def _at_line(exc: PnrKitError, line_no: int) -> PnrKitError:
@@ -188,14 +189,14 @@ def _as_str(v: object, key: str) -> str:
     return v
 
 
-def _as_int(v: object, key: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+def _as_int(v: object, key: str) -> int:  # json.loads gives an int or a bool exactly
+    if type(v) is not int:
         raise ParseError(f"{key!r} must be an integer")
     return v
 
 
 def _as_number(v: object, key: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if type(v) not in (int, float):
         raise ParseError(f"{key!r} must be a number")
     try:
         x = float(v)
@@ -214,7 +215,7 @@ def _as_bool(v: object, key: str) -> bool:
 
 
 def _as_ints(v: object, key: str) -> tuple[int, ...]:
-    if not isinstance(v, list) or any(isinstance(f, bool) or not isinstance(f, int) for f in v):
+    if not isinstance(v, list) or any(type(f) is not int for f in v):
         raise ParseError(f"{key!r} must be a list of integers")
     return tuple(v)
 
@@ -237,26 +238,28 @@ _PREDICTION = _format(
 )
 
 _INT = "(?:0|[1-9][0-9]*)"
-# each check's values as json.dumps writes them, digits [0-9] as int() also reads \d, and how
-# the decoder reads them; it reads "-0" as the int 0, so a number has a fraction or an exponent
+# each check's values as json.dumps writes them, digits [0-9] as int() also reads \d, and how a
+# column of them is read, with no Python call a value; "-0" is an int, so a number has a . or e
 _TOKENS = {
-    _as_str: (r'"([^"\\\x00-\x1f]+)"', str),
-    _as_int: (f"({_INT})", int),
-    _as_number: (rf"(-?{_INT}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))", float),
-    _as_bool: ("(true|false)", "true".__eq__),
-    _as_ints: (rf"\[({_INT}(?:, {_INT})*)\]", lambda v: tuple(map(int, v.split(", ")))),
+    _as_str: (r'"([^"\\\x00-\x1f]+)"', iter),
+    _as_int: (f"({_INT})", partial(map, int)),
+    _as_number: (rf"(-?{_INT}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))",
+                 partial(map, float)),
+    _as_bool: ("(true|false)", partial(map, {"true": True, "false": False}.__getitem__)),
+    _as_ints: (rf"\[({_INT}(?:, {_INT})*)\]",
+               lambda c: map(tuple, map(map, repeat(int), map(str.split, c, repeat(", "))))),
 }
 
 
 def _pattern(fmt: tuple) -> tuple:
     """The findall of fmt's pattern, a "\n" (re skips to it) and a line as the emitters
-    write it, and each key's read of what it finds ("" if absent); re caches it."""
+    write it, and each key's column read of what it finds ("" if absent); re caches it."""
     checks, required, _ = fmt
     line, reads = "", []  # the first key is required: line[2:] cuts its ", "
     for key, check in checks.items():
         token, read = _TOKENS[check]
         line += f', "{key}": {token}' if key in required else f'(?:, "{key}": {token})?'
-        reads.append(read if key in required else lambda v, read=read: read(v) if v else None)
+        reads.append(read)
     return re.compile(rf"\n\{{{line[2:]}\}}\r?(?=\n|\Z)").findall, reads
 
 
@@ -290,18 +293,21 @@ def parse_annotations(stream: str | Iterable[str]) -> Dataset:
     pnr: dict[str, PnrAnnotation] = {}
     oscc: dict[str, bool] = {}
 
-    def record(_, clip_ids, fps, num_frames, state_changes, positives, others) -> None:
-        built, anns = [*map(Clip, clip_ids, fps, num_frames)], {}
-        for clip, positive, more in zip(built, positives, others):
-            if positive is not None:
-                anns[clip[0]] = ann = PnrAnnotation(positive, more or ())
-                ensure_annotation_in_clip(ann, clip)
-            elif more is not None:
-                raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
+    def record(_, clip_ids, fps, num_frames, labels, positives, others) -> None:
+        built = Clip._from_columns(clip_ids, fps, num_frames)
+        annotated = [*map(is_not, positives, repeat(None))]
+        if {*compress(others, map(not_, annotated))} - {None}:  # frames, but no pnr_frame
+            raise ParseError("'other_pnr_frames' requires 'pnr_frame'")
+        positives, owners = [*compress(positives, annotated)], [*compress(built, annotated)]
+        others = [*compress(map({None: ()}.get, others, others), annotated)]  # None: no frames
+        anns = PnrAnnotation._from_columns(positives, others)
+        tops = map(max, map(add, zip(positives), others))  # each one's largest frame
+        if not all(map(lt, tops, map(itemgetter(2), owners))):  # a column test first
+            any(map(ensure_annotation_in_clip, anns, owners))
         # checked last, so a line with its own fault reports that fault
         _put(clips, clip_ids, built, "clip_id")
-        pnr.update(anns)
-        oscc.update((c, label) for c, label in zip(clip_ids, state_changes) if label is not None)
+        pnr.update(zip(compress(clip_ids, annotated), anns))
+        oscc.update(compress(zip(clip_ids, labels), map(is_not, labels, repeat(None))))
 
     _read(stream, _ANNOTATION, record)
     return Dataset(clips=clips, pnr=pnr, oscc=oscc)
@@ -337,7 +343,7 @@ def parse_pnr_scores(
     frames = {clip_id: clip[2] for clip_id, clip in (clips or {}).items()}  # frame counts
 
     def record(first, clip_ids, starts, ends, confidences) -> None:
-        windows = [*map(ScoredWindow, starts, ends, confidences)]
+        windows = ScoredWindow._from_columns(starts, ends, confidences)
         # a column test of the block first: an unknown clip reads as 0 frames, and fails it
         if clips is not None and not all(map(le, ends, map(frames.get, clip_ids, repeat(0)))):
             any(map(ensure_windows_in_clip, zip(windows), _clips_of(clip_ids, clips)))
@@ -376,8 +382,8 @@ def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSer
                         f"duplicate window [{key[1]}, {key[2]}) for clip {clip_id!r}", line_no
                     )
                 seen.add(key)
-    placed.clear()  # freed before the series are built; each list goes as its series comes
-    return {clip_id: ScoreSeries(tuple(grouped.pop(clip_id))) for clip_id in list(grouped)}
+    placed.clear()  # freed first, and each list as its series is made (by no call of its own)
+    return {c: tuple.__new__(ScoreSeries, (tuple(grouped.pop(c)),)) for c in list(grouped)}
 
 
 def emit_pnr_scores(series: Iterable[tuple[str, ScoreSeries]]) -> Iterator[str]:
@@ -400,7 +406,8 @@ def parse_oscc_scores(
     probs: dict[str, float] = {}
 
     def record(_, clip_ids, values) -> None:
-        any(map(ensure_range, repeat("'prob'"), values, repeat(0), repeat(1)))  # each is None
+        if not 0 <= min(values) <= max(values) <= 1:  # name the first value outside [0, 1]
+            any(map(ensure_range, repeat("'prob'"), values, repeat(0), repeat(1)))
         _clips_of(clip_ids, clips)
         _put(probs, clip_ids, values, "probability for clip")
 
@@ -422,9 +429,11 @@ def parse_predictions(
     preds: dict[str, PnrPrediction] = {}
 
     def record(_, clip_ids, times, frames, sources) -> None:
-        built = [*map(PnrPrediction, times, frames, sources)]
-        # one call a line, as a file holds one prediction per clip
-        any(map(ensure_prediction_in_clip, built, _clips_of(clip_ids, clips)))
+        built = PnrPrediction._from_columns(times, frames, sources)
+        owners = _clips_of(clip_ids, clips)  # each in its clip, by a column test first
+        lengths = map(truediv, map(itemgetter(2), owners), map(itemgetter(1), owners))
+        if not all(map(lt, frames, map(itemgetter(2), owners))) or not all(map(le, times, lengths)):
+            any(map(ensure_prediction_in_clip, built, owners))
         _put(preds, clip_ids, built, "prediction for clip")
 
     _read(stream, _PREDICTION, record)

@@ -11,25 +11,14 @@ too.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import repeat
 from operator import sub
 
 import pnrkit  # its lazy export resolves the WindowingConfig hint, loading sampling only then
 from pnrkit.errors import FALLBACKS, EmptyInputError, ValidationError
 from pnrkit.model import (
-    Clip,
-    FrameWindow,
-    PnrAnnotation,
-    PnrPrediction,
-    Record,
-    ScoreSeries,
-    ensure_annotation_in_clip,
-    ensure_range,
-    ensure_windows_in_clip,
-    fraction_to_frame,
-    round_half_up,
-    window_center_fraction,
+    Clip, FrameWindow, PnrAnnotation, PnrPrediction, Record, ScoreSeries, ensure_annotation_in_clip,
+    ensure_range, ensure_windows_in_clip, fraction_to_frame, round_half_up, window_center_fraction,
     window_center_frame,
 )
 
@@ -117,15 +106,15 @@ def oracle_error(
     Returns min over the N dense windows of |center time - truth time|,
     the floor for any selector restricted to those window centers.
     """
-    from pnrkit.sampling import _sweep_starts  # loaded only by the stages that sweep
+    from pnrkit.sampling import _check_fits  # loaded only by the stages that sweep
     ensure_annotation_in_clip(annotation, clip)
-    fps, w = clip.fps, config.window_len
-    truth = annotation.positive_frame / fps
-
-    def time(s: int) -> float:
-        return window_center_frame((s, s + w)) / fps
-
-    # a later start's center time is never earlier, also in floats, so the
-    # two around the truth are nearer it than any other
-    k = bisect_left(starts := _sweep_starts(clip, config), truth, key=time)
-    return min(abs(time(s) - truth) for s in starts[max(k - 1, 0) : k + 1])
+    (n, w, _), p = config, annotation.positive_frame
+    _check_fits(clip, w)
+    # sweep start j is (2 j span + n - 1) // den (sampling._sweep_starts); the first k
+    # whose center is at or past the truth frame p has start >= p - (w - 1) // 2
+    span, den = clip.num_frames - w, 2 * n - 2 or 1
+    k = -((n - 1 - (p - (w - 1) // 2) * den) // (2 * span or 1))
+    # a later start's center time is never earlier, also in floats, so the starts
+    # k - 1 and k, kept in the sweep, are nearer the truth than any other
+    starts = [(2 * min(max(j, 0), n - 1) * span + n - 1) // den for j in (k - 1, k)]
+    return min(abs(window_center_frame((s, s + w)) / clip.fps - p / clip.fps) for s in starts)

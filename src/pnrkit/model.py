@@ -14,18 +14,13 @@ the last frame maps to 1.0.  Windows are half-open frame ranges
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, lt, truediv
 from typing import Iterable
 
 from pnrkit.errors import BoundsError, DomainError, ValidationError
 
-SOURCES = (
-    "selected",
-    "fallback-prior",
-    "fallback-argmax",
-    "baseline-center",
-    "baseline-fraction",
-)
+SOURCES = ("selected", "fallback-prior", "fallback-argmax", "baseline-center", "baseline-fraction")
 _LARGEST = int(math.nextafter(math.inf, 0))  # the largest float, an int to compare ints fast
 
 
@@ -90,11 +85,23 @@ class Record(tuple):
         """A copy with the named fields changed, checked again by ``__new__``."""
         return type(self)(**dict(zip(self._fields, self), **changes))
 
+    @classmethod
+    def _from_columns(cls, *columns) -> list:
+        """The records of columns of their fields, made by tuple.__new__ if the type's _fit
+        passes them all (a parser's, which hold no bool), else each by ``__new__``."""
+        if not columns[0] or cls._fit(*columns):
+            return [*map(tuple.__new__, repeat(cls), zip(*columns))]
+        return [*map(cls, *columns)]
+
 
 class Clip(Record):
     """A video clip identified by id, frame rate, and frame count."""
 
     __slots__ = ()
+    _fit = staticmethod(lambda clip_ids, fps, num_frames: (  # every one passes __new__
+        all(clip_ids) and 0 < min(fps) <= max(fps) < math.inf
+        and 1 <= min(num_frames) <= max(num_frames) <= _LARGEST
+        and max(map(truediv, num_frames, fps)) < math.inf))
 
     def __new__(cls, clip_id: str, fps: float, num_frames: int):
         if not clip_id:
@@ -121,6 +128,10 @@ class PnrAnnotation(Record):
     """
 
     __slots__ = ()
+    # every one passes __new__: its all_frames are >= 0, and no set of them is smaller
+    _fit = staticmethod(lambda positives, negatives: (
+        min(map(min, frames := [*map(add, zip(positives), negatives)])) >= 0
+        and sum(map(len, map(set, frames))) == sum(map(len, frames))))
 
     def __new__(cls, positive_frame: int, negative_frames: tuple[int, ...] = ()):
         negative_frames = tuple(negative_frames)  # the caller's list stays the caller's
@@ -150,8 +161,7 @@ class FrameWindow(Record):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int):
-        if not 1 < start < end <= _LARGEST:
-            _check_window(start, end)
+        _check_window(start, end)
         return tuple.__new__(cls, (start, end))
 
 
@@ -160,20 +170,17 @@ class ScoredWindow(FrameWindow):
     ``(start, end, confidence)``."""
 
     __slots__ = ()
+    _fit = staticmethod(lambda starts, ends, confidences: (  # every one passes __new__
+        min(starts) >= 0 and all(map(lt, starts, ends)) and max(ends) <= _LARGEST
+        and 0 <= min(confidences) <= max(confidences) <= 1))
 
     def __new__(cls, start: int, end: int, confidence: float):
-        if not (1 < start < end <= _LARGEST and 0.0 < confidence < 1.0):
-            _check_window(start, end, confidence)
+        _check_window(start, end, confidence)
         return tuple.__new__(cls, (start, end, confidence))
 
 
 def _check_window(start: int, end: int, confidence: float = 0.0) -> None:
-    # the constructors pass a window whose start is above 1 and whose confidence is
-    # inside (0, 1) with one chained comparison, which neither NaN nor a bool (0 or 1)
-    # passes; this checks any other window, and names its first fault
-    if (0 <= start < end <= _LARGEST and 0.0 <= confidence <= 1.0
-            and type(start) is not bool is not type(end) and type(confidence) is not bool):
-        return
+    # names a window's first fault; NaN fails every test, a bool (0 or 1) is refused
     _refuse_bool("window start", start)
     _refuse_bool("window end", end)
     if not start >= 0:
@@ -182,8 +189,7 @@ def _check_window(start: int, end: int, confidence: float = 0.0) -> None:
         raise DomainError(f"window [{start}, {end}) is empty or inverted")
     if not end <= _LARGEST:  # an int past the floats, whose center no float holds
         raise DomainError(f"window end must be finite, got {end}")
-    _refuse_bool("confidence", confidence)
-    raise DomainError(f"confidence must be in [0, 1], got {confidence}")
+    ensure_range("confidence", confidence, 0, 1)
 
 
 class ScoreSeries(Record):
@@ -203,6 +209,8 @@ class PnrPrediction(Record):
     """A single predicted state-change instant for one clip."""
 
     __slots__ = ()
+    _fit = staticmethod(lambda times, frames, sources: (  # every one passes __new__
+        0 <= min(times) <= max(times) < math.inf and min(frames) >= 0 and {*sources} <= {*SOURCES}))
 
     def __new__(cls, time_sec: float, frame: int, source: str = "selected"):
         ensure_range("time_sec", time_sec, 0)

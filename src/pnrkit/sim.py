@@ -35,15 +35,8 @@ from math import exp, log
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, _lines, build_dataset
 from pnrkit.model import (
-    Clip,
-    PnrAnnotation,
-    Record,
-    ScoredWindow,
-    ScoreSeries,
-    ensure_positive,
-    ensure_range,
-    fraction_to_frame,
-    round_half_up,
+    Clip, PnrAnnotation, Record, ScoredWindow, ScoreSeries, ensure_positive, ensure_range,
+    fraction_to_frame, round_half_up,
 )
 from pnrkit.sampling import WindowingConfig, _check_fits, _held_starts, _rng, _sweep_starts
 
@@ -253,7 +246,7 @@ class _DrawnScores(Mapping):
         held = _held_starts(ann.all_frames if ann is not None else (), starts, w)
         hit, miss = self._hit, self._miss
         confidences = [(hit if s in held else miss)(random) for s in starts]
-        return ScoreSeries(tuple(map(ScoredWindow, starts, ends, confidences)))
+        return ScoreSeries(tuple(ScoredWindow._from_columns(starts, ends, confidences)))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._index)
@@ -310,13 +303,13 @@ def parse_sim_config(text: str | Iterable[str]) -> SimSettings:
     ``num_windows`` defaulting to 16.
     """
     kwargs: dict[str, dict[str, float | int]] = {group: {} for group in _SETTINGS_CLASSES}
-    for line_no, raw in enumerate(chain.from_iterable(_lines(text)), 1):
+    for line_no, raw in enumerate(chain.from_iterable(b.split("\n") for b, _ in _lines(text)), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
-        key, _, value = (part.strip() for part in line.partition("="))
+        key, _, value = map(str.strip, line.partition("="))
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line_no)
         group, convert = _KEYS[key]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from pnrkit import ingest
+from pnrkit import ingest, model
 from pnrkit.cli import _load, main
 from pnrkit.errors import ConflictError, DomainError, ParseError, PnrKitError, ValidationError
 from pnrkit.ingest import (
@@ -1648,27 +1648,97 @@ class TestBlockRecords:
         assert _line_reader_outcome(parse_pnr_scores, _lines(*lines)) == expected
         assert _outcome(parse_pnr_scores, _lines(*lines)) == expected
 
-    def test_python_calls_per_block_not_per_line(self):
-        # lines on the pattern cost the parser's own functions a few calls a
-        # block (its walker, reader and record); each window is built by the
-        # model's ScoredWindow, which is no function of ingest
-        text = _lines(*(_score_line(i) for i in range(640)))
-        parse_pnr_scores(text)  # the score pattern is compiled on first use
-        calls = []
+    # 640 canonical lines of each format, as its emitter writes them
+    CANONICAL = {
+        "pnr_scores": lambda: _lines(*(_score_line(i) for i in range(640))),
+        "annotations": lambda: "".join(emit_annotations(build_dataset(
+            [Clip(f"k{i}", 30.0, 300 + i) for i in range(640)],
+            {f"k{i}": PnrAnnotation(i % 299, tuple(range(300, 300 + i % 4)))
+             for i in range(640) if i % 5},
+            {f"k{i}": i % 2 == 0 for i in range(640) if i % 7},
+        ))),
+        "predictions": lambda: "".join(emit_predictions(
+            (f"k{i}", PnrPrediction(i / 30, i, SOURCES[i % 5])) for i in range(640))),
+        "oscc_scores": lambda: "".join(emit_oscc_scores((f"k{i}", i / 640) for i in range(640))),
+    }
 
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename == ingest.__file__:
-                calls.append(frame.f_code.co_name)
+    def test_python_calls_per_block_not_per_line(self, tmp_path):
+        # lines on the pattern cost the parser's own functions and the model's
+        # a few calls a block (its walker, record and the column builds of the
+        # record types), from a str or from an open file, and none a line
+        for fmt, canonical in self.CANONICAL.items():
+            text, parse = canonical(), PARSERS[fmt]
+            assert len(text.splitlines()) == 640
+            assert all(_on_pattern(fmt, line) for line in text.splitlines())
+            path = tmp_path / f"{fmt}.jsonl"
+            path.write_text(text, encoding="utf-8")
+            expected = parse(text)  # the pattern is compiled on first use
+            for source in ("text", "file"):
+                calls = []
 
-        sys.setprofile(profile)
-        try:
-            series = parse_pnr_scores(text)
-        finally:
-            sys.setprofile(None)
-        assert sum(len(s.windows) for s in series.values()) == 640
-        blocks = 640 // ingest._BLOCK
-        assert calls.count("record") == blocks
-        assert len(calls) <= 8 * blocks + 8
+                def profile(frame, event, arg):
+                    if event == "call" and frame.f_code.co_filename in (ingest.__file__, model.__file__):
+                        calls.append(frame.f_code.co_name)
+
+                with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+                    stream = text if source == "text" else handle
+                    sys.setprofile(profile)
+                    try:
+                        found = parse(stream)
+                    finally:
+                        sys.setprofile(None)
+                assert found == expected
+                # every line's record: a window each, or a clip each
+                windows = [len(v.windows) for v in found.values()] if fmt == "pnr_scores" else []
+                assert (sum(windows) if windows else len(found)) == 640
+                blocks = 640 // ingest._BLOCK
+                assert calls.count("record") == blocks, (fmt, source)
+                assert len(calls) <= 8 * blocks + 8, (fmt, source, len(calls))
+
+
+class TestOpenFileWalker:
+    """An open text file hands its parser one line an item, so a block of
+    items is read as their join; with any line endings, blank lines, a byte
+    that is not UTF-8, a last line with no ending and any block size, a file
+    gives the value or the error, at its line, that the line reader gives."""
+
+    @staticmethod
+    def outcome(parse, path, newline, line_reader=False):
+        def load(_):
+            if newline is None:  # as the CLI opens its inputs
+                return _load(str(path), parse)
+            with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+                return parse(handle)
+
+        found = (_line_reader_outcome if line_reader else _outcome)(load, None)
+        if isinstance(found[0], type):  # _load puts the file's path in front of a message
+            found = found[0], found[1].removeprefix(f"{path}: "), found[2]
+        return found
+
+    @pytest.mark.parametrize("fmt", PARSERS)
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+    @pytest.mark.parametrize("bad_at", [None, 2, 9], ids=["utf8", "bad-line-3", "bad-line-10"])
+    @pytest.mark.parametrize("last", ["ended", "bare"])
+    def test_reads_as_the_line_reader(self, fmt, ending, bad_at, last, tmp_path, monkeypatch):
+        lines = [GOOD_LINE[fmt].replace('"a"', f'"k{i}"') for i in range(9)]
+        lines[4:4] = ["", "   "]
+        if bad_at is not None:  # a byte that is not UTF-8, as a lone surrogate decodes it
+            lines[bad_at] = lines[bad_at].replace('"k', '"k\udcff', 1)
+        endings = ["\n", "\r\n", "\r"] * 4 if ending == "mixed" else [ending] * 11
+        raw = "".join(map(str.__add__, lines, endings))
+        path = tmp_path / "input.jsonl"
+        path.write_bytes((raw if last == "ended" else raw.removesuffix(endings[-1])).encode(
+            "utf-8", "surrogateescape"))
+        parse = PARSERS[fmt]
+        # newline="" and "\r" keep each "\r", so a file's items are not its lines
+        for newline in (None, "", "\r"):
+            expected = self.outcome(parse, path, newline, line_reader=True)
+            if newline is None:
+                assert (expected[0] is ParseError) == (bad_at is not None)
+            for block in (2, 3):
+                monkeypatch.setattr(ingest, "_BLOCK", block)
+                assert self.outcome(parse, path, newline) == expected, (newline, block)
+            monkeypatch.undo()
 
 
 TABLES = {

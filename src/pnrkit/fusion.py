@@ -21,7 +21,12 @@ from typing import Sequence
 
 from pnrkit.errors import EmptyInputError
 from pnrkit.model import (
-    Clip, ScoredWindow, ScoreSeries, ensure_range, ensure_windows_in_clip, window_center_frame,
+    Clip,
+    ScoredWindow,
+    ScoreSeries,
+    ensure_range,
+    ensure_windows_in_clip,
+    window_center_frame,
 )
 
 

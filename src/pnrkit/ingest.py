@@ -101,10 +101,11 @@ _BLOCK = 64  # the most lines a parser reads at a time
 
 
 def _lines(source: str | Iterable[str]) -> Iterator[tuple[str, int]]:
-    """Blocks of source's lines as (text, n), n lines joined by "\n", each drawn as the one before
-    is handed on: _BLOCK items, each a line and its "\n" as a text file's are, or else cut at "\n"
-    once its own is off (a str is cut first).  A line not UTF-8 (a lone surrogate, as errors=
-    "surrogateescape" hands on a bad byte) is a ParseError at it, after the lines before."""
+    """Blocks of source's lines as (text, n): n lines joined by "\n", each block drawn as
+    the one before is handed on.  A block is _BLOCK items, each a line and its "\n", as a
+    text file's are; other items, and a str's lines, are cut at "\n" once their own is
+    off.  A line not UTF-8 (a lone surrogate, as errors="surrogateescape" hands on a bad
+    byte) is a ParseError at that line, after the lines before it."""
     file, line_no = isinstance(source, io.TextIOBase), 0
     items = iter(source.removesuffix("\n").split("\n") if isinstance(source, str) else source)
     while chunk := list(islice(items, _BLOCK)):

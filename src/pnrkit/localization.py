@@ -17,8 +17,18 @@ from operator import sub
 import pnrkit  # its lazy export resolves the WindowingConfig hint, loading sampling only then
 from pnrkit.errors import FALLBACKS, EmptyInputError, ValidationError
 from pnrkit.model import (
-    Clip, FrameWindow, PnrAnnotation, PnrPrediction, Record, ScoreSeries, ensure_annotation_in_clip,
-    ensure_range, ensure_windows_in_clip, fraction_to_frame, round_half_up, window_center_fraction,
+    Clip,
+    FrameWindow,
+    PnrAnnotation,
+    PnrPrediction,
+    Record,
+    ScoreSeries,
+    ensure_annotation_in_clip,
+    ensure_range,
+    ensure_windows_in_clip,
+    fraction_to_frame,
+    round_half_up,
+    window_center_fraction,
     window_center_frame,
 )
 

@@ -20,7 +20,13 @@ from typing import Iterable
 
 from pnrkit.errors import BoundsError, DomainError, ValidationError
 
-SOURCES = ("selected", "fallback-prior", "fallback-argmax", "baseline-center", "baseline-fraction")
+SOURCES = (
+    "selected",
+    "fallback-prior",
+    "fallback-argmax",
+    "baseline-center",
+    "baseline-fraction",
+)
 _LARGEST = int(math.nextafter(math.inf, 0))  # the largest float, an int to compare ints fast
 
 
@@ -282,7 +288,7 @@ def window_center_time(window: FrameWindow, fps: float) -> float:
 
 def window_center_fraction(window: FrameWindow, num_frames: int) -> float:
     """Fractional position of a window center within an n-frame clip."""
-    # inline, as in FrameWindow: selection calls this once per candidate
+    # inline: selection calls this once per candidate
     if not num_frames >= 1:
         raise DomainError(f"num_frames must be >= 1, got {num_frames}")
     if num_frames == 1:

@@ -35,8 +35,15 @@ from math import exp, log
 from pnrkit.errors import DomainError, ParseError
 from pnrkit.ingest import Dataset, _lines, build_dataset
 from pnrkit.model import (
-    Clip, PnrAnnotation, Record, ScoredWindow, ScoreSeries, ensure_positive, ensure_range,
-    fraction_to_frame, round_half_up,
+    Clip,
+    PnrAnnotation,
+    Record,
+    ScoredWindow,
+    ScoreSeries,
+    ensure_positive,
+    ensure_range,
+    fraction_to_frame,
+    round_half_up,
 )
 from pnrkit.sampling import WindowingConfig, _check_fits, _held_starts, _rng, _sweep_starts
 
@@ -309,7 +316,7 @@ def parse_sim_config(text: str | Iterable[str]) -> SimSettings:
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
-        key, _, value = map(str.strip, line.partition("="))
+        key, _, value = (part.strip() for part in line.partition("="))
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line_no)
         group, convert = _KEYS[key]

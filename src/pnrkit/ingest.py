@@ -153,7 +153,7 @@ def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) 
                     values = {"": None, **dict(zip(present, read(present)))}
                     columns.append([*map(values.__getitem__, c)])
             record(first, *columns)
-        except (ValueError, ValidationError, ParseError, ConflictError):  # the line reader's
+        except (ValueError, ValidationError, ParseError, ConflictError):  # each line on its own
             for line_no, line in enumerate(text.split("\n"), first):
                 _read_line(line, line_no, lambda obj: record(line_no, *zip(_fields(obj, fmt))))
         first += n
@@ -383,7 +383,8 @@ def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSer
                         f"duplicate window [{key[1]}, {key[2]}) for clip {clip_id!r}", line_no
                     )
                 seen.add(key)
-    placed.clear()  # freed first, and each list as its series is made (by no call of its own)
+    placed.clear()  # freed before the series are built; each list goes as its series comes
+    # a ScoreSeries checks nothing, so tuple.__new__ makes each with no call of its own
     return {c: tuple.__new__(ScoreSeries, (tuple(grouped.pop(c)),)) for c in list(grouped)}
 
 

@@ -11,6 +11,7 @@ too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from operator import sub
 
@@ -23,6 +24,8 @@ from pnrkit.model import (
     PnrPrediction,
     Record,
     ScoreSeries,
+    _check_fits,
+    _sweep_start,
     ensure_annotation_in_clip,
     ensure_range,
     ensure_windows_in_clip,
@@ -116,15 +119,12 @@ def oracle_error(
     Returns min over the N dense windows of |center time - truth time|,
     the floor for any selector restricted to those window centers.
     """
-    from pnrkit.sampling import _check_fits  # loaded only by the stages that sweep
     ensure_annotation_in_clip(annotation, clip)
-    (n, w, _), p = config, annotation.positive_frame
+    (n, w, _), p, span = config, annotation.positive_frame, clip.num_frames - config.window_len
     _check_fits(clip, w)
-    # sweep start j is (2 j span + n - 1) // den (sampling._sweep_starts); the first k
-    # whose center is at or past the truth frame p has start >= p - (w - 1) // 2
-    span, den = clip.num_frames - w, 2 * n - 2 or 1
-    k = -((n - 1 - (p - (w - 1) // 2) * den) // (2 * span or 1))
+    # k: the first start whose center is at or past the truth frame p, so >= p - (w - 1) // 2
+    k = bisect_left(range(n), p - (w - 1) // 2, key=lambda j: _sweep_start(j, n, span))
     # a later start's center time is never earlier, also in floats, so the starts
     # k - 1 and k, kept in the sweep, are nearer the truth than any other
-    starts = [(2 * min(max(j, 0), n - 1) * span + n - 1) // den for j in (k - 1, k)]
+    starts = _sweep_start(max(k - 1, 0), n, span), _sweep_start(min(k, n - 1), n, span)
     return min(abs(window_center_frame((s, s + w)) / clip.fps - p / clip.fps) for s in starts)

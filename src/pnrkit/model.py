@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import add, itemgetter, lt, truediv
 from typing import Iterable
 
-from pnrkit.errors import BoundsError, DomainError, ValidationError
+from pnrkit.errors import BoundsError, ClipTooShortError, DomainError, ValidationError
 
 SOURCES = (
     "selected",
@@ -262,6 +262,18 @@ def ensure_annotation_in_clip(annotation: PnrAnnotation, clip: Clip) -> None:
             raise BoundsError(
                 f"clip {clip.clip_id!r}: annotated frame {frame} outside {num_frames}-frame clip"
             )
+
+
+def _check_fits(clip: Clip, window_len: int) -> None:
+    if clip.num_frames < window_len:
+        raise ClipTooShortError(
+            f"clip {clip.clip_id!r} has {clip.num_frames} frames, needs at least {window_len}"
+        )
+
+
+def _sweep_start(k: int, count: int, span: int) -> int:
+    """round_half_up(k span / (count - 1)) in integers, so none passes span; 0 if count is 1."""
+    return (2 * k * span + count - 1) // (2 * count - 2 or 1)
 
 
 def _mean_error(errors: Iterable[float], count: int) -> float:

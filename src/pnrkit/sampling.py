@@ -17,12 +17,14 @@ import random
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
-from pnrkit.errors import ClipTooShortError, DomainError, NegativeSpaceEmpty, ValidationError
+from pnrkit.errors import DomainError, NegativeSpaceEmpty, ValidationError
 from pnrkit.model import (
     Clip,
     FrameWindow,
     PnrAnnotation,
     Record,
+    _check_fits,
+    _sweep_start,
     ensure_annotation_in_clip,
     ensure_range,
 )
@@ -69,13 +71,6 @@ def _segment_bounds(num_frames: int, num_segments: int) -> list[tuple[int, int]]
     ]
 
 
-def _check_fits(clip: Clip, window_len: int) -> None:
-    if clip.num_frames < window_len:
-        raise ClipTooShortError(
-            f"clip {clip.clip_id!r} has {clip.num_frames} frames, needs at least {window_len}"
-        )
-
-
 def tsn_sample(clip: Clip, config: SamplerConfig) -> tuple[int, ...]:
     """Pick one frame index per segment of an M-way clip split.
 
@@ -96,14 +91,9 @@ def tsn_sample(clip: Clip, config: SamplerConfig) -> tuple[int, ...]:
 
 
 def _sweep_starts(clip: Clip, config: WindowingConfig) -> list[int]:
-    w, count = config.window_len, config.num_windows
+    n, w, count = clip.num_frames, config.window_len, config.num_windows
     _check_fits(clip, w)
-    if count == 1:
-        return [0]
-    # round_half_up(k * span / (N - 1)) in integers, so a huge clip
-    # cannot round a start past n - w
-    span, den = clip.num_frames - w, 2 * (count - 1)
-    return [(2 * k * span + count - 1) // den for k in range(count)]
+    return [_sweep_start(k, count, n - w) for k in range(count)]
 
 
 def _held_starts(frames: Iterable[int], starts: Sequence[int], window_len: int) -> set[int]:

@@ -40,12 +40,13 @@ from pnrkit.model import (
     Record,
     ScoredWindow,
     ScoreSeries,
+    _check_fits,
     ensure_positive,
     ensure_range,
     fraction_to_frame,
     round_half_up,
 )
-from pnrkit.sampling import WindowingConfig, _check_fits, _held_starts, _rng, _sweep_starts
+from pnrkit.sampling import WindowingConfig, _held_starts, _rng, _sweep_starts
 
 
 class SimConfig(Record):

@@ -964,6 +964,50 @@ class TestDiagnostics:
         assert captured.out == ""
         assert captured.err == f"pnrkit: error: {empty}: dataset has no clips\n"
 
+    @pytest.mark.parametrize("text", ["", "\n", "\n  \n\n"], ids=["empty", "blank", "blanks"])
+    def test_localize_on_scores_without_a_window_names_the_file(self, tmp_path, capsys, text):
+        scores, preds = tmp_path / "scores.jsonl", tmp_path / "preds.jsonl"
+        scores.write_text(text, encoding="utf-8")
+        argv = ["localize", "--scores", str(scores), "--annotations", str(FIXTURE)]
+        assert main([*argv, "--out", str(preds)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnrkit: error: {scores}: no scored windows\n"
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("task", ["pnr", "oscc"])
+    def test_fuse_of_files_without_a_record_is_refused(self, tmp_path, capsys, task):
+        empty, blank, fused = tmp_path / "empty.jsonl", tmp_path / "blank.jsonl", tmp_path / "f.jsonl"
+        empty.write_text("", encoding="utf-8")
+        blank.write_text("\n\n", encoding="utf-8")
+        argv = ["fuse", "--task", task, "--scores", str(empty), str(blank), "--out", str(fused)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pnrkit: error: no scores to fuse\n"
+        assert not fused.exists()
+
+    def test_coverage_error_lists_five_clips_then_the_total(self, tmp_path, capsys):
+        # seven labeled clips, and three unlabeled ones that are the only ones predicted
+        annotations, preds = tmp_path / "annotations.jsonl", tmp_path / "preds.jsonl"
+        annotations.write_text("".join(
+            f'{{"clip_id": "{c}", "fps": 30.0, "num_frames": 100, "pnr_frame": 40}}\n'
+            for c in "gfedcba"
+        ) + "".join(f'{{"clip_id": "{c}", "fps": 30.0, "num_frames": 100}}\n' for c in "xyz"),
+            encoding="utf-8")
+        preds.write_text("".join(
+            f'{{"clip_id": "{c}", "time_sec": 1.0, "frame": 30, "source": "selected"}}\n'
+            for c in "xyz"
+        ), encoding="utf-8")
+        argv = ["evaluate", "--task", "pnr", "--preds", str(preds), "--annotations", str(annotations)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrkit: error: {preds}: missing localization prediction for annotated clip(s): "
+            "a, b, c, d, e, ... (7 total)\n"
+        )
+
     # the scores files each command reads, and the one a window outside its
     # clip is blamed on, at its line: the first, in --scores order, that holds one
     OUTSIDE_CLIP = {

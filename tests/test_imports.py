@@ -243,6 +243,24 @@ def test_every_imported_name_is_used(path):
     assert [(name, line) for name, line in imported_names(tree) if name not in used] == []
 
 
+@pytest.mark.parametrize(
+    "path", sorted(set((SRC / "pnrkit").glob("*.py")) - {SRC / "pnrkit" / "cli.py"}),
+    ids=lambda p: p.name,
+)
+def test_no_import_runs_per_call(path):
+    # an import statement in a function looks its module up on every call;
+    # only cli defers one, so that --help loads no more than it needs
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [
+        (inner.lineno, function.name)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(function)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
 WHOLE_READS = {"read", "read_text", "readlines"}
 
 

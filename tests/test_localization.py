@@ -24,6 +24,7 @@ from pnrkit.model import (
     PnrAnnotation,
     ScoredWindow,
     ScoreSeries,
+    _sweep_start,
     window_center_frame,
 )
 from pnrkit.sampling import WindowingConfig, _sweep_starts, dense_windows
@@ -258,10 +259,28 @@ class TestOracleError:
         def sweep(*args):
             raise AssertionError("the whole sweep was built")
 
-        monkeypatch.setattr("pnrkit.sampling._sweep_starts", sweep)
         clip = Clip("c", 30.0, 240)
+        frames, counts = (0, 120, 239), (1, 2, 16, 200)
+        expected = {
+            (p, count): min(abs(window_center_frame((s, s + 32)) / 30.0 - p / 30.0)
+                            for s in _sweep_starts(clip, WindowingConfig(count)))
+            for p in frames for count in counts
+        }
+        monkeypatch.setattr("pnrkit.sampling._sweep_starts", sweep)
         assert oracle_error(PnrAnnotation(120), clip, WindowingConfig(2)) == pytest.approx(3.45)
         assert oracle_error(PnrAnnotation(16), clip, WindowingConfig(2)) == pytest.approx(0.5 / 30)
+        # nor maps the start rule over the sweep: it bisects it
+        calls = []
+
+        def rule(*args):
+            calls.append(args)
+            return _sweep_start(*args)
+
+        monkeypatch.setattr("pnrkit.localization._sweep_start", rule)
+        for (p, count), error in expected.items():
+            calls.clear()
+            assert oracle_error(PnrAnnotation(p), clip, WindowingConfig(count)) == error
+            assert len(calls) <= math.ceil(math.log2(count + 1)) + 2, (p, count)
 
     def test_errors(self):
         with pytest.raises(ValidationError):

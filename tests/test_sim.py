@@ -257,6 +257,28 @@ def test_beta_draws_are_randoms_to_the_bit(alpha, beta, seed):
     assert ours.random() == theirs.random()  # as many random() calls, too
 
 
+class Replay(random.Random):
+    """A Random whose random() returns the given values in turn, counting its calls."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values, self.calls = iter(values), 0
+
+    def random(self):
+        self.calls += 1
+        return next(self.values)
+
+
+def test_beta_draw_skips_the_gamma_values_cheng_rejects():
+    # Cheng's Gamma draw (shape > 1) throws away a first uniform outside
+    # (1e-7, 0.9999999); a seeded stream almost never gives one
+    script = [0.0, 0.99999995, 1e-8, 0.6, 0.3, 0.2, 0.7, 0.5, 0.4, 0.8]
+    ours, theirs = Replay(script), Replay(script)
+    draw = pnrkit.sim._beta(9.0, 2.0)(ours.random)
+    assert draw.hex() == theirs.betavariate(9.0, 2.0).hex()
+    assert ours.calls == theirs.calls == 7  # the three rejected, then two per Gamma draw
+
+
 def test_a_clip_is_drawn_by_pnrkit_alone():
     # each window costs a few calls of pnrkit's own (its Beta draw, two
     # Gamma draws, ScoredWindow); random.py runs only to seed the clip's stream

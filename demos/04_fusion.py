@@ -1,10 +1,15 @@
-"""Two imperfect scorers are better than one.
+"""Fusing two scorers' window series localizes better than either alone.
 
 Runs two simulated scorers with different window counts and noise over
 the same clips, localizes from each alone, then fuses their score
 series (union of window geometries, nearest-center alignment, mean
-confidence) and localizes from the fused series.  Classification
-probabilities fuse the same way, by plain averaging.
+confidence) and localizes from the fused series: PNR MAE 0.5023 s and
+0.5174 s for the two scorers, 0.4967 s fused.  Classification
+probabilities fuse the same way, by plain averaging, and there fusion
+does not help: accuracy 0.8128 and 0.7924 for the two scorers, 0.7946
+fused.  `simulate_oscc` draws a call's margin the same way whether or
+not the call was flipped, so its probabilities carry no confidence,
+and their mean cannot beat the better scorer (ROADMAP item 5).
 """
 
 from pnrkit import (

@@ -16,7 +16,8 @@ unchanged.
 from __future__ import annotations
 
 import math
-from operator import truediv
+from itertools import compress, repeat
+from operator import lt, ne, truediv
 from typing import Sequence
 
 from pnrkit.errors import EmptyInputError
@@ -30,12 +31,16 @@ from pnrkit.model import (
 )
 
 
-def _means(rows: Sequence[Sequence[float]]) -> list[float]:
-    # each row's mean, in column passes; fsum makes a mean independent of
-    # argument order, and the clamp repairs the final rounding, which can
-    # drift one ulp outside the row's range (e.g. three equal values)
-    means = map(truediv, map(math.fsum, rows), map(len, rows))
-    return [*map(min, map(max, means, map(min, rows)), map(max, rows))]
+def _means(columns: Sequence[Sequence[float]]) -> list[float]:
+    # each row's mean across k columns; fsum makes it independent of column
+    # order. The clamp to the row's [lo, hi] runs only when k is not a power
+    # of two: then the rounding can drift one ulp out (three equal values),
+    # but k * lo and k * hi are exact for k = 2^n, and rounding is monotone
+    k = len(columns)
+    means = [*map(truediv, map(math.fsum, zip(*columns)), repeat(k))]
+    if k & (k - 1):
+        means = [*map(min, map(max, means, map(min, *columns)), map(max, *columns))]
+    return means
 
 
 def fuse_oscc(probs: Sequence[float]) -> float:
@@ -44,21 +49,20 @@ def fuse_oscc(probs: Sequence[float]) -> float:
         raise EmptyInputError("no probabilities to fuse")
     for p in probs:
         ensure_range("probability", p, 0, 1)
-    return _means([probs])[0]
+    return _means([*zip(probs)])[0]
 
 
-def _center_lookup(series: ScoreSeries) -> tuple[list[float], list[float]]:
+def _center_lookup(
+    windows: Sequence[ScoredWindow], centers: list[float]
+) -> tuple[list[float], list[float]]:
     """Distinct window centers, ascending, each with the confidence of
     its first window in (center, start, end) order, then input order."""
-    centers: list[float] = []
-    confidences: list[float] = []
-    windows = series.windows
-    keyed = sorted((window_center_frame(sw), sw[0], sw[1], i) for i, sw in enumerate(windows))
-    for center, _, _, i in keyed:
-        if not centers or centers[-1] != center:
-            centers.append(center)
-            confidences.append(windows[i][2])
-    return centers, confidences
+    if all(map(lt, centers, centers[1:])):  # as parsed, for one window length
+        return centers, [sw[2] for sw in windows]
+    starts, ends, confidences = zip(*windows)
+    keyed, *_, order = zip(*sorted(zip(centers, starts, ends, range(len(centers)))))
+    first = [True, *map(ne, keyed[1:], keyed)]
+    return [*compress(keyed, first)], [*map(confidences.__getitem__, compress(order, first))]
 
 
 def _nearest_confidences(
@@ -85,11 +89,12 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
     confidence of its own window with the nearest center (ties go to the
     lower center, then the lower (start, end), then the earlier window
     in input order); contributions average into the fused confidence.
-    The lookup is one forward merge of the sorted points with each
-    series' sorted centers, so past the sorts, fusing P points from W
-    windows costs O(P + W) per series.  Passing the clip additionally
-    bounds-checks every window.  The result does not depend on the order
-    of the series.
+    Each window's center is computed once.  The lookup is one forward
+    merge of the sorted points with each series' sorted centers, so past
+    the sorts, fusing P points from W windows costs O(P + W) per series;
+    a series whose centers already ascend, as parsed, is not sorted.
+    Passing the clip additionally bounds-checks every window.  The result
+    does not depend on the order of the series.
     """
     if len(series_list) == 0:
         raise EmptyInputError("no series to fuse")
@@ -99,17 +104,18 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
         if clip is not None:
             ensure_windows_in_clip(series.windows, clip)
 
+    centers = [[*map(window_center_frame, series.windows)] for series in series_list]
     # union of the input geometries, one point per distinct (start, end)
     points = sorted(
         {
-            (window_center_frame(sw), sw[0], sw[1])
-            for series in series_list
-            for sw in series.windows
+            (center, sw[0], sw[1])
+            for series, cs in zip(series_list, centers)
+            for center, sw in zip(cs, series.windows)
         }
     )
     point_centers, starts, ends = zip(*points)
     columns = [
-        _nearest_confidences(*_center_lookup(series), point_centers) for series in series_list
+        _nearest_confidences(*_center_lookup(series.windows, c), point_centers)
+        for series, c in zip(series_list, centers)
     ]
-    rows = [*zip(*columns)]  # each point's contributions, one from each series
-    return ScoreSeries(tuple(ScoredWindow._from_columns(starts, ends, _means(rows))))
+    return ScoreSeries(tuple(ScoredWindow._from_columns(starts, ends, _means(columns))))

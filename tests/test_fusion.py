@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnrkit.fusion
 from pnrkit.errors import BoundsError, DomainError, EmptyInputError
 from pnrkit.fusion import fuse_oscc, fuse_pnr
+from pnrkit.ingest import emit_pnr_scores, parse_pnr_scores
 from pnrkit.localization import select_pnr
 from pnrkit.model import Clip, ScoredWindow, ScoreSeries, window_center_frame
 from pnrkit.sampling import WindowingConfig, dense_windows
@@ -88,6 +90,27 @@ def mixed_series(draw, num_frames=48):
     return series_of(triples)
 
 
+# three copies of V sum exactly to 3V, whose correctly rounded third is one
+# ulp below V: the mean of three equal values needs the clamp
+V = 0.8444218515250481
+
+SUBNORMAL_MAX = 2.2250738585072014e-308 - 5e-324
+
+
+@st.composite
+def power_of_two_rows(draw):
+    """A row of k in {1, 2, 4, 8} floats in [0, 1], drawn from a pool of at
+    most k values, so repeats are common, with subnormals mixed in."""
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    values = (
+        st.floats(min_value=0.0, max_value=1.0)
+        | st.floats(min_value=0.0, max_value=SUBNORMAL_MAX)
+        | st.sampled_from([0.0, 1.0, 5e-324, SUBNORMAL_MAX, V])
+    )
+    pool = draw(st.lists(values, min_size=1, max_size=k))
+    return draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+
+
 class TestFuseOscc:
     def test_mean_is_exact(self):
         assert fuse_oscc([0.6, 0.8]) == 0.7
@@ -112,6 +135,18 @@ class TestFuseOscc:
         shuffled = list(probs)
         random.Random(0).shuffle(shuffled)
         assert fuse_oscc(shuffled) == fused
+
+
+    def test_three_equal_values_keep_their_value(self):
+        assert math.fsum([V] * 3) / 3 != V
+        assert fuse_oscc([V, V, V]) == V
+
+    @given(power_of_two_rows())
+    @settings(max_examples=400)
+    def test_power_of_two_mean_needs_no_clamp(self, row):
+        k = len(row)
+        assert min(row) <= math.fsum(row) / k <= max(row)
+        assert fuse_oscc(row) == math.fsum(row) / k
 
 
 class TestFusePnr:
@@ -165,6 +200,10 @@ class TestFusePnr:
             fuse_pnr([])
         with pytest.raises(EmptyInputError):
             fuse_pnr([ScoreSeries(())])
+
+    def test_three_equal_values_keep_their_value(self):
+        fused = fuse_pnr([series_of([(0, 32, V)])] * 3)
+        assert fused == series_of([(0, 32, V)])
 
     @given(st.lists(window_series(), min_size=1, max_size=4), st.randoms(use_true_random=False))
     @settings(max_examples=150)
@@ -258,3 +297,47 @@ class TestNearestCenterLookup:
             (sw.start, sw.end): sw.confidence for sw in fuse_pnr([a, b]).windows
         }
         assert by_geometry == {(10, 20): 0.5, (12, 18): 0.5}
+
+
+class TestLookupTraffic:
+    """A series whose centers already ascend is not sorted again."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(pnrkit.fusion, "sorted", counted, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("num_frames", [150, 240, 900])
+    def test_parsed_dense_sweeps_sort_only_the_union(self, sorts, num_frames):
+        clip = Clip("c", 30.0, num_frames)
+        rng = random.Random(num_frames)
+        series_list = []
+        for n in (16, 32):
+            windows = [
+                ScoredWindow(w.start, w.end, rng.random())
+                for w in reversed(dense_windows(clip, WindowingConfig(num_windows=n)))
+            ]
+            lines = "".join(emit_pnr_scores([("c", ScoreSeries(tuple(windows)))]))
+            series_list.append(parse_pnr_scores(lines)["c"])
+        expected = reference_fuse_pnr(series_list)
+        assert fuse_pnr(series_list, clip) == expected
+        assert len(sorts) == 1
+
+    def test_windows_on_one_center_still_sort(self, sorts):
+        # both of a's windows are centered on frame 14.5; the later one starts first
+        a = series_of([(12, 18, 0.75), (10, 20, 0.25)])
+        b = series_of([(0, 32, 0.5)])
+        assert fuse_pnr([a, b]) == reference_fuse_pnr([a, b])
+        assert len(sorts) == 2
+
+    def test_descending_centers_still_sort(self, sorts):
+        a = series_of([(40, 72, 0.75), (0, 32, 0.25)])
+        b = series_of([(0, 32, 0.5)])
+        assert fuse_pnr([a, b]) == reference_fuse_pnr([a, b])
+        assert len(sorts) == 2

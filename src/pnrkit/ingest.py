@@ -280,12 +280,18 @@ def _fields(obj: dict, fmt: tuple) -> list:
 
 
 def _json(value: object) -> str:
-    """json.dumps(value), without its call for a str, a finite float (numpy's too) or a bool."""
+    """json.dumps(value), without its call for a str or a bool."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    return "true" if value is True else "false" if value is False else json.dumps(value)
+
+
+def _number(value: object) -> str:
+    """A number field's text: an int as json.dumps writes it, any other number
+    (numpy's float32 as well as a float) as the repr of its float."""
     if isinstance(value, float):
         return float.__repr__(value)
-    return "true" if value is True else "false" if value is False else json.dumps(value)
+    return int.__repr__(value) if isinstance(value, int) else float.__repr__(float(value))
 
 
 def parse_annotations(stream: str | Iterable[str]) -> Dataset:
@@ -318,7 +324,7 @@ def emit_annotations(dataset: Dataset) -> Iterator[str]:
     """A Dataset's annotation lines, one clip's at a time, clip order preserved."""
     # as emit_pnr_scores writes, keys in _ANNOTATION's order; a key with no value is left out
     for clip_id, (_, fps, num_frames) in dataset.clips.items():
-        row = f'{{"clip_id": {_json(clip_id)}, "fps": {_json(fps)}, "num_frames": {num_frames}'
+        row = f'{{"clip_id": {_json(clip_id)}, "fps": {_number(fps)}, "num_frames": {num_frames}'
         label = dataset.oscc.get(clip_id)
         if label is not None:
             row += f', "state_change": {_json(label)}'
@@ -391,12 +397,12 @@ def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSer
 def emit_pnr_scores(series: Iterable[tuple[str, ScoreSeries]]) -> Iterator[str]:
     """The lines of each (clip id, series) pair, one clip's at a time, as the pair is drawn."""
     # the bytes of one json.dumps per record, keys in _SCORE's order, without
-    # building a dict per window: ints as themselves, the rest as _json does
+    # building a dict per window: numbers as _number writes them
     for clip_id, (windows,) in series:
         head = '{"clip_id": ' + _json(clip_id) + ', "start": '
         yield "".join([
             f'{head}{start}, "end": {end}, "confidence": '
-            f'{float.__repr__(c) if isinstance(c, float) else json.dumps(c)}}}\n'
+            f'{float.__repr__(c) if isinstance(c, float) else _number(c)}}}\n'
             for start, end, c in windows
         ])
 
@@ -421,7 +427,7 @@ def emit_oscc_scores(probs: Iterable[tuple[str, float]]) -> Iterator[str]:
     # as emit_pnr_scores writes, keys in _PROB's order, each value as parse_oscc_scores checks it
     for clip_id, p in probs:
         ensure_range("'prob'", p, 0, 1)
-        yield f'{{"clip_id": {_json(clip_id)}, "prob": {_json(p)}}}\n'
+        yield f'{{"clip_id": {_json(clip_id)}, "prob": {_number(p)}}}\n'
 
 
 def parse_predictions(
@@ -446,7 +452,7 @@ def emit_predictions(preds: Iterable[tuple[str, PnrPrediction]]) -> Iterator[str
     # as emit_pnr_scores writes, keys in _PREDICTION's order: a source is
     # one of model.SOURCES, which need no escapes
     for clip_id, (time_sec, frame, source) in preds:
-        yield (f'{{"clip_id": {_json(clip_id)}, "time_sec": {_json(time_sec)}, '
+        yield (f'{{"clip_id": {_json(clip_id)}, "time_sec": {_number(time_sec)}, '
                f'"frame": {frame}, "source": "{source}"}}\n')
 
 

@@ -233,16 +233,11 @@ def render_report(report: MetricsReport) -> str:
 
 def report_to_json(report: MetricsReport) -> str:
     """Machine-readable single-record form of a report."""
-    record: dict = {
-        "task": report.task,
-        "n_clips": report.n_clips,
-        "headline": report.headline,
-    }
-    if report.per_bin is not None:
-        record["per_bin"] = [
-            {"lo": b.lo, "hi": b.hi, "count": b.count, "mean_error_sec": b.mean_error_sec}
-            for b in report.per_bin
-        ]
+    record = dict(zip(report._fields, report))
+    if report.per_bin is None:
+        del record["per_bin"]
+    else:
+        record["per_bin"] = [dict(zip(b._fields, b)) for b in report.per_bin]
     return json.dumps(record) + "\n"
 
 

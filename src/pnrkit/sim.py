@@ -19,9 +19,10 @@ simulate_scores checks first, then draws a clip's window scores when
 that clip is read: it holds no series, and reading a clip again redraws
 it from its own stream, to the same values.
 
-The Beta draws copy ``random.Random.betavariate`` (CPython 3.11) to the
-bit, each shape's constants worked out once; Python keeps only the
-sequence of ``random()`` across releases, so this also pins the scores.
+A Beta draw with both shapes above 1 copies ``random.Random.betavariate``
+(CPython 3.11) to the bit, its Cheng branch alone, on ``random()``, whose
+sequence Python keeps across releases; a shape at or below 1 is drawn by
+the stream's own ``betavariate``, whose bits a release could change.
 """
 
 from __future__ import annotations
@@ -106,54 +107,39 @@ class ScorerNoiseModel(Record):
 
 def _gamma(alpha: float) -> Callable[[Callable[[], float]], float]:
     """draw(random), a Gamma(alpha, 1) draw from a stream's random(), as
-    random.Random.gammavariate(alpha, 1.0) makes it; alpha > 0."""
-    if alpha > 1.0:  # R. C. H. Cheng, Applied Statistics 26 (1977), no. 1, 71-74
-        ainv = math.sqrt(2.0 * alpha - 1.0)
-        bbb, ccc, magic = alpha - log(4.0), alpha + ainv, 1.0 + log(4.5)
+    random.Random.gammavariate(alpha, 1.0) makes it for alpha > 1, the one
+    branch copied: R. C. H. Cheng, Applied Statistics 26 (1977), 71-74."""
+    ainv = math.sqrt(2.0 * alpha - 1.0)
+    bbb, ccc, magic = alpha - log(4.0), alpha + ainv, 1.0 + log(4.5)
 
-        def draw(random: Callable[[], float]) -> float:
-            while True:
-                u1 = random()
-                if not 1e-7 < u1 < 0.9999999:
-                    continue
-                u2 = 1.0 - random()
-                v = log(u1 / (1.0 - u1)) / ainv
-                x = alpha * exp(v)
-                z = u1 * u1 * u2
-                r = bbb + ccc * v - x
-                if r + magic - 4.5 * z >= 0.0 or r >= log(z):
-                    return x  # gammavariate's x * beta, with beta 1.0
-
-    elif alpha == 1.0:
-
-        def draw(random: Callable[[], float]) -> float:
-            return -log(1.0 - random())
-
-    else:  # algorithm GS of Kennedy and Gentle, Statistical Computing
-        b, inverse, less_one = (math.e + alpha) / math.e, 1.0 / alpha, alpha - 1.0
-
-        def draw(random: Callable[[], float]) -> float:
-            while True:
-                p = b * random()
-                x = p**inverse if p <= 1.0 else -log((b - p) / alpha)
-                u1 = random()
-                if p > 1.0:
-                    if u1 <= x**less_one:
-                        return x
-                elif u1 <= exp(-x):
-                    return x
+    def draw(random: Callable[[], float]) -> float:
+        while True:
+            u1 = random()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - random()
+            v = log(u1 / (1.0 - u1)) / ainv
+            x = alpha * exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + magic - 4.5 * z >= 0.0 or r >= log(z):
+                return x  # gammavariate's x * beta, with beta 1.0
 
     return draw
 
 
 def _beta(alpha: float, beta: float) -> Callable[[Callable[[], float]], float]:
     """draw(random), a Beta(alpha, beta) draw from a stream's random(), as
-    random.Random.betavariate(alpha, beta) makes it."""
+    random.Random.betavariate(alpha, beta) makes it: by _gamma's copy when
+    both shapes are above 1, else by the betavariate of random.__self__."""
+    if not min(alpha, beta) > 1.0:
+        return lambda random: random.__self__.betavariate(alpha, beta)
     gamma_alpha, gamma_beta = _gamma(alpha), _gamma(beta)
 
     def draw(random: Callable[[], float]) -> float:
+        # Cheng's y = alpha * exp(v), v > -16.2, is never 0: no y == 0 guard
         y = gamma_alpha(random)
-        return y / (y + gamma_beta(random)) if y else 0.0
+        return y / (y + gamma_beta(random))
 
     return draw
 

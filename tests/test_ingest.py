@@ -515,6 +515,42 @@ class TestEmitMatchesJsonDumps:
         )
 
 
+# numpy float32 values, as a scorer's head gives them, which the records take
+unit32 = st.floats(0.0, 1.0, width=32).map(np.float32)
+
+
+class TestFloat32Numbers:
+    """A float32 in a number field is written as its float's repr, so it
+    parses back to a float equal to float(v)."""
+
+    @staticmethod
+    def same(parsed, values):
+        return [*map(type, parsed)] == [float] * len(values) and parsed == [*map(float, values)]
+
+    @given(st.lists(unit32, min_size=1, max_size=5))
+    def test_confidences(self, values):
+        series = ScoreSeries(tuple(ScoredWindow(k, k + 4, c) for k, c in enumerate(values)))
+        parsed = parse_pnr_scores("".join(emit_pnr_scores([("a", series)])))
+        assert self.same([w.confidence for w in parsed["a"].windows], values)
+
+    @given(unit32)
+    def test_probabilities(self, value):
+        parsed = parse_oscc_scores("".join(emit_oscc_scores([("a", value)])))
+        assert self.same([parsed["a"]], [value])
+
+    @given(st.floats(0.0, 1e6, width=32).map(np.float32))
+    def test_prediction_times(self, value):
+        parsed = parse_predictions("".join(emit_predictions([("a", PnrPrediction(value, 3))])))
+        assert self.same([parsed["a"].time_sec], [value])
+
+    @given(st.floats(0.125, 240.0, width=32).map(np.float32), st.booleans())
+    def test_fps(self, value, label):
+        ds = build_dataset([Clip("a", value, 9)], {"a": PnrAnnotation(4)}, {"a": label})
+        parsed = parse_annotations("".join(emit_annotations(ds)))
+        assert self.same([parsed.clips["a"].fps], [value])
+        assert parsed.oscc == {"a": label}  # the label stays a bool
+
+
 # one value per pair emitter, and the text it writes for clip "a"
 PAIR_EMITTERS = {
     "pnr_scores": (emit_pnr_scores, ScoreSeries((ScoredWindow(0, 4, 0.5), ScoredWindow(2, 6, 1))),

@@ -252,6 +252,27 @@ class TestReportOutput:
         assert len(record["per_bin"]) == 5
         assert record["per_bin"][0]["mean_error_sec"] is None
 
+    def test_json_bytes_with_bins(self):
+        # the exact line, key order included, which json.loads would not see
+        ds = pnr_dataset([108, 30, 200])
+        report = per_position_error(preds_at([3.0, 1.5, 6.0]), ds, bins=4)
+        assert report_to_json(report) == (
+            '{"task": "pnr", "n_clips": 3, "headline": 0.588888888888889, "per_bin": ['
+            '{"lo": 0.0, "hi": 0.25, "count": 1, "mean_error_sec": 0.5}, '
+            '{"lo": 0.25, "hi": 0.5, "count": 1, "mean_error_sec": 0.6000000000000001}, '
+            '{"lo": 0.5, "hi": 0.75, "count": 0, "mean_error_sec": null}, '
+            '{"lo": 0.75, "hi": 1.0, "count": 1, "mean_error_sec": 0.666666666666667}]}\n'
+        )
+
+    def test_json_bytes_without_bins(self):
+        ds = pnr_dataset([108, 30, 200])
+        assert report_to_json(pnr_mae(preds_at([3.0, 1.5, 6.0]), ds)) == (
+            '{"task": "pnr", "n_clips": 3, "headline": 0.588888888888889}\n'
+        )
+        ds = build_dataset([Clip("a", 30.0, 100), Clip("b", 30.0, 100)], {}, {"a": True, "b": False})
+        report = oscc_accuracy({"a": True, "b": True}, ds)
+        assert report_to_json(report) == '{"task": "oscc", "n_clips": 2, "headline": 0.5}\n'
+
     def test_plot_data(self):
         ds = pnr_dataset([108])
         report = per_position_error(preds_at([3.6]), ds, bins=5)

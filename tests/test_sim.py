@@ -10,7 +10,7 @@ import sys
 
 import pytest
 from helpers import run_fresh
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pnrkit.sim
@@ -231,30 +231,100 @@ PINNED_STREAM = {
     "scores_oscc.jsonl": "f10744bc9dafc1aae368f81fa64bc472cf7dcedfdf53dc34d49ef7340996668a",
 }
 
+# the same at n_clips = 8 with a hit shape of 1 and a miss shape of 0.5, whose
+# Beta draws come from random.betavariate itself; pinned on one Python release
+PINNED_COLD_STREAM = {
+    "annotations.jsonl": "251adb2795908e9be89fe31563bd83ab6f12e6ef3c088067fd6e74aa8ea85274",
+    "scores_pnr.jsonl": "2d1785869b8f9b1d794cca923553da0b1aebecb29d893fe80b1534acfeaebb9c",
+    "scores_oscc.jsonl": "af170aa663205b190daaf54a2b12407cbc25cbea16ba9fd4592410dfca7928e1",
+}
 
-def test_simulate_stream_is_pinned(tmp_path):
+
+def simulate_digests(tmp_path, settings_text):
     config = tmp_path / "sim.cfg"
-    config.write_text("n_clips = 4\nseed = 3\nnum_windows = 4\n", encoding="utf-8")
+    config.write_text(settings_text, encoding="utf-8")
     assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path), "--quiet"]) == 0
-    digests = {
+    return {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_STREAM
     }
-    assert digests == PINNED_STREAM
 
 
-# every shape ScorerNoiseModel takes, with each branch of the Gamma draw:
-# below 1 (algorithm GS), exactly 1 (an exponential) and above 1 (Cheng's)
+def test_simulate_stream_is_pinned(tmp_path):
+    assert simulate_digests(tmp_path, "n_clips = 4\nseed = 3\nnum_windows = 4\n") == PINNED_STREAM
+
+
+def test_cold_shape_stream_is_pinned(tmp_path):
+    text = "n_clips = 8\nseed = 3\nnum_windows = 4\nhit_beta = 1.0\nmiss_alpha = 0.5\n"
+    assert simulate_digests(tmp_path, text) == PINNED_COLD_STREAM
+
+
+# every shape ScorerNoiseModel takes: both above 1 draw by sim's copy of
+# Cheng's Gamma branch, any other pair by random.betavariate; the examples
+# are the shapes of the branches random takes below 1 and at 1
 shapes = st.one_of(st.just(1.0), st.floats(0.0, 50.0, exclude_min=True))
 
 
 @settings(max_examples=300)
 @given(shapes, shapes, st.integers(0, 2**64))
+@example(1.0, 1.0, 7)
+@example(0.5, 2.0, 7)
+@example(3.0, 0.05, 7)
+@example(1.0, 100.0, 7)
 def test_beta_draws_are_randoms_to_the_bit(alpha, beta, seed):
     ours, theirs = random.Random(seed), random.Random(seed)
     draw = pnrkit.sim._beta(alpha, beta)
     for _ in range(4):
         assert draw(ours.random).hex() == theirs.betavariate(alpha, beta).hex()
     assert ours.random() == theirs.random()  # as many random() calls, too
+
+
+class Counting(random.Random):
+    """A Random that counts its betavariate and gammavariate calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = {"betavariate": 0, "gammavariate": 0}
+
+    def betavariate(self, alpha, beta):
+        self.calls["betavariate"] += 1
+        return super().betavariate(alpha, beta)
+
+    def gammavariate(self, alpha, beta=1.0):
+        self.calls["gammavariate"] += 1
+        return super().gammavariate(alpha, beta)
+
+
+def scorer_calls(monkeypatch, noise):
+    """The betavariate and gammavariate calls of every stream simulate_scores
+    draws from, and the count of windows it scored."""
+    ds = gen_dataset(SimConfig(n_clips=6, seed=5))
+    streams = []
+
+    def counting_rng(*key):
+        streams.append(Counting(repr(key)))
+        return streams[-1]
+
+    monkeypatch.setattr(pnrkit.sim, "_rng", counting_rng)
+    series = dict(simulate_scores(ds, WindowingConfig(num_windows=16), noise, seed=3))
+    calls = {name: sum(s.calls[name] for s in streams) for name in Counting(0).calls}
+    return calls, sum(len(s.windows) for s in series.values())
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [ScorerNoiseModel(), ScorerNoiseModel(hit_alpha=7.0), ScorerNoiseModel(hit_beta=3.0)],
+    ids=["defaults", "demo-04-a", "demo-04-b"],
+)
+def test_shapes_above_one_draw_by_the_copy_alone(monkeypatch, noise):
+    calls, windows = scorer_calls(monkeypatch, noise)
+    assert windows > 0
+    assert calls == {"betavariate": 0, "gammavariate": 0}
+
+
+def test_cold_shapes_draw_by_betavariate(monkeypatch):
+    # one betavariate call a window, hit or miss
+    calls, windows = scorer_calls(monkeypatch, ScorerNoiseModel(hit_beta=1.0, miss_alpha=0.5))
+    assert calls["betavariate"] == windows > 0
 
 
 class Replay(random.Random):

@@ -50,8 +50,7 @@ def main():
 
     print("\nclassification accuracy")
     for label, probs in (("scorer A", probs_a), ("scorer B", probs_b), ("fused", fused_probs)):
-        calls = {c: p >= 0.5 for c, p in probs.items()}
-        print(f"  {label:<16} {oscc_accuracy(calls, ds).headline:.4f}")
+        print(f"  {label:<16} {oscc_accuracy(probs, ds).headline:.4f}")
 
 
 if __name__ == "__main__":

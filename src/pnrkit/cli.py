@@ -1,12 +1,12 @@
 """Command-line pipelines over the library: files in, files out.
 
 Every stage reads and writes the documented line formats, so simulated
-scores can be swapped for real scorer output at any boundary.  Data
-goes to --out when given (written atomically) and to standard output
-otherwise, but stats and evaluate print a table and write another form
-to --out.  A stage reads each input line by line as it parses it, and
-checks each score or prediction against its annotated clip at its line,
-so every check runs before its first write: checks first, then compute,
+scores can be swapped for real scorer output at any boundary.  Every data
+stage, fuse too, writes to --out when given (atomically) and to standard
+output otherwise, but stats and evaluate print a table and write another
+form to --out.  A stage reads each input line by line as it parses it, and
+checks each score or prediction against its annotated clip at its line, so
+every check runs before its first write: checks first, then compute,
 format and write per clip.  No whole input or output file is held, and
 simulate, fuse, localize and baseline hold no clip's result but the one
 being written; oracle, whose fit can refuse a clip, computes all first.
@@ -155,8 +155,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise ValidationError("fuse requires --out")
     if len(args.scores) < 2:
         raise ValidationError(f"fuse needs two or more --scores files, got {len(args.scores)}")
     clips = _load(args.annotations, _lib.parse_annotations).clips if args.annotations else None
@@ -185,8 +183,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _refuse_unread(args, "--task pnr", "bins", "plot_data")
     ds = _load(args.annotations, _lib.parse_annotations)
     if args.task == "oscc":
-        probs = _load(args.preds, _lib.parse_oscc_scores, ds.clips)
-        preds = {c: p >= 0.5 for c, p in probs.items()}
+        preds = _load(args.preds, _lib.parse_oscc_scores, ds.clips)
         metric, options = _lib.oscc_accuracy, ()
     else:
         preds = _load(args.preds, _lib.parse_predictions, ds.clips)

@@ -44,7 +44,7 @@ def _means(columns: Sequence[Sequence[float]]) -> list[float]:
 
 
 def fuse_oscc(probs: Sequence[float]) -> float:
-    """Arithmetic mean of state-change probabilities (>= 0.5 means change)."""
+    """Arithmetic mean of state-change probabilities; ``oscc_accuracy`` makes the call."""
     if len(probs) == 0:
         raise EmptyInputError("no probabilities to fuse")
     for p in probs:

@@ -73,6 +73,9 @@ def build_dataset(
         _put(clip_map, (clip.clip_id,), (clip,), "clip_id")
     owners = _clips_of(pnr, clip_map)
     _clips_of(oscc, clip_map)
+    for clip_id, label in oscc.items():  # the parser gives a bool; no other label round-trips
+        if not isinstance(label, bool):
+            raise ValidationError(f"clip {clip_id!r}: state-change label {label!r} is not a bool")
     any(map(ensure_annotation_in_clip, pnr.values(), owners))  # each call gives None
     return Dataset(clips=clip_map, pnr=dict(pnr), oscc=dict(oscc))
 
@@ -279,13 +282,6 @@ def _fields(obj: dict, fmt: tuple) -> list:
     return [check(obj[key], key) if key in obj else None for key, check in checks.items()]
 
 
-def _json(value: object) -> str:
-    """json.dumps(value), without its call for a str or a bool."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return "true" if value is True else "false" if value is False else json.dumps(value)
-
-
 def _number(value: object) -> str:
     """A number field's text: an int as json.dumps writes it, any other number
     (numpy's float32 as well as a float) as the repr of its float."""
@@ -324,10 +320,11 @@ def emit_annotations(dataset: Dataset) -> Iterator[str]:
     """A Dataset's annotation lines, one clip's at a time, clip order preserved."""
     # as emit_pnr_scores writes, keys in _ANNOTATION's order; a key with no value is left out
     for clip_id, (_, fps, num_frames) in dataset.clips.items():
-        row = f'{{"clip_id": {_json(clip_id)}, "fps": {_number(fps)}, "num_frames": {num_frames}'
+        row = (f'{{"clip_id": {encode_basestring_ascii(clip_id)}, "fps": {_number(fps)}, '
+               f'"num_frames": {num_frames}')
         label = dataset.oscc.get(clip_id)
         if label is not None:
-            row += f', "state_change": {_json(label)}'
+            row += ', "state_change": true' if label else ', "state_change": false'
         ann = dataset.pnr.get(clip_id)
         if ann is not None:
             row += f', "pnr_frame": {ann[0]}'
@@ -399,7 +396,7 @@ def emit_pnr_scores(series: Iterable[tuple[str, ScoreSeries]]) -> Iterator[str]:
     # the bytes of one json.dumps per record, keys in _SCORE's order, without
     # building a dict per window: numbers as _number writes them
     for clip_id, (windows,) in series:
-        head = '{"clip_id": ' + _json(clip_id) + ', "start": '
+        head = '{"clip_id": ' + encode_basestring_ascii(clip_id) + ', "start": '
         yield "".join([
             f'{head}{start}, "end": {end}, "confidence": '
             f'{float.__repr__(c) if isinstance(c, float) else _number(c)}}}\n'
@@ -427,7 +424,7 @@ def emit_oscc_scores(probs: Iterable[tuple[str, float]]) -> Iterator[str]:
     # as emit_pnr_scores writes, keys in _PROB's order, each value as parse_oscc_scores checks it
     for clip_id, p in probs:
         ensure_range("'prob'", p, 0, 1)
-        yield f'{{"clip_id": {_json(clip_id)}, "prob": {_number(p)}}}\n'
+        yield f'{{"clip_id": {encode_basestring_ascii(clip_id)}, "prob": {_number(p)}}}\n'
 
 
 def parse_predictions(
@@ -452,7 +449,7 @@ def emit_predictions(preds: Iterable[tuple[str, PnrPrediction]]) -> Iterator[str
     # as emit_pnr_scores writes, keys in _PREDICTION's order: a source is
     # one of model.SOURCES, which need no escapes
     for clip_id, (time_sec, frame, source) in preds:
-        yield (f'{{"clip_id": {_json(clip_id)}, "time_sec": {_number(time_sec)}, '
+        yield (f'{{"clip_id": {encode_basestring_ascii(clip_id)}, "time_sec": {_number(time_sec)}, '
                f'"frame": {frame}, "source": "{source}"}}\n')
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from pnrkit.errors import BoundsError, CoverageError, EmptyInputError
+from pnrkit.errors import BoundsError, CoverageError, DomainError, EmptyInputError
 from pnrkit.ingest import Dataset
 from pnrkit.model import PnrPrediction, Record, _mean_error, ensure_prediction_in_clip, ensure_range
 
@@ -153,12 +153,15 @@ def _check_coverage(predicted: set[str], annotated: set[str], what: str) -> None
         raise CoverageError(f"{what} prediction for unannotated clip(s)", tuple(sorted(extra)))
 
 
-def oscc_accuracy(preds: Mapping[str, bool], ds: Dataset) -> MetricsReport:
-    """Fraction of clips whose predicted state-change label is correct."""
-    _check_coverage(set(preds), set(ds.oscc), "state-change")
+def oscc_accuracy(probs: Mapping[str, float], ds: Dataset) -> MetricsReport:
+    """Share of clips called right; a probability >= 0.5 calls a change, a bool is its own call."""
+    _check_coverage(set(probs), set(ds.oscc), "state-change")
     if not ds.oscc:
         raise EmptyInputError("no state-change annotations to evaluate")
-    correct = sum(1 for clip_id, label in ds.oscc.items() if preds[clip_id] == label)
+    for clip_id in ds.oscc:
+        if not 0 <= (p := probs[clip_id]) <= 1:  # NaN too
+            raise DomainError(f"clip {clip_id!r}: probability must be in [0, 1], got {p}")
+    correct = sum(1 for clip_id, label in ds.oscc.items() if (probs[clip_id] >= 0.5) == label)
     return MetricsReport(task="oscc", n_clips=len(ds.oscc), headline=correct / len(ds.oscc))
 
 

@@ -35,7 +35,9 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def ensure_range(name: str, value: float, low: float, high: float = math.inf) -> None:
+def ensure_range(
+    name: str, value: float, low: float, high: float = math.inf, integer: bool = False
+) -> None:
     """Raise DomainError unless value is finite and in [low, high]; NaN and a bool fail."""
     if not low <= value <= high or isinstance(value, bool):
         _refuse_bool(name, value)
@@ -44,6 +46,8 @@ def ensure_range(name: str, value: float, low: float, high: float = math.inf) ->
         raise DomainError(f"{name} must be in [{low}, {high}], got {value}")
     if value == math.inf:
         raise DomainError(f"{name} must be finite, got {value}")
+    if integer and not hasattr(value, "__index__"):  # 9.0 is written "9.0", which int keys refuse
+        raise DomainError(f"{name} must be an integer, got {value}")
 
 
 def ensure_positive(name: str, value: float) -> None:
@@ -110,10 +114,10 @@ class Clip(Record):
         and max(map(truediv, num_frames, fps)) < math.inf))
 
     def __new__(cls, clip_id: str, fps: float, num_frames: int):
-        if not clip_id:
+        if not isinstance(clip_id, str) or not clip_id:
             raise ValidationError("clip_id must be a non-empty string")
         ensure_positive("fps", fps)
-        ensure_range("num_frames", num_frames, 1)
+        ensure_range("num_frames", num_frames, 1, integer=True)
         try:  # a time in the clip is at most its length, so that must be a float
             duration = num_frames / fps
         except OverflowError:  # an int too large for a float
@@ -141,9 +145,9 @@ class PnrAnnotation(Record):
 
     def __new__(cls, positive_frame: int, negative_frames: tuple[int, ...] = ()):
         negative_frames = tuple(negative_frames)  # the caller's list stays the caller's
-        ensure_range("positive_frame", positive_frame, 0)
+        ensure_range("positive_frame", positive_frame, 0, integer=True)
         for frame in negative_frames:
-            ensure_range("negative_frames", frame, 0)
+            ensure_range("negative_frames", frame, 0, integer=True)
         if positive_frame in negative_frames:
             raise ValidationError(f"positive frame {positive_frame} repeated in negative_frames")
         if len(set(negative_frames)) != len(negative_frames):
@@ -195,6 +199,9 @@ def _check_window(start: int, end: int, confidence: float = 0.0) -> None:
         raise DomainError(f"window [{start}, {end}) is empty or inverted")
     if not end <= _LARGEST:  # an int past the floats, whose center no float holds
         raise DomainError(f"window end must be finite, got {end}")
+    for name, value in ("window start", start), ("window end", end):
+        if not hasattr(value, "__index__"):
+            raise DomainError(f"{name} must be an integer, got {value}")
     ensure_range("confidence", confidence, 0, 1)
 
 
@@ -220,7 +227,7 @@ class PnrPrediction(Record):
 
     def __new__(cls, time_sec: float, frame: int, source: str = "selected"):
         ensure_range("time_sec", time_sec, 0)
-        ensure_range("frame", frame, 0)
+        ensure_range("frame", frame, 0, integer=True)
         if source not in SOURCES:
             raise ValidationError(f"unknown prediction source {source!r}")
         return tuple.__new__(cls, (time_sec, frame, source))

@@ -731,11 +731,21 @@ class TestFuse:
         assert capsys.readouterr().err == f"pnrkit: error: {a}: line 2: unknown clip 'ghost'\n"
         assert not fused.exists()
 
-    def test_fuse_requires_out(self, tmp_path, capsys):
-        a = tmp_path / "a.jsonl"
-        a.write_text('{"clip_id": "x", "prob": 0.6}\n', encoding="utf-8")
-        assert main(["fuse", "--task", "oscc", "--scores", str(a)]) == 2
-        assert "--out" in capsys.readouterr().err
+    @pytest.mark.parametrize("task", ["oscc", "pnr"])
+    def test_fuse_writes_stdout_without_out(self, sim_dir, tmp_path, capfdbinary, task):
+        # as every other data stage: standard output gets the bytes --out would
+        cfg = tmp_path / "sim2.cfg"
+        cfg.write_text("n_clips = 40\nseed = 17\nnum_windows = 32\n", encoding="utf-8")
+        run2 = tmp_path / "run2"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(run2), "--quiet"]) == 0
+        name = f"scores_{task}.jsonl"
+        fused = tmp_path / "fused.jsonl"
+        argv = ["fuse", "--task", task, "--scores", str(sim_dir / name), str(run2 / name),
+                "--annotations", str(sim_dir / "annotations.jsonl"), "--quiet"]
+        assert main([*argv, "--out", str(fused)]) == 0
+        assert capfdbinary.readouterr().out == b""
+        assert main(argv) == 0
+        assert capfdbinary.readouterr().out == fused.read_bytes() != b""
 
     @pytest.mark.parametrize("task", ["oscc", "pnr"])
     def test_fuse_needs_two_score_files(self, tmp_path, capsys, task):

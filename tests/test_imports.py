@@ -261,6 +261,19 @@ def test_no_import_runs_per_call(path):
     assert nested == []
 
 
+def test_ingest_has_no_json_encoder():
+    # each emitter writes a line with one f-string of checked fields; a
+    # fallback to json's encoder would write, unnoticed, a value the parser
+    # refuses (an int clip id, 1 for a label)
+    tree = ast.parse((SRC / "pnrkit" / "ingest.py").read_text(encoding="utf-8"))
+    encoders = {"dump", "dumps", "JSONEncoder"}
+    uses = [
+        (node.attr, node.lineno) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in encoders
+    ]
+    assert uses + [(name, line) for name, line in imported_names(tree) if name in encoders] == []
+
+
 WHOLE_READS = {"read", "read_text", "readlines"}
 
 

@@ -35,6 +35,7 @@ from pnrkit.ingest import (
 from pnrkit.model import (
     SOURCES,
     Clip,
+    FrameWindow,
     PnrAnnotation,
     PnrPrediction,
     ScoredWindow,
@@ -549,6 +550,113 @@ class TestFloat32Numbers:
         parsed = parse_annotations("".join(emit_annotations(ds)))
         assert self.same([parsed.clips["a"].fps], [value])
         assert parsed.oscc == {"a": label}  # the label stays a bool
+
+
+def any_int(low, high):
+    """An int in [low, high] as Python or one of numpy's int types holds it."""
+    return st.tuples(st.integers(low, high), st.sampled_from([int, np.int64, np.int32])).map(
+        lambda value_type: value_type[1](value_type[0])
+    )
+
+
+def any_number(low, high):
+    """A number in [low, high]: a float, an int, a numpy float64, or a numpy
+    float32 drawn as one."""
+    floats = st.floats(low, high)
+    return st.one_of(
+        floats, st.integers(math.ceil(low), math.floor(high)), floats.map(np.float64),
+        st.floats(low, high, width=32).map(np.float32),
+    )
+
+
+@st.composite
+def built_datasets(draw):
+    """Clips with awkward ids and any fps, each with or without a label and
+    an annotation, every int field an int or a numpy int."""
+    clips, pnr, oscc = [], {}, {}
+    for clip_id in draw(st.lists(awkward_ids, max_size=4, unique=True)):
+        clips.append(Clip(clip_id, draw(any_number(0.125, 240.0)), n := draw(any_int(1, 500))))
+        if draw(st.booleans()):
+            frames = draw(st.lists(any_int(0, int(n) - 1), min_size=1, max_size=4, unique_by=int))
+            pnr[clip_id] = PnrAnnotation(frames[0], frames[1:])
+        if draw(st.booleans()):
+            oscc[clip_id] = draw(st.booleans())
+    return build_dataset(clips, pnr, oscc)
+
+
+@st.composite
+def built_series(draw):
+    """A series sorted by start, its bounds ints or numpy ints, its
+    confidences any number."""
+    starts = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=6, unique=True))
+    return ScoreSeries(tuple(
+        ScoredWindow(draw(st.sampled_from([int, np.int64]))(s), draw(any_int(s + 1, s + 512)),
+                     draw(any_number(0.0, 1.0)))
+        for s in sorted(starts)
+    ))
+
+
+# each pair format's emitter and parser, and maps of values its records accept
+BUILT = {
+    "pnr_scores": (emit_pnr_scores, parse_pnr_scores,
+                   st.dictionaries(awkward_ids, built_series(), max_size=4)),
+    "oscc_scores": (emit_oscc_scores, parse_oscc_scores,
+                    st.dictionaries(awkward_ids, any_number(0.0, 1.0), max_size=4)),
+    "predictions": (emit_predictions, parse_predictions, st.dictionaries(
+        awkward_ids,
+        st.builds(PnrPrediction, any_number(0.0, 1e6), any_int(0, 10**6), st.sampled_from(SOURCES)),
+        max_size=4,
+    )),
+}
+# one int field of each record type and how a record is built with value in it
+INT_FIELDS = {
+    "num_frames": lambda v: Clip("a", 30.0, v),
+    "positive_frame": lambda v: PnrAnnotation(v),
+    "negative_frames": lambda v: PnrAnnotation(0, (v,)),
+    "window start": lambda v: FrameWindow(v, 10**7),
+    "window end": lambda v: ScoredWindow(0, v, 0.5),
+    "frame": lambda v: PnrPrediction(1.0, v),
+}
+
+
+class TestWhatIsBuiltRoundTrips:
+    """Whatever a constructor or build_dataset accepts, numpy's ints and
+    float32 included, parses back from its emitted lines as the same values;
+    what a parser would refuse is refused when the value is built."""
+
+    @given(built_datasets())
+    def test_annotations(self, dataset):
+        assert parse_annotations("".join(emit_annotations(dataset))) == dataset
+
+    @pytest.mark.parametrize("emit, parse, maps", BUILT.values(), ids=list(BUILT))
+    @given(data=st.data())
+    def test_pair_formats(self, emit, parse, maps, data):
+        built = data.draw(maps)
+        assert parse("".join(emit(built.items()))) == built
+
+    @pytest.mark.parametrize("name", list(INT_FIELDS))
+    @given(value=st.one_of(st.floats(1.0, 10**6), st.integers(1, 10**6).map(float)))
+    def test_a_float_in_an_int_field_is_refused(self, name, value):
+        with pytest.raises(DomainError) as info:
+            INT_FIELDS[name](value)
+        assert str(info.value) == f"{name} must be an integer, got {value}"
+
+    @given(st.one_of(st.integers(), st.floats(), st.binary(min_size=1), st.none(),
+                     st.tuples(st.text(min_size=1))))
+    def test_a_non_str_id_is_refused(self, clip_id):
+        with pytest.raises(ValidationError, match="^clip_id must be a non-empty string$"):
+            Clip(clip_id, 30.0, 9)
+        for emit, value, _ in PAIR_EMITTERS.values():  # given to an emitter, no line is written
+            with pytest.raises(TypeError):
+                next(emit([(clip_id, value)]))
+
+    @given(st.one_of(st.integers(), st.floats(), st.none(), st.text(),
+                     st.sampled_from([np.True_, np.False_])))
+    def test_a_non_bool_label_is_refused(self, label):
+        clips = [Clip("a", 30.0, 9), Clip("b", 30.0, 9)]
+        with pytest.raises(ValidationError) as info:
+            build_dataset(clips, {}, {"a": True, "b": label})
+        assert str(info.value) == f"clip 'b': state-change label {label!r} is not a bool"
 
 
 # one value per pair emitter, and the text it writes for clip "a"

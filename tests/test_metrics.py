@@ -7,6 +7,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pnrkit.errors import BoundsError, CoverageError, DomainError, EmptyInputError
@@ -114,6 +115,11 @@ class TestDatasetStats:
         assert lines[5] == "0.450000\t3\t0"
 
 
+def labeled(labels):
+    """Clips named by the keys of labels, each with its state-change label."""
+    return build_dataset([Clip(c, 30.0, 100) for c in labels], {}, labels)
+
+
 class TestOsccAccuracy:
     def test_two_of_three_correct(self):
         ds = build_dataset(
@@ -152,6 +158,30 @@ class TestOsccAccuracy:
         ds = build_dataset([Clip("a", 30.0, 100)])
         with pytest.raises(EmptyInputError):
             oscc_accuracy({}, ds)
+
+    @pytest.mark.parametrize(
+        "probs, accuracy",
+        [
+            ({"a": 0.7, "b": 0.2, "c": 0.5}, 1.0),  # 0.5 calls a change
+            ({"a": 0.4999, "b": 0.5, "c": 1}, 1 / 3),
+            ({"a": 1.0, "b": 0, "c": np.float32(0.5)}, 1.0),
+            ({"a": True, "b": 0.1, "c": False}, 2 / 3),  # calls and probabilities mix
+        ],
+    )
+    def test_probabilities_are_called_at_one_half(self, probs, accuracy):
+        report = oscc_accuracy(probs, labeled({"a": True, "b": False, "c": True}))
+        assert report.headline == pytest.approx(accuracy)
+        assert type(report.headline) is float
+
+    def test_probabilities_score_as_their_calls(self):
+        ds = labeled({"a": True, "b": False})
+        assert oscc_accuracy({"a": 0.7, "b": 0.2}, ds) == oscc_accuracy({"a": True, "b": False}, ds)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf, -math.inf])
+    def test_value_outside_unit_interval_names_its_clip(self, bad):
+        with pytest.raises(DomainError) as info:
+            oscc_accuracy({"a": 0.9, "b": bad}, labeled({"a": True, "b": False}))
+        assert str(info.value) == f"clip 'b': probability must be in [0, 1], got {bad}"
 
 
 class TestPnrMae:

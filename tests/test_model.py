@@ -4,7 +4,9 @@ import copy
 import math
 import pickle
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,6 +189,39 @@ class TestTypeValidation:
         with pytest.raises(DomainError, match="duration"):
             Clip("c", 1e-300, 10**9)
         assert Clip("c", 1.0, 2**1024 - 2**971).num_frames / 1.0 == sys.float_info.max
+
+    @pytest.mark.parametrize("clip_id", [5, b"c", None, ("c",)])
+    def test_clip_id_must_be_a_str(self, clip_id):
+        # an emitter would write 5 as "clip_id": 5, which no parser reads back
+        with pytest.raises(ValidationError, match="^clip_id must be a non-empty string$"):
+            Clip(clip_id, 30.0, 240)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Clip("c", 30.0, 9.5), "num_frames must be an integer, got 9.5"),
+            (lambda: Clip("c", 30.0, 9.0), "num_frames must be an integer, got 9.0"),
+            (lambda: Clip("c", 30.0, Fraction(9)), "num_frames must be an integer, got 9"),
+            (lambda: FrameWindow(0.5, 3), "window start must be an integer, got 0.5"),
+            (lambda: FrameWindow(0, 3.0), "window end must be an integer, got 3.0"),
+            (lambda: ScoredWindow(0.5, 3, 0.2), "window start must be an integer, got 0.5"),
+            (lambda: PnrAnnotation(5.5), "positive_frame must be an integer, got 5.5"),
+            (lambda: PnrAnnotation(5, (2.0,)), "negative_frames must be an integer, got 2.0"),
+            (lambda: PnrPrediction(1.0, 2.5), "frame must be an integer, got 2.5"),
+        ],
+    )
+    def test_integer_fields_refuse_a_float(self, make, message):
+        # a float, even 9.0, is written with its point, which no int key reads back
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_integer_fields_take_numpy_ints(self):
+        assert Clip("c", 30.0, np.int64(9)).num_frames == 9
+        assert FrameWindow(np.int32(0), np.uint16(3)) == (0, 3)
+        assert ScoredWindow(np.int64(1), np.int64(4), 0.5) == (1, 4, 0.5)
+        assert PnrAnnotation(np.int64(5), (np.int16(2),)).all_frames == (5, 2)
+        assert PnrPrediction(1.0, np.int64(30)).frame == 30
 
     def test_window(self):
         win = FrameWindow(3, 7)

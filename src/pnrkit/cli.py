@@ -19,9 +19,10 @@ reader that closes standard output early ends the run quietly, exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import pnrkit
 from pnrkit.errors import (
@@ -50,12 +51,13 @@ def _info(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _blame(path: str, call: Callable[..., T], *args, only: type | tuple = PnrKitError) -> T:
-    """Return call(*args), putting path in front of the message of an error
-    of a type of only; the error keeps its type and fields."""
+@contextlib.contextmanager
+def _blame(path: str, *only: type) -> Iterator[None]:
+    """Put path in front of the message of an error of a type of only (any PnrKitError
+    if none is named) that the block raises; the error keeps its type and fields."""
     try:
-        return call(*args)
-    except only as exc:
+        yield
+    except only or PnrKitError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
@@ -64,8 +66,8 @@ def _load(path: str, parse: Callable[..., T], *args) -> T:
     """parse(the open file at path, *args), whose lines are read as the parser
     draws them.  A byte that is not UTF-8 reaches the parser as a lone
     surrogate, so the parser reports it at its line, after the lines before."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return _blame(path, parse, handle, *args)
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle, _blame(path):
+        return parse(handle, *args)
 
 
 def _write(args: argparse.Namespace, path: str, text: str | Iterable[str]) -> None:
@@ -89,7 +91,8 @@ def _refuse_unread(args: argparse.Namespace, mode: str, *dests: str) -> None:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     ds = _load(args.annotations, _lib.parse_annotations)
-    stats = _blame(args.annotations, _lib.dataset_stats, ds, args.bins, only=EmptyInputError)
+    with _blame(args.annotations, EmptyInputError):
+        stats = _lib.dataset_stats(ds, args.bins)
     sys.stdout.write(_lib.render_stats(stats))
     if args.out:
         _write(args, args.out, _lib.stats_plot_data(stats))
@@ -142,13 +145,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _lib.WindowingConfig(num_windows=args.n, window_len=args.window)
     rows = ["# clip_id\toracle_error_sec\n"]
     errors = []
-    for clip_id in sorted(ds.pnr):
-        if "\t" in clip_id or "\n" in clip_id or "\r" in clip_id:
-            raise ValidationError(f"{args.annotations}: clip id {clip_id!r} would split its TSV row")
-        clip = ds.clips[clip_id]
-        errors.append(_blame(args.annotations, _lib.oracle_error, ds.pnr[clip_id], clip, config))
-        rows.append(f"{clip_id}\t{errors[-1]:.6f}\n")
-    mean = _blame(args.annotations, _mean_error, errors, len(errors))
+    with _blame(args.annotations):
+        for clip_id in sorted(ds.pnr):
+            if "\t" in clip_id or "\n" in clip_id or "\r" in clip_id:
+                raise ValidationError(f"clip id {clip_id!r} would split its TSV row")
+            errors.append(_lib.oracle_error(ds.pnr[clip_id], ds.clips[clip_id], config))
+            rows.append(f"{clip_id}\t{errors[-1]:.6f}\n")
+        mean = _mean_error(errors, len(errors))
     _emit(args, rows)
     _info(args, f"mean_oracle_error_sec: {mean:.6f}")
     return 0
@@ -190,11 +193,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         metric, options = _lib.per_position_error, (10 if args.bins is None else args.bins,)
     # a labeled clip the preds file misses, or an unlabeled one it predicts, or errors
     # that sum past the floats, are its fault, and no labels at all the annotation file's
-    report = _blame(
-        args.annotations,
-        lambda: _blame(args.preds, metric, preds, ds, *options, only=(CoverageError, BoundsError)),
-        only=EmptyInputError,
-    )
+    with _blame(args.annotations, EmptyInputError), _blame(args.preds, CoverageError, BoundsError):
+        report = metric(preds, ds, *options)
     sys.stdout.write(_lib.render_report(report))
     if args.out:
         _write(args, args.out, _lib.report_to_json(report))
@@ -236,14 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the histogram plot TSV here")
     p.add_argument("--annotations", required=True, help="annotation file (JSON lines)")
     p.add_argument("--bins", type=int, default=10, help="histogram bin count")
-    p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("windows", parents=[common], help="dense window sweep table")
     p.add_argument("--frames", type=int, required=True, help="clip length in frames")
     p.add_argument("--fps", type=float, default=30.0, help="frames per second")
     p.add_argument("--n", type=int, required=True, help="window count")
     p.add_argument("--window", type=int, default=32, help="window length in frames")
-    p.set_defaults(handler=_cmd_windows)
 
     p = sub.add_parser("localize", parents=[common], help="select one instant per scored clip")
     p.add_argument("--scores", required=True, help="window score file")
@@ -252,27 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", type=float, default=0.43, help="positional prior fraction")
     p.add_argument("--fallback", choices=FALLBACKS, default="prior-point",
                    help="answer when no window clears the threshold")
-    p.set_defaults(handler=_cmd_localize)
 
     p = sub.add_parser("baseline", parents=[common], help="constant-position predictions")
     p.add_argument("--mode", choices=("center", "fraction"), required=True)
     p.add_argument("--fraction", type=float, default=None,
                    help="fraction for --mode fraction (default 0.43)")
     p.add_argument("--annotations", required=True)
-    p.set_defaults(handler=_cmd_baseline)
 
     p = sub.add_parser("oracle", parents=[common], help="best window-center error per clip")
     p.add_argument("--annotations", required=True)
     p.add_argument("--n", type=int, required=True, help="window count")
     p.add_argument("--window", type=int, default=32, help="window length in frames")
-    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("fuse", parents=[common], help="average score files from several scorers")
     p.add_argument("--task", choices=("oscc", "pnr"), required=True)
     p.add_argument("--scores", nargs="+", required=True, help="two or more score files")
     p.add_argument("--annotations", default=None,
                    help="optional annotation file for clip id and window bounds checks")
-    p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("evaluate", parents=[quiet], help="score predictions against annotations")
     p.add_argument("--out", default=None, help="also write the report as one JSON line here")
@@ -282,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=None,
                    help="position bins for the pnr breakdown (default 10)")
     p.add_argument("--plot-data", default=None, help="write per-bin TSV here (pnr only)")
-    p.set_defaults(handler=_cmd_evaluate)
 
     # no abbreviations, so --out is refused, not read as --out-dir
     p = sub.add_parser("simulate", parents=[quiet], help="generate a synthetic labeled dataset",
@@ -290,11 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="key = value settings file")
     p.add_argument("--out-dir", required=True, help="directory for the emitted files")
     p.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
-    p.set_defaults(handler=_cmd_simulate)
 
-    # each subcommand reports the options it does not know (see main)
-    for p in sub.choices.values():
-        p.set_defaults(subparser=p)
+    # each subcommand runs _cmd_<name>, and reports the options it does not know (see main)
+    for name, p in sub.choices.items():
+        p.set_defaults(subparser=p, handler=globals()[f"_cmd_{name}"])
     return parser
 
 

@@ -30,7 +30,7 @@ from itertools import compress, islice, repeat
 from operator import add, is_not, itemgetter, le, lt, not_, truediv
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from pnrkit.errors import ConflictError, ParseError, PnrKitError, ValidationError
+from pnrkit.errors import ConflictError, ParseError, ValidationError
 from pnrkit.model import (
     Clip, PnrAnnotation, PnrPrediction, Record, ScoredWindow, ScoreSeries,
     ensure_annotation_in_clip, ensure_prediction_in_clip, ensure_range, ensure_windows_in_clip,
@@ -162,11 +162,6 @@ def _read(source: str | Iterable[str], fmt: tuple, record: Callable[..., None]) 
         first += n
 
 
-def _at_line(exc: PnrKitError, line_no: int) -> PnrKitError:
-    # a model ValidationError is a fault of the line's text
-    return (ParseError if isinstance(exc, ValidationError) else type(exc))(str(exc), line_no)
-
-
 def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
     # a blank line holds no record; any other goes through strip() and json.loads,
     # whose messages the errors repeat
@@ -175,16 +170,15 @@ def _read_line(raw: str, line_no: int, record: Callable[[dict], None]) -> None:
         return
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # a JSONDecodeError's msg, or an int longer than int() takes
-        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
-    except ParseError as exc:  # a repeated key
-        raise _at_line(exc, line_no) from None
-    try:
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object")
         record(obj)
-    except (ValidationError, ParseError, ConflictError) as exc:
-        raise _at_line(exc, line_no) from None
+    except (ValidationError, ParseError, ConflictError) as exc:  # a repeated key is a ParseError
+        # a model ValidationError is a fault of the line's text
+        kind = ParseError if isinstance(exc, ValidationError) else type(exc)
+        raise kind(str(exc), line_no) from None
+    except ValueError as exc:  # a JSONDecodeError's msg, or an int longer than int() takes
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
 
 
 def _as_str(v: object, key: str) -> str:

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pnrkit.cli
-from pnrkit.cli import _load, build_parser, main
-from pnrkit.errors import ConflictError, ParseError
+from pnrkit.cli import _blame, _load, build_parser, main
+from pnrkit.errors import ConflictError, CoverageError, ParseError
 from pnrkit.ingest import parse_annotations, parse_oscc_scores, parse_pnr_scores, parse_predictions
 from pnrkit.model import SOURCES
 
@@ -786,6 +786,24 @@ COVERAGE_FAULTS = {
         "{what} prediction for unannotated clip(s): ghost",
     ),
 }
+
+
+class TestBlame:
+    def test_names_the_file_and_keeps_the_error(self):
+        # with no type named, any PnrKitError the block raises is blamed
+        with pytest.raises(CoverageError) as info, _blame("p.jsonl"):
+            raise CoverageError("no scores for clip(s)", ("a",))
+        assert str(info.value) == "p.jsonl: no scores for clip(s): a"
+        assert info.value.clip_ids == ("a",)
+
+    def test_blames_only_the_types_named(self):
+        with pytest.raises(ParseError) as info, _blame("p.jsonl", CoverageError):
+            raise ParseError("bad record", 3)
+        assert (str(info.value), info.value.line_no) == ("line 3: bad record", 3)
+
+    def test_each_subcommand_runs_its_handler(self):
+        for name, parser in subcommand_parsers().items():
+            assert parser.get_default("handler") is getattr(pnrkit.cli, f"_cmd_{name}")
 
 
 class TestDiagnostics:

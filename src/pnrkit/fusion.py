@@ -118,4 +118,4 @@ def fuse_pnr(series_list: Sequence[ScoreSeries], clip: Clip | None = None) -> Sc
         _nearest_confidences(*_center_lookup(series.windows, c), point_centers)
         for series, c in zip(series_list, centers)
     ]
-    return ScoreSeries(tuple(ScoredWindow._from_columns(starts, ends, _means(columns))))
+    return ScoreSeries(ScoredWindow._from_columns(starts, ends, _means(columns)))

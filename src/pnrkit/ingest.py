@@ -73,9 +73,12 @@ def build_dataset(
         _put(clip_map, (clip.clip_id,), (clip,), "clip_id")
     owners = _clips_of(pnr, clip_map)
     _clips_of(oscc, clip_map)
-    for clip_id, label in oscc.items():  # the parser gives a bool; no other label round-trips
-        if not isinstance(label, bool):
-            raise ValidationError(f"clip {clip_id!r}: state-change label {label!r} is not a bool")
+    # each value as the parser gives it: no other kind round-trips or has its frames checked
+    kinds = (oscc, bool, "state-change label"), (pnr, PnrAnnotation, "frame annotation")
+    for values, kind, what in kinds:
+        for clip_id, v in values.items():
+            if not isinstance(v, kind):
+                raise ValidationError(f"clip {clip_id!r}: {what} {v!r} is not a {kind.__name__}")
     any(map(ensure_annotation_in_clip, pnr.values(), owners))  # each call gives None
     return Dataset(clips=clip_map, pnr=dict(pnr), oscc=dict(oscc))
 
@@ -381,7 +384,7 @@ def _sorted_series(grouped: dict[str, list], placed: list) -> dict[str, ScoreSer
                     )
                 seen.add(key)
     placed.clear()  # freed before the series are built; each list goes as its series comes
-    # a ScoreSeries checks nothing, so tuple.__new__ makes each with no call of its own
+    # each window is a ScoredWindow built here, so tuple.__new__ skips ScoreSeries' type test
     return {c: tuple.__new__(ScoreSeries, (tuple(grouped.pop(c)),)) for c in list(grouped)}
 
 

@@ -20,7 +20,7 @@ def frame_bin(frame: int, num_frames: int, bins: int) -> int:
     """Histogram bin of frame / (n - 1): bin k covers [k/bins, (k+1)/bins),
     and the last bin also takes 1.0.  Integer arithmetic keeps a frame on
     a bin edge out of the bin below."""
-    ensure_range("bins", bins, 1)
+    ensure_range("bins", bins, 1, integer=True)
     if not 0 <= frame < num_frames:
         raise BoundsError(f"frame {frame} outside clip of {num_frames} frames")
     return min(frame * bins // max(num_frames - 1, 1), bins - 1)
@@ -63,7 +63,7 @@ class DatasetStats(Record):
 
 def dataset_stats(dataset: Dataset, bins: int = 10) -> DatasetStats:
     """Count annotations and histogram their fractional positions."""
-    ensure_range("bins", bins, 1)
+    ensure_range("bins", bins, 1, integer=True)
     if not dataset.clips:
         raise EmptyInputError("dataset has no clips")
     positive_hist, negative_hist = [0] * bins, [0] * bins
@@ -197,7 +197,7 @@ def per_position_error(
     report's headline is aggregated from the bin means with counts as
     weights, so the weighted-mean identity holds exactly.
     """
-    ensure_range("bins", bins, 1)
+    ensure_range("bins", bins, 1, integer=True)
     errors = _clip_errors(preds, ds)
     grouped: list[list[float]] = [[] for _ in range(bins)]
     for clip_id, err in errors.items():

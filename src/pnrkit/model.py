@@ -209,12 +209,17 @@ class ScoreSeries(Record):
     """All scored windows one scorer produced for one clip.
 
     The series does not name its clip: series live in maps keyed by
-    clip id, like every other per-clip value.
+    clip id, like every other per-clip value.  It holds ScoredWindow
+    records only, so each window the emitter writes parses back.
     """
 
     __slots__ = ()
 
-    def __new__(cls, windows: tuple[ScoredWindow, ...] = ()):
+    def __new__(cls, windows: Iterable[ScoredWindow] = ()):
+        windows = tuple(windows)  # the caller's list stays the caller's
+        if not {*map(type, windows)} <= {ScoredWindow}:
+            bad = next(w for w in windows if type(w) is not ScoredWindow)
+            raise ValidationError(f"a series holds ScoredWindow records, got {bad!r}")
         return tuple.__new__(cls, (windows,))
 
 

@@ -38,7 +38,7 @@ class SamplerConfig(Record):
     __slots__ = ()
 
     def __new__(cls, num_segments: int, mode: str = "test-uniform", seed: int = 0):
-        ensure_range("num_segments", num_segments, 1)
+        ensure_range("num_segments", num_segments, 1, integer=True)
         if mode not in SAMPLER_MODES:
             raise ValidationError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
         return tuple.__new__(cls, (num_segments, mode, seed))
@@ -50,9 +50,9 @@ class WindowingConfig(Record):
     __slots__ = ()
 
     def __new__(cls, num_windows: int, window_len: int = 32, jitter: int = 8):
-        ensure_range("num_windows", num_windows, 1)
-        ensure_range("window_len", window_len, 1)
-        ensure_range("jitter", jitter, 0)
+        ensure_range("num_windows", num_windows, 1, integer=True)
+        ensure_range("window_len", window_len, 1, integer=True)
+        ensure_range("jitter", jitter, 0, integer=True)
         return tuple.__new__(cls, (num_windows, window_len, jitter))
 
 
@@ -167,7 +167,7 @@ def negative_windows(
     windows may repeat.  Raises NegativeSpaceEmpty when annotations
     leave no valid start.
     """
-    ensure_range("count", count, 0)
+    ensure_range("count", count, 0, integer=True)
     rng = _rng(seed)
     valid = valid_negative_starts(annotation, clip, config)
     if not valid:

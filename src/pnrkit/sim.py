@@ -67,7 +67,7 @@ class SimConfig(Record):
         state_change_prob: float = 0.5,
         seed: int = 0,
     ):
-        ensure_range("n_clips", n_clips, 1)
+        ensure_range("n_clips", n_clips, 1, integer=True)
         ensure_positive("fps", fps)
         ensure_positive("duration_min_sec", duration_min_sec)
         ensure_range("duration_max_sec", duration_max_sec, duration_min_sec)
@@ -240,7 +240,7 @@ class _DrawnScores(Mapping):
         held = _held_starts(ann.all_frames if ann is not None else (), starts, w)
         hit, miss = self._hit, self._miss
         confidences = [(hit if s in held else miss)(random) for s in starts]
-        return ScoreSeries(tuple(ScoredWindow._from_columns(starts, ends, confidences)))
+        return ScoreSeries(ScoredWindow._from_columns(starts, ends, confidences))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._index)

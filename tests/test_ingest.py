@@ -191,6 +191,13 @@ class TestBuildDataset:
         with pytest.raises(ValidationError, match="outside"):
             build_dataset([Clip("a", 30.0, 100)], {"a": PnrAnnotation(7, (100,))})
 
+    @pytest.mark.parametrize("annotation", [(3, ()), 5, None], ids=["tuple", "int", "none"])
+    def test_frame_annotation_must_be_a_pnr_annotation(self, annotation):
+        # checked before its frames are, so no bare AttributeError escapes
+        with pytest.raises(ValidationError) as info:
+            build_dataset([Clip("a", 30.0, 100)], {"a": annotation})
+        assert str(info.value) == f"clip 'a': frame annotation {annotation!r} is not a PnrAnnotation"
+
 
 CLIPS = {"a": Clip("a", 30.0, 100)}  # 100 frames, 3.33 s
 # (parser, a good line for clip a, a line for an unknown clip, a line outside clip a, its message)

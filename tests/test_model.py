@@ -15,7 +15,9 @@ from pnrkit import model
 from pnrkit.errors import BoundsError, DomainError, ParseError, ValidationError
 from pnrkit.ingest import build_dataset, emit_predictions, parse_annotations, parse_predictions
 from pnrkit.localization import SelectionConfig, oracle_error
-from pnrkit.metrics import BinError, MetricsReport, dataset_stats, pnr_mae
+from pnrkit.metrics import (
+    BinError, MetricsReport, dataset_stats, frame_bin, per_position_error, pnr_mae,
+)
 from pnrkit.model import (
     Clip,
     FrameWindow,
@@ -208,6 +210,19 @@ class TestTypeValidation:
             (lambda: PnrAnnotation(5.5), "positive_frame must be an integer, got 5.5"),
             (lambda: PnrAnnotation(5, (2.0,)), "negative_frames must be an integer, got 2.0"),
             (lambda: PnrPrediction(1.0, 2.5), "frame must be an integer, got 2.5"),
+            # settings: a float window length would be written as "start": 0.0
+            (lambda: WindowingConfig(4, 32.0), "window_len must be an integer, got 32.0"),
+            (lambda: WindowingConfig(2.5), "num_windows must be an integer, got 2.5"),
+            (lambda: WindowingConfig(4, 32, 1.5), "jitter must be an integer, got 1.5"),
+            (lambda: SimConfig(n_clips=2.5), "n_clips must be an integer, got 2.5"),
+            (lambda: SamplerConfig(2.5), "num_segments must be an integer, got 2.5"),
+            (lambda: negative_windows(PnrAnnotation(5), Clip("c", 30.0, 240),
+                                      WindowingConfig(4), 0, count=2.5),
+             "count must be an integer, got 2.5"),
+            (lambda: dataset_stats(_dataset(), 2.5), "bins must be an integer, got 2.5"),
+            (lambda: per_position_error({"c": PnrPrediction(3.4, 103)}, _dataset(), 4.0),
+             "bins must be an integer, got 4.0"),
+            (lambda: frame_bin(3, 10, 2.0), "bins must be an integer, got 2.0"),
         ],
     )
     def test_integer_fields_refuse_a_float(self, make, message):
@@ -269,6 +284,20 @@ class TestTypeValidation:
         assert PnrAnnotation(5, iter([1, 2])).negative_frames == (1, 2)
         with pytest.raises(ValidationError, match="^duplicate negative frames$"):
             PnrAnnotation(5, iter([1, 1]))
+
+    @pytest.mark.parametrize("bad", [(0.5, 3, 0.2), (0, 3, 0.2), FrameWindow(0, 3)],
+                             ids=["float-start", "plain-tuple", "frame-window"])
+    def test_score_series_holds_scored_windows_only(self, bad):
+        # the emitter writes any three items as a score line, which need not parse back
+        with pytest.raises(ValidationError) as info:
+            ScoreSeries((ScoredWindow(0, 4, 0.5), bad))
+        assert str(info.value) == f"a series holds ScoredWindow records, got {bad!r}"
+
+    def test_score_series_copies_its_windows(self):
+        windows = [ScoredWindow(0, 4, 0.5)]
+        series = ScoreSeries(windows)
+        windows.append(ScoredWindow(2, 6, 0.5))
+        assert series.windows == (ScoredWindow(0, 4, 0.5),)
 
     def test_prediction(self):
         PnrPrediction(3.45, 103, "selected")

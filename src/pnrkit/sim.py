@@ -252,13 +252,16 @@ class _DrawnScores(Mapping):
 def simulate_oscc(
     ds: Dataset, noise: ScorerNoiseModel = ScorerNoiseModel(), seed: int = 0
 ) -> dict[str, float]:
-    """Emit a state-change probability per labeled clip.
+    """Emit a state-change probability per labeled clip, in clip order.
 
     With probability ``oscc_flip_prob`` the probability lands on the
     wrong side of 0.5, otherwise on the correct side.
     """
     out: dict[str, float] = {}
-    for i, (clip_id, label) in enumerate(ds.oscc.items()):
+    for i, clip_id in enumerate(ds.clips):  # the clip's index keys its stream, as in gen_dataset
+        label = ds.oscc.get(clip_id)
+        if label is None:  # an unlabeled clip draws nothing
+            continue
         rng = _rng(seed, 2, i)
         if rng.random() < noise.oscc_flip_prob:
             label = not label

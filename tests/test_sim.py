@@ -488,6 +488,15 @@ class TestSimulateOscc:
         for clip_id, prob in probs.items():
             assert (prob >= 0.5) != ds.oscc[clip_id]
 
+    def test_a_clip_draws_by_its_own_index(self):
+        # each clip's stream is keyed by its index in ds.clips, as the window
+        # scores' are, so an earlier clip's label does not move a later one
+        clips = [Clip(clip_id, 30.0, 100) for clip_id in "abc"]
+        labeled = simulate_oscc(build_dataset(clips, {}, {"a": True, "b": False, "c": True}), seed=5)
+        partial = simulate_oscc(build_dataset(clips, {}, {"b": False, "c": True}), seed=5)
+        assert partial == {"b": labeled["b"], "c": labeled["c"]}
+        assert list(simulate_oscc(build_dataset(clips, {}, {"c": True, "a": True}))) == ["a", "c"]
+
 
 NUMBER_KEYS = [
     "fps",

@@ -801,10 +801,6 @@ class TestBlame:
             raise ParseError("bad record", 3)
         assert (str(info.value), info.value.line_no) == ("line 3: bad record", 3)
 
-    def test_each_subcommand_runs_its_handler(self):
-        for name, parser in subcommand_parsers().items():
-            assert parser.get_default("handler") is getattr(pnrkit.cli, f"_cmd_{name}")
-
 
 class TestDiagnostics:
     # options that only another mode of their subcommand reads
